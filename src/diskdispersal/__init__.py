@@ -21,6 +21,7 @@ from .geometry import (
     Disk,
     Point,
     circle_circle_candidates,
+    close_pairs,
     dist2,
     is_packing,
     overlap,
@@ -44,6 +45,7 @@ from .kernel import (
     full_kernel,
     halo_partition,
     kernelize,
+    shrink_kernel,
     shrink_parts,
     size_bound,
 )

@@ -26,7 +26,7 @@ from .instance_io import (
     write_instance,
     write_witness,
 )
-from .kernel import full_kernel, kernelize
+from .kernel import kernelize, shrink_kernel
 from .numerics import IndeterminateError
 from .oracle import GuardError, oracle
 from .render import RenderOptions, render_svg
@@ -54,11 +54,11 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", parents=[], help="decide an instance")
     sp.add_argument("instance", type=Path)
     sp.add_argument("--witness", type=Path, help="write a witness here on yes")
-    sp.add_argument("--delta", type=Fraction, default=Fraction(1, 16),
-                    help="finest refutation grid resolution")
+    sp.add_argument("--delta", type=Fraction, default=None,
+                    help="finest refutation grid resolution (default: the "
+                         "solver's 1/64, the oracle's 1/16)")
     sp.add_argument("--time-budget", type=float, default=None)
     sp.add_argument("--max-set-size", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--oracle", action="store_true",
                     help="run the independent brute-force oracle instead")
     sp.add_argument("--expand-blocks", action="store_true",
@@ -147,11 +147,12 @@ def _maybe_expand(inst: Instance, flag: bool, what: str) -> Instance:
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     inst = _maybe_expand(inst, args.expand_blocks, "solve")
+    delta = {} if args.delta is None else {"delta": args.delta}
     if args.oracle:
-        ans = oracle(inst, args.delta)
+        ans = oracle(inst, **delta)
     else:
-        cfg = SolverConfig(delta=args.delta, time_budget=args.time_budget,
-                           max_set_size=args.max_set_size, jobs=args.jobs)
+        cfg = SolverConfig(time_budget=args.time_budget,
+                           max_set_size=args.max_set_size, **delta)
         ans = solve(inst, cfg)
     print(ans)
     for line in ans.log:
@@ -170,7 +171,7 @@ def _cmd_kernelize(args) -> int:
         return 1
     kinst, report = kr
     if args.shrink:
-        kinst = full_kernel(inst)
+        kinst = shrink_kernel(kinst)
     header = [
         f"# cover: {list(report.cover)}",
         f"# threshold: {report.threshold}",

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .numerics import (
     DomainError,
+    IndeterminateError,
     Ordering,
     Scalar,
     approx_float,
@@ -28,6 +29,8 @@ from .numerics import (
     sign_eq,
     sign_le,
     sign_lt,
+    sqrt_lower_upper,
+    to_interval,
 )
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "dist2",
     "overlap",
     "is_packing",
+    "close_pairs",
     "within_move",
     "circle_circle_candidates",
     "circle_circle_candidates_sq",
@@ -77,44 +81,72 @@ def overlap(a: Disk, b: Disk) -> bool:
 
 
 def is_packing(disks: Sequence[Disk]) -> Optional[tuple[int, int]]:
-    """None if no pair of disks overlaps, else the first violating pair.
+    """None if no pair of disks overlaps, else the lexicographically first
+    overlapping pair."""
+    return next(close_pairs(disks, FOUR), None)
 
-    Pairs are reported lexicographically.  For large all-rational inputs a
-    spatial bucket pass finds the same first pair without the quadratic scan.
+
+def close_pairs(points: Sequence[Point], threshold,
+                closed: bool = False) -> Iterator[tuple[int, int]]:
+    """Pairs (i, j), i < j, with dist2 below threshold (at most it when
+    closed), in lexicographic order.
+
+    Candidates come from a square grid of integer width w >= sqrt(threshold)
+    and the exact comparison decides each one, raising IndeterminateError
+    when interval operands straddle the threshold.  A pair within the
+    threshold differs by at most w in each axis, so the cells holding its
+    true coordinates are equal or adjacent.  Every point is filed under all
+    cells that its exact enclosure touches, which include the cell of its
+    true value, so scanning the 3x3 block around each cell of a point finds
+    all its partners.  A point whose enclosure touches more than four cells
+    is paired with every other point instead.
     """
-    n = len(disks)
-    if n > 128 and all(d.is_rational() for d in disks):
-        return _is_packing_bucketed(disks)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if overlap(disks[i], disks[j]):
-                return (i, j)
-    return None
+    threshold = frac(threshold)
+    width = sqrt_lower_upper(max(threshold, Fraction(1)), 1)[1].numerator
+    cells = [_cells(p, width) for p in points]
+    grid: dict[tuple[int, int], list[int]] = {}
+    wide: list[int] = []
+    for i, keys in enumerate(cells):
+        if keys is None:
+            wide.append(i)
+        else:
+            for key in keys:
+                grid.setdefault(key, []).append(i)
+    n = len(points)
+    for i, keys in enumerate(cells):
+        if keys is None:
+            near: Iterable[int] = range(i + 1, n)
+        else:
+            found = {j for cx, cy in keys for dx, dy in _NEIGHBOURS
+                     for j in grid.get((cx + dx, cy + dy), ()) if j > i}
+            found.update(j for j in wide if j > i)
+            near = sorted(found)
+        for j in near:
+            o = compare(dist2(points[i], points[j]), threshold)
+            if o is Ordering.INDETERMINATE:
+                raise IndeterminateError(
+                    f"distance of {points[i]} and {points[j]}")
+            if o is Ordering.LESS or (closed and o is Ordering.EQUAL):
+                yield i, j
 
 
-def _is_packing_bucketed(disks: Sequence[Disk]) -> Optional[tuple[int, int]]:
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, d in enumerate(disks):
-        key = (d.x.numerator // (2 * d.x.denominator),
-               d.y.numerator // (2 * d.y.denominator))
-        buckets.setdefault(key, []).append(i)
-    best: Optional[tuple[int, int]] = None
-    for (cx, cy), members in buckets.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = buckets.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if j <= i:
-                            continue
-                        pair = (i, j)
-                        if best is not None and pair >= best:
-                            continue
-                        if overlap(disks[i], disks[j]):
-                            best = pair
-    return best
+_NEIGHBOURS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+def _cell(v: Fraction, width: int) -> int:
+    return v.numerator // (width * v.denominator)
+
+
+def _cells(p: Point, width: int) -> Optional[list[tuple[int, int]]]:
+    """Grid cells touched by an exact enclosure of p; None when more than
+    four."""
+    if p.is_rational():
+        return [(_cell(p.x, width), _cell(p.y, width))]
+    xs, ys = (range(_cell(iv.lo, width), _cell(iv.hi, width) + 1)
+              for iv in (to_interval(p.x), to_interval(p.y)))
+    if len(xs) * len(ys) > 4:
+        return None
+    return [(cx, cy) for cx in xs for cy in ys]
 
 
 def within_move(origin: Point, target: Point, d2, variant: str) -> bool:

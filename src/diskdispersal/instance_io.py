@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .geometry import Disk, Point, dist2, within_move
+from .geometry import Disk, Point, close_pairs, dist2, within_move
 from .numerics import (
     IndeterminateError,
     Ordering,
@@ -386,41 +386,6 @@ def _pair_separated(a: Point, b: Point, threshold: Fraction) -> bool:
     return o is not Ordering.LESS
 
 
-def _packing_violation(disks: Sequence[Point], threshold: Fraction):
-    n = len(disks)
-    if n > 128 and all(d.is_rational() for d in disks):
-        return _packing_violation_bucketed(disks, threshold)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not _pair_separated(disks[i], disks[j], threshold):
-                return (i, j)
-    return None
-
-
-def _packing_violation_bucketed(disks, threshold):
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, d in enumerate(disks):
-        key = (d.x.numerator // (2 * d.x.denominator),
-               d.y.numerator // (2 * d.y.denominator))
-        buckets.setdefault(key, []).append(i)
-    best = None
-    for (cx, cy), members in buckets.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = buckets.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if j <= i:
-                            continue
-                        if best is not None and (i, j) >= best:
-                            continue
-                        if not _pair_separated(disks[i], disks[j], threshold):
-                            best = (i, j)
-    return best
-
-
 def validate_witness(inst: Instance, w: Witness,
                      eps: Optional[Fraction] = None) -> ValidationResult:
     """Check a move assignment against an instance.
@@ -444,7 +409,7 @@ def validate_witness(inst: Instance, w: Witness,
                 return ValidationResult("reject", "move", idx, eps)
 
         final = [w.moves.get(i, d) for i, d in enumerate(inst.disks)]
-        bad = _packing_violation(final, sep)
+        bad = next(close_pairs(final, sep), None)
         if bad is not None:
             return ValidationResult("reject", "packing", bad, eps)
 

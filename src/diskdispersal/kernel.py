@@ -34,6 +34,7 @@ __all__ = [
     "shrink_parts",
     "halo_partition",
     "full_kernel",
+    "shrink_kernel",
 ]
 
 
@@ -188,7 +189,11 @@ def full_kernel(inst: Instance) -> Instance:
     if kr is None:
         origin = Point(Fraction(0), Fraction(0))
         return Instance(inst.variant, 0, inst.d2, (origin, origin), ())
-    kinst, _report = kr
+    return shrink_kernel(kr[0])
+
+
+def shrink_kernel(kinst: Instance) -> Instance:
+    """Halo grouping and coordinate compaction of a kernelized instance."""
     if not kinst.disks:
         return kinst
     d = derived_d(kinst.d2)

@@ -497,14 +497,6 @@ def sqrt_lower_upper(x, denom_bound: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def sqrt_upper(x, denom_bound: int = 1 << 32) -> Fraction:
-    return sqrt_lower_upper(x, denom_bound)[1]
-
-
-def sqrt_lower(x, denom_bound: int = 1 << 32) -> Fraction:
-    return sqrt_lower_upper(x, denom_bound)[0]
-
-
 # ---------------------------------------------------------------------------
 # float approximation (for deterministic ordering keys and display only)
 

@@ -29,7 +29,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     Point,
@@ -47,6 +47,7 @@ from .numerics import (
     compare,
     format_scalar,
     frac,
+    precision_cap,
     quadext,
     set_precision_cap,
 )
@@ -78,7 +79,6 @@ class SolverConfig:
     grid_node_budget: int = 1_500_000
     precision_cap: Optional[int] = None     # interval escalation bits
     time_budget: Optional[float] = None     # wall-clock seconds
-    jobs: int = 1
 
     def __post_init__(self):
         self.delta = frac(self.delta)
@@ -468,7 +468,6 @@ def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
     if not all(p.is_rational() for p in movables) or \
             not all(f.is_rational() for f in fixed):
         return Feasibility("unknown", reason="non-rational centers")
-    d_up = derived_d(d2)
     deltas: list[Fraction] = []
     dlt = cfg.delta_start
     while dlt > cfg.delta:
@@ -695,30 +694,32 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     cfg = cfg or SolverConfig()
     if inst.blocks:
         raise ValueError("solve requires explicit disks; expand blocks first")
-    if cfg.precision_cap is not None:
-        old_cap = set_precision_cap(cfg.precision_cap)
-        try:
-            return solve(inst, _without_cap(cfg))
-        finally:
-            set_precision_cap(old_cap)
-    budget = _Budget(cfg.time_budget)
+    old_cap = set_precision_cap(precision_cap() if cfg.precision_cap is None
+                                else cfg.precision_cap)
+    try:
+        budget = _Budget(cfg.time_budget)
+        kr = kernelize(inst)
+        if kr is None:
+            return Answer("no",
+                          log=("conflict matching exceeds the move budget",))
+        kinst, report = kr
+        g = build_graph(kinst.disks)
+        if not g.edges:
+            return Answer("yes", Witness({}),
+                          log=("already a packing after reduction",))
 
-    kr = kernelize(inst)
-    if kr is None:
-        return Answer("no", log=("conflict matching exceeds the move budget",))
-    kinst, report = kr
-    g = build_graph(kinst.disks)
-    if not g.edges:
-        return Answer("yes", Witness({}),
-                      log=("already a packing after reduction",))
-
-    cap = inst.k if cfg.max_set_size is None else min(inst.k, cfg.max_set_size)
-    log: list[str] = [f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
-    unknowns = 0
-
-    sets = enumerate_candidate_sets(g, cap)
-    for verdicts in _dispatch(sets, kinst, cfg, budget):
-        for cand, res in verdicts:
+        cap = inst.k if cfg.max_set_size is None \
+            else min(inst.k, cfg.max_set_size)
+        log: list[str] = [
+            f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
+        unknowns = 0
+        for cand in enumerate_candidate_sets(g, cap):
+            if budget.exceeded():
+                break
+            chosen = set(cand)
+            fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
+            movables = [kinst.disks[i] for i in cand]
+            res = feasibility(fixed, movables, kinst.d2, kinst.variant, cfg)
             if res.status == "feasible":
                 moves = {}
                 for slot, target in res.assignment.items():
@@ -733,55 +734,17 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
                 unknowns += 1
                 log.append(f"set {cand}: unknown ({res.reason})")
         if budget.exceeded():
+            # an incomplete sweep proves nothing
             return Answer("unknown", reason="time budget", log=tuple(log))
-    if budget.exceeded():
-        # the dispatcher stopped early; an incomplete sweep proves nothing
-        return Answer("unknown", reason="time budget", log=tuple(log))
-    if unknowns:
-        return Answer("unknown",
-                      reason=f"{unknowns} candidate sets undecided",
-                      log=tuple(log))
-    if cap < inst.k:
-        # the cap hid part of the search space, so a clean sweep is not a
-        # refutation of the full problem
-        return Answer("unknown", reason=f"moved-set size capped at {cap}",
-                      log=tuple(log))
-    return Answer("no", log=tuple(log))
-
-
-def _without_cap(cfg: SolverConfig) -> SolverConfig:
-    import dataclasses
-    return dataclasses.replace(cfg, precision_cap=None)
-
-
-def _dispatch(sets: Iterable[list[int]], kinst: Instance, cfg: SolverConfig,
-              budget: _Budget):
-    """Evaluate candidate sets in canonical chunks.
-
-    With jobs > 1 the sets of a chunk are evaluated speculatively in a
-    thread pool, but results are always consumed in canonical order, so the
-    answer (witness included) is identical at any parallelism width.
-    """
-    def run(cand: list[int]):
-        fixed = [d for i, d in enumerate(kinst.disks) if i not in set(cand)]
-        movables = [kinst.disks[i] for i in cand]
-        return cand, feasibility(fixed, movables, kinst.d2, kinst.variant,
-                                 cfg)
-
-    if cfg.jobs <= 1:
-        for cand in sets:
-            if budget.exceeded():
-                return
-            yield [run(cand)]
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    chunk_size = max(1, cfg.jobs)
-    it = iter(sets)
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        while True:
-            chunk = list(itertools.islice(it, chunk_size))
-            if not chunk:
-                return
-            if budget.exceeded():
-                return
-            yield list(pool.map(run, chunk))
+        if unknowns:
+            return Answer("unknown",
+                          reason=f"{unknowns} candidate sets undecided",
+                          log=tuple(log))
+        if cap < inst.k:
+            # the cap hid part of the search space, so a clean sweep is not
+            # a refutation of the full problem
+            return Answer("unknown", reason=f"moved-set size capped at {cap}",
+                          log=tuple(log))
+        return Answer("no", log=tuple(log))
+    finally:
+        set_precision_cap(old_cap)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, dist2
-from .numerics import IndeterminateError, Ordering, compare, frac
+from .geometry import Disk, close_pairs
+from .numerics import frac
 
 __all__ = ["IntersectionGraph", "build_graph", "approx_vc", "components"]
 
@@ -23,77 +23,21 @@ class IntersectionGraph:
     n: int
     edges: tuple[tuple[int, int], ...]  # sorted, i < j
 
-    def degree_ordered(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-
-def _edge_test(a: Disk, b: Disk, threshold: Fraction, closed: bool) -> bool:
-    o = compare(dist2(a, b), threshold)
-    if o is Ordering.INDETERMINATE:
-        raise IndeterminateError(f"overlap of disks {a} and {b}")
-    if closed:
-        return o is not Ordering.GREATER
-    return o is Ordering.LESS
-
 
 def build_graph(disks: Sequence[Disk], radius=Fraction(1), *,
-                include_touching: bool = False,
-                accel: str = "auto") -> IntersectionGraph:
-    """All-pairs intersection graph over disks of the given common radius.
+                include_touching: bool = False) -> IntersectionGraph:
+    """Intersection graph over disks of the given common radius.
 
     The threshold on squared center distance is (2*radius)^2; strict by
     default, closed when include_touching is set (used for the enlarged
-    halo graphs).  ``accel`` is one of "auto", "none", "bucket"; the bucket
-    path requires rational centers and returns the identical edge list.
+    halo graphs).  Edges come from :func:`geometry.close_pairs`.
     """
     r = frac(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
     threshold = (2 * r) * (2 * r)
-    n = len(disks)
-    use_bucket = accel == "bucket" or (
-        accel == "auto" and n > 256 and all(d.is_rational() for d in disks))
-    if use_bucket:
-        edges = _bucket_edges(disks, 2 * r, threshold, include_touching)
-    else:
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _edge_test(disks[i], disks[j], threshold, include_touching):
-                    edges.append((i, j))
-    edges.sort()
-    return IntersectionGraph(n, tuple(edges))
-
-
-def _bucket_edges(disks, width: Fraction, threshold: Fraction, closed: bool):
-    # bucket width = 2r, so any edge spans at most one cell in each axis
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, d in enumerate(disks):
-        key = (_fdiv(d.x, width), _fdiv(d.y, width))
-        buckets.setdefault(key, []).append(i)
-    edges = set()
-    for (cx, cy), members in buckets.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = buckets.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if j <= i or (i, j) in edges:
-                            continue
-                        if _edge_test(disks[i], disks[j], threshold, closed):
-                            edges.add((i, j))
-    return sorted(edges)
-
-
-def _fdiv(x: Fraction, w: Fraction) -> int:
-    q = x / w
-    return q.numerator // q.denominator
+    edges = tuple(close_pairs(disks, threshold, include_touching))
+    return IntersectionGraph(len(disks), edges)
 
 
 def approx_vc(g: IntersectionGraph, k: int) -> Optional[list[int]]:

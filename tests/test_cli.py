@@ -9,6 +9,7 @@ from diskdispersal.render import RenderOptions, render_svg
 from diskdispersal.generators import gen_gridtiling, parse_gridtiling
 from diskdispersal.geometry import Point
 from diskdispersal.instance_io import Instance, LatticeBlock, Witness
+from diskdispersal.solver import solve
 
 
 def P(x, y):
@@ -73,6 +74,15 @@ class TestSolveChain:
         assert dispatch(["validate", str(fig1), str(w),
                          "--tolerant", "1/1000000"]) == 0
 
+    def test_default_delta_agrees_with_library(self, tmp_path):
+        # unknown at delta 1/16; the library's default 1/64 proves no
+        p = tmp_path / "no.inst"
+        p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: 3\nd2: 1\n"
+                     "disks: 6\n7 9/2\n1 3/4\n7/2 11/2\n13/4 6\n25/4 3\n"
+                     "21/4 9/4\n")
+        assert solve(parse_instance(p.read_text())).verdict == "no"
+        assert dispatch(["solve", str(p)]) == 1
+
     def test_parse_error_exit_two(self, tmp_path):
         p = tmp_path / "bad.inst"
         p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: -1\n")
@@ -100,6 +110,24 @@ class TestKernelizeCommand:
         assert dispatch(["kernelize", str(p), str(out), "--shrink"]) == 0
         inst = parse_instance(out.read_text())
         assert min(d.x for d in inst.disks) == 0
+
+    def test_shrink_kernelizes_once(self, tmp_path, monkeypatch):
+        from diskdispersal import cli, kernel
+        calls = []
+        original = kernel.kernelize
+
+        def counting(inst):
+            calls.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(kernel, "kernelize", counting)
+        monkeypatch.setattr(cli, "kernelize", counting)
+        p = tmp_path / "inst"
+        p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
+                     "disks: 3\n100 100\n101 100\n140 100\n")
+        out = tmp_path / "kern"
+        assert dispatch(["kernelize", str(p), str(out), "--shrink"]) == 0
+        assert len(calls) == 1
 
 
 class TestGenerateCommands:

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskdispersal.geometry import (
     Point,
     circle_circle_candidates,
     circle_circle_candidates_sq,
+    close_pairs,
     dist2,
     is_packing,
     overlap,
@@ -15,12 +16,15 @@ from diskdispersal.geometry import (
 )
 from diskdispersal.numerics import (
     DomainError,
+    IndeterminateError,
+    Interval,
     Ordering,
     compare,
     quadext,
     s_add,
     s_mul,
     s_sub,
+    to_interval,
 )
 
 
@@ -30,6 +34,43 @@ def P(x, y):
 
 coords = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 points = st.builds(P, coords, coords)
+
+# half-integer coordinates put many centers on cell boundaries; radicals
+# come from tangency points, intervals from approximate literals
+halves = st.integers(-12, 12).map(lambda v: F(v, 2))
+radicals = st.builds(quadext, halves,
+                     st.sampled_from([F(1), F(-1), F(1, 2)]),
+                     st.sampled_from([2, 3, 5]))
+intervals = st.builds(lambda m, w: Interval(m - w, m + w), halves,
+                      st.sampled_from([F(1, 64), F(1, 2), F(7)]))
+mixed = st.one_of(halves, halves, halves, radicals, intervals)
+mixed_points = st.builds(Point, mixed, mixed)
+
+
+def brute_close_pairs(pts, threshold, closed):
+    """Reference for close_pairs: every pair through the exact comparison.
+
+    Returns the close pairs and the pairs the comparison cannot decide.
+    """
+    close, undecided = [], []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            o = compare(dist2(pts[i], pts[j]), threshold)
+            if o is Ordering.INDETERMINATE:
+                undecided.append((i, j))
+            elif o is Ordering.LESS or (closed and o is Ordering.EQUAL):
+                close.append((i, j))
+    return close, undecided
+
+
+def boxes_apart(a, b, threshold):
+    """The enclosures of a and b are farther apart than sqrt(threshold)."""
+    gap2 = 0
+    for u, v in ((a.x, b.x), (a.y, b.y)):
+        iu, iv = to_interval(u), to_interval(v)
+        gap = max(iv.lo - iu.hi, iu.lo - iv.hi, 0)
+        gap2 += gap * gap
+    return gap2 > threshold
 
 
 class TestDist2:
@@ -98,18 +139,42 @@ class TestIsPacking:
         moved = [translate(p, vx, vy) for p in disks]
         assert is_packing(disks) == is_packing(moved)
 
-    def test_bucketed_matches_naive(self):
-        import random
-        rng = random.Random(7)
-        disks = [P(F(rng.randint(0, 160), 4), F(rng.randint(0, 160), 4))
-                 for _ in range(200)]
-        from diskdispersal.geometry import _is_packing_bucketed
-        naive = None
-        for i in range(len(disks)):
-            for j in range(i + 1, len(disks)):
-                if naive is None and overlap(disks[i], disks[j]):
-                    naive = (i, j)
-        assert _is_packing_bucketed(disks) == naive
+    @given(st.lists(mixed_points, max_size=14))
+    @settings(max_examples=80, deadline=None)
+    def test_first_pair_matches_brute_force(self, disks):
+        close, undecided = brute_close_pairs(disks, F(4), False)
+        if undecided:
+            return
+        assert is_packing(disks) == (close[0] if close else None)
+
+
+class TestClosePairs:
+    @given(st.lists(mixed_points, max_size=14),
+           st.sampled_from([F(0), F(1, 4), F(1), F(4) - F(1, 10 ** 9), F(4),
+                            F(9), F(16)]),
+           st.booleans())
+    @example([P(0, 0), Point(quadext(-2, -1, 5), Interval(F(-7), F(7)))],
+             F(16), False)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, pts, threshold, closed):
+        close, undecided = brute_close_pairs(pts, threshold, closed)
+        try:
+            got = list(close_pairs(pts, threshold, closed))
+        except IndeterminateError:
+            assert undecided
+            return
+        assert got == close
+        # interval arithmetic may leave a far pair undecided; the index
+        # skips such a pair only when it is provably far
+        assert all(boxes_apart(pts[i], pts[j], threshold)
+                   for i, j in undecided)
+
+    def test_tangencies_count_only_when_closed(self):
+        # the three centers are pairwise exactly 2 apart
+        pts = [P(0, 0), Point(F(1), quadext(0, 1, 3)), P(2, 0)]
+        assert list(close_pairs(pts, F(4))) == []
+        assert list(close_pairs(pts, F(4), closed=True)) == \
+            [(0, 1), (0, 2), (1, 2)]
 
 
 class TestWithinMove:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diskdispersal.geometry import Point
+from diskdispersal.geometry import Point, dist2
 from diskdispersal.instance_io import (
     Instance,
     LatticeBlock,
@@ -17,7 +17,7 @@ from diskdispersal.instance_io import (
     write_instance,
     write_witness,
 )
-from diskdispersal.numerics import quadext
+from diskdispersal.numerics import Ordering, compare, quadext
 
 
 def P(x, y):
@@ -141,6 +141,20 @@ class TestValidation:
         w = parse_witness(text)
         assert validate_witness(FIG1, w, F(1, 10 ** 6)).status == "accept"
         assert validate_witness(FIG1, w).status == "indeterminate"
+
+    def test_large_irrational_overlap_names_first_pair(self):
+        # 156 disks 4 apart; two moves to radical targets that overlap
+        disks = tuple(P(4 * i, 4 * j) for j in range(12) for i in range(13))
+        inst = Instance("euclidean", 2, F(300), disks)
+        w = Witness({5: Point(quadext(2, 1, 2), F(0)),       # near disk 1
+                     3: Point(F(12), quadext(6, 1, 2))})     # near disk 29
+        final = [w.moves.get(i, d) for i, d in enumerate(disks)]
+        brute = next((i, j) for i in range(len(final))
+                     for j in range(i + 1, len(final))
+                     if compare(dist2(final[i], final[j]), 4) is Ordering.LESS)
+        res = validate_witness(inst, w)
+        assert res.status == "reject" and res.reason == "packing"
+        assert res.detail == brute == (1, 5)
 
     def test_index_out_of_range_is_error(self):
         with pytest.raises(ValueError):

@@ -119,13 +119,10 @@ class TestSolve:
         assert set(ans.witness.moves) <= {1, 2, 3}
         assert validate_witness(inst, ans.witness).status == "accept"
 
-    def test_determinism_and_jobs_equivalence(self):
+    def test_determinism(self):
         inst = fig1(1, 3)
         a1, a2 = solve(inst), solve(inst)
         assert a1.witness.moves == a2.witness.moves
-        a3 = solve(inst, SolverConfig(jobs=4))
-        assert a3.verdict == a1.verdict
-        assert a3.witness.moves == a1.witness.moves
 
     def test_kernel_commutation(self):
         from diskdispersal.kernel import kernelize

@@ -3,13 +3,32 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diskdispersal.geometry import Point
+from diskdispersal.geometry import Point, dist2
+from diskdispersal.numerics import (
+    Interval,
+    Ordering,
+    compare,
+    quadext,
+)
 from diskdispersal.udg import approx_vc, build_graph, components
 
 
 def P(x, y):
     return Point(F(x), F(y))
+
+
+# half-integer coordinates put many centers on cell boundaries; radicals
+# come from tangency points, intervals from approximate literals
+halves = st.integers(-12, 12).map(lambda v: F(v, 2))
+radicals = st.builds(quadext, halves,
+                     st.sampled_from([F(1), F(-1), F(1, 2)]),
+                     st.sampled_from([2, 3, 5]))
+intervals = st.builds(lambda m, w: Interval(m - w, m + w), halves,
+                      st.sampled_from([F(1, 64), F(1, 2), F(7)]))
+coords = st.one_of(halves, halves, halves, radicals, intervals)
+points = st.builds(Point, coords, coords)
 
 
 def brute_min_vc(n, edges):
@@ -41,13 +60,23 @@ class TestBuildGraph:
                         include_touching=True)
         assert g.edges == ((0, 1),)
 
-    def test_bucket_accelerator_identical(self):
-        rng = random.Random(3)
-        disks = [P(F(rng.randint(0, 200), 4), F(rng.randint(0, 200), 4))
-                 for _ in range(300)]
-        fast = build_graph(disks, accel="bucket")
-        slow = build_graph(disks, accel="none")
-        assert fast.edges == slow.edges
+    @given(st.lists(points, max_size=14),
+           st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_edges_match_brute_force(self, disks, radius, touching):
+        # brute force: every pair through the exact comparison; instances
+        # with an undecidable pair are left to test_geometry's TestClosePairs
+        t = (2 * radius) ** 2
+        expect = []
+        for i, j in itertools.combinations(range(len(disks)), 2):
+            o = compare(dist2(disks[i], disks[j]), t)
+            if o is Ordering.INDETERMINATE:
+                return
+            if o is Ordering.LESS or (touching and o is Ordering.EQUAL):
+                expect.append((i, j))
+        g = build_graph(disks, radius, include_touching=touching)
+        assert g.n == len(disks)
+        assert list(g.edges) == expect
 
 
 class TestApproxVC:
