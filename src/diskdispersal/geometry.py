@@ -91,19 +91,26 @@ def close_pairs(points: Sequence[Point], threshold,
     """Pairs (i, j), i < j, with dist2 below threshold (at most it when
     closed), in lexicographic order.
 
-    Candidates come from a square grid of integer width w >= sqrt(threshold)
-    and the exact comparison decides each one, raising IndeterminateError
-    when interval operands straddle the threshold.  A pair within the
-    threshold differs by at most w in each axis, so the cells holding its
-    true coordinates are equal or adjacent.  Every point is filed under all
-    cells that its exact enclosure touches, which include the cell of its
-    true value, so scanning the 3x3 block around each cell of a point finds
-    all its partners.  A point whose enclosure touches more than four cells
-    is paired with every other point instead.
+    Candidates come from a square grid of integer width w >= sqrt(threshold).
+    A pair within the threshold differs by at most w in each axis, so the
+    cells holding its true coordinates are equal or adjacent.  Every point is
+    filed under all cells that its exact enclosure touches, which include the
+    cell of its true value, so scanning the 3x3 block around each cell of a
+    point finds all its partners.  A point whose enclosure touches more than
+    four cells is paired with every other point instead.
+
+    A pair of rational points is decided on integers: with differences
+    dx/ex and dy/ey, dist2 < t/s iff ((dx*ey)^2 + (dy*ex)^2)*s < t*(ex*ey)^2.
+    Each pair uses its own denominators; a common denominator for the whole
+    set could grow with its size.  Any other pair goes through the exact
+    comparison, which raises IndeterminateError when interval operands
+    straddle the threshold.
     """
     threshold = frac(threshold)
+    tn, td = threshold.numerator, threshold.denominator
     width = sqrt_lower_upper(max(threshold, Fraction(1)), 1)[1].numerator
     cells = [_cells(p, width) for p in points]
+    rats = [_ratio(p) for p in points]
     grid: dict[tuple[int, int], list[int]] = {}
     wide: list[int] = []
     for i, keys in enumerate(cells):
@@ -121,7 +128,19 @@ def close_pairs(points: Sequence[Point], threshold,
                      for j in grid.get((cx + dx, cy + dy), ()) if j > i}
             found.update(j for j in wide if j > i)
             near = sorted(found)
+        ri = rats[i]
         for j in near:
+            rj = rats[j]
+            if ri is not None and rj is not None:
+                xn, xd, yn, yd = ri
+                un, ud, vn, vd = rj
+                ex, ey = xd * ud, yd * vd
+                lhs = (((xn * ud - un * xd) * ey) ** 2
+                       + ((yn * vd - vn * yd) * ex) ** 2) * td
+                rhs = tn * (ex * ey) ** 2
+                if lhs < rhs or (closed and lhs == rhs):
+                    yield i, j
+                continue
             o = compare(dist2(points[i], points[j]), threshold)
             if o is Ordering.INDETERMINATE:
                 raise IndeterminateError(
@@ -131,6 +150,14 @@ def close_pairs(points: Sequence[Point], threshold,
 
 
 _NEIGHBOURS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+def _ratio(p: Point) -> Optional[tuple[int, int, int, int]]:
+    """(x numerator, x denominator, y numerator, y denominator) of a
+    rational point; None for any other."""
+    if p.is_rational():
+        return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    return None
 
 
 def _cell(v: Fraction, width: int) -> int:

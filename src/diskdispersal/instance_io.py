@@ -9,8 +9,10 @@ queries instead of materialising millions of circles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .geometry import Disk, Point, close_pairs, dist2, within_move
@@ -20,7 +22,6 @@ from .numerics import (
     Scalar,
     compare,
     format_scalar,
-    frac,
     parse_scalar,
     to_interval,
 )
@@ -67,9 +68,6 @@ class Rect:
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValueError("degenerate rectangle bounds")
 
-    def contains(self, x: Fraction, y: Fraction) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
     def min_dist2_to(self, other: "Rect") -> Fraction:
         dx = max(Fraction(0), max(self.x0, other.x0) - min(self.x1, other.x1))
         dy = max(Fraction(0), max(self.y0, other.y0) - min(self.y1, other.y1))
@@ -83,6 +81,10 @@ class LatticeBlock:
     Grid points lying inside any hole rectangle (inclusive bounds) carry no
     disk.  The generators cut holes one unit wider than each gadget so that
     fill disks keep a clear margin from gadget disks.
+
+    Queries work on lattice indices: with D the common denominator of x0,
+    y0 and step, lattice coordinates are integers over D, and each hole is
+    the inclusive box of indices it removes.
     """
 
     x0: Fraction
@@ -98,57 +100,125 @@ class LatticeBlock:
         if self.step <= 0:
             raise ValueError("block step must be positive")
 
-    @property
+    @cached_property
+    def _scaled(self) -> tuple[int, int, int, int]:
+        """(D, x0*D, y0*D, step*D)."""
+        D = math.lcm(self.x0.denominator, self.y0.denominator,
+                     self.step.denominator)
+        return D, int(self.x0 * D), int(self.y0 * D), int(self.step * D)
+
+    @cached_property
     def nx(self) -> int:
         return int((self.x1 - self.x0) / self.step)
 
-    @property
+    @cached_property
     def ny(self) -> int:
         return int((self.y1 - self.y0) / self.step)
 
-    def _point_alive(self, x: Fraction, y: Fraction) -> bool:
-        return not any(h.contains(x, y) for h in self.holes)
+    @cached_property
+    def _hole_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Inclusive index boxes (i0, i1, j0, j1) of the lattice points
+        inside each hole (empty when i0 > i1 or j0 > j1)."""
+        D, X0, Y0, S = self._scaled
+        return tuple(_index_range(h.x0, h.x1, 0, X0, S, D)
+                     + _index_range(h.y0, h.y1, 0, Y0, S, D)
+                     for h in self.holes)
+
+    def _alive(self, i: int, j: int) -> bool:
+        return not any(i0 <= i <= i1 and j0 <= j <= j1
+                       for i0, i1, j0, j1 in self._hole_boxes)
+
+    def _window(self, xlo: Fraction, xhi: Fraction, ylo: Fraction,
+                yhi: Fraction, reach: Fraction | int) -> tuple[range, range]:
+        """Index ranges of the lattice points of the block within
+        Chebyshev distance reach of the box [xlo, xhi] x [ylo, yhi]."""
+        D, X0, Y0, S = self._scaled
+        i0, i1 = _index_range(xlo, xhi, reach, X0, S, D)
+        j0, j1 = _index_range(ylo, yhi, reach, Y0, S, D)
+        return (range(max(0, i0), min(self.nx, i1) + 1),
+                range(max(0, j0), min(self.ny, j1) + 1))
+
+    def _point_window(self, p: Point,
+                      reach: Fraction | int) -> tuple[range, range]:
+        (xlo, xhi), (ylo, yhi) = _bounds(p.x), _bounds(p.y)
+        return self._window(xlo, xhi, ylo, yhi, reach)
+
+    def _points(self, ii: range, jj: range) -> Iterator[Point]:
+        for i in ii:
+            x = self.x0 + i * self.step
+            for j in jj:
+                if self._alive(i, j):
+                    yield Point(x, self.y0 + j * self.step)
 
     def iter_disks(self) -> Iterator[Point]:
-        for i in range(self.nx + 1):
-            x = self.x0 + i * self.step
-            for j in range(self.ny + 1):
-                y = self.y0 + j * self.step
-                if self._point_alive(x, y):
-                    yield Point(x, y)
+        return self._points(range(self.nx + 1), range(self.ny + 1))
 
     def near_points(self, p: Point, reach: Fraction) -> Iterator[Point]:
         """Lattice points of the block within Chebyshev distance reach of p."""
-        px, py = p.x, p.y
-        if isinstance(px, Fraction):
-            xlo = xhi = px
-        else:
-            iv = to_interval(px, 64)
-            xlo, xhi = iv.lo, iv.hi
-        if isinstance(py, Fraction):
-            ylo = yhi = py
-        else:
-            iv = to_interval(py, 64)
-            ylo, yhi = iv.lo, iv.hi
-        i0 = max(0, _ceil_div(xlo - reach - self.x0, self.step))
-        i1 = min(self.nx, _floor_div(xhi + reach - self.x0, self.step))
-        j0 = max(0, _ceil_div(ylo - reach - self.y0, self.step))
-        j1 = min(self.ny, _floor_div(yhi + reach - self.y0, self.step))
-        for i in range(i0, i1 + 1):
-            x = self.x0 + i * self.step
-            for j in range(j0, j1 + 1):
-                y = self.y0 + j * self.step
-                if self._point_alive(x, y):
-                    yield Point(x, y)
+        return self._points(*self._point_window(p, reach))
+
+    def first_close(self, p: Point, threshold: Fraction) -> Optional[Point]:
+        """The first lattice point q, in index order, with dist2(p, q) below
+        threshold; None when there is none.
+
+        A rational p is decided on integers.  Any other p goes through the
+        exact comparison, which raises IndeterminateError when it cannot
+        decide a lattice point before the first close one.
+        """
+        ii, jj = self._point_window(p, _reach(threshold))
+        if any(i0 <= ii.start and ii.stop <= i1 + 1 and j0 <= jj.start
+               and jj.stop <= j1 + 1 for i0, i1, j0, j1 in self._hole_boxes):
+            return None  # one hole covers the window
+        if not p.is_rational():
+            for q in self._points(ii, jj):
+                o = compare(dist2(p, q), threshold)
+                if o is Ordering.INDETERMINATE:
+                    raise IndeterminateError(f"separation of {p} and {q}")
+                if o is Ordering.LESS:
+                    return q
+            return None
+        # p - q = (u/ex, w/ey) with ex = xd*D and ey = yd*D, so dist2 < tn/td
+        # iff (u*ey)^2*td + (w*ex)^2*td < tn*(ex*ey)^2
+        D, X0, Y0, S = self._scaled
+        tn, td = threshold.numerator, threshold.denominator
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        ex, ey = xd * D, yd * D
+        a, b, r = ey * ey * td, ex * ex * td, tn * (ex * ey) ** 2
+        rows = [(j, (yn * D - (Y0 + j * S) * yd) ** 2 * b) for j in jj]
+        for i in ii:
+            u = (xn * D - (X0 + i * S) * xd) ** 2 * a
+            for j, w in rows:
+                if u + w < r and self._alive(i, j):
+                    return Point(self.x0 + i * self.step,
+                                 self.y0 + j * self.step)
+        return None
 
 
-def _floor_div(a: Fraction, b: Fraction) -> int:
-    q = a / b
-    return q.numerator // q.denominator
+def _reach(threshold: Fraction) -> int:
+    """The least integer r >= 0 with r*r >= threshold."""
+    tn, td = threshold.numerator, threshold.denominator
+    r = math.isqrt(max(0, -(-tn // td)))
+    return r if r * r * td >= tn else r + 1
 
 
-def _ceil_div(a: Fraction, b: Fraction) -> int:
-    return -_floor_div(-a, b)
+def _bounds(v: Scalar) -> tuple[Fraction, Fraction]:
+    """v itself when rational, else the ends of an exact enclosure."""
+    if isinstance(v, Fraction):
+        return v, v
+    iv = to_interval(v, 64)
+    return iv.lo, iv.hi
+
+
+def _index_range(lo: Fraction, hi: Fraction, reach: Fraction | int,
+                 origin: int, step: int, D: int) -> tuple[int, int]:
+    """Smallest and largest k with lo - reach <= (origin + k*step)/D <=
+    hi + reach; the first exceeds the second when there is no such k."""
+    rn, rd = reach.numerator, reach.denominator
+    ln, ld = lo.numerator * rd - rn * lo.denominator, lo.denominator * rd
+    hn, hd = hi.numerator * rd + rn * hi.denominator, hi.denominator * rd
+    return (-((origin * ld - ln * D) // (step * ld)),
+            (hn * D - origin * hd) // (step * hd))
 
 
 @dataclass(frozen=True)
@@ -378,14 +448,6 @@ class ValidationResult:
         return self.status
 
 
-def _pair_separated(a: Point, b: Point, threshold: Fraction) -> bool:
-    """dist2(a, b) >= threshold, raising on indeterminate interval overlap."""
-    o = compare(dist2(a, b), threshold)
-    if o is Ordering.INDETERMINATE:
-        raise IndeterminateError(f"separation of {a} and {b}")
-    return o is not Ordering.LESS
-
-
 def validate_witness(inst: Instance, w: Witness,
                      eps: Optional[Fraction] = None) -> ValidationResult:
     """Check a move assignment against an instance.
@@ -417,9 +479,8 @@ def validate_witness(inst: Instance, w: Witness,
             if block.step < 2:
                 return ValidationResult("reject", "block-step", block.step, eps)
             for i, p in enumerate(final):
-                for q in block.near_points(p, Fraction(2)):
-                    if not _pair_separated(p, q, sep):
-                        return ValidationResult("reject", "block", i, eps)
+                if block.first_close(p, sep) is not None:
+                    return ValidationResult("reject", "block", i, eps)
         for bi in range(len(inst.blocks)):
             for bj in range(bi + 1, len(inst.blocks)):
                 pair = _blocks_conflict(inst.blocks[bi], inst.blocks[bj], sep)
@@ -437,11 +498,11 @@ def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction):
     if ra.min_dist2_to(rb) >= sep:
         return None
     # blocks approach each other: walk the points of a near b's rectangle
-    for p in a.iter_disks():
-        if (rb.x0 - 2 <= p.x <= rb.x1 + 2) and (rb.y0 - 2 <= p.y <= rb.y1 + 2):
-            for q in b.near_points(p, Fraction(2)):
-                if not _pair_separated(p, q, sep):
-                    return (p, q)
+    reach = _reach(sep)
+    for p in a._points(*a._window(rb.x0, rb.x1, rb.y0, rb.y1, reach)):
+        q = b.first_close(p, sep)
+        if q is not None:
+            return (p, q)
     return None
 
 

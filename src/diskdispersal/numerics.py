@@ -423,6 +423,21 @@ def compare(a, b) -> Ordering:
 
 
 def _compare_iv(a: Scalar, b: Scalar) -> Ordering:
+    """Compare enclosures, doubling the precision from 64 bits to the cap.
+
+    It also gives up as soon as a step leaves both enclosures unchanged.
+    The sqrt bracket of a radical at 2b bits lies inside the one at b bits
+    and is strictly narrower, and interval arithmetic is inclusion-isotonic
+    (operands inside the old ones give a result inside the old result).
+    So refining can only narrow an enclosure, and it narrows every
+    enclosure a radical still widens: one that stays unchanged has no
+    radical left to refine.  Its width comes from raw intervals (parsed
+    ``~`` literals), which no precision narrows, and every later step would
+    leave it unchanged as well.  (One end of the bracket at 2b bits can
+    equal that at b bits, when the root lies within 2^-2b of it; an
+    enclosure that depends on that end alone then stops before the cap.
+    The answer is INDETERMINATE, which is sound.)
+    """
     bits = 64
     cap = precision_cap()
     ia, ib = to_interval(a, bits), to_interval(b, bits)
@@ -436,9 +451,10 @@ def _compare_iv(a: Scalar, b: Scalar) -> Ordering:
         if bits >= cap:
             return Ordering.INDETERMINATE
         bits *= 2
-        ia, ib = refine(ia, bits), refine(ib, bits)
-        if ia.expr is None and ib.expr is None:
+        ra, rb = refine(ia, bits), refine(ib, bits)
+        if (ra.lo, ra.hi, rb.lo, rb.hi) == (ia.lo, ia.hi, ib.lo, ib.hi):
             return Ordering.INDETERMINATE
+        ia, ib = ra, rb
 
 
 def _resolve(o: Ordering, what: str) -> Ordering:

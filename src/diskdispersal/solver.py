@@ -185,11 +185,12 @@ def _move_ok(origin: Point, target: Point, d2: Fraction, variant: str) -> bool:
 
 
 def _blocks_ok(p: Point, blocks: Sequence[LatticeBlock]) -> bool:
-    for b in blocks:
-        for q in b.near_points(p, Fraction(2)):
-            if not _sep_ok(p, q):
-                return False
-    return True
+    """Exact: no lattice point closer than 2. Indeterminate counts as
+    failure."""
+    try:
+        return all(b.first_close(p, FOUR) is None for b in blocks)
+    except IndeterminateError:
+        return False
 
 
 def _exact_assignment_ok(origins: Sequence[Point], targets: Sequence[Point],

@@ -45,6 +45,10 @@ intervals = st.builds(lambda m, w: Interval(m - w, m + w), halves,
                       st.sampled_from([F(1, 64), F(1, 2), F(7)]))
 mixed = st.one_of(halves, halves, halves, radicals, intervals)
 mixed_points = st.builds(Point, mixed, mixed)
+# coprime denominators give pairs with unrelated denominators; integers give
+# exact tangencies
+fine = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=97),
+                 st.integers(-6, 6).map(F))
 
 
 def brute_close_pairs(pts, threshold, closed):
@@ -168,6 +172,16 @@ class TestClosePairs:
         # skips such a pair only when it is provably far
         assert all(boxes_apart(pts[i], pts[j], threshold)
                    for i, j in undecided)
+
+    @given(st.lists(st.builds(Point, fine, fine), max_size=16),
+           st.sampled_from([F(4), F(4) - F(1, 10 ** 9)]), st.booleans())
+    @example([P(F(1, 3), F(1, 7)), P(F(23, 15), F(61, 35))], F(4), True)
+    @example([P(F(1, 3), F(1, 7)), P(F(23, 15), F(61, 35))], F(4), False)
+    @settings(max_examples=200, deadline=None)
+    def test_rational_matches_brute_force(self, pts, threshold, closed):
+        close, undecided = brute_close_pairs(pts, threshold, closed)
+        assert not undecided
+        assert list(close_pairs(pts, threshold, closed)) == close
 
     def test_tangencies_count_only_when_closed(self):
         # the three centers are pairwise exactly 2 apart

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diskdispersal.geometry import Point, dist2
 from diskdispersal.instance_io import (
@@ -17,7 +18,7 @@ from diskdispersal.instance_io import (
     write_instance,
     write_witness,
 )
-from diskdispersal.numerics import Ordering, compare, quadext
+from diskdispersal.numerics import Ordering, compare, quadext, s_sub
 
 
 def P(x, y):
@@ -226,17 +227,87 @@ class TestBlocks:
     def test_near_points_matches_brute_force(self):
         import random
         rng = random.Random(61)
-        for trial in range(40):
-            x0, y0 = rng.randint(-9, 0), rng.randint(-9, 0)
-            b = LatticeBlock(F(x0), F(y0),
-                             F(x0 + 2 * rng.randint(1, 6)),
-                             F(y0 + 2 * rng.randint(1, 6)), F(2),
-                             (Rect(F(x0 + 1), F(y0 + 1),
-                                   F(x0 + rng.randint(1, 5)),
-                                   F(y0 + rng.randint(1, 5))),))
-            p = Point(F(rng.randint(-40, 40), 4), F(rng.randint(-40, 40), 4))
-            reach = F(rng.randint(1, 4))
+        for trial in range(80):
+            step = rng.choice([F(2), F(5, 2), F(7, 3)])
+            x0 = F(rng.randint(-36, 0), rng.choice([1, 3, 4]))
+            y0 = F(rng.randint(-36, 0), rng.choice([1, 2, 5]))
+            holes = []
+            for _ in range(rng.randint(0, 3)):
+                hx, hy = (F(rng.randint(-40, 40), rng.choice([1, 3, 7]))
+                          for _ in range(2))
+                holes.append(Rect(hx, hy, hx + F(rng.randint(0, 30), 4),
+                                  hy + F(rng.randint(0, 30), 3)))
+            b = LatticeBlock(x0, y0, x0 + F(rng.randint(0, 30), 2),
+                             y0 + F(rng.randint(0, 30), 2), step,
+                             tuple(holes))
+            lattice = brute_lattice(b)
+            assert list(b.iter_disks()) == lattice
+            p = Point(F(rng.randint(-60, 40), 4), F(rng.randint(-60, 40), 3))
+            reach = F(rng.randint(1, 12), rng.choice([1, 2]))
             got = {(q.x, q.y) for q in b.near_points(p, reach)}
-            want = {(q.x, q.y) for q in b.iter_disks()
+            want = {(q.x, q.y) for q in lattice
                     if abs(q.x - p.x) <= reach and abs(q.y - p.y) <= reach}
             assert got == want
+            r = Point(quadext(p.x, 1, 2), p.y)
+            for c, threshold in ((p, F(4)), (p, F(4) - F(1, 10 ** 9)),
+                                 (p, F(25, 4)), (r, F(4))):
+                first = next((q for q in lattice if compare(
+                    dist2(c, q), threshold) is Ordering.LESS), None)
+                assert b.first_close(c, threshold) == first
+
+    def test_lattice_tangency_is_exact(self):
+        # (4, 6) touches (2, 6); 2+sqrt(3), 7 touches (2, 6) and (2, 8)
+        tiny = F(1, 10 ** 9)
+        for x, y in ((F(4), F(6)), (quadext(2, 1, 3), F(7))):
+            near = Point(s_sub(x, tiny), y)
+            assert validate_witness(HOLE_INST, Witness({0: Point(x, y)})) \
+                .status == "accept"
+            res = validate_witness(HOLE_INST, Witness({0: near}))
+            assert (res.status, res.reason, res.detail) == \
+                ("reject", "block", 0)
+
+    @given(st.one_of(
+        st.builds(Point, st.fractions(1, 11, max_denominator=12),
+                  st.fractions(1, 11, max_denominator=12)),
+        st.builds(lambda lx, ly, a: Point(F(lx + a),
+                                          quadext(ly, 1, 4 - a * a)),
+                  st.integers(1, 5).map(lambda v: 2 * v),
+                  st.integers(1, 5).map(lambda v: 2 * v),
+                  st.fractions(-2, 2, max_denominator=6))))
+    @example(P(4, 6))
+    @example(Point(F(4) - F(1, 10 ** 9), F(6)))
+    @example(Point(quadext(2, 1, 3), F(7)))
+    @example(Point(quadext(2 - F(1, 10 ** 9), 1, 3), F(7)))
+    @settings(max_examples=150, deadline=None)
+    def test_implicit_blocks_match_expansion(self, target):
+        w = Witness({0: target})
+        implicit = validate_witness(HOLE_INST, w)
+        explicit = validate_witness(expand_blocks(HOLE_INST), w)
+        assert implicit.status == explicit.status
+        if explicit.reason == "packing" and explicit.detail[1] >= 2:
+            # the pair names a lattice point: the implicit check names the
+            # disk that meets the block
+            assert (implicit.reason, implicit.detail) == \
+                ("block", explicit.detail[0])
+        else:
+            assert (implicit.reason, implicit.detail) == \
+                (explicit.reason, explicit.detail)
+
+
+# disk 0 moves; disk 1 is tangent to it and to the lattice point (6, 10);
+# the hole removes the lattice points (4..8, 4..8)
+HOLE_INST = Instance("euclidean", 1, F(50), (P(6, 6), P(6, 8)),
+                     (LatticeBlock(F(0), F(0), F(12), F(12), F(2),
+                                   (Rect(F(3), F(3), F(9), F(9)),)),))
+
+
+def brute_lattice(b):
+    """Reference for LatticeBlock.iter_disks on Fraction coordinates."""
+    xs, ys = [], []
+    while b.x0 + len(xs) * b.step <= b.x1:
+        xs.append(b.x0 + len(xs) * b.step)
+    while b.y0 + len(ys) * b.step <= b.y1:
+        ys.append(b.y0 + len(ys) * b.step)
+    return [Point(x, y) for x in xs for y in ys
+            if not any(h.x0 <= x <= h.x1 and h.y0 <= y <= h.y1
+                       for h in b.holes)]

@@ -172,6 +172,29 @@ class TestPrecisionCap:
         assert compare(v, close) is not Ordering.INDETERMINATE
 
 
+    def test_raw_straddle_stops_refining(self, monkeypatch):
+        # the ~ interval [1, 3] straddles 4 after squaring at every
+        # precision, so the work must not grow with the cap
+        from diskdispersal import numerics
+        from diskdispersal.geometry import Point, dist2
+        calls = [0]
+        plain = numerics.refine
+
+        def counting(x, bits):
+            calls[0] += 1
+            return plain(x, bits)
+
+        monkeypatch.setattr(numerics, "refine", counting)
+        d = dist2(Point(F(0), F(0)), Point(Interval(F(1), F(3)), F(0)))
+        counts = []
+        for cap in (128, 4096):
+            monkeypatch.setattr(numerics, "_PRECISION_OVERRIDE", cap)
+            calls[0] = 0
+            assert compare(d, F(4)) is Ordering.INDETERMINATE
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+
+
 class TestSlackPredicates:
     def test_relaxed_separation_matches_reference(self):
         # D >= (2 - s*sqrt(2))^2 decided by the integer one-radical test
