@@ -10,6 +10,7 @@ queries instead of materialising millions of circles.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +23,7 @@ from .numerics import (
     Scalar,
     compare,
     format_scalar,
+    parse_rational,
     parse_scalar,
     to_interval,
 )
@@ -281,9 +283,18 @@ def _expect_kv(cursor: _Cursor, key: str) -> tuple[int, str]:
 
 def _rat(no: int, tok: str) -> Fraction:
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(tok)
+    except ValueError:
         raise ParseError(no, f"bad rational {tok!r}") from None
+
+
+_INT_RE = re.compile(r"[+-]?\d+")
+
+
+def _int(no: int, tok: str) -> int:
+    if not _INT_RE.fullmatch(tok):
+        raise ParseError(no, f"bad integer {tok!r}")
+    return int(tok)
 
 
 def parse_instance(text: str) -> Instance:
@@ -297,10 +308,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(no, f"unknown variant {variant!r}")
 
     no, ktok = _expect_kv(cur, "k")
-    try:
-        k = int(ktok)
-    except ValueError:
-        raise ParseError(no, f"bad integer {ktok!r}") from None
+    k = _int(no, ktok)
     if k < 0:
         raise ParseError(no, "k must be nonnegative")
 
@@ -310,10 +318,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(no, "d2 must be nonnegative")
 
     no, ntok = _expect_kv(cur, "disks")
-    try:
-        n = int(ntok)
-    except ValueError:
-        raise ParseError(no, f"bad integer {ntok!r}") from None
+    n = _int(no, ntok)
     if n < 0:
         raise ParseError(no, "disk count must be nonnegative")
 
@@ -327,21 +332,14 @@ def parse_instance(text: str) -> Instance:
     blocks: list[LatticeBlock] = []
     if not cur.done():
         no, btok = _expect_kv(cur, "blocks")
-        try:
-            nb = int(btok)
-        except ValueError:
-            raise ParseError(no, f"bad integer {btok!r}") from None
-        for _ in range(nb):
+        for _ in range(_int(no, btok)):
             no, toks = cur.next("block definition")
             if len(toks) != 8 or toks[4] != "step" or toks[6] != "holes":
                 raise ParseError(
                     no, "expected 'x0 y0 x1 y1 step <s> holes <h>'")
             x0, y0, x1, y1 = (_rat(no, t) for t in toks[:4])
             step = _rat(no, toks[5])
-            try:
-                nh = int(toks[7])
-            except ValueError:
-                raise ParseError(no, f"bad integer {toks[7]!r}") from None
+            nh = _int(no, toks[7])
             if step <= 0:
                 raise ParseError(no, "block step must be positive")
             if x0 > x1 or y0 > y1:
@@ -392,19 +390,12 @@ def parse_witness(text: str) -> Witness:
     if " ".join(toks) != WITNESS_HEADER:
         raise ParseError(no, f"expected header {WITNESS_HEADER!r}")
     no, mtok = _expect_kv(cur, "moves")
-    try:
-        m = int(mtok)
-    except ValueError:
-        raise ParseError(no, f"bad integer {mtok!r}") from None
     moves: dict[int, Point] = {}
-    for _ in range(m):
+    for _ in range(_int(no, mtok)):
         no, toks = cur.next("move line")
         if len(toks) != 4 or toks[1] != "->":
             raise ParseError(no, "expected '<index> -> <x> <y>'")
-        try:
-            idx = int(toks[0])
-        except ValueError:
-            raise ParseError(no, f"bad index {toks[0]!r}") from None
+        idx = _int(no, toks[0])
         if idx < 0:
             raise ParseError(no, "negative disk index")
         if idx in moves:

@@ -48,6 +48,7 @@ __all__ = [
     "sign_eq",
     "approx_float",
     "parse_scalar",
+    "parse_rational",
     "format_scalar",
     "precision_cap",
     "set_precision_cap",
@@ -569,6 +570,14 @@ def parse_scalar(text: str) -> Scalar:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"bad scalar literal: {text!r}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the plain rational literal of :func:`parse_scalar`,
+    ``[+-]?\\d+(/\\d+)?``; any other spelling raises ValueError."""
+    if not _RAT_RE.match(text.strip()):
+        raise ValueError(f"bad rational literal: {text!r}")
+    return parse_scalar(text)
 
 
 def format_scalar(x: Scalar) -> str:

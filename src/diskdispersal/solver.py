@@ -19,6 +19,14 @@ three stages:
 Yes answers always carry a witness that validates exactly; No answers are
 backed by a grid refutation for every candidate set; anything else is
 reported Unknown rather than guessed.
+
+``SolverConfig.time_budget`` bounds the whole solve: ``solve`` turns it
+into one ``time.monotonic()`` deadline before kernelization and hands it to
+the enumeration, to every stage and to every DFS node of every grid pass, so
+an expired budget ends the solve within one step of any of them and reports
+unknown ("time budget").  The fixed search limits are module constants:
+``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_STARTS`` and
+``NUMERIC_ITERS`` (stage 2) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
 """
 
 from __future__ import annotations
@@ -63,6 +71,10 @@ __all__ = [
 ]
 
 FOUR = Fraction(4)
+CANDIDATE_CAP = 600          # stage 1: candidate targets kept per movable
+NUMERIC_STARTS = 5           # stage 2: jittered starts besides the origins
+NUMERIC_ITERS = 400          # stage 2: descent steps per start
+GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS calls (and menu work) per pass
 
 
 @dataclass
@@ -70,15 +82,8 @@ class SolverConfig:
     max_set_size: Optional[int] = None      # cap on |A|; None means k
     delta: Fraction = Fraction(1, 64)       # finest refutation grid
     delta_start: Fraction = Fraction(1, 4)  # first (coarse) refutation grid
-    enable_candidates: bool = True
-    enable_numeric: bool = True
-    enable_grid: bool = True
-    candidate_cap: int = 600                # per-movable candidate list cap
-    numeric_starts: int = 5
-    numeric_iters: int = 400
-    grid_node_budget: int = 1_500_000
     precision_cap: Optional[int] = None     # interval escalation bits
-    time_budget: Optional[float] = None     # wall-clock seconds
+    time_budget: Optional[float] = None     # wall-clock seconds, whole solve
 
     def __post_init__(self):
         self.delta = frac(self.delta)
@@ -110,26 +115,28 @@ class Feasibility:
     reason: Optional[str] = None
 
 
-class _Budget:
-    def __init__(self, seconds: Optional[float]):
-        self.t0 = time.monotonic()
-        self.seconds = seconds
+def _expired(deadline: Optional[float]) -> bool:
+    """Whether a ``time.monotonic()`` deadline has passed; None never does."""
+    return deadline is not None and time.monotonic() > deadline
 
-    def exceeded(self) -> bool:
-        return self.seconds is not None and \
-            time.monotonic() - self.t0 > self.seconds
+
+class _Stop(Exception):
+    """Leaves a grid pass early; its argument is the reason for unknown."""
 
 
 # ---------------------------------------------------------------------------
 # candidate moved-set enumeration
 
-def enumerate_candidate_sets(g: IntersectionGraph, k: int) -> Iterator[list[int]]:
+def enumerate_candidate_sets(g: IntersectionGraph, k: int,
+                             deadline: Optional[float] = None
+                             ) -> Iterator[list[int]]:
     """All vertex covers of size <= k, by increasing size then lexicographic.
 
     Removal of such a set, and only such a set, leaves a packing.  A bounded
     edge-branching pass first establishes the minimum cover size (pruning the
     sweep); the lexicographic sweep then emits every cover, supersets of
-    minimal covers included.
+    minimal covers included.  Once ``deadline`` has passed it yields nothing
+    more, so the caller must check the deadline before trusting the sweep.
     """
     if k < 0:
         return
@@ -139,6 +146,8 @@ def enumerate_candidate_sets(g: IntersectionGraph, k: int) -> Iterator[list[int]
     edge_pairs = g.edges
     for size in range(min_size, k + 1):
         for combo in itertools.combinations(range(g.n), size):
+            if _expired(deadline):
+                return
             chosen = set(combo)
             if all(i in chosen or j in chosen for i, j in edge_pairs):
                 yield list(combo)
@@ -214,16 +223,13 @@ def _exact_assignment_ok(origins: Sequence[Point], targets: Sequence[Point],
 # ---------------------------------------------------------------------------
 # stage 1: structured candidates
 
-def _point_id(p: Point) -> tuple[str, str]:
-    return (format_scalar(p.x), format_scalar(p.y))
-
-
 def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
-                    variant: str, cap: int) -> list[Point]:
+                    variant: str) -> list[Point]:
     """Structured target positions for one movable disk.
 
     Anchors are rational centers the target might end up tangent to; the
-    reachable ones (within d+4 of the origin) seed tangency circles.
+    reachable ones (within d+4 of the origin) seed tangency circles.  The
+    four axis extremes of the move budget are candidates in both variants.
     """
     out: list[Point] = [origin]
     d_up = derived_d(d2)
@@ -234,6 +240,10 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
             dd = dist2(a, origin)
             if isinstance(dd, Fraction) and dd <= reach2:
                 near.append(a)
+        out.append(Point(quadext(origin.x, 1, d2), origin.y))
+        out.append(Point(quadext(origin.x, -1, d2), origin.y))
+        out.append(Point(origin.x, quadext(origin.y, 1, d2)))
+        out.append(Point(origin.x, quadext(origin.y, -1, d2)))
     if variant == "euclidean":
         for ai in range(len(near)):
             u = near[ai]
@@ -252,51 +262,40 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
                 duv = dist2(u, v)
                 if isinstance(duv, Fraction) and 0 < duv <= 16:
                     out.extend(circle_circle_candidates_sq(u, FOUR, v, FOUR))
-        if origin.is_rational():
-            out.append(Point(quadext(origin.x, 1, d2), origin.y))
-            out.append(Point(quadext(origin.x, -1, d2), origin.y))
-            out.append(Point(origin.x, quadext(origin.y, 1, d2)))
-            out.append(Point(origin.x, quadext(origin.y, -1, d2)))
-    else:  # rectilinear: axis extremes plus axis-aligned tangencies
-        if origin.is_rational():
-            out.append(Point(quadext(origin.x, 1, d2), origin.y))
-            out.append(Point(quadext(origin.x, -1, d2), origin.y))
-            out.append(Point(origin.x, quadext(origin.y, 1, d2)))
-            out.append(Point(origin.x, quadext(origin.y, -1, d2)))
-            for u in near:
-                dy2 = (origin.y - u.y) ** 2
-                if dy2 <= 4:
-                    out.append(Point(quadext(u.x, 1, 4 - dy2), origin.y))
-                    out.append(Point(quadext(u.x, -1, 4 - dy2), origin.y))
-                dx2 = (origin.x - u.x) ** 2
-                if dx2 <= 4:
-                    out.append(Point(origin.x, quadext(u.y, 1, 4 - dx2)))
-                    out.append(Point(origin.x, quadext(u.y, -1, 4 - dx2)))
+    else:  # rectilinear: axis-aligned tangencies
+        for u in near:
+            dy2 = (origin.y - u.y) ** 2
+            if dy2 <= 4:
+                out.append(Point(quadext(u.x, 1, 4 - dy2), origin.y))
+                out.append(Point(quadext(u.x, -1, 4 - dy2), origin.y))
+            dx2 = (origin.x - u.x) ** 2
+            if dx2 <= 4:
+                out.append(Point(origin.x, quadext(u.y, 1, 4 - dx2)))
+                out.append(Point(origin.x, quadext(u.y, -1, 4 - dx2)))
     seen: set[tuple[str, str]] = set()
     uniq: list[Point] = []
     for p in sorted(out, key=point_key):
-        pid = _point_id(p)
+        pid = (format_scalar(p.x), format_scalar(p.y))
         if pid not in seen:
             seen.add(pid)
             uniq.append(p)
-    return uniq[:cap]
+    return uniq[:CANDIDATE_CAP]
 
 
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
                       d2: Fraction, variant: str, cfg: SolverConfig,
                       blocks: Sequence[LatticeBlock],
-                      budget: _Budget) -> Optional[dict[int, Point]]:
+                      deadline: Optional[float]) -> Optional[dict[int, Point]]:
     placed: list[Point] = []
     rational_fixed = [f for f in fixed if f.is_rational()]
 
     def rec(idx: int) -> bool:
-        if budget.exceeded():
+        if _expired(deadline):
             return False
         if idx == len(movables):
             return True
         anchors = rational_fixed + [p for p in placed if p.is_rational()]
-        cands = _candidates_for(movables[idx], anchors, d2, variant,
-                                cfg.candidate_cap)
+        cands = _candidates_for(movables[idx], anchors, d2, variant)
         for p in cands:
             if not _move_ok(movables[idx], p, d2, variant):
                 continue
@@ -407,7 +406,8 @@ def _snap_and_verify(sol: list[list[float]], origins: Sequence[Point],
 
 def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
                    d2: Fraction, variant: str, cfg: SolverConfig,
-                   blocks, budget: _Budget) -> Optional[dict[int, Point]]:
+                   blocks, deadline: Optional[float]
+                   ) -> Optional[dict[int, Point]]:
     if not all(p.is_rational() for p in movables):
         return None
     if not all(f.is_rational() for f in fixed):
@@ -430,7 +430,7 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
         if axes_idx is not None:
             axes = [(1.0, 0.0) if a == 0 else (0.0, 1.0) for a in axes_idx]
         starts = [[list(p) for p in origins_f]]
-        for _ in range(cfg.numeric_starts):
+        for _ in range(NUMERIC_STARTS):
             jig = []
             for i, (ox, oy) in enumerate(origins_f):
                 if axes_idx is None:
@@ -442,9 +442,9 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
                     jig.append([ox, oy + rng.uniform(-d_f, d_f)])
             starts.append(jig)
         for st in starts:
-            if budget.exceeded():
+            if _expired(deadline):
                 return None
-            sol = _descend(st, origins_f, fixed_f, d2f, axes, cfg.numeric_iters)
+            sol = _descend(st, origins_f, fixed_f, d2f, axes, NUMERIC_ITERS)
             if sol is None:
                 continue
             snapped = _snap_and_verify(sol, movables, fixed, d2, variant,
@@ -459,12 +459,13 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
 
 def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
                 d2: Fraction, variant: str, cfg: SolverConfig,
-                blocks, budget: _Budget) -> Feasibility:
+                blocks, deadline: Optional[float]) -> Feasibility:
     """Sweep delta grids coarse to fine.
 
     Outcomes: an exact grid witness (feasible); a completed sweep with no
     assignment surviving the relaxed constraints (infeasible, certificate
-    delta); or unknown when the node budget or indeterminacy interferes.
+    delta); or the finest pass's unknown, when relaxed assignments remain,
+    a budget runs out or indeterminacy interferes.
     """
     if not all(p.is_rational() for p in movables) or \
             not all(f.is_rational() for f in fixed):
@@ -476,28 +477,27 @@ def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
         dlt = dlt / 2
     deltas.append(cfg.delta)
 
-    exhausted_unknown = False
     for delta in deltas:
-        if budget.exceeded():
+        if _expired(deadline):
             return Feasibility("unknown", reason="time budget")
         res = _grid_pass(fixed, movables, d2, variant, cfg, blocks, delta,
-                         budget)
-        if res.status in ("feasible", "infeasible"):
+                         deadline)
+        if res.status != "unknown":
             return res
-        exhausted_unknown = True
-    reason = res.reason if exhausted_unknown else "grid inconclusive"
-    return Feasibility("unknown", reason=reason)
+    return res
 
 
 def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
-               delta: Fraction, budget: _Budget) -> Feasibility:
+               delta: Fraction, deadline: Optional[float]) -> Feasibility:
     """One sweep at a fixed resolution, on integer-rescaled coordinates.
 
     Everything is multiplied by one common denominator so that the hot
     loops run on plain integers; all tests remain exact.  Relaxed
     separation thresholds have the form (2 - s*sqrt(2))^2 =
     (4 + 2s^2) - 4s*sqrt(2) with s = delta for moved-fixed pairs and
-    s = 2*delta for moved-moved pairs.
+    s = 2*delta for moved-moved pairs.  The pass gives up with unknown when
+    its work passes GRID_NODE_BUDGET or the deadline passes; both checks
+    run once per movable while the menus are built and at every DFS node.
     """
     M = delta.denominator
     for p in list(fixed) + list(movables):
@@ -545,9 +545,15 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
     fixed_i = [(int(f.x * M), int(f.y * M)) for f in fixed]
     movers_i = [(int(o.x * M), int(o.y * M)) for o in movables]
 
-    nodes = 0
-    per_disk: list[list[tuple[int, int]]] = []
-    for ox, oy in movers_i:
+    def spend(work: int) -> None:
+        if work > GRID_NODE_BUDGET:
+            raise _Stop("grid node budget")
+        if _expired(deadline):
+            raise _Stop("time budget")
+
+    def menu(ox: int, oy: int) -> list[tuple[int, int]]:
+        """The displaced positions of one movable that pass the relaxed
+        tests against every fixed disk and block."""
         pts = []
         for vx, vy in disps:
             px, py = ox + vx, oy + vy
@@ -570,16 +576,7 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
                         break
             if good:
                 pts.append((px, py))
-        per_disk.append(pts)
-        nodes += len(disps) * (len(fixed_i) + 1)
-        if nodes > cfg.grid_node_budget:
-            return Feasibility("unknown", reason="grid node budget")
-
-    # most-constrained-first ordering keeps the DFS shallow; results map
-    # back through the permutation
-    order = sorted(range(len(movables)), key=lambda i: (len(per_disk[i]), i))
-    menus = [per_disk[i] for i in order]
-    origins = [movers_i[i] for i in order]
+        return pts
 
     chosen: list[tuple[int, int]] = []
     found_relaxed = [False]
@@ -611,8 +608,7 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
         """Explore relaxed completions; prune to exact-viable branches once
         relaxed-feasibility is already established."""
         visited[0] += 1
-        if visited[0] > cfg.grid_node_budget:
-            raise _NodeBudget
+        spend(visited[0])
         if idx == len(menus):
             found_relaxed[0] = True
             if prefix_exact:
@@ -637,10 +633,18 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
             chosen.pop()
 
     try:
+        per_disk: list[list[tuple[int, int]]] = []
+        for ox, oy in movers_i:
+            per_disk.append(menu(ox, oy))
+            spend(len(per_disk) * len(disps) * (len(fixed_i) + 1))
+        # most-constrained-first ordering keeps the DFS shallow; results map
+        # back through the permutation
+        order = sorted(range(len(movables)),
+                       key=lambda i: (len(per_disk[i]), i))
+        menus = [per_disk[i] for i in order]
+        origins = [movers_i[i] for i in order]
         rec(0, True)
-    except _NodeBudget:
-        return Feasibility("unknown", reason="grid node budget")
-    except IndeterminateError as e:
+    except (_Stop, IndeterminateError) as e:
         return Feasibility("unknown", reason=str(e))
     if found_exact[0] is not None:
         assignment = {}
@@ -654,40 +658,32 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
                        reason=f"relaxed grid assignments remain at delta {delta}")
 
 
-class _NodeBudget(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # feasibility pipeline and the top-level solve
 
 def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
                 variant: str, cfg: Optional[SolverConfig] = None,
-                blocks: Sequence[LatticeBlock] = ()) -> Feasibility:
+                blocks: Sequence[LatticeBlock] = (),
+                deadline: Optional[float] = None) -> Feasibility:
     """Decide whether the movable disks admit new positions.
 
     ``fixed`` must already be a packing.  See the module docstring for the
-    three stages and their guarantees.
+    three stages and their guarantees.  ``deadline`` is a
+    ``time.monotonic()`` instant (None: no limit); once it has passed, every
+    stage gives up and the answer is unknown with reason "time budget".
     """
     cfg = cfg or SolverConfig()
     d2 = frac(d2)
-    budget = _Budget(cfg.time_budget)
     if not movables:
         return Feasibility("feasible", {})
-
-    if cfg.enable_candidates:
-        got = _stage_candidates(fixed, movables, d2, variant, cfg, blocks,
-                                budget)
-        if got is not None:
-            return Feasibility("feasible", got)
-    if cfg.enable_numeric:
+    got = _stage_candidates(fixed, movables, d2, variant, cfg, blocks,
+                            deadline)
+    if got is None:
         got = _stage_numeric(fixed, movables, d2, variant, cfg, blocks,
-                             budget)
-        if got is not None:
-            return Feasibility("feasible", got)
-    if cfg.enable_grid:
-        return _stage_grid(fixed, movables, d2, variant, cfg, blocks, budget)
-    return Feasibility("unknown", reason="all stages disabled")
+                             deadline)
+    if got is not None:
+        return Feasibility("feasible", got)
+    return _stage_grid(fixed, movables, d2, variant, cfg, blocks, deadline)
 
 
 def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
@@ -697,8 +693,9 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
         raise ValueError("solve requires explicit disks; expand blocks first")
     old_cap = set_precision_cap(precision_cap() if cfg.precision_cap is None
                                 else cfg.precision_cap)
+    deadline = None if cfg.time_budget is None \
+        else time.monotonic() + cfg.time_budget
     try:
-        budget = _Budget(cfg.time_budget)
         kr = kernelize(inst)
         if kr is None:
             return Answer("no",
@@ -714,13 +711,12 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
         log: list[str] = [
             f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
         unknowns = 0
-        for cand in enumerate_candidate_sets(g, cap):
-            if budget.exceeded():
-                break
+        for cand in enumerate_candidate_sets(g, cap, deadline):
             chosen = set(cand)
             fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
             movables = [kinst.disks[i] for i in cand]
-            res = feasibility(fixed, movables, kinst.d2, kinst.variant, cfg)
+            res = feasibility(fixed, movables, kinst.d2, kinst.variant, cfg,
+                              deadline=deadline)
             if res.status == "feasible":
                 moves = {}
                 for slot, target in res.assignment.items():
@@ -734,7 +730,7 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
             else:
                 unknowns += 1
                 log.append(f"set {cand}: unknown ({res.reason})")
-        if budget.exceeded():
+        if _expired(deadline):
             # an incomplete sweep proves nothing
             return Answer("unknown", reason="time budget", log=tuple(log))
         if unknowns:

@@ -78,6 +78,45 @@ class TestParsing:
     def test_model_round_trip(self):
         assert parse_instance(write_instance(FIG1)) == FIG1
 
+    # every number field takes the literal grammar of the coordinates:
+    # integers [+-]?\d+ and rationals [+-]?\d+(/\d+)?
+    @pytest.mark.parametrize("old, new, line, tok", [
+        ("d2: 3", "d2: 0.25", 4, "0.25"),
+        ("d2: 3", "d2: 1e-3", 4, "1e-3"),
+        ("d2: 3", "d2: 1_000", 4, "1_000"),
+        ("k: 1", "k: 1_0", 3, "1_0"),
+        ("disks: 3", "disks: 0_3", 5, "0_3"),
+        ("blocks: 1", "blocks: 1.0", 9, "1.0"),
+        ("-10 -10 30", "-1e1 -10 30", 10, "-1e1"),
+        ("step 2 ", "step 2.0 ", 10, "2.0"),
+        ("holes 1", "holes 1_0", 10, "1_0"),
+        ("-1 -1 3 1", "-1 -1 3 0.5", 11, "0.5"),
+    ])
+    def test_number_fields_share_one_grammar(self, old, new, line, tok):
+        bad = SPEC_FILE.replace(old, new, 1)
+        assert bad != SPEC_FILE
+        with pytest.raises(ParseError) as ei:
+            parse_instance(bad)
+        assert ei.value.line == line and repr(tok) in ei.value.msg
+
+    @pytest.mark.parametrize("text, line, tok", [
+        ("DISPERSALMOVES v1\nmoves: 1_0\n", 2, "1_0"),
+        ("DISPERSALMOVES v1\nmoves: 1\n1_0 -> 5 0\n", 3, "1_0"),
+        ("DISPERSALMOVES v1\nmoves: 1\n1.0 -> 5 0\n", 3, "1.0"),
+    ])
+    def test_witness_integers_share_one_grammar(self, text, line, tok):
+        with pytest.raises(ParseError) as ei:
+            parse_witness(text)
+        assert ei.value.line == line and repr(tok) in ei.value.msg
+
+    def test_canonical_files_round_trip_bytes(self):
+        text = ("DISKDISPERSAL v1\nvariant: rectilinear\nk: 2\nd2: 9/4\n"
+                "disks: 2\n-7/2 0\n1/3 1+1*sqrt(2)\nblocks: 1\n"
+                "-10 -21/2 30 30 step 5/2 holes 1\n-1/2 -1 3 1\n")
+        assert write_instance(parse_instance(text)) == text
+        wtext = "DISPERSALMOVES v1\nmoves: 2\n0 -> -5/2 0\n7 -> 1 2\n"
+        assert write_witness(parse_witness(wtext)) == wtext
+
 
 class TestWitnessFormat:
     def test_spec_example(self):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -144,6 +145,33 @@ class TestSolve:
         inst = Instance("euclidean", 0, F(0), (), (b,))
         with pytest.raises(ValueError):
             solve(inst)
+
+
+# euclidean, k=3, d2=9/4, oracle yes; the grid pass at delta 1/64 runs for
+# minutes, so only the time budget ends the solve
+SEVEN = Instance("euclidean", 3, F(9, 4), tuple(
+    P(F(x), F(y)) for x, y in (
+        ("3", "9/4"), ("15/4", "23/4"), ("2", "11/4"), ("13/4", "19/4"),
+        ("9/2", "19/4"), ("5/4", "21/4"), ("23/4", "3"))))
+
+
+class TestDeadline:
+    def test_time_budget_bounds_the_whole_solve(self):
+        t0 = time.monotonic()
+        ans = solve(SEVEN, SolverConfig(time_budget=1))
+        assert time.monotonic() - t0 < 1.5
+        assert ans.verdict == "unknown" and ans.reason == "time budget"
+
+    def test_feasibility_past_deadline_is_unknown(self):
+        # stage 1 would find (1, +-sqrt(3)) at once without the deadline
+        res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean",
+                          deadline=time.monotonic() - 1)
+        assert res.status == "unknown" and res.reason == "time budget"
+
+    def test_enumeration_past_deadline_yields_nothing(self):
+        g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
+        assert list(enumerate_candidate_sets(
+            g, 2, deadline=time.monotonic() - 1)) == []
 
 
 class TestRefutationMonotonicity:
