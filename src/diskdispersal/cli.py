@@ -60,7 +60,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--time-budget", type=float, default=None)
     sp.add_argument("--max-set-size", type=int, default=None)
     sp.add_argument("--oracle", action="store_true",
-                    help="run the independent brute-force oracle instead")
+                    help="run the independent brute-force oracle instead "
+                         "(takes --delta only)")
     sp.add_argument("--expand-blocks", action="store_true",
                     help="materialise lattice blocks before solving")
 
@@ -145,6 +146,10 @@ def _maybe_expand(inst: Instance, flag: bool, what: str) -> Instance:
 
 
 def _cmd_solve(args) -> int:
+    if args.oracle and (args.time_budget is not None
+                        or args.max_set_size is not None):
+        raise _UsageError(
+            "--oracle takes --delta only, not --time-budget or --max-set-size")
     inst = _read_instance(args.instance)
     inst = _maybe_expand(inst, args.expand_blocks, "solve")
     delta = {} if args.delta is None else {"delta": args.delta}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Point, dist2, is_packing
+from .geometry import Point, is_packing
 from .instance_io import Instance, LatticeBlock, Rect
 from .numerics import frac, sqrt_lower_upper
 from .gridtiling import (  # noqa: F401  (re-exported module surface)
@@ -158,12 +158,6 @@ class CompositionReachReport:
         return all(self.verdicts)
 
 
-def _rect_min_dist2(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> Fraction:
-    dx = max(Fraction(0), max(ax0, bx0) - min(ax1, bx1))
-    dy = max(Fraction(0), max(ay0, by0) - min(ay1, by1))
-    return dx * dx + dy * dy
-
-
 def _point_box_max_dist2(px, py, x0, y0, x1, y1) -> Fraction:
     dx = max(abs(px - x0), abs(px - x1))
     dy = max(abs(py - y0), abs(py - y1))
@@ -263,9 +257,9 @@ def _compose(instances, a: int, kappa: int, d: Fraction, s_r: Fraction,
              for sx, sy in squares)
     l3 = Fraction(a * a) + h_r * h_r
     l4 = min(
-        _rect_min_dist2(*gadget_boxes[i],
-                        squares[j][0], squares[j][1],
-                        squares[j][0] + a, squares[j][1] + a)
+        Rect(*gadget_boxes[i]).min_dist2_to(
+            Rect(squares[j][0], squares[j][1],
+                 squares[j][0] + a, squares[j][1] + a))
         for i in range(t) for j in range(t) if i != j)
     report = CompositionReachReport(l1, l2, l3, l4, d)
 

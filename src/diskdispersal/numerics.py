@@ -532,7 +532,15 @@ def approx_float(x: Scalar) -> float:
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _QUAD_RE = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)\*sqrt\(({_RAT})\)$")
 _TILDE_RE = re.compile(r"^([+-]?\d+)\.(\d+)~$")
-_RAT_RE = re.compile(rf"^{_RAT}$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def _rational(m: re.Match) -> Fraction:
+    """The Fraction of a ``_RAT_RE`` match."""
+    try:
+        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {m.string!r}") from None
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -543,6 +551,9 @@ def parse_scalar(text: str) -> Scalar:
     in the last given digit wide on each side).
     """
     text = text.strip()
+    m = _RAT_RE.match(text)
+    if m:
+        return _rational(m)
     m = _QUAD_RE.match(text)
     if m:
         try:
@@ -564,20 +575,16 @@ def parse_scalar(text: str) -> Scalar:
         u = Fraction(1, 10 ** digits)
         bits = max(16, math.ceil(digits * 3.33) + 2)
         return Interval(v - u, v + u, bits)
-    if _RAT_RE.match(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"bad scalar literal: {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the plain rational literal of :func:`parse_scalar`,
     ``[+-]?\\d+(/\\d+)?``; any other spelling raises ValueError."""
-    if not _RAT_RE.match(text.strip()):
+    m = _RAT_RE.match(text.strip())
+    if not m:
         raise ValueError(f"bad rational literal: {text!r}")
-    return parse_scalar(text)
+    return _rational(m)
 
 
 def format_scalar(x: Scalar) -> str:

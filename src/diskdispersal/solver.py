@@ -20,6 +20,10 @@ Yes answers always carry a witness that validates exactly; No answers are
 backed by a grid refutation for every candidate set; anything else is
 reported Unknown rather than guessed.
 
+The search takes explicit disks only: ``solve`` rejects an instance with
+lattice fill, which must be expanded first.  Interval arithmetic escalates
+up to the process-wide precision cap from ``DISKDISPERSAL_PREC_CAP``.
+
 ``SolverConfig.time_budget`` bounds the whole solve: ``solve`` turns it
 into one ``time.monotonic()`` deadline before kernelization and hands it to
 the enumeration, to every stage and to every DFS node of every grid pass, so
@@ -46,7 +50,7 @@ from .geometry import (
     point_key,
     within_move,
 )
-from .instance_io import Instance, LatticeBlock, Witness
+from .instance_io import Instance, Witness
 from .kernel import derived_d, kernelize
 from .numerics import (
     IndeterminateError,
@@ -55,9 +59,7 @@ from .numerics import (
     compare,
     format_scalar,
     frac,
-    precision_cap,
     quadext,
-    set_precision_cap,
 )
 from .udg import IntersectionGraph, build_graph
 
@@ -82,7 +84,6 @@ class SolverConfig:
     max_set_size: Optional[int] = None      # cap on |A|; None means k
     delta: Fraction = Fraction(1, 64)       # finest refutation grid
     delta_start: Fraction = Fraction(1, 4)  # first (coarse) refutation grid
-    precision_cap: Optional[int] = None     # interval escalation bits
     time_budget: Optional[float] = None     # wall-clock seconds, whole solve
 
     def __post_init__(self):
@@ -193,31 +194,13 @@ def _move_ok(origin: Point, target: Point, d2: Fraction, variant: str) -> bool:
         return False
 
 
-def _blocks_ok(p: Point, blocks: Sequence[LatticeBlock]) -> bool:
-    """Exact: no lattice point closer than 2. Indeterminate counts as
-    failure."""
-    try:
-        return all(b.first_close(p, FOUR) is None for b in blocks)
-    except IndeterminateError:
-        return False
-
-
-def _exact_assignment_ok(origins: Sequence[Point], targets: Sequence[Point],
-                         fixed: Sequence[Point], d2: Fraction, variant: str,
-                         blocks: Sequence[LatticeBlock]) -> bool:
-    for o, t in zip(origins, targets):
-        if not _move_ok(o, t, d2, variant):
-            return False
-        if not _blocks_ok(t, blocks):
-            return False
-        for f in fixed:
-            if not _sep_ok(t, f):
-                return False
-    for a in range(len(targets)):
-        for b in range(a + 1, len(targets)):
-            if not _sep_ok(targets[a], targets[b]):
-                return False
-    return True
+def _fits(origin: Point, target: Point, fixed: Sequence[Point],
+          placed: Sequence[Point], d2: Fraction, variant: str) -> bool:
+    """Exact: ``target`` is within the move budget of ``origin`` and clear
+    of every fixed disk and every disk already placed."""
+    return (_move_ok(origin, target, d2, variant)
+            and all(_sep_ok(target, f) for f in fixed)
+            and all(_sep_ok(target, q) for q in placed))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +266,7 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
 
 
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
-                      d2: Fraction, variant: str, cfg: SolverConfig,
-                      blocks: Sequence[LatticeBlock],
+                      d2: Fraction, variant: str,
                       deadline: Optional[float]) -> Optional[dict[int, Point]]:
     placed: list[Point] = []
     rational_fixed = [f for f in fixed if f.is_rational()]
@@ -297,13 +279,7 @@ def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
         anchors = rational_fixed + [p for p in placed if p.is_rational()]
         cands = _candidates_for(movables[idx], anchors, d2, variant)
         for p in cands:
-            if not _move_ok(movables[idx], p, d2, variant):
-                continue
-            if not all(_sep_ok(p, f) for f in fixed):
-                continue
-            if not all(_sep_ok(p, q) for q in placed):
-                continue
-            if not _blocks_ok(p, blocks):
+            if not _fits(movables[idx], p, fixed, placed, d2, variant):
                 continue
             placed.append(p)
             if rec(idx + 1):
@@ -385,7 +361,7 @@ def _descend(start: list[list[float]], origins_f, fixed_f, d2f,
 
 def _snap_and_verify(sol: list[list[float]], origins: Sequence[Point],
                      fixed: Sequence[Point], d2: Fraction, variant: str,
-                     blocks, axes_idx: Optional[list[int]]) -> Optional[list[Point]]:
+                     axes_idx: Optional[list[int]]) -> Optional[list[Point]]:
     for bits in range(0, 24):
         scale = 1 << bits
         targets = []
@@ -399,14 +375,14 @@ def _snap_and_verify(sol: list[list[float]], origins: Sequence[Point],
                 else:
                     qx = origins[i].x
             targets.append(Point(qx, qy))
-        if _exact_assignment_ok(origins, targets, fixed, d2, variant, blocks):
+        if all(_fits(o, t, fixed, targets[:i], d2, variant)
+               for i, (o, t) in enumerate(zip(origins, targets))):
             return targets
     return None
 
 
 def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
-                   d2: Fraction, variant: str, cfg: SolverConfig,
-                   blocks, deadline: Optional[float]
+                   d2: Fraction, variant: str, deadline: Optional[float]
                    ) -> Optional[dict[int, Point]]:
     if not all(p.is_rational() for p in movables):
         return None
@@ -448,7 +424,7 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
             if sol is None:
                 continue
             snapped = _snap_and_verify(sol, movables, fixed, d2, variant,
-                                       blocks, axes_idx)
+                                       axes_idx)
             if snapped is not None:
                 return dict(enumerate(snapped))
     return None
@@ -459,7 +435,7 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
 
 def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
                 d2: Fraction, variant: str, cfg: SolverConfig,
-                blocks, deadline: Optional[float]) -> Feasibility:
+                deadline: Optional[float]) -> Feasibility:
     """Sweep delta grids coarse to fine.
 
     Outcomes: an exact grid witness (feasible); a completed sweep with no
@@ -480,14 +456,13 @@ def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
     for delta in deltas:
         if _expired(deadline):
             return Feasibility("unknown", reason="time budget")
-        res = _grid_pass(fixed, movables, d2, variant, cfg, blocks, delta,
-                         deadline)
+        res = _grid_pass(fixed, movables, d2, variant, delta, deadline)
         if res.status != "unknown":
             return res
     return res
 
 
-def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
+def _grid_pass(fixed, movables, d2: Fraction, variant: str,
                delta: Fraction, deadline: Optional[float]) -> Feasibility:
     """One sweep at a fixed resolution, on integer-rescaled coordinates.
 
@@ -553,28 +528,15 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
 
     def menu(ox: int, oy: int) -> list[tuple[int, int]]:
         """The displaced positions of one movable that pass the relaxed
-        tests against every fixed disk and block."""
+        tests against every fixed disk."""
         pts = []
         for vx, vy in disps:
             px, py = ox + vx, oy + vy
-            good = True
             for fx, fy in fixed_i:
                 dx, dy = px - fx, py - fy
                 if not sep_rel(dx * dx + dy * dy, sA1, sB1):
-                    good = False
                     break
-            if good and blocks:
-                p = Point(Fraction(px, M), Fraction(py, M))
-                for b in blocks:
-                    for q in b.near_points(p, Fraction(2) + delta):
-                        qx, qy = int(q.x * M), int(q.y * M)
-                        dx, dy = px - qx, py - qy
-                        if not sep_rel(dx * dx + dy * dy, sA1, sB1):
-                            good = False
-                            break
-                    if not good:
-                        break
-            if good:
+            else:
                 pts.append((px, py))
         return pts
 
@@ -597,10 +559,6 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
         for qx, qy in chosen:
             dx, dy = px - qx, py - qy
             if dx * dx + dy * dy < four:
-                return False
-        if blocks:
-            if not _blocks_ok(Point(Fraction(px, M), Fraction(py, M)),
-                              blocks):
                 return False
         return True
 
@@ -663,12 +621,13 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str, cfg, blocks,
 
 def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
                 variant: str, cfg: Optional[SolverConfig] = None,
-                blocks: Sequence[LatticeBlock] = (),
                 deadline: Optional[float] = None) -> Feasibility:
     """Decide whether the movable disks admit new positions.
 
-    ``fixed`` must already be a packing.  See the module docstring for the
-    three stages and their guarantees.  ``deadline`` is a
+    ``fixed`` must already be a packing; all disks are explicit (no lattice
+    fill), and the precision cap is the process-wide one
+    (``DISKDISPERSAL_PREC_CAP``).  See the module docstring for the three
+    stages and their guarantees.  ``deadline`` is a
     ``time.monotonic()`` instant (None: no limit); once it has passed, every
     stage gives up and the answer is unknown with reason "time budget".
     """
@@ -676,14 +635,12 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
     d2 = frac(d2)
     if not movables:
         return Feasibility("feasible", {})
-    got = _stage_candidates(fixed, movables, d2, variant, cfg, blocks,
-                            deadline)
+    got = _stage_candidates(fixed, movables, d2, variant, deadline)
     if got is None:
-        got = _stage_numeric(fixed, movables, d2, variant, cfg, blocks,
-                             deadline)
+        got = _stage_numeric(fixed, movables, d2, variant, deadline)
     if got is not None:
         return Feasibility("feasible", got)
-    return _stage_grid(fixed, movables, d2, variant, cfg, blocks, deadline)
+    return _stage_grid(fixed, movables, d2, variant, cfg, deadline)
 
 
 def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
@@ -691,57 +648,52 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     cfg = cfg or SolverConfig()
     if inst.blocks:
         raise ValueError("solve requires explicit disks; expand blocks first")
-    old_cap = set_precision_cap(precision_cap() if cfg.precision_cap is None
-                                else cfg.precision_cap)
     deadline = None if cfg.time_budget is None \
         else time.monotonic() + cfg.time_budget
-    try:
-        kr = kernelize(inst)
-        if kr is None:
-            return Answer("no",
-                          log=("conflict matching exceeds the move budget",))
-        kinst, report = kr
-        g = build_graph(kinst.disks)
-        if not g.edges:
-            return Answer("yes", Witness({}),
-                          log=("already a packing after reduction",))
+    kr = kernelize(inst)
+    if kr is None:
+        return Answer("no",
+                      log=("conflict matching exceeds the move budget",))
+    kinst, report = kr
+    g = build_graph(kinst.disks)
+    if not g.edges:
+        return Answer("yes", Witness({}),
+                      log=("already a packing after reduction",))
 
-        cap = inst.k if cfg.max_set_size is None \
-            else min(inst.k, cfg.max_set_size)
-        log: list[str] = [
-            f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
-        unknowns = 0
-        for cand in enumerate_candidate_sets(g, cap, deadline):
-            chosen = set(cand)
-            fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
-            movables = [kinst.disks[i] for i in cand]
-            res = feasibility(fixed, movables, kinst.d2, kinst.variant, cfg,
-                              deadline=deadline)
-            if res.status == "feasible":
-                moves = {}
-                for slot, target in res.assignment.items():
-                    orig_idx = report.kept[cand[slot]]
-                    if target != inst.disks[orig_idx]:
-                        moves[orig_idx] = target
-                return Answer("yes", Witness(moves),
-                              log=tuple(log + [f"moved set {cand}"]))
-            if res.status == "infeasible":
-                log.append(f"set {cand}: refuted at delta {res.delta}")
-            else:
-                unknowns += 1
-                log.append(f"set {cand}: unknown ({res.reason})")
-        if _expired(deadline):
-            # an incomplete sweep proves nothing
-            return Answer("unknown", reason="time budget", log=tuple(log))
-        if unknowns:
-            return Answer("unknown",
-                          reason=f"{unknowns} candidate sets undecided",
-                          log=tuple(log))
-        if cap < inst.k:
-            # the cap hid part of the search space, so a clean sweep is not
-            # a refutation of the full problem
-            return Answer("unknown", reason=f"moved-set size capped at {cap}",
-                          log=tuple(log))
-        return Answer("no", log=tuple(log))
-    finally:
-        set_precision_cap(old_cap)
+    cap = inst.k if cfg.max_set_size is None \
+        else min(inst.k, cfg.max_set_size)
+    log: list[str] = [
+        f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
+    unknowns = 0
+    for cand in enumerate_candidate_sets(g, cap, deadline):
+        chosen = set(cand)
+        fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
+        movables = [kinst.disks[i] for i in cand]
+        res = feasibility(fixed, movables, kinst.d2, kinst.variant, cfg,
+                          deadline=deadline)
+        if res.status == "feasible":
+            moves = {}
+            for slot, target in res.assignment.items():
+                orig_idx = report.kept[cand[slot]]
+                if target != inst.disks[orig_idx]:
+                    moves[orig_idx] = target
+            return Answer("yes", Witness(moves),
+                          log=tuple(log + [f"moved set {cand}"]))
+        if res.status == "infeasible":
+            log.append(f"set {cand}: refuted at delta {res.delta}")
+        else:
+            unknowns += 1
+            log.append(f"set {cand}: unknown ({res.reason})")
+    if _expired(deadline):
+        # an incomplete sweep proves nothing
+        return Answer("unknown", reason="time budget", log=tuple(log))
+    if unknowns:
+        return Answer("unknown",
+                      reason=f"{unknowns} candidate sets undecided",
+                      log=tuple(log))
+    if cap < inst.k:
+        # the cap hid part of the search space, so a clean sweep is not
+        # a refutation of the full problem
+        return Answer("unknown", reason=f"moved-set size capped at {cap}",
+                      log=tuple(log))
+    return Answer("no", log=tuple(log))

@@ -359,9 +359,8 @@ def test_criterion_10_packing_density_bound():
             cy = F(round(rng.uniform(ys[0], ys[-1]) * 4), 4)
             centre = Point(cx, cy)
             lim = F((r - 1) ** 2)
-            count = sum(1 for d in disks
-                        if isinstance(dist2(centre, d), F)
-                        and dist2(centre, d) <= lim)
+            count = sum(1 for sq in (dist2(centre, d) for d in disks)
+                        if isinstance(sq, F) and sq <= lim)
             for b in blocks:
                 for q in b.near_points(centre, F(r)):
                     if dist2(centre, q) <= lim:

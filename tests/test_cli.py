@@ -59,6 +59,15 @@ class TestSolveChain:
         p.write_text(FIG1_TEXT.replace("d2: 3", "d2: 1/4"))
         assert dispatch(["solve", str(p), "--oracle"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--time-budget", "1"),
+                                             ("--max-set-size", "1")])
+    def test_oracle_rejects_solver_flags(self, fig1, capsys, flag, value):
+        # the oracle takes no budget or set-size cap; silently ignoring
+        # them would misreport what ran
+        assert dispatch(["solve", str(fig1), "--oracle", flag, value]) == 64
+        err = capsys.readouterr().err
+        assert "--time-budget" in err and "--max-set-size" in err
+
     def test_reject_exit_one(self, fig1, tmp_path):
         w = tmp_path / "w.bad"
         w.write_text("DISPERSALMOVES v1\nmoves: 0\n")
