@@ -172,7 +172,7 @@ def _point_box_min_dist2(px, py, x0, y0, x1, y1) -> Fraction:
 
 def gen_crosscompose(instances: Sequence[AppendingInstance]
                      ) -> tuple[Instance, CompositionReachReport]:
-    """Compose an odd number of same-shape appending frames.
+    """Compose an odd number t >= 3 of same-shape appending frames.
 
     Frames line up along the x-axis with gap s ~ sqrt(2ad); a small gadget
     of interesting disks floats h ~ sqrt(d^2 - a^2) above each frame; a
@@ -181,8 +181,8 @@ def gen_crosscompose(instances: Sequence[AppendingInstance]
     until the four reach inequalities verify exactly.
     """
     t = len(instances)
-    if t < 1 or t % 2 == 0:
-        raise ValueError("need an odd number of instances")
+    if t < 3 or t % 2 == 0:
+        raise ValueError("need an odd number of instances, at least 3")
     a = instances[0].a
     kappa = instances[0].kappa
     for inst in instances:

@@ -23,9 +23,6 @@ from .numerics import (
     format_scalar,
     frac,
     quadext,
-    s_add,
-    s_square,
-    s_sub,
     sign_eq,
     sign_le,
     sign_lt,
@@ -69,7 +66,8 @@ Disk = Point
 
 def dist2(a: Point, b: Point) -> Scalar:
     """Squared Euclidean distance between two points."""
-    return s_add(s_square(s_sub(a.x, b.x)), s_square(s_sub(a.y, b.y)))
+    dx, dy = a.x - b.x, a.y - b.y
+    return dx * dx + dy * dy
 
 
 def overlap(a: Disk, b: Disk) -> bool:
@@ -188,12 +186,12 @@ def within_move(origin: Point, target: Point, d2, variant: str) -> bool:
     if variant == "euclidean":
         return sign_le(dist2(origin, target), d2, "move bound")
     if variant == "rectilinear":
-        dx = s_sub(origin.x, target.x)
-        dy = s_sub(origin.y, target.y)
+        dx = origin.x - target.x
+        dy = origin.y - target.y
         if sign_eq(dx, Fraction(0), "axis check"):
-            return sign_le(s_square(dy), d2, "move bound")
+            return sign_le(dy * dy, d2, "move bound")
         if sign_eq(dy, Fraction(0), "axis check"):
-            return sign_le(s_square(dx), d2, "move bound")
+            return sign_le(dx * dx, d2, "move bound")
         return False
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -239,7 +237,7 @@ def circle_circle_candidates(c1: Point, r1, c2: Point, r2) -> list[Point]:
 
 
 def translate(p: Point, vx, vy) -> Point:
-    return Point(s_add(p.x, frac(vx)), s_add(p.y, frac(vy)))
+    return Point(p.x + frac(vx), p.y + frac(vy))
 
 
 def point_key(p: Point) -> tuple:

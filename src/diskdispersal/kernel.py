@@ -125,13 +125,13 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
 
 
 def shrink_parts(disks: Sequence[Disk], parts: Sequence[Sequence[int]],
-                 r) -> tuple[list[Disk], list[int]]:
+                 r) -> list[Disk]:
     """Translate each part to the diagonal, preserving intra-part geometry.
 
     Part i (1-based) maps (x, y) to
     (x - x_left_i + (i-1)*(m+r), y - y_bottom_i + (i-1)*(m+r)) where m is a
     rational upper bound on the largest intra-part center distance.  The
-    output keeps the input disk order; the returned index map is identity.
+    output keeps the input disk order.
     """
     r = frac(r)
     for d in disks:
@@ -163,7 +163,7 @@ def shrink_parts(disks: Sequence[Disk], parts: Sequence[Sequence[int]],
         oy = min(ys) - pi * (m + r)
         for i in part:
             out[i] = Point(disks[i].x - ox, disks[i].y - oy)
-    return [p for p in out if p is not None], list(range(len(disks)))
+    return [p for p in out if p is not None]
 
 
 def halo_partition(inst: Instance, d=None) -> list[list[int]]:
@@ -198,5 +198,5 @@ def shrink_kernel(kinst: Instance) -> Instance:
         return kinst
     d = derived_d(kinst.d2)
     parts = halo_partition(kinst, d)
-    shrunk, _ = shrink_parts(kinst.disks, parts, 2 * d + 2)
+    shrunk = shrink_parts(kinst.disks, parts, 2 * d + 2)
     return Instance(kinst.variant, kinst.k, kinst.d2, tuple(shrunk), ())

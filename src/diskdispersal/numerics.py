@@ -11,7 +11,12 @@ Three scalar kinds flow through the geometric predicates:
   when a value mixes distinct radicands or was parsed from an approximate
   decimal literal.
 
-All values are immutable; every operation returns a new value.
+Scalars combine with the Python operators ``+``, ``-`` and ``*`` (an ``int``
+or ``Fraction`` on the left reaches the scalar classes through the reflected
+operators).  Two QuadExt values over the same radicand stay exact, collapsing
+to a Fraction when the radical cancels; mixed radicands, or any Interval
+operand, fall back to an interval enclosure.  All values are immutable; every
+operation returns a new value.
 """
 
 from __future__ import annotations
@@ -37,14 +42,8 @@ __all__ = [
     "refine",
     "sqrt_lower_upper",
     "to_interval",
-    "s_add",
-    "s_sub",
-    "s_mul",
-    "s_neg",
-    "s_square",
     "sign_le",
     "sign_lt",
-    "sign_ge",
     "sign_eq",
     "approx_float",
     "parse_scalar",
@@ -165,18 +164,28 @@ class QuadExt:
     c: Fraction
 
     def __add__(self, other):
-        return s_add(self, other)
+        if isinstance(other, (Fraction, int)):
+            return QuadExt(self.p + other, self.q, self.c)
+        if isinstance(other, QuadExt) and other.c == self.c:
+            return _quad(self.p + other.p, self.q + other.q, self.c)
+        return _iv_add(to_interval(self), to_interval(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return s_sub(self, other)
+        return self + -other
 
     def __rsub__(self, other):
-        return s_sub(other, self)
+        return -self + other
 
     def __mul__(self, other):
-        return s_mul(self, other)
+        if isinstance(other, (Fraction, int)):
+            return _quad(self.p * other, self.q * other, self.c)
+        if isinstance(other, QuadExt) and other.c == self.c:
+            # (p1 + q1 r)(p2 + q2 r) with r^2 = c
+            return _quad(self.p * other.p + self.q * other.q * self.c,
+                         self.p * other.q + self.q * other.p, self.c)
+        return _iv_mul(to_interval(self), to_interval(other))
 
     __rmul__ = __mul__
 
@@ -204,6 +213,11 @@ class QuadExt:
 
 
 Scalar = Union[Fraction, QuadExt, "Interval"]
+
+
+def _quad(p: Fraction, q: Fraction, c: Fraction) -> Scalar:
+    """p + q*sqrt(c) for an already square-free c; p itself when q = 0."""
+    return QuadExt(p, q, c) if q else p
 
 
 def quadext(p, q, c) -> Scalar:
@@ -265,18 +279,18 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def __add__(self, other):
-        return s_add(self, other)
+        return _iv_add(to_interval(self), to_interval(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return s_sub(self, other)
+        return self + -other
 
     def __rsub__(self, other):
-        return s_sub(other, self)
+        return -self + other
 
     def __mul__(self, other):
-        return s_mul(self, other)
+        return _iv_mul(to_interval(self), to_interval(other))
 
     __rmul__ = __mul__
 
@@ -297,6 +311,8 @@ def to_interval(x: Scalar, bits: int = 64) -> Interval:
     """Enclose any scalar; exact rationals become degenerate point intervals."""
     if isinstance(x, Interval):
         return refine(x, bits) if bits > x.bits else x
+    if isinstance(x, int):
+        x = Fraction(x)
     if isinstance(x, Fraction):
         return Interval(x, x, bits, lambda b: Interval(x, x, b))
     if isinstance(x, QuadExt):
@@ -343,63 +359,6 @@ def _iv_mul(a: Interval, b: Interval) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# scalar arithmetic with fallback dispatch
-
-def _as_scalar(v) -> Scalar:
-    if isinstance(v, (Fraction, QuadExt, Interval)):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"not a scalar: {v!r}")
-
-
-def s_neg(a: Scalar) -> Scalar:
-    a = _as_scalar(a)
-    return -a
-
-
-def s_add(a, b) -> Scalar:
-    a, b = _as_scalar(a), _as_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return _iv_add(to_interval(a), to_interval(b))
-    # at least one QuadExt, none Interval
-    if isinstance(a, Fraction):
-        a, b = b, a
-    if isinstance(b, Fraction):
-        return quadext(a.p + b, a.q, a.c)
-    if a.c == b.c:
-        return quadext(a.p + b.p, a.q + b.q, a.c)
-    return _iv_add(to_interval(a), to_interval(b))
-
-
-def s_sub(a, b) -> Scalar:
-    return s_add(a, s_neg(_as_scalar(b)))
-
-
-def s_mul(a, b) -> Scalar:
-    a, b = _as_scalar(a), _as_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return _iv_mul(to_interval(a), to_interval(b))
-    if isinstance(a, Fraction):
-        a, b = b, a
-    if isinstance(b, Fraction):
-        return quadext(a.p * b, a.q * b, a.c)
-    if a.c == b.c:
-        # (p1 + q1 r)(p2 + q2 r) with r^2 = c
-        return quadext(a.p * b.p + a.q * b.q * a.c,
-                       a.p * b.q + a.q * b.p, a.c)
-    return _iv_mul(to_interval(a), to_interval(b))
-
-
-def s_square(a) -> Scalar:
-    return s_mul(a, a)
-
-
-# ---------------------------------------------------------------------------
 # comparison
 
 def compare(a, b) -> Ordering:
@@ -410,17 +369,14 @@ def compare(a, b) -> Ordering:
     (including mixed radicands) escalates precision geometrically up to the
     configured cap before admitting INDETERMINATE.
     """
-    a, b = _as_scalar(a), _as_scalar(b)
-    if not isinstance(a, Interval) and not isinstance(b, Interval):
-        d = s_sub(a, b)
-        if isinstance(d, Fraction):
-            s = (d > 0) - (d < 0)
-        elif isinstance(d, QuadExt):
-            s = d.sign()
-        else:
-            return _compare_iv(a, b)
-        return Ordering(s)
-    return _compare_iv(a, b)
+    if isinstance(a, Interval) or isinstance(b, Interval):
+        return _compare_iv(a, b)
+    d = a - b
+    if isinstance(d, QuadExt):
+        return Ordering(d.sign())
+    if isinstance(d, Interval):
+        return _compare_iv(a, b)
+    return Ordering((d > 0) - (d < 0))
 
 
 def _compare_iv(a: Scalar, b: Scalar) -> Ordering:
@@ -472,10 +428,6 @@ def sign_le(a, b, what: str = "comparison") -> bool:
     return _resolve(compare(a, b), what) in (Ordering.LESS, Ordering.EQUAL)
 
 
-def sign_ge(a, b, what: str = "comparison") -> bool:
-    return not sign_lt(a, b, what)
-
-
 def sign_eq(a, b, what: str = "comparison") -> bool:
     return _resolve(compare(a, b), what) is Ordering.EQUAL
 
@@ -518,8 +470,7 @@ def sqrt_lower_upper(x, denom_bound: int) -> tuple[Fraction, Fraction]:
 # float approximation (for deterministic ordering keys and display only)
 
 def approx_float(x: Scalar) -> float:
-    x = _as_scalar(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, int)):
         return x.numerator / x.denominator
     if isinstance(x, QuadExt):
         return float(x.p) + float(x.q) * math.sqrt(float(x.c))
@@ -589,8 +540,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form, inverse of :func:`parse_scalar` on models."""
-    x = _as_scalar(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, int)):
         return str(x)
     if isinstance(x, QuadExt):
         sign = "-" if x.q < 0 else "+"

@@ -30,7 +30,8 @@ the enumeration, to every stage and to every DFS node of every grid pass, so
 an expired budget ends the solve within one step of any of them and reports
 unknown ("time budget").  The fixed search limits are module constants:
 ``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_STARTS`` and
-``NUMERIC_ITERS`` (stage 2) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
+``NUMERIC_ITERS`` (stage 2), ``DELTA_START`` (stage 3's first, coarsest
+grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ FOUR = Fraction(4)
 CANDIDATE_CAP = 600          # stage 1: candidate targets kept per movable
 NUMERIC_STARTS = 5           # stage 2: jittered starts besides the origins
 NUMERIC_ITERS = 400          # stage 2: descent steps per start
+DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
 GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS calls (and menu work) per pass
 
 
@@ -83,13 +85,11 @@ GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS calls (and menu work) per pass
 class SolverConfig:
     max_set_size: Optional[int] = None      # cap on |A|; None means k
     delta: Fraction = Fraction(1, 64)       # finest refutation grid
-    delta_start: Fraction = Fraction(1, 4)  # first (coarse) refutation grid
     time_budget: Optional[float] = None     # wall-clock seconds, whole solve
 
     def __post_init__(self):
         self.delta = frac(self.delta)
-        self.delta_start = frac(self.delta_start)
-        if self.delta <= 0 or self.delta_start <= 0:
+        if self.delta <= 0:
             raise ValueError("grid resolution must be positive")
 
 
@@ -447,7 +447,7 @@ def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
             not all(f.is_rational() for f in fixed):
         return Feasibility("unknown", reason="non-rational centers")
     deltas: list[Fraction] = []
-    dlt = cfg.delta_start
+    dlt = DELTA_START
     while dlt > cfg.delta:
         deltas.append(dlt)
         dlt = dlt / 2

@@ -187,7 +187,7 @@ def test_criterion_4_shrinking_exactness():
         parts = [idx[i::nparts] for i in range(nparts)]
         parts = [p for p in parts if p]
         r = F(rng.randint(1, 12))
-        out, _ = dd.shrink_parts(disks, parts, r)
+        out = dd.shrink_parts(disks, parts, r)
         for part in parts:
             for a, b in itertools.combinations(part, 2):
                 if dist2(disks[a], disks[b]) != dist2(out[a], out[b]):

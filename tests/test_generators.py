@@ -116,6 +116,8 @@ class TestCrossCompose:
             gen_crosscompose(frames)  # even t
         with pytest.raises(ValueError):
             gen_crosscompose([])
+        with pytest.raises(ValueError, match="at least 3"):
+            gen_crosscompose(frames[:1])  # one frame has no frame pairs
 
     def test_explicit_disks_clear_of_fill_block(self):
         frames = [gen_appending_frame(216, 2) for _ in range(3)]

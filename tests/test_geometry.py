@@ -21,9 +21,6 @@ from diskdispersal.numerics import (
     Ordering,
     compare,
     quadext,
-    s_add,
-    s_mul,
-    s_sub,
     to_interval,
 )
 
@@ -214,7 +211,7 @@ class TestCircleIntersections:
         assert len(pts) == 2
         ys = sorted(pts, key=lambda p: 0 if compare(p.y, F(0)) is Ordering.LESS else 1)
         assert all(p.x == F(1) for p in pts)
-        assert compare(s_mul(ys[0].y, ys[0].y), F(3)) is Ordering.EQUAL
+        assert compare(ys[0].y * ys[0].y, F(3)) is Ordering.EQUAL
         assert compare(ys[1].y, quadext(0, 1, 3)) is Ordering.EQUAL
 
     def test_disjoint(self):

@@ -18,7 +18,7 @@ from diskdispersal.instance_io import (
     write_instance,
     write_witness,
 )
-from diskdispersal.numerics import Ordering, compare, quadext, s_sub
+from diskdispersal.numerics import Ordering, compare, quadext
 
 
 def P(x, y):
@@ -298,7 +298,7 @@ class TestBlocks:
         # (4, 6) touches (2, 6); 2+sqrt(3), 7 touches (2, 6) and (2, 8)
         tiny = F(1, 10 ** 9)
         for x, y in ((F(4), F(6)), (quadext(2, 1, 3), F(7))):
-            near = Point(s_sub(x, tiny), y)
+            near = Point(x - tiny, y)
             assert validate_witness(HOLE_INST, Witness({0: Point(x, y)})) \
                 .status == "accept"
             res = validate_witness(HOLE_INST, Witness({0: near}))

@@ -89,14 +89,13 @@ class TestSizeBound:
 class TestShrinkParts:
     def test_two_singletons_on_diagonal(self):
         disks = [P(100, 100), P(500, 500)]
-        out, mapping = shrink_parts(disks, [[0], [1]], F(4))
+        out = shrink_parts(disks, [[0], [1]], F(4))
         assert out == [P(0, 0), P(4, 4)]
-        assert mapping == [0, 1]
         assert dist2(out[0], out[1]) == 32  # (4*sqrt2)^2 > 4^2
 
     def test_single_part_moves_to_corner(self):
         disks = [P(10, 7), P(12, 9), P(11, 20)]
-        out, _ = shrink_parts(disks, [[0, 1, 2]], F(2))
+        out = shrink_parts(disks, [[0, 1, 2]], F(2))
         assert min(p.x for p in out) == 0
         assert min(p.y for p in out) == 0
 
@@ -112,7 +111,7 @@ class TestShrinkParts:
             parts = [idx[:cut], idx[cut:]]
             parts = [p for p in parts if p]
             r = F(rng.randint(1, 10))
-            out, _ = shrink_parts(disks, parts, r)
+            out = shrink_parts(disks, parts, r)
             for part in parts:
                 for a in part:
                     for b in part:

@@ -12,9 +12,6 @@ from diskdispersal.numerics import (
     parse_scalar,
     quadext,
     refine,
-    s_add,
-    s_mul,
-    s_sub,
     sqrt_lower_upper,
     to_interval,
 )
@@ -72,14 +69,14 @@ class TestCompare:
 class TestQuadExtArithmetic:
     def test_square_collapses_radical(self):
         v = quadext(0, 1, 3)
-        assert s_mul(v, v) == F(3)
+        assert v * v == F(3)
 
     def test_product_same_radicand(self):
-        v = s_mul(quadext(1, 1, 2), quadext(1, -1, 2))  # (1+r)(1-r) = -1
+        v = quadext(1, 1, 2) * quadext(1, -1, 2)  # (1+r)(1-r) = -1
         assert v == F(-1)
 
     def test_mixed_radicands_fall_back_to_interval(self):
-        v = s_add(quadext(0, 1, 2), quadext(0, 1, 3))
+        v = quadext(0, 1, 2) + quadext(0, 1, 3)
         assert isinstance(v, Interval)
         # sqrt(2)+sqrt(3) is about 3.146
         assert compare(v, F(3)) is Ordering.GREATER
@@ -88,6 +85,46 @@ class TestQuadExtArithmetic:
     def test_negative_radicand_rejected(self):
         with pytest.raises(DomainError):
             quadext(0, 1, -1)
+
+    def test_int_on_the_left(self):
+        assert 2 - quadext(1, 1, 3) == quadext(1, -1, 3)
+        assert 2 * quadext(0, 1, 3) == quadext(0, 2, 3)
+        assert 1 + quadext(0, 1, 3) == quadext(1, 1, 3)
+
+    def test_cancelled_radical_is_a_fraction(self):
+        v = quadext(1, 1, 3)
+        assert type(v - v) is F and v - v == 0
+        assert type(v * 0) is F and v * 0 == 0
+
+
+_small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_radicals = st.builds(quadext, _small, _small.filter(bool),
+                      st.sampled_from([2, 3, 5]))
+_raw_intervals = st.lists(st.integers(-2000, 2000), min_size=2, max_size=2) \
+    .map(lambda e: Interval(F(min(e), 64), F(max(e), 64), 16))
+_scalars = st.one_of(st.integers(-20, 20), _small, _radicals, _raw_intervals)
+
+
+def _same(u, v) -> bool:
+    """Equal scalars; intervals are equal when their enclosures are."""
+    if isinstance(u, Interval) or isinstance(v, Interval):
+        return isinstance(u, Interval) and isinstance(v, Interval) \
+            and (u.lo, u.hi) == (v.lo, v.hi)
+    return u == v
+
+
+class TestOperators:
+    @given(_scalars, _scalars)
+    @settings(max_examples=300, deadline=None)
+    @example(2, quadext(1, 1, 3))
+    @example(F(1, 2), quadext(0, 1, 2))
+    @example(quadext(0, 1, 2), quadext(0, 1, 3))
+    @example(3, Interval(F(1), F(2), 16))
+    @example(quadext(1, 1, 5), Interval(F(-1), F(2), 16))
+    def test_commute_and_antisymmetry(self, a, b):
+        assert _same(a + b, b + a)
+        assert _same(a - b, -(b - a))
+        assert _same(a * b, b * a)
 
 
 class TestSqrtBracket:
@@ -163,7 +200,7 @@ class TestPrecisionCap:
         # itself cannot be separated at 64 bits
         close = F(31462643699419723423291350657155704455124,
                   10 ** 40)
-        v = s_add(quadext(0, 1, 2), quadext(0, 1, 3))
+        v = quadext(0, 1, 2) + quadext(0, 1, 3)
         old = set_precision_cap(64)
         try:
             assert compare(v, close) is Ordering.INDETERMINATE

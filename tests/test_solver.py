@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from diskdispersal import solver
 from diskdispersal.geometry import Point
 from diskdispersal.instance_io import Instance, Witness, validate_witness
 from diskdispersal.oracle import GuardError, oracle
@@ -56,12 +57,11 @@ class TestEnumerateCandidateSets:
 
 class TestFeasibility:
     def test_tangency_candidate_found(self):
-        from diskdispersal.numerics import s_square
         res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean")
         assert res.status == "feasible"
         target = res.assignment[0]
         assert target.x == F(1)
-        assert s_square(target.y) == F(3)  # lands at (1, +-sqrt(3))
+        assert target.y * target.y == F(3)  # lands at (1, +-sqrt(3))
 
     def test_no_motion_possible(self):
         res = feasibility([P(0, 0)], [P(1, 0)], F(0), "euclidean")
@@ -187,8 +187,7 @@ class TestRefutationMonotonicity:
             deltas = [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
             refuted_from = None
             for i, dl in enumerate(deltas):
-                cfg = SolverConfig(delta=dl, delta_start=dl)
-                res = feasibility(fixed, movs, d2, "euclidean", cfg)
+                res = solver._grid_pass(fixed, movs, d2, "euclidean", dl, None)
                 if res.status == "infeasible" and refuted_from is None:
                     refuted_from = i
                 if refuted_from is not None:
