@@ -54,14 +54,12 @@ from .oracle import oracle
 from .generators import (
     AppendingInstance,
     CompositionReachReport,
-    GridTilingInstance,
     gen_appending_frame,
     gen_colocated,
     gen_crosscompose,
-    gen_gridtiling,
     gen_random,
-    gridtiling_witness,
 )
+from .gridtiling import GridTilingInstance, gen_gridtiling, gridtiling_witness
 from .render import RenderOptions, render_svg
 
 __version__ = "0.1.0"

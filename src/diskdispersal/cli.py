@@ -13,12 +13,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import generators
+from . import generators, gridtiling
 from .instance_io import (
     DEFAULT_EPS,
     Instance,
     ParseError,
-    count_block_disks,
     expand_blocks,
     parse_instance,
     parse_witness,
@@ -139,10 +138,11 @@ def _maybe_expand(inst: Instance, flag: bool, what: str) -> Instance:
     if not flag:
         raise _UsageError(
             f"{what} needs explicit disks; rerun with --expand-blocks")
-    if count_block_disks(inst, BLOCK_CAP) > BLOCK_CAP:
+    try:
+        return expand_blocks(inst, BLOCK_CAP)
+    except ValueError:
         raise _UsageError(
-            f"refusing to expand more than {BLOCK_CAP} block disks")
-    return expand_blocks(inst, BLOCK_CAP)
+            f"refusing to expand more than {BLOCK_CAP} block disks") from None
 
 
 def _cmd_solve(args) -> int:
@@ -223,15 +223,15 @@ def _cmd_generate(args) -> int:
                 report.verdicts):
             print(f"# {name}: {value} verdict={ok}")
     elif fam == "gridtiling":
-        gt = generators.parse_gridtiling(args.input.read_text())
-        inst = generators.gen_gridtiling(gt)
+        gt = gridtiling.parse_gridtiling(args.input.read_text())
+        inst = gridtiling.gen_gridtiling(gt)
         print(f"# disks: {len(inst.disks)}  k: {inst.k}  d2: {inst.d2}")
     elif fam == "gridtiling-witness":
-        gt = generators.parse_gridtiling(args.input.read_text())
+        gt = gridtiling.parse_gridtiling(args.input.read_text())
         inst = _read_instance(args.instance)
         rows = [int(v) for v in args.rows.split(",")]
         cols = [int(v) for v in args.cols.split(",")]
-        w = generators.gridtiling_witness(gt, inst, rows, cols)
+        w = gridtiling.gridtiling_witness(gt, inst, rows, cols)
         args.output.write_text(write_witness(w))
         print(f"wrote {len(w.moves)} moves")
         return 0

@@ -10,8 +10,7 @@ families are built here:
   frame -- the four reach/clearance inequalities that make the composition
   work are re-verified with exact rational arithmetic and reported.
 
-The grid-tiling reduction lives in :mod:`diskdispersal.gridtiling` and is
-re-exported here.
+The grid-tiling reduction lives in :mod:`diskdispersal.gridtiling`.
 """
 
 from __future__ import annotations
@@ -24,28 +23,14 @@ from typing import Sequence
 from .geometry import Point, is_packing
 from .instance_io import Instance, LatticeBlock, Rect
 from .numerics import frac, sqrt_lower_upper
-from .gridtiling import (  # noqa: F401  (re-exported module surface)
-    GridTilingInstance,
-    GeneratorError,
-    gen_gridtiling,
-    gridtiling_witness,
-    parse_gridtiling,
-    write_gridtiling,
-)
 
 __all__ = [
     "AppendingInstance",
     "CompositionReachReport",
-    "GridTilingInstance",
-    "GeneratorError",
     "gen_random",
     "gen_colocated",
     "gen_appending_frame",
     "gen_crosscompose",
-    "gen_gridtiling",
-    "gridtiling_witness",
-    "parse_gridtiling",
-    "write_gridtiling",
 ]
 
 
@@ -158,15 +143,10 @@ class CompositionReachReport:
         return all(self.verdicts)
 
 
-def _point_box_max_dist2(px, py, x0, y0, x1, y1) -> Fraction:
-    dx = max(abs(px - x0), abs(px - x1))
-    dy = max(abs(py - y0), abs(py - y1))
-    return dx * dx + dy * dy
-
-
-def _point_box_min_dist2(px, py, x0, y0, x1, y1) -> Fraction:
-    dx = max(Fraction(0), x0 - px, px - x1)
-    dy = max(Fraction(0), y0 - py, py - y1)
+def _max_dist2(px, py, r: Rect) -> Fraction:
+    """Squared distance from (px, py) to the farthest point of r."""
+    dx = max(abs(px - r.x0), abs(px - r.x1))
+    dy = max(abs(py - r.y0), abs(py - r.y1))
     return dx * dx + dy * dy
 
 
@@ -208,11 +188,11 @@ def _compose(instances, a: int, kappa: int, d: Fraction, s_r: Fraction,
              h_r: Fraction) -> tuple[Instance, CompositionReachReport]:
     t = len(instances)
     disks: list[Point] = []
-    squares: list[tuple[Fraction, Fraction]] = []  # bottom-left corners
+    squares: list[Rect] = []
 
     for i, inst in enumerate(instances):
         x_off = i * (a + s_r)
-        squares.append((x_off, Fraction(0)))
+        squares.append(Rect(x_off, Fraction(0), x_off + a, Fraction(a)))
         for p in inst.packing:
             disks.append(Point(p.x + x_off, p.y))
 
@@ -223,7 +203,8 @@ def _compose(instances, a: int, kappa: int, d: Fraction, s_r: Fraction,
     w_right = half_cols - w_left
     for i in range(t):
         gx = i * (a + s_r)          # gadget box left edge, width exactly a
-        gadget_boxes.append((gx, gadget_bottom, gx + a, gadget_bottom + 6))
+        gadget_boxes.append(
+            Rect(gx, gadget_bottom, gx + a, gadget_bottom + 6))
         ox = gx + 2 * w_left        # local origin of the unpadded gadget
         for c in range(kappa + 3):
             disks.append(Point(ox + 1 + 2 * c, gadget_bottom + 1))
@@ -252,23 +233,18 @@ def _compose(instances, a: int, kappa: int, d: Fraction, s_r: Fraction,
 
     # reach report, exact
     dd = d * d
-    l1 = max(_point_box_max_dist2(c_x, c_y, *box) for box in gadget_boxes)
-    l2 = min(_point_box_min_dist2(c_x, c_y, sx, sy, sx + a, sy + a)
-             for sx, sy in squares)
+    l1 = max(_max_dist2(c_x, c_y, box) for box in gadget_boxes)
+    stack = Rect(c_x, c_y, c_x, c_y)
+    l2 = min(stack.min_dist2_to(sq) for sq in squares)
     l3 = Fraction(a * a) + h_r * h_r
-    l4 = min(
-        Rect(*gadget_boxes[i]).min_dist2_to(
-            Rect(squares[j][0], squares[j][1],
-                 squares[j][0] + a, squares[j][1] + a))
-        for i in range(t) for j in range(t) if i != j)
+    l4 = min(gadget_boxes[i].min_dist2_to(squares[j])
+             for i in range(t) for j in range(t) if i != j)
     report = CompositionReachReport(l1, l2, l3, l4, d)
 
     xs = [p.x for p in disks]
     ys = [p.y for p in disks]
-    holes = [Rect(sx - 1, sy - 1, sx + a + 1, sy + a + 1)
-             for sx, sy in squares]
-    holes += [Rect(bx0 - 1, by0 - 1, bx1 + 1, by1 + 1)
-              for bx0, by0, bx1, by1 in gadget_boxes]
+    holes = [Rect(r.x0 - 1, r.y0 - 1, r.x1 + 1, r.y1 + 1)
+             for r in squares + gadget_boxes]
     holes.append(Rect(c_x - 2, c_y - 2, c_x + 2, c_y + 2))
     block = LatticeBlock(
         _ceil_even(min(xs)), _ceil_even(min(ys)),
@@ -280,14 +256,10 @@ def _compose(instances, a: int, kappa: int, d: Fraction, s_r: Fraction,
 
 
 def _ceil_even(v: Fraction) -> Fraction:
-    n = v.numerator // v.denominator
-    while Fraction(n) < v or n % 2 != 0:
-        n += 1
-    return Fraction(n)
+    """The least even integer at or above v."""
+    return Fraction(2 * -(-v // 2))
 
 
 def _floor_even(v: Fraction) -> Fraction:
-    n = -((-v.numerator) // v.denominator)
-    while Fraction(n) > v or n % 2 != 0:
-        n -= 1
-    return Fraction(n)
+    """The greatest even integer at or below v."""
+    return Fraction(2 * (v // 2))

@@ -13,7 +13,10 @@ and chains of such slides propagate choices across the grid.
 
 All coordinates are integers, the move budget d is an integer, moves are
 axis-parallel, and the vast empty area is filled by an implicit lattice
-block with one hole per gadget group.
+block.  Each gadget group's hole in that block is cut where the group is
+placed, from the same coordinates: one per cell, row feeder and emptying
+row, two per column feeder and emptying column (the group and its stack
+or vacancy gadget).
 
 Deliberate deviations from the usual presentation of this construction
 (vertical cell spacing, parity of the extra column gadget, sub-row
@@ -77,7 +80,6 @@ class _Gadget:
     m: int                     # payload disks / stack copies / space slots
     L: int
     N1: int
-    disk_base: int = 0         # index of this gadget's first disk
     payload_idx: list[int] = field(default_factory=list)
     stack_idx: list[int] = field(default_factory=list)
 
@@ -93,43 +95,42 @@ class _Gadget:
         return self.base_top + 3 + 2 * t
 
     def slot_y(self, u: int) -> int:
-        """Freed positions once all payload disks leave (u in 0..m)."""
-        return self.base_top + 2 + 2 * u
-
-    def space_y(self, u: int) -> int:
-        """Empty-kind gadgets: the u-th reserved vacancy (u in 0..m-1)."""
+        """Freed positions once all payload disks leave (u in 0..m); in an
+        empty-kind gadget, its reserved vacancies (u in 0..m-1)."""
         return self.base_top + 2 + 2 * u
 
     @property
     def stack_point(self) -> tuple[int, int]:
         return (self.x_mid, self.base_top + 2)
 
-    def emit(self, sink: "_DiskSink") -> None:
-        self.disk_base = sink.count()
+    def emit(self, disks: list[Point]) -> None:
+        def add(x: int, y: int) -> None:
+            disks.append(Point(Fraction(x), Fraction(y)))
+
         x0, y0, L = self.x0, self.y0, self.L
         if self.kind == "absent":
             for c in (0, 2, 4):
                 for r in range(L):
-                    sink.add(x0 + c, y0 + 2 * r)
+                    add(x0 + c, y0 + 2 * r)
             return
         for r in range(L):
-            sink.add(x0, y0 + 2 * r)
+            add(x0, y0 + 2 * r)
         for r in range(L):
-            sink.add(x0 + 4, y0 + 2 * r)
-        sink.add(x0 + 2, y0)
-        sink.add(x0 + 2, y0 + 2 * L - 2)
+            add(x0 + 4, y0 + 2 * r)
+        add(x0 + 2, y0)
+        add(x0 + 2, y0 + 2 * L - 2)
         for s in range(self.N1):
-            sink.add(x0 + 2, y0 + 2 + self.phi + 2 * s)
+            add(x0 + 2, y0 + 2 + self.phi + 2 * s)
         if self.kind == "pair":
             for t in range(self.m):
-                self.payload_idx.append(sink.count())
-                sink.add(x0 + 2, self.payload_y(t))
+                self.payload_idx.append(len(disks))
+                add(x0 + 2, self.payload_y(t))
             cap_lo = self.base_top + 2 * self.m + 4
         elif self.kind == "stack":
             sx, sy = self.stack_point
             for _ in range(self.m):
-                self.stack_idx.append(sink.count())
-                sink.add(sx, sy)
+                self.stack_idx.append(len(disks))
+                add(sx, sy)
             cap_lo = self.base_top + 4
         elif self.kind == "empty":
             cap_lo = self.base_top + 2 * self.m + 2
@@ -139,18 +140,7 @@ class _Gadget:
         if cap_hi < cap_lo or (cap_hi - cap_lo) % 2 != 0:
             raise GeneratorError("cap padding does not fit the frame")
         for y in range(cap_lo, cap_hi + 1, 2):
-            sink.add(x0 + 2, y)
-
-
-class _DiskSink:
-    def __init__(self):
-        self.disks: list[Point] = []
-
-    def add(self, x: int, y: int) -> None:
-        self.disks.append(Point(Fraction(x), Fraction(y)))
-
-    def count(self) -> int:
-        return len(self.disks)
+            add(x0 + 2, y)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +171,7 @@ class _Layout:
         self.cell_h = 2 * self.L * n
         self.k = self._budget()
         self.gadgets: dict[tuple, _Gadget] = {}
-        self.sink = _DiskSink()
+        self.disks: list[Point] = []
         self._build()
 
     # quantities per construction row/column
@@ -197,15 +187,12 @@ class _Layout:
     def er_i(self, i: int) -> int:
         return self.kappa - i
 
-    def ec_j(self, j: int) -> int:
-        return self.kappa - j + 2
-
     def _budget(self) -> int:
         K = self.kappa
         total = sum(2 * self.r_i(i) + 1 for i in range(1, K + 1))
         total += sum(3 * self.c_j(j) + 3 for j in range(1, K + 1))
         total += sum(self.er_i(i) for i in range(1, K + 1))
-        total += 2 * sum(self.ec_j(j) for j in range(1, K + 1))
+        total += 2 * sum(self.c_j(j) for j in range(1, K + 1))
         total += sum(self.m_ij(i, j)
                      for i in range(1, K + 1) for j in range(1, K + 1))
         return total
@@ -231,12 +218,21 @@ class _Layout:
         return self.cell_top(i) - 2 * self.L * a + 1
 
     def _build(self) -> None:
+        """Place every gadget group, then cut the fill block's hole for
+        that group from the same coordinates: cells, row feeders, column
+        feeders (two holes each), emptying rows, emptying columns (two
+        holes each)."""
         n, K, L = self.n, self.kappa, self.L
+        holes: list[Rect] = []
 
         def put(key, x0, y0, phi, kind, m):
             g = _Gadget(x0, y0, phi, kind, m, L, self.N1)
-            g.emit(self.sink)
+            g.emit(self.disks)
             self.gadgets[key] = g
+
+        def hole(x0, y0, x1, y1):
+            holes.append(Rect(Fraction(x0), Fraction(y0),
+                              Fraction(x1), Fraction(y1)))
 
         # cells of pair / absent gadgets
         for i in range(1, K + 1):
@@ -251,6 +247,8 @@ class _Layout:
                         else:
                             put(("apg", i, j, a, b), self.sub_x0(j, b),
                                 self.sub_y0(i, a), 0, "absent", 0)
+                hole(self.cell_left(j) - 1, self.cell_bot(i) - 1,
+                     self.cell_right(j) + 1, self.cell_top(i) + 1)
 
         # row feeders, left of the grid, one 6-wide column per row index
         for i in range(1, K + 1):
@@ -260,6 +258,8 @@ class _Layout:
                     self.r_i(i))
             put(("rstar", i), x0, self.sub_y0(i, 1) + 2 * L, 0, "stack",
                 self.r_i(i) + 2)
+            hole(x0 - 2, self.sub_y0(i, n) - 2,
+                 x0 + 6, self.sub_y0(i, 1) + 4 * L)
 
         # column feeders above the grid, staggered upwards per column
         for j in range(1, K + 1):
@@ -270,6 +270,8 @@ class _Layout:
             xn1 = self.cell_left(j) + 6 * n + 1
             put(("cc", j, n + 1), xn1, y0, 0, "pair", self.c_j(j) + 1)
             put(("cstar", j), xn1, y0 + 2 * L, 0, "stack", self.c_j(j) + 3)
+            hole(self.cell_left(j) - 1, y0 - 2, xn1 + 6, y0 + 2 * L)
+            hole(xn1 - 2, y0 + 2 * L - 2, xn1 + 6, y0 + 4 * L)
 
         # emptying rows, mirrored to the right (none for the last row)
         phi_er = 1 - _col_phi(K)
@@ -280,6 +282,8 @@ class _Layout:
                     self.er_i(i))
             put(("erstar", i), x0, self.sub_y0(i, 1) + 2 * L, 0, "empty",
                 self.er_i(i))
+            hole(x0 - 2, self.sub_y0(i, n) - 2,
+                 x0 + 6, self.sub_y0(i, 1) + 4 * L)
 
         # emptying columns, mirrored below
         for j in range(1, K + 1):
@@ -287,60 +291,27 @@ class _Layout:
             y0 = y_top_disk - (2 * L - 2)
             for b in range(1, n + 1):
                 put(("ecc", j, b), self.sub_x0(j, b), y0, 1, "pair",
-                    self.ec_j(j))
+                    self.c_j(j))
             xn1 = self.cell_left(j) + 6 * n + 1
-            put(("ecc", j, n + 1), xn1, y0, 0, "pair", self.ec_j(j))
-            put(("ecstar", j), xn1, y0 - 2 * L, 0, "empty", self.ec_j(j))
+            put(("ecc", j, n + 1), xn1, y0, 0, "pair", self.c_j(j))
+            put(("ecstar", j), xn1, y0 - 2 * L, 0, "empty", self.c_j(j))
+            hole(self.cell_left(j) - 1, y0 - 2, xn1 + 6, y0 + 2 * L)
+            hole(xn1 - 2, y0 - 2 * L - 2, xn1 + 6, y0 + 2)
 
-        self.block = self._fill_block()
-
-    def _fill_block(self) -> LatticeBlock:
-        n, K, L = self.n, self.kappa, self.L
-        holes: list[Rect] = []
-
-        def rect(x0, y0, x1, y1):
-            holes.append(Rect(Fraction(x0), Fraction(y0),
-                              Fraction(x1), Fraction(y1)))
-
-        for i in range(1, K + 1):
-            for j in range(1, K + 1):
-                rect(self.cell_left(j) - 1, self.cell_bot(i) - 1,
-                     self.cell_right(j) + 1, self.cell_top(i) + 1)
-        for i in range(1, K + 1):
-            x0 = -7 - 6 * (i - 1)
-            rect(x0 - 2, self.sub_y0(i, n) - 2,
-                 x0 + 6, self.sub_y0(i, 1) + 4 * L)
-        for j in range(1, K + 1):
-            y0 = 3 + 2 * L * (j - 1)
-            rect(self.cell_left(j) - 1, y0 - 2,
-                 self.cell_left(j) + 6 * n + 7, y0 + 2 * L)
-            xn1 = self.cell_left(j) + 6 * n + 1
-            rect(xn1 - 2, y0 + 2 * L - 2, xn1 + 6, y0 + 4 * L)
-        for i in range(1, K):
-            x0 = self.cell_right(K) + 3 + 6 * (i - 1)
-            rect(x0 - 2, self.sub_y0(i, n) - 2,
-                 x0 + 6, self.sub_y0(i, 1) + 4 * L)
-        for j in range(1, K + 1):
-            y_top_disk = self.cell_bot(K) - 3 - 2 * L * (j - 1)
-            y0 = y_top_disk - (2 * L - 2)
-            rect(self.cell_left(j) - 1, y0 - 2,
-                 self.cell_left(j) + 6 * n + 7, y0 + 2 * L)
-            xn1 = self.cell_left(j) + 6 * n + 1
-            rect(xn1 - 2, y0 - 2 * L - 2, xn1 + 6, y0 + 2)
-
-        xs = [int(p.x) for p in self.sink.disks]
-        ys = [int(p.y) for p in self.sink.disks]
+        # the fill lattice spans the even points inside the disks' bounding box
+        xs = [int(p.x) for p in self.disks]
+        ys = [int(p.y) for p in self.disks]
         bx0 = min(xs) + (min(xs) % 2)
         by0 = min(ys) + (min(ys) % 2)
         bx1 = max(xs) - (max(xs) % 2)
         by1 = max(ys) - (max(ys) % 2)
-        return LatticeBlock(Fraction(bx0), Fraction(by0), Fraction(bx1),
-                            Fraction(by1), Fraction(2), tuple(holes))
+        self.block = LatticeBlock(Fraction(bx0), Fraction(by0), Fraction(bx1),
+                                  Fraction(by1), Fraction(2), tuple(holes))
 
     def instance(self) -> Instance:
         d2 = Fraction(self.d) ** 2
         return Instance("rectilinear", self.k, d2,
-                        tuple(self.sink.disks), (self.block,))
+                        tuple(self.disks), (self.block,))
 
 
 def build_layout(gt: GridTilingInstance) -> _Layout:
@@ -373,13 +344,13 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
             if pair not in gt.sets[(i, j)]:
                 raise GeneratorError(
                     f"({pair[0]}, {pair[1]}) not allowed in cell ({i}, {j})")
-    if list(inst.disks) != lay.sink.disks:
+    if list(inst.disks) != lay.disks:
         raise GeneratorError("instance does not match this grid-tiling input")
 
     moves: dict[int, Point] = {}
 
     def put_move(idx: int, x: int, y: int):
-        src = lay.sink.disks[idx]
+        src = lay.disks[idx]
         dx = abs(int(src.x) - x)
         dy = abs(int(src.y) - y)
         if idx in moves:
@@ -389,6 +360,11 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
                 f"move of disk {idx} is not an axis move within {lay.d}")
         moves[idx] = Point(Fraction(x), Fraction(y))
 
+    def height(i: int, j: int) -> int:
+        """Payload disks that the chosen pair gadget of cell (i, j) sends
+        right, to the next cell or the emptying row; the rest go down."""
+        return 2 * K - i - j
+
     def free_slots(i: int, j: int) -> list[int]:
         """Slots of the chosen pair gadget in cell (i, j) left for
         vertical arrivals after the horizontal arrivals take theirs."""
@@ -396,9 +372,8 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
         if j == 1:
             occupied = set(range(1, lay.r_i(i) + 1))
         else:
-            h_prev = 2 * K - i - (j - 1)
             base = _col_phi(j - 1)
-            occupied = set(range(base, h_prev + base))
+            occupied = set(range(base, height(i, j - 1) + base))
         out = [u for u in range(m + 1) if u not in occupied]
         if len(out) != K - j + 2:
             raise GeneratorError("slot bookkeeping is inconsistent")
@@ -434,7 +409,7 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
     for i in range(1, K + 1):
         for j in range(1, K + 1):
             pg = lay.gadgets[("pg", i, j, a_of[i], b_of[j])]
-            h = 2 * K - i - j
+            h = height(i, j)
             if j < K:
                 tgt = lay.gadgets[("pg", i, j + 1, a_of[i], b_of[j + 1])]
                 for t in range(h):
@@ -459,7 +434,7 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
         erc = lay.gadgets[("erc", i, a_of[i])]
         erstar = lay.gadgets[("erstar", i)]
         for t, idx in enumerate(erc.payload_idx):
-            put_move(idx, erstar.x_mid, erstar.space_y(t))
+            put_move(idx, erstar.x_mid, erstar.slot_y(t))
     for j in range(1, K + 1):
         eccb = lay.gadgets[("ecc", j, b_of[j])]
         eccn1 = lay.gadgets[("ecc", j, n + 1)]
@@ -467,7 +442,7 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
         for t, idx in enumerate(eccb.payload_idx):
             put_move(idx, eccn1.x_mid, eccn1.slot_y(t + 1))
         for t, idx in enumerate(eccn1.payload_idx):
-            put_move(idx, ecstar.x_mid, ecstar.space_y(t))
+            put_move(idx, ecstar.x_mid, ecstar.slot_y(t))
 
     if len(moves) != lay.k:
         raise GeneratorError(

@@ -43,7 +43,6 @@ __all__ = [
     "validate_witness",
     "apply_witness",
     "expand_blocks",
-    "count_block_disks",
 ]
 
 DEFAULT_EPS = Fraction(1, 10 ** 9)
@@ -500,16 +499,6 @@ def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction):
 def apply_witness(inst: Instance, w: Witness) -> Instance:
     disks = tuple(w.moves.get(i, d) for i, d in enumerate(inst.disks))
     return Instance(inst.variant, inst.k, inst.d2, disks, inst.blocks)
-
-
-def count_block_disks(inst: Instance, cap: int = 10 ** 6) -> int:
-    total = 0
-    for b in inst.blocks:
-        for _ in b.iter_disks():
-            total += 1
-            if total > cap:
-                return total
-    return total
 
 
 def expand_blocks(inst: Instance, cap: int = 10 ** 6) -> Instance:

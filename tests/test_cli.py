@@ -4,9 +4,13 @@ from pathlib import Path
 import pytest
 
 from diskdispersal.cli import dispatch
-from diskdispersal.instance_io import parse_instance, parse_witness
+from diskdispersal.instance_io import (
+    parse_instance,
+    parse_witness,
+    write_instance,
+)
 from diskdispersal.render import RenderOptions, render_svg
-from diskdispersal.generators import gen_gridtiling, parse_gridtiling
+from diskdispersal.gridtiling import gen_gridtiling, parse_gridtiling
 from diskdispersal.geometry import Point
 from diskdispersal.instance_io import Instance, LatticeBlock, Witness
 from diskdispersal.solver import solve
@@ -96,6 +100,28 @@ class TestSolveChain:
         p = tmp_path / "bad.inst"
         p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: -1\n")
         assert dispatch(["solve", str(p)]) == 2
+
+    def test_undecidable_overlap_answers_unknown(self, tmp_path, capsys):
+        p = tmp_path / "raw.inst"
+        p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
+                     "disks: 3\n0 0\n2.0~ 0\n10 10\n")
+        assert dispatch(["solve", str(p)]) == 2
+        out = capsys.readouterr()
+        assert out.out.startswith("unknown (distance of (0, 0) and (2.0~, 0))")
+        assert "error:" not in out.err
+
+    def test_block_expansion_cap_is_usage_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        from diskdispersal import cli
+        p = tmp_path / "block.inst"
+        block = LatticeBlock(F(0), F(0), F(8), F(8), F(2))  # 25 disks
+        p.write_text(write_instance(Instance("euclidean", 0, F(0), (),
+                                             (block,))))
+        monkeypatch.setattr(cli, "BLOCK_CAP", 24)
+        assert dispatch(["solve", str(p), "--expand-blocks"]) == 64
+        assert "more than 24 block disks" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "BLOCK_CAP", 25)
+        assert dispatch(["solve", str(p), "--expand-blocks"]) == 0
 
 
 class TestKernelizeCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -25,6 +26,7 @@ from diskdispersal.instance_io import (
     parse_instance,
     validate_witness,
     write_instance,
+    write_witness,
     Witness,
 )
 from diskdispersal.solver import solve
@@ -42,6 +44,11 @@ FIG7_SETS = {
 }
 FIG7 = GridTilingInstance(3, 2, FIG7_SETS)
 FIG7_SOLUTION = ([2, 3], [1, 3])
+KAPPA3_SOLUTION = ([2, 1, 2], [1, 2, 2])
+KAPPA3 = GridTilingInstance(2, 3, {
+    (i, j): frozenset({(KAPPA3_SOLUTION[0][i - 1], KAPPA3_SOLUTION[1][j - 1]),
+                       (1, 1)})
+    for i in range(1, 4) for j in range(1, 4)})
 
 
 class TestSimpleGenerators:
@@ -221,14 +228,8 @@ class TestGridTiling:
         # builder itself asserts axis-parallelism, move lengths and the
         # slot bookkeeping (full validation of this size runs in the
         # generator stress sweep, not here)
-        rows, cols = [2, 1, 2], [1, 2, 2]
-        sets = {}
-        for i in range(1, 4):
-            for j in range(1, 4):
-                sets[(i, j)] = frozenset({(rows[i - 1], cols[j - 1]), (1, 1)})
-        gt = GridTilingInstance(2, 3, sets)
-        inst = gen_gridtiling(gt)
-        w = gridtiling_witness(gt, inst, rows, cols)
+        inst = gen_gridtiling(KAPPA3)
+        w = gridtiling_witness(KAPPA3, inst, *KAPPA3_SOLUTION)
         assert len(w.moves) == inst.k == 129
 
     def test_all_moves_axis_parallel_within_budget(self):
@@ -241,3 +242,38 @@ class TestGridTiling:
             dx, dy = abs(src.x - target.x), abs(src.y - target.y)
             assert dx == 0 or dy == 0
             assert max(dx, dy) <= d
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestOutputBytes:
+    """The generators' instance and witness texts, pinned byte for byte."""
+
+    @pytest.mark.parametrize("gt, solution, inst_sha, witness_sha", [
+        (FIG7, FIG7_SOLUTION,
+         "811ee0bf2e9c2d80d67d97201f204d966de302f975f16594e9678c8b37df091f",
+         "346f587dd2a93195ad1ead7f4f2a4f26bdb35aa6dd3c6518ead88f05a7c5ce04"),
+        (KAPPA3, KAPPA3_SOLUTION,
+         "a5b733645354eb56a5d2dba1ce0c844ce5ae463eb921795f9a63a030a06a27c1",
+         "6f2388f302037a811f1b8e0ca7e32beffd855cafa6aae4144522ac46587857e9"),
+    ])
+    def test_gridtiling(self, gt, solution, inst_sha, witness_sha):
+        inst = gen_gridtiling(gt)
+        assert _sha256(write_instance(inst)) == inst_sha
+        w = gridtiling_witness(gt, inst, *solution)
+        assert _sha256(write_witness(w)) == witness_sha
+
+    @pytest.mark.parametrize("t, a, kappa, sha", [
+        (3, 216, 2,
+         "8cf506505e945fbba69780d2f41a1007d190affdae230953bf25a3d452e97393"),
+        (5, 240, 3,
+         "37df52794bc02bca07640c1964c5e49eef4973c6548f17f7b2e12e210e819977"),
+        (3, 216, 1,
+         "e454a314ee6099c7949c49973e07f413d6e34e1351f99f3ee6fff60c189db70f"),
+    ])
+    def test_crosscompose(self, t, a, kappa, sha):
+        frames = [gen_appending_frame(a, kappa) for _ in range(t)]
+        inst, _ = gen_crosscompose(frames)
+        assert _sha256(write_instance(inst)) == sha

@@ -146,6 +146,20 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(inst)
 
+    @pytest.mark.parametrize("second, rest", [("2.0~", ["10 10"]),
+                                              ("1.9~", [])])
+    def test_undecidable_overlap_is_unknown(self, second, rest):
+        # a raw interval straddling distance 2 leaves an overlap that
+        # kernelization cannot decide, which proves nothing either way
+        from diskdispersal.instance_io import parse_instance
+        disks = ["0 0", f"{second} 0"] + rest
+        inst = parse_instance(
+            "DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
+            f"disks: {len(disks)}\n" + "\n".join(disks) + "\n")
+        ans = solve(inst)
+        assert ans.verdict == "unknown"
+        assert ans.reason == f"distance of (0, 0) and ({second}, 0)"
+
 
 # euclidean, k=3, d2=9/4, oracle yes; the grid pass at delta 1/64 runs for
 # minutes, so only the time budget ends the solve
