@@ -16,9 +16,22 @@ three stages:
    rounding perturbation (sqrt(2)*delta per moved endpoint), no continuous
    solution exists.
 
+Some covers are refuted without running the stages.  Lemma: let A be a
+cover and x a member of A such that A minus x is a cover too and x's origin
+lies at least d+2 from the origin of every other member.  If A minus x is
+infeasible, so is A.  Proof: take targets for A and put x back at its
+origin.  x at its origin clears every disk that A leaves fixed, since A
+minus x is a cover.  Every other member's target lies within d of its
+origin -- a rectilinear move is axis-parallel, so its Euclidean length is
+at most d as well -- and so at least 2 from x's origin.  The other
+constraints are those of A, so A minus x would be feasible.  ``solve``
+tests the distance exactly against (derived_d(d2) + 2)^2, an upper bound
+on (d+2)^2, and applies the lemma only to a subset that was refuted, by a
+grid or by the lemma itself, never to one left unknown.
+
 Yes answers always carry a witness that validates exactly; No answers are
-backed by a grid refutation for every candidate set; anything else is
-reported Unknown rather than guessed.
+backed by a grid refutation, or by the lemma above from one, for every
+candidate set; anything else is reported Unknown rather than guessed.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
 lattice fill, which must be expanded first.  Interval arithmetic escalates
@@ -632,8 +645,31 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
     return _stage_grid(fixed, movables, d2, variant, cfg, deadline)
 
 
+def _implied_refutation(cand: list[int], refuted: set[frozenset[int]],
+                        disks: Sequence[Point], far2: Fraction
+                        ) -> Optional[list[int]]:
+    """A refuted ``cand`` minus x whose x lies at least sqrt(far2) from every
+    other member, or None; by the module docstring's lemma it refutes
+    ``cand``.  Distances that are not rational never count as far."""
+    def far(i: int, j: int) -> bool:
+        dd = dist2(disks[i], disks[j])
+        return isinstance(dd, Fraction) and dd >= far2
+
+    for x in cand:
+        rest = [i for i in cand if i != x]
+        if frozenset(rest) in refuted and all(far(x, i) for i in rest):
+            return rest
+    return None
+
+
 def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
-    """Full decision pipeline over an explicit-disk instance."""
+    """Full decision pipeline over an explicit-disk instance.
+
+    Candidate sets come from ``enumerate_candidate_sets``, smaller first.
+    A set that the module docstring's lemma refutes through a smaller
+    refuted set is logged as "refuted, implied by" that set and never
+    reaches ``feasibility``; every other set does.
+    """
     cfg = cfg or SolverConfig()
     if inst.blocks:
         raise ValueError("solve requires explicit disks; expand blocks first")
@@ -658,7 +694,14 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
+    far2 = (derived_d(kinst.d2) + 2) ** 2
+    refuted: set[frozenset[int]] = set()
     for cand in enumerate_candidate_sets(g, cap, deadline):
+        implied = _implied_refutation(cand, refuted, kinst.disks, far2)
+        if implied is not None:
+            refuted.add(frozenset(cand))
+            log.append(f"set {cand}: refuted, implied by {implied}")
+            continue
         chosen = set(cand)
         fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
         movables = [kinst.disks[i] for i in cand]
@@ -673,6 +716,7 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
             return Answer("yes", Witness(moves),
                           log=tuple(log + [f"moved set {cand}"]))
         if res.status == "infeasible":
+            refuted.add(frozenset(cand))
             log.append(f"set {cand}: refuted at delta {res.delta}")
         else:
             unknowns += 1

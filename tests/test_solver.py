@@ -1,11 +1,19 @@
+import random
 import time
+from ast import literal_eval
 from fractions import Fraction as F
 
 import pytest
 
 from diskdispersal import solver
-from diskdispersal.geometry import Point
-from diskdispersal.instance_io import Instance, Witness, validate_witness
+from diskdispersal.geometry import Point, dist2
+from diskdispersal.instance_io import (
+    Instance,
+    Witness,
+    validate_witness,
+    write_witness,
+)
+from diskdispersal.kernel import kernelize
 from diskdispersal.oracle import GuardError, oracle
 from diskdispersal.solver import (
     SolverConfig,
@@ -14,7 +22,7 @@ from diskdispersal.solver import (
     solve,
 )
 from diskdispersal.udg import build_graph
-from diskdispersal.generators import gen_colocated
+from diskdispersal.generators import gen_colocated, gen_random
 
 
 def P(x, y):
@@ -286,3 +294,174 @@ class TestVariantOrdering:
             if variant == "rectilinear":
                 eu = Instance("euclidean", inst.k, inst.d2, inst.disks)
                 assert validate_witness(eu, yes.witness).status == "accept"
+
+
+# ---------------------------------------------------------------------------
+# refuting a cover through a smaller refuted cover
+
+# six background disks around a tight triple centred on the origin, each at
+# least 4 from every triple disk and from the targets (+-2, 0)
+RING = ((0, 5), (0, -5), (6, 0), (-6, 0), (5, 5), (-5, -5))
+FAR2 = (F(3, 2) + 2) ** 2     # (d+2)^2 at d2 = 9/4
+
+
+def two_triples(k, shuffle_seed=None):
+    """Tight triples at x = 0 and x = 30, each with its RING, d2 = 9/4.
+
+    k = 3 is a no: one triple gets a single move, which must be its middle
+    disk, and clearing both end disks needs a move of sqrt(3) > 3/2.  k = 4
+    is a yes: each triple's end disks move outward by 1.  The kernel keeps
+    every disk, so its indices are the instance's.
+    """
+    disks = []
+    for cx in (0, 30):
+        disks += [P(cx + dx, 0) for dx in (-1, 0, 1)]
+        disks += [P(cx + dx, dy) for dx, dy in RING]
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(disks)
+    return Instance("euclidean", k, F(9, 4), tuple(disks))
+
+
+def logged_sets(ans):
+    """(moved set, outcome) for every "set [..]: .." line of a solve log."""
+    out = []
+    for line in ans.log:
+        if line.startswith("set ["):
+            head, outcome = line[len("set "):].split(": ", 1)
+            out.append((literal_eval(head), outcome))
+    return out
+
+
+def solve_recording(monkeypatch, inst):
+    """``solve(inst)`` and the moved sets, as disk index sets, that reached
+    ``feasibility``, in call order."""
+    index = {p: i for i, p in enumerate(inst.disks)}
+    seen = []
+    real = solver.feasibility
+
+    def recording(fixed, movables, *args, **kwargs):
+        seen.append(frozenset(index[p] for p in movables))
+        return real(fixed, movables, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "feasibility", recording)
+    return solve(inst), seen
+
+
+class TestImpliedRefutation:
+    def test_every_enumerated_cover_is_refuted_in_the_log(self):
+        inst = two_triples(3)
+        assert len(kernelize(inst)[0].disks) == len(inst.disks)
+        ans = solve(inst)
+        assert ans.verdict == "no"
+        covers = list(enumerate_candidate_sets(build_graph(inst.disks), 3))
+        logged = logged_sets(ans)
+        assert [s for s, _ in logged] == covers
+        assert all(o.startswith("refuted") for _, o in logged)
+        # the middle disks {1, 10} are refuted by a grid; adding any ring
+        # disk (indices 3-8 and 12-17) is refuted through them
+        assert ([1, 3, 10], "refuted, implied by [1, 10]") in logged
+        assert sum(o.startswith("refuted, implied by") for _, o in logged) \
+            == 12
+
+    def test_far_means_at_least_d_plus_two_exactly(self):
+        # fig1 at d2 = 1/4 (d + 2 = 5/2) with a disk just inside and one
+        # exactly at 5/2 from the middle disk; every cover is refuted
+        inst = Instance("euclidean", 2, F(1, 4), (
+            P(0, 0), P(1, 0), P(2, 0), P(1, F(249, 100)), P(1, F(-5, 2))))
+        ans = solve(inst)
+        assert ans.verdict == "no"
+        logged = dict((str(s), o) for s, o in logged_sets(ans))
+        assert logged["[1]"].startswith("refuted at delta")
+        assert logged["[1, 3]"].startswith("refuted at delta")
+        assert logged["[1, 4]"] == "refuted, implied by [1]"
+
+    def test_irrational_distance_or_unknown_subset_implies_nothing(self):
+        from diskdispersal.numerics import quadext
+        disks = [P(0, 0), P(10, 0), Point(quadext(10, 1, 2), F(0))]
+        refuted = {frozenset([0])}
+        implied = solver._implied_refutation
+        assert implied([0, 1], refuted, disks, FAR2) == [0]
+        assert implied([0, 2], refuted, disks, FAR2) is None
+        # a subset left unknown is not in the refuted set
+        assert implied([0, 1], set(), disks, FAR2) is None
+
+    @pytest.mark.parametrize("k, seed, verdict", [
+        (3, None, "no"), (4, None, "yes"), (4, 1, "yes"), (4, 2, "yes")])
+    def test_far_extension_of_refuted_set_skips_feasibility(
+            self, monkeypatch, k, seed, verdict):
+        inst = two_triples(k, seed)
+        ans, seen = solve_recording(monkeypatch, inst)
+        assert ans.verdict == verdict
+        if verdict == "yes":
+            assert validate_witness(inst, ans.witness).accepted
+        logged = logged_sets(ans)
+        assert any(o.startswith("refuted, implied by") for _, o in logged)
+        # every smaller cover is enumerated, and logged, before a larger one
+        refuted = {frozenset(s) for s, o in logged if o.startswith("refuted")}
+        for moved in seen:
+            for x in moved:
+                rest = moved - {x}
+                assert not (rest in refuted and all(
+                    dist2(inst.disks[x], inst.disks[i]) >= FAR2
+                    for i in rest)), sorted(moved)
+
+
+def reference_solve(inst, cfg):
+    """``solve`` without the implied refutation: every cover goes to
+    ``feasibility``."""
+    kr = kernelize(inst)
+    if kr is None:
+        return "no", None
+    kinst, report = kr
+    g = build_graph(kinst.disks)
+    if not g.edges:
+        return "yes", Witness({})
+    unknown = False
+    for cand in enumerate_candidate_sets(g, inst.k):
+        fixed = [p for i, p in enumerate(kinst.disks) if i not in cand]
+        movables = [kinst.disks[i] for i in cand]
+        res = solver.feasibility(fixed, movables, kinst.d2, kinst.variant,
+                                 cfg)
+        if res.status == "feasible":
+            moves = {}
+            for slot, target in res.assignment.items():
+                orig = report.kept[cand[slot]]
+                if target != inst.disks[orig]:
+                    moves[orig] = target
+            return "yes", Witness(moves)
+        unknown = unknown or res.status == "unknown"
+    return ("unknown" if unknown else "no"), None
+
+
+class TestImpliedRefutationDifferential:
+    def test_pruned_and_unpruned_loops_agree(self, monkeypatch):
+        # feasibility is deterministic without a deadline, so both loops
+        # share one memo: the reference pays only for the covers that solve
+        # skipped
+        memo = {}
+        real = solver.feasibility
+
+        def memoised(fixed, movables, *args, **kwargs):
+            key = (tuple(fixed), tuple(movables))
+            if key not in memo:
+                memo[key] = real(fixed, movables, *args, **kwargs)
+            return memo[key]
+
+        monkeypatch.setattr(solver, "feasibility", memoised)
+        cfg = SolverConfig(delta=F(1, 16))
+        rng = random.Random(20261018)
+        implied = 0
+        for trial in range(200):
+            n = rng.randint(4, 12)
+            k = rng.randint(1, 3)
+            d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(4)])
+            variant = rng.choice(["euclidean", "rectilinear"])
+            inst = gen_random(n, rng.randint(2, 5) + n // 2,
+                              rng.randrange(10 ** 6), k, d2, variant)
+            ans = solve(inst, cfg)
+            verdict, witness = reference_solve(inst, cfg)
+            assert ans.verdict == verdict, trial
+            if witness is not None:
+                assert write_witness(ans.witness) == write_witness(witness)
+            implied += sum("implied by" in line for line in ans.log)
+        assert implied > 0
