@@ -14,7 +14,6 @@ from .numerics import (
     Scalar,
     compare,
     quadext,
-    refine,
     sqrt_lower_upper,
 )
 from .geometry import (

@@ -26,7 +26,7 @@ from .instance_io import (
     write_witness,
 )
 from .kernel import kernelize, shrink_kernel
-from .numerics import IndeterminateError
+from .numerics import IndeterminateError, parse_rational
 from .oracle import GuardError, oracle
 from .render import RenderOptions, render_svg
 from .solver import SolverConfig, solve
@@ -45,6 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _rational(text: str) -> Fraction:
+    """A rational option in the file formats' number grammar."""
+    try:
+        return parse_rational(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _nonnegative(parse):
+    """An option type: ``parse`` of the text, which must be at least 0
+    (which also rejects a float nan)."""
+    def check(text: str):
+        value = parse(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names the type in errors
+    return check
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="diskdispersal",
                 description="Exact toolkit for the disk dispersal problem")
@@ -53,11 +74,11 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", parents=[], help="decide an instance")
     sp.add_argument("instance", type=Path)
     sp.add_argument("--witness", type=Path, help="write a witness here on yes")
-    sp.add_argument("--delta", type=Fraction, default=None,
+    sp.add_argument("--delta", type=_rational, default=None,
                     help="finest refutation grid resolution (default: the "
                          "solver's 1/64, the oracle's 1/16)")
-    sp.add_argument("--time-budget", type=float, default=None)
-    sp.add_argument("--max-set-size", type=int, default=None)
+    sp.add_argument("--time-budget", type=_nonnegative(float), default=None)
+    sp.add_argument("--max-set-size", type=_nonnegative(int), default=None)
     sp.add_argument("--oracle", action="store_true",
                     help="run the independent brute-force oracle instead "
                          "(takes --delta only)")
@@ -74,8 +95,8 @@ def _build_parser() -> _Parser:
     vp = sub.add_parser("validate", help="check a witness")
     vp.add_argument("instance", type=Path)
     vp.add_argument("witness", type=Path)
-    vp.add_argument("--tolerant", nargs="?", const=str(DEFAULT_EPS),
-                    default=None, metavar="EPS",
+    vp.add_argument("--tolerant", nargs="?", type=_nonnegative(_rational),
+                    const=DEFAULT_EPS, default=None, metavar="EPS",
                     help="relax constraints by EPS (default 1/10^9)")
 
     gp = sub.add_parser("generate", help="build instances")
@@ -86,14 +107,14 @@ def _build_parser() -> _Parser:
     rp.add_argument("--side", type=int, required=True)
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--k", type=int, default=1)
-    rp.add_argument("--d2", type=Fraction, default=Fraction(1))
+    rp.add_argument("--d2", type=_rational, default=Fraction(1))
     rp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     cp = gsub.add_parser("colocated")
     cp.add_argument("output", type=Path)
     cp.add_argument("--m", type=int, required=True)
     cp.add_argument("--k", type=int, required=True)
-    cp.add_argument("--d2", type=Fraction, required=True)
+    cp.add_argument("--d2", type=_rational, required=True)
     cp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     ap = gsub.add_parser("appending")
@@ -121,7 +142,7 @@ def _build_parser() -> _Parser:
     dp.add_argument("instance", type=Path)
     dp.add_argument("output", type=Path)
     dp.add_argument("--witness", type=Path, default=None)
-    dp.add_argument("--scale", type=Fraction, default=Fraction(12))
+    dp.add_argument("--scale", type=_rational, default=Fraction(12))
 
     ep = sub.add_parser("graph", help="emit the intersection graph edge list")
     ep.add_argument("instance", type=Path)
@@ -193,8 +214,7 @@ def _cmd_kernelize(args) -> int:
 def _cmd_validate(args) -> int:
     inst = _read_instance(args.instance)
     w = parse_witness(args.witness.read_text())
-    eps = Fraction(args.tolerant) if args.tolerant is not None else None
-    res = validate_witness(inst, w, eps)
+    res = validate_witness(inst, w, args.tolerant)
     print(res)
     return {"accept": 0, "reject": 1, "indeterminate": 2}[res.status]
 

@@ -3,31 +3,29 @@
 Three scalar kinds flow through the geometric predicates:
 
 * ``Fraction`` -- arbitrary-precision rationals (the workhorse).
-* ``QuadExt`` -- values of the form ``p + q*sqrt(c)`` with rational p, q and a
-  single radicand c >= 0.  Comparisons against rationals, and against other
-  QuadExt values over the same radicand, are decided exactly by a squaring
-  case analysis.
-* ``Interval`` -- outward-rounded dyadic enclosures, used as a sound fallback
-  when a value mixes distinct radicands or was parsed from an approximate
-  decimal literal.
+* ``QuadExt`` -- values of the form ``p + q*sqrt(c)`` with a square-free
+  radicand c, where p and q are rationals or QuadExt values over smaller
+  radicands: a tower of radicals.  The sign of any such value, and so every
+  comparison between exact scalars, is decided exactly by squaring.
+* ``Interval`` -- outward-rounded dyadic enclosures of values parsed from
+  approximate decimal literals (``1.7320508~``) and of anything computed
+  from one.
 
 Scalars combine with the Python operators ``+``, ``-`` and ``*`` (an ``int``
 or ``Fraction`` on the left reaches the scalar classes through the reflected
-operators).  Two QuadExt values over the same radicand stay exact, collapsing
-to a Fraction when the radical cancels; mixed radicands, or any Interval
-operand, fall back to an interval enclosure.  All values are immutable; every
-operation returns a new value.
+operators).  Exact operands give an exact result, which collapses to a
+Fraction when its radical cancels; any Interval operand gives an Interval.
+All values are immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Union
 
 __all__ = [
     "Ordering",
@@ -39,7 +37,6 @@ __all__ = [
     "frac",
     "quadext",
     "compare",
-    "refine",
     "sqrt_lower_upper",
     "to_interval",
     "sign_le",
@@ -49,8 +46,6 @@ __all__ = [
     "parse_scalar",
     "parse_rational",
     "format_scalar",
-    "precision_cap",
-    "set_precision_cap",
 ]
 
 
@@ -62,36 +57,12 @@ class Ordering(Enum):
 
 
 class IndeterminateError(ValueError):
-    """A comparison could not be resolved at the configured precision cap."""
+    """A comparison with an approximate (``~``) value could not be decided:
+    the enclosures of the two sides overlap."""
 
 
 class DomainError(ValueError):
     """Operand outside the mathematical domain of the operation."""
-
-
-_PRECISION_OVERRIDE: Optional[int] = None
-
-
-def precision_cap() -> int:
-    """Bit cap for interval escalation.
-
-    Defaults to the DISKDISPERSAL_PREC_CAP environment variable (4096 when
-    unset); :func:`set_precision_cap` installs a process-wide override.
-    """
-    if _PRECISION_OVERRIDE is not None:
-        return _PRECISION_OVERRIDE
-    try:
-        return max(64, int(os.environ.get("DISKDISPERSAL_PREC_CAP", "4096")))
-    except ValueError:
-        return 4096
-
-
-def set_precision_cap(bits: Optional[int]) -> Optional[int]:
-    """Install (or clear, with None) the escalation cap; returns the old."""
-    global _PRECISION_OVERRIDE
-    old = _PRECISION_OVERRIDE
-    _PRECISION_OVERRIDE = max(64, bits) if bits is not None else None
-    return old
 
 
 def frac(v) -> Fraction:
@@ -124,8 +95,9 @@ def _extract_square(n: int) -> tuple[int, int]:
 
     The residual cofactor is additionally tested for being a perfect square.
     A composite residual with a hidden square factor is left alone, which is
-    sound: it only means two equal radicals may fail to unify and fall back
-    to interval comparison.
+    sound: two equal radicals may then be stored over different radicands,
+    and a value combining them is only a deeper tower, whose sign is still
+    decided exactly.
     """
     if n < 0:
         raise DomainError("negative radicand")
@@ -157,18 +129,38 @@ def _extract_square(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """Exact value p + q*sqrt(c); construct through :func:`quadext`."""
+    """Exact value p + q*sqrt(c); construct through :func:`quadext`.
 
-    p: Fraction
-    q: Fraction
+    c is a square-free integer greater than 1 (held as a Fraction); p and q
+    are Fractions or QuadExt values whose radicands are all smaller than c,
+    and q is never a structural zero.  An operand with a smaller top
+    radicand acts as a scalar of the base field, one with the same radicand
+    combines fieldwise, and one with a larger radicand takes the top.
+
+    Parsed coordinates and the points the solver builds have a single
+    level.  The deepest tower a predicate builds comes from two stored
+    points whose four coordinates have four distinct radicands: their
+    squared distance, compared against a rational, has four levels.
+
+    Different towers can hold the same value (sqrt(2)*sqrt(3) is not stored
+    as sqrt(6)), so whether a value is zero is decided by :meth:`sign`,
+    never by ``==``.
+    """
+
+    p: Union[Fraction, "QuadExt"]
+    q: Union[Fraction, "QuadExt"]
     c: Fraction
 
     def __add__(self, other):
         if isinstance(other, (Fraction, int)):
             return QuadExt(self.p + other, self.q, self.c)
-        if isinstance(other, QuadExt) and other.c == self.c:
-            return _quad(self.p + other.p, self.q + other.q, self.c)
-        return _iv_add(to_interval(self), to_interval(other))
+        if isinstance(other, QuadExt):
+            if other.c == self.c:
+                return _quad(self.p + other.p, self.q + other.q, self.c)
+            if other.c < self.c:
+                return QuadExt(self.p + other, self.q, self.c)
+            return QuadExt(self + other.p, other.q, other.c)
+        return _iv_add(*_enclosures(self, other))
 
     __radd__ = __add__
 
@@ -181,11 +173,16 @@ class QuadExt:
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
             return _quad(self.p * other, self.q * other, self.c)
-        if isinstance(other, QuadExt) and other.c == self.c:
-            # (p1 + q1 r)(p2 + q2 r) with r^2 = c
-            return _quad(self.p * other.p + self.q * other.q * self.c,
-                         self.p * other.q + self.q * other.p, self.c)
-        return _iv_mul(to_interval(self), to_interval(other))
+        if isinstance(other, QuadExt):
+            c = other.c
+            if c == self.c:
+                # (p1 + q1 r)(p2 + q2 r) with r^2 = c
+                return _quad(self.p * other.p + self.q * other.q * c,
+                             self.p * other.q + self.q * other.p, c)
+            if c < self.c:
+                return _quad(self.p * other, self.q * other, self.c)
+            return _quad(self * other.p, self * other.q, c)
+        return _iv_mul(*_enclosures(self, other))
 
     __rmul__ = __mul__
 
@@ -193,20 +190,13 @@ class QuadExt:
         return QuadExt(-self.p, -self.q, self.c)
 
     def sign(self) -> int:
-        p, q, c = self.p, self.q, self.c
-        if q == 0 or c == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 * c
-        lhs, rhs = p * p, q * q * c
-        if p > 0:  # q < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        """The exact sign: that of q when p is zero or has q's sign;
+        otherwise p and q*sqrt(c) have opposite signs and the larger
+        magnitude wins, which p^2 - q^2*c decides in the base field."""
+        sp, sq = _sign(self.p), _sign(self.q)
+        if sp == 0 or sp == sq:
+            return sq
+        return sp * _sign(self.p * self.p - self.q * self.q * self.c)
 
     def __repr__(self):
         return f"QuadExt({self.p}, {self.q}, sqrt({self.c}))"
@@ -215,7 +205,15 @@ class QuadExt:
 Scalar = Union[Fraction, QuadExt, "Interval"]
 
 
-def _quad(p: Fraction, q: Fraction, c: Fraction) -> Scalar:
+def _sign(x) -> int:
+    """Sign of a Fraction, an int or a QuadExt."""
+    if isinstance(x, QuadExt):
+        return x.sign()
+    n = x.numerator
+    return (n > 0) - (n < 0)
+
+
+def _quad(p, q, c: Fraction) -> Scalar:
     """p + q*sqrt(c) for an already square-free c; p itself when q = 0."""
     return QuadExt(p, q, c) if q else p
 
@@ -257,15 +255,13 @@ class Interval:
     """Closed enclosure [lo, hi] with dyadic endpoints.
 
     ``bits`` records the fractional precision the endpoints were rounded at.
-    ``expr``, when present, recomputes an enclosure of the same underlying
-    value at a requested precision; without it the interval is "raw" and
-    cannot be refined.
+    An exact operand meeting an interval is enclosed at that precision, and
+    at no less than 64 bits.
     """
 
     lo: Fraction
     hi: Fraction
     bits: int = 53
-    expr: Optional[Callable[[int], "Interval"]] = None
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -279,7 +275,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def __add__(self, other):
-        return _iv_add(to_interval(self), to_interval(other))
+        return _iv_add(*_enclosures(self, other))
 
     __radd__ = __add__
 
@@ -290,128 +286,80 @@ class Interval:
         return -self + other
 
     def __mul__(self, other):
-        return _iv_mul(to_interval(self), to_interval(other))
+        return _iv_mul(*_enclosures(self, other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        e = self.expr
-        return Interval(-self.hi, -self.lo, self.bits,
-                        (lambda b: -e(b)) if e else None)
+        return Interval(-self.hi, -self.lo, self.bits)
 
     def __repr__(self):
         return f"Interval[{self.lo}, {self.hi}]@{self.bits}"
 
 
-def _mk_interval(lo: Fraction, hi: Fraction, bits: int, expr=None) -> Interval:
-    return Interval(_round_down(lo, bits), _round_up(hi, bits), bits, expr)
+def _mk_interval(lo: Fraction, hi: Fraction, bits: int) -> Interval:
+    return Interval(_round_down(lo, bits), _round_up(hi, bits), bits)
 
 
 def to_interval(x: Scalar, bits: int = 64) -> Interval:
-    """Enclose any scalar; exact rationals become degenerate point intervals."""
+    """Enclose any scalar; exact rationals become degenerate point intervals
+    and an Interval comes back as it is."""
     if isinstance(x, Interval):
-        return refine(x, bits) if bits > x.bits else x
+        return x
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return Interval(x, x, bits, lambda b: Interval(x, x, b))
+        return Interval(x, x, bits)
     if isinstance(x, QuadExt):
-        def enclose(b: int, v: QuadExt = x) -> Interval:
-            lo, hi = sqrt_lower_upper(v.c, 1 << b)
-            t1, t2 = v.p + v.q * lo, v.p + v.q * hi
-            if t1 > t2:
-                t1, t2 = t2, t1
-            return _mk_interval(t1, t2, b, enclose)
-
-        return enclose(bits)
+        lo, hi = sqrt_lower_upper(x.c, 1 << bits)
+        if isinstance(x.p, QuadExt) or isinstance(x.q, QuadExt):
+            return _iv_add(to_interval(x.p, bits),
+                           _iv_mul(to_interval(x.q, bits),
+                                   Interval(lo, hi, bits)))
+        t1, t2 = x.p + x.q * lo, x.p + x.q * hi
+        if t1 > t2:
+            t1, t2 = t2, t1
+        return _mk_interval(t1, t2, bits)
     raise TypeError(f"not a scalar: {x!r}")
 
 
-def refine(x: Interval, bits: int) -> Interval:
-    """Recompute at higher precision; the result is contained in the input.
-
-    Raw intervals (no defining expression) come back unchanged.
-    """
-    if not isinstance(x, Interval):
-        raise TypeError("refine expects an Interval")
-    if x.expr is None or bits <= x.bits:
-        return x
-    fresh = x.expr(bits)
-    lo, hi = max(x.lo, fresh.lo), min(x.hi, fresh.hi)
-    if lo > hi:  # numerically impossible for a correct expr; guard anyway
-        lo = hi = (max(x.lo, fresh.lo) + min(x.hi, fresh.hi)) / 2
-    return Interval(lo, hi, bits, x.expr)
+def _enclosures(a: Scalar, b: Scalar) -> tuple[Interval, Interval]:
+    """Enclosures of a and b, at least one of them an Interval; an exact
+    operand is enclosed at the larger of 64 bits and the intervals' bits."""
+    bits = max([64] + [x.bits for x in (a, b) if isinstance(x, Interval)])
+    return to_interval(a, bits), to_interval(b, bits)
 
 
 def _iv_add(a: Interval, b: Interval) -> Interval:
-    bits = max(a.bits, b.bits)
-    expr = (lambda p: _iv_add(refine(a, p), refine(b, p))) \
-        if (a.expr or b.expr) else None
-    return _mk_interval(a.lo + b.lo, a.hi + b.hi, bits, expr)
+    return _mk_interval(a.lo + b.lo, a.hi + b.hi, max(a.bits, b.bits))
 
 
 def _iv_mul(a: Interval, b: Interval) -> Interval:
-    bits = max(a.bits, b.bits)
     prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    expr = (lambda p: _iv_mul(refine(a, p), refine(b, p))) \
-        if (a.expr or b.expr) else None
-    return _mk_interval(min(prods), max(prods), bits, expr)
+    return _mk_interval(min(prods), max(prods), max(a.bits, b.bits))
 
 
 # ---------------------------------------------------------------------------
 # comparison
 
 def compare(a, b) -> Ordering:
-    """Three-way comparison, exact whenever the operand kinds allow it.
+    """Three-way comparison.
 
-    Rational vs rational, QuadExt vs rational, and QuadExt vs QuadExt over
-    the same radicand are decided exactly.  Anything involving an interval
-    (including mixed radicands) escalates precision geometrically up to the
-    configured cap before admitting INDETERMINATE.
+    Exact operands (rationals and QuadExt towers) are always decided
+    exactly.  When either side is an Interval, both are enclosed once (see
+    :func:`_enclosures`), and the answer is INDETERMINATE when the
+    enclosures overlap without both being the same point.
     """
     if isinstance(a, Interval) or isinstance(b, Interval):
-        return _compare_iv(a, b)
-    d = a - b
-    if isinstance(d, QuadExt):
-        return Ordering(d.sign())
-    if isinstance(d, Interval):
-        return _compare_iv(a, b)
-    return Ordering((d > 0) - (d < 0))
-
-
-def _compare_iv(a: Scalar, b: Scalar) -> Ordering:
-    """Compare enclosures, doubling the precision from 64 bits to the cap.
-
-    It also gives up as soon as a step leaves both enclosures unchanged.
-    The sqrt bracket of a radical at 2b bits lies inside the one at b bits
-    and is strictly narrower, and interval arithmetic is inclusion-isotonic
-    (operands inside the old ones give a result inside the old result).
-    So refining can only narrow an enclosure, and it narrows every
-    enclosure a radical still widens: one that stays unchanged has no
-    radical left to refine.  Its width comes from raw intervals (parsed
-    ``~`` literals), which no precision narrows, and every later step would
-    leave it unchanged as well.  (One end of the bracket at 2b bits can
-    equal that at b bits, when the root lies within 2^-2b of it; an
-    enclosure that depends on that end alone then stops before the cap.
-    The answer is INDETERMINATE, which is sound.)
-    """
-    bits = 64
-    cap = precision_cap()
-    ia, ib = to_interval(a, bits), to_interval(b, bits)
-    while True:
+        ia, ib = _enclosures(a, b)
         if ia.hi < ib.lo:
             return Ordering.LESS
         if ia.lo > ib.hi:
             return Ordering.GREATER
         if ia.lo == ia.hi == ib.lo == ib.hi:
             return Ordering.EQUAL
-        if bits >= cap:
-            return Ordering.INDETERMINATE
-        bits *= 2
-        ra, rb = refine(ia, bits), refine(ib, bits)
-        if (ra.lo, ra.hi, rb.lo, rb.hi) == (ia.lo, ia.hi, ib.lo, ib.hi):
-            return Ordering.INDETERMINATE
-        ia, ib = ra, rb
+        return Ordering.INDETERMINATE
+    return Ordering(_sign(a - b))
 
 
 def _resolve(o: Ordering, what: str) -> Ordering:
@@ -473,7 +421,7 @@ def approx_float(x: Scalar) -> float:
     if isinstance(x, (Fraction, int)):
         return x.numerator / x.denominator
     if isinstance(x, QuadExt):
-        return float(x.p) + float(x.q) * math.sqrt(float(x.c))
+        return approx_float(x.p) + approx_float(x.q) * math.sqrt(x.c)
     return float(x.midpoint())
 
 
@@ -543,6 +491,9 @@ def format_scalar(x: Scalar) -> str:
     if isinstance(x, (Fraction, int)):
         return str(x)
     if isinstance(x, QuadExt):
+        if isinstance(x.p, QuadExt) or isinstance(x.q, QuadExt):
+            # a tower has no literal form; write its enclosure
+            return format_scalar(to_interval(x))
         sign = "-" if x.q < 0 else "+"
         return f"{x.p}{sign}{abs(x.q)}*sqrt({x.c})"
     # interval: recover the decimal-with-tilde shape

@@ -34,8 +34,9 @@ backed by a grid refutation, or by the lemma above from one, for every
 candidate set; anything else is reported Unknown rather than guessed.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
-lattice fill, which must be expanded first.  Interval arithmetic escalates
-up to the process-wide precision cap from ``DISKDISPERSAL_PREC_CAP``.
+lattice fill, which must be expanded first.  Comparisons between exact
+coordinates are decided exactly; only ``~`` input can leave one undecided,
+and that answer is unknown.
 
 ``SolverConfig.time_budget`` bounds the whole solve: ``solve`` turns it
 into one ``time.monotonic()`` deadline before kernelization and hands it to
@@ -626,12 +627,11 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
                 deadline: Optional[float] = None) -> Feasibility:
     """Decide whether the movable disks admit new positions.
 
-    ``fixed`` must already be a packing; all disks are explicit (no lattice
-    fill), and the precision cap is the process-wide one
-    (``DISKDISPERSAL_PREC_CAP``).  See the module docstring for the three
-    stages and their guarantees.  ``deadline`` is a
-    ``time.monotonic()`` instant (None: no limit); once it has passed, every
-    stage gives up and the answer is unknown with reason "time budget".
+    ``fixed`` must already be a packing, and all disks are explicit (no
+    lattice fill).  See the module docstring for the three stages and their
+    guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
+    limit); once it has passed, every stage gives up and the answer is
+    unknown with reason "time budget".
     """
     cfg = cfg or SolverConfig()
     d2 = frac(d2)

@@ -32,6 +32,15 @@ disks: 3
 
 GT_TEXT = "2 1\n1 1: 1,2 2,1\n"
 
+TOUCHING_TEXT = """DISKDISPERSAL v1
+variant: euclidean
+k: 1
+d2: 1
+disks: 2
+0+2/5*sqrt(2) 0+4/5*sqrt(2)
+0-4/5*sqrt(3) 0+2/5*sqrt(3)
+"""
+
 
 @pytest.fixture
 def fig1(tmp_path):
@@ -109,6 +118,15 @@ class TestSolveChain:
         out = capsys.readouterr()
         assert out.out.startswith("unknown (distance of (0, 0) and (2.0~, 0))")
         assert "error:" not in out.err
+
+    def test_touching_radical_pair_is_a_packing(self, tmp_path, capsys):
+        # the centers are exactly 2 apart over two different radicands
+        p = tmp_path / "touch.inst"
+        p.write_text(TOUCHING_TEXT)
+        assert dispatch(["solve", str(p)]) == 0
+        assert capsys.readouterr().out.startswith("yes (0 moves)")
+        assert dispatch(["graph", str(p)]) == 0
+        assert capsys.readouterr().out == "vertices: 2\n"
 
     def test_block_expansion_cap_is_usage_error(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -233,6 +251,27 @@ class TestDispatchBasics:
         assert dispatch(["graph", str(fig1)]) == 0
         out = capsys.readouterr().out
         assert "0 1" in out and "1 2" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{inst}", "--delta", "1/0"],
+        ["solve", "{inst}", "--delta", "0.5"],
+        ["solve", "{inst}", "--time-budget", "-1"],
+        ["solve", "{inst}", "--time-budget", "nan"],
+        ["solve", "{inst}", "--max-set-size", "-1"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "9",
+         "--d2", "1/0"],
+        ["render", "{inst}", "{out}", "--scale", "1/0"],
+        ["validate", "{inst}", "{wit}", "--tolerant", "1/0"],
+        ["validate", "{inst}", "{wit}", "--tolerant=-1/1000"],
+    ])
+    def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
+        wit = tmp_path / "w.out"
+        wit.write_text("DISPERSALMOVES v1\nmoves: 0\n")
+        paths = {"inst": fig1, "out": tmp_path / "out", "wit": wit}
+        assert dispatch([a.format(**paths) for a in argv]) == 64
+        out = capsys.readouterr()
+        assert "error:" in out.err and out.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestModuleEntryPoint:

@@ -119,6 +119,11 @@ class TestIsPacking:
     def test_touching_chain(self):
         assert is_packing([P(0, 0), P(2, 0), P(4, 0)]) is None
 
+    def test_touching_over_two_radicands(self):
+        a = Point(quadext(0, F(2, 5), 2), quadext(0, F(4, 5), 2))
+        b = Point(quadext(0, F(-4, 5), 3), quadext(0, F(2, 5), 3))
+        assert is_packing([a, b]) is None
+
     def test_first_violation_reported(self):
         assert is_packing([P(0, 0), P(1, 0)]) == (0, 1)
 

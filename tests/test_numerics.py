@@ -1,17 +1,19 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diskdispersal.geometry import Point, dist2
 from diskdispersal.numerics import (
     DomainError,
     Interval,
     Ordering,
+    QuadExt,
     compare,
     format_scalar,
     parse_scalar,
     quadext,
-    refine,
     sqrt_lower_upper,
     to_interval,
 )
@@ -39,6 +41,31 @@ class TestCompare:
     def test_equal_radicals_built_differently(self):
         # sqrt(8) is 2*sqrt(2): normalisation must unify the radicands
         assert compare(quadext(0, 1, 8), quadext(0, 2, 2)) is Ordering.EQUAL
+
+    def test_equal_towers_of_different_shape(self):
+        # neither side cancels structurally; only the sign decides
+        r2, r3, r6 = (quadext(0, 1, c) for c in (2, 3, 6))
+        assert compare(r2 * r3, r6) is Ordering.EQUAL
+        assert compare((r2 + r3) * (r2 + r3), 5 + 2 * r6) is Ordering.EQUAL
+
+    def test_mixed_radicands_against_close_rational(self):
+        # sqrt(2)+sqrt(3) against a 40-digit rational approximation of
+        # itself: 64-bit enclosures cannot separate them, the sign can
+        close = F(31462643699419723423291350657155704455124, 10 ** 40)
+        v = quadext(0, 1, 2) + quadext(0, 1, 3)
+        assert compare(v, close) is Ordering.GREATER
+        assert compare(v, close + F(1, 10 ** 40)) is Ordering.LESS
+
+    def test_four_radicands_decide_quickly(self):
+        # coordinates over four distinct radicands: the deepest tower two
+        # stored points can produce
+        a = Point(quadext(1, F(1, 3), 2), quadext(F(1, 7), F(2, 5), 3))
+        b = Point(quadext(F(-1, 2), F(3, 4), 5), quadext(F(2, 9), F(-5, 11), 7))
+        t0 = time.perf_counter()
+        got = compare(dist2(a, b), 7)
+        assert time.perf_counter() - t0 < 0.05
+        iv = to_interval(dist2(a, b), 256)
+        assert got is (Ordering.LESS if iv.hi < 7 else Ordering.GREATER)
 
     @given(rationals, rationals)
     @settings(max_examples=200, deadline=None)
@@ -75,12 +102,13 @@ class TestQuadExtArithmetic:
         v = quadext(1, 1, 2) * quadext(1, -1, 2)  # (1+r)(1-r) = -1
         assert v == F(-1)
 
-    def test_mixed_radicands_fall_back_to_interval(self):
+    def test_mixed_radicands_stay_exact(self):
         v = quadext(0, 1, 2) + quadext(0, 1, 3)
-        assert isinstance(v, Interval)
+        assert v == QuadExt(quadext(0, 1, 2), F(1), F(3))
         # sqrt(2)+sqrt(3) is about 3.146
         assert compare(v, F(3)) is Ordering.GREATER
         assert compare(v, F(4)) is Ordering.LESS
+        assert v - quadext(0, 1, 3) == quadext(0, 1, 2)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(DomainError):
@@ -156,80 +184,86 @@ class TestSqrtBracket:
 
 
 class TestIntervals:
-    def test_refine_contains(self):
-        iv = to_interval(quadext(0, 1, 3), 64)
-        fine = refine(iv, 128)
-        assert iv.lo <= fine.lo <= fine.hi <= iv.hi
+    def test_enclosures_contain(self):
+        coarse = to_interval(quadext(0, 1, 3), 64)
+        fine = to_interval(quadext(0, 1, 3), 128)
+        assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
         assert fine.width < F(1, 2 ** 120)
+        assert fine.lo ** 2 <= 3 <= fine.hi ** 2
 
-    def test_refine_chain_nested(self):
-        iv = to_interval(quadext(2, 5, 7), 64)
-        prev = iv
+    def test_enclosure_chain_nested(self):
+        v = quadext(2, 5, 7)
+        prev = to_interval(v, 64)
         for bits in (128, 256, 512):
-            nxt = refine(prev, bits)
+            nxt = to_interval(v, bits)
             assert prev.lo <= nxt.lo <= nxt.hi <= prev.hi
             prev = nxt
+
+    def test_tower_enclosures_contain(self):
+        # sqrt(2)*sqrt(3) is sqrt(6), held as a two-level tower
+        v = quadext(0, 1, 2) * quadext(0, 1, 3)
+        for bits in (64, 128, 256):
+            iv = to_interval(v, bits)
+            assert 0 < iv.lo and iv.lo ** 2 <= 6 <= iv.hi ** 2
+            assert iv.width < F(1, 2 ** (bits - 4))
 
     def test_exact_rational_is_point_interval(self):
         iv = to_interval(F(7, 3), 64)
         assert iv.lo == iv.hi == F(7, 3)
 
-    def test_raw_interval_refines_to_itself(self):
-        raw = Interval(F(0), F(0), 64)
-        assert refine(raw, 128) is raw
+    def test_raw_interval_encloses_itself(self):
+        raw = Interval(F(0), F(1), 16)
+        assert to_interval(raw, 128) is raw
 
     def test_zero(self):
-        raw = Interval(F(0), F(0), 64)
-        assert refine(raw, 64) is raw
+        # a point enclosure decides equality
+        assert compare(Interval(F(0), F(0), 64), 0) is Ordering.EQUAL
 
 
-class TestPrecisionCap:
-    def test_override_round_trips(self):
-        from diskdispersal.numerics import precision_cap, set_precision_cap
-        base = precision_cap()
-        old = set_precision_cap(256)
-        try:
-            assert precision_cap() == 256
-        finally:
-            set_precision_cap(old)
-        assert precision_cap() == base
+class TestApproximateLiterals:
+    def test_exact_side_enclosed_at_literal_precision(self):
+        # a 40-decimal literal whose enclosure lies 1.7e-40 below sqrt(2):
+        # 64 bits cannot separate them, the literal's 136 bits can
+        lit = parse_scalar("1.4142135623730950488016887242096980785694~")
+        assert compare(lit, quadext(0, 1, 2)) is Ordering.LESS
+        assert compare(quadext(0, 1, 2), lit) is Ordering.GREATER
 
-    def test_tiny_cap_forces_indeterminate(self):
-        from diskdispersal.numerics import set_precision_cap
-        # sqrt(2)+sqrt(3) against a 40-digit rational approximation of
-        # itself cannot be separated at 64 bits
-        close = F(31462643699419723423291350657155704455124,
-                  10 ** 40)
-        v = quadext(0, 1, 2) + quadext(0, 1, 3)
-        old = set_precision_cap(64)
-        try:
-            assert compare(v, close) is Ordering.INDETERMINATE
-        finally:
-            set_precision_cap(old)
-        assert compare(v, close) is not Ordering.INDETERMINATE
-
-
-    def test_raw_straddle_stops_refining(self, monkeypatch):
-        # the ~ interval [1, 3] straddles 4 after squaring at every
-        # precision, so the work must not grow with the cap
-        from diskdispersal import numerics
-        from diskdispersal.geometry import Point, dist2
-        calls = [0]
-        plain = numerics.refine
-
-        def counting(x, bits):
-            calls[0] += 1
-            return plain(x, bits)
-
-        monkeypatch.setattr(numerics, "refine", counting)
+    def test_raw_straddle_is_indeterminate(self):
+        # the ~ interval [1, 3] squared straddles 4 at every precision
         d = dist2(Point(F(0), F(0)), Point(Interval(F(1), F(3)), F(0)))
-        counts = []
-        for cap in (128, 4096):
-            monkeypatch.setattr(numerics, "_PRECISION_OVERRIDE", cap)
-            calls[0] = 0
-            assert compare(d, F(4)) is Ordering.INDETERMINATE
-            counts.append(calls[0])
-        assert counts[0] == counts[1]
+        assert compare(d, F(4)) is Ordering.INDETERMINATE
+
+
+_radicands = st.sampled_from([2, 3, 5, 6, 7])
+_coefs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_radical_points = _radicands.flatmap(lambda c: st.builds(
+    lambda px, qx, py, qy: Point(quadext(px, qx, c), quadext(py, qy, c)),
+    _coefs, _coefs, _coefs, _coefs))
+
+
+def _dist2_enclosure(a: Point, b: Point, bits: int) -> Interval:
+    """dist2 by interval arithmetic on enclosures of the coordinates."""
+    ax, ay, bx, by = (to_interval(v, bits) for v in (a.x, a.y, b.x, b.y))
+    dx, dy = ax - bx, ay - by
+    return dx * dx + dy * dy
+
+
+class TestTowers:
+    @given(_radical_points, _radical_points,
+           st.one_of(st.just(F(4)), _coefs.map(abs)))
+    @settings(max_examples=300, deadline=None)
+    @example(Point(quadext(0, F(2, 5), 2), quadext(0, F(4, 5), 2)),
+             Point(quadext(0, F(-4, 5), 3), quadext(0, F(2, 5), 3)), F(4))
+    def test_dist2_matches_fine_enclosure(self, a, b, t):
+        got = compare(dist2(a, b), t)
+        assert got is not Ordering.INDETERMINATE
+        ref = _dist2_enclosure(a, b, 600)
+        if ref.hi < t:
+            assert got is Ordering.LESS
+        elif ref.lo > t:
+            assert got is Ordering.GREATER
+        elif ref.lo == ref.hi == t:
+            assert got is Ordering.EQUAL
 
 
 class TestSlackPredicates:
