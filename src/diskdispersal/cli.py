@@ -53,13 +53,14 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _nonnegative(parse):
-    """An option type: ``parse`` of the text, which must be at least 0
-    (which also rejects a float nan)."""
+def _nonnegative(parse, strict: bool = False):
+    """An option type: ``parse`` of the text, which must be at least 0, or
+    above 0 when ``strict`` (either test also rejects a float nan)."""
     def check(text: str):
         value = parse(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+        if not (value > 0 if strict else value >= 0):
+            bound = "above 0" if strict else "at least 0"
+            raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
         return value
 
     check.__name__ = parse.__name__  # argparse names the type in errors
@@ -74,7 +75,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", parents=[], help="decide an instance")
     sp.add_argument("instance", type=Path)
     sp.add_argument("--witness", type=Path, help="write a witness here on yes")
-    sp.add_argument("--delta", type=_rational, default=None,
+    sp.add_argument("--delta", type=_nonnegative(_rational, strict=True),
+                    default=None,
                     help="finest refutation grid resolution (default: the "
                          "solver's 1/64, the oracle's 1/16)")
     sp.add_argument("--time-budget", type=_nonnegative(float), default=None)
@@ -107,14 +109,14 @@ def _build_parser() -> _Parser:
     rp.add_argument("--side", type=int, required=True)
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--k", type=int, default=1)
-    rp.add_argument("--d2", type=_rational, default=Fraction(1))
+    rp.add_argument("--d2", type=_nonnegative(_rational), default=Fraction(1))
     rp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     cp = gsub.add_parser("colocated")
     cp.add_argument("output", type=Path)
     cp.add_argument("--m", type=int, required=True)
     cp.add_argument("--k", type=int, required=True)
-    cp.add_argument("--d2", type=_rational, required=True)
+    cp.add_argument("--d2", type=_nonnegative(_rational), required=True)
     cp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     ap = gsub.add_parser("appending")
@@ -142,7 +144,8 @@ def _build_parser() -> _Parser:
     dp.add_argument("instance", type=Path)
     dp.add_argument("output", type=Path)
     dp.add_argument("--witness", type=Path, default=None)
-    dp.add_argument("--scale", type=_rational, default=Fraction(12))
+    dp.add_argument("--scale", type=_nonnegative(_rational, strict=True),
+                    default=Fraction(12))
 
     ep = sub.add_parser("graph", help="emit the intersection graph edge list")
     ep.add_argument("instance", type=Path)

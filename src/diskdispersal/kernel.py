@@ -50,14 +50,14 @@ class KernelReport:
     coord_stat: int              # max(b+c) over coordinates written as a + b/c
 
 
-def derived_d(d2, denom_bound: int = 1 << 32) -> Fraction:
+def derived_d(d2) -> Fraction:
     """Rational d with d >= sqrt(d2), exact when d2 is a rational square
-    whose root has a denominator of at most denom_bound.
+    whose root has a denominator of at most 2^32.
 
     Thresholds built from this upper bound keep at least every disk the
     true threshold would keep, which preserves equivalence.
     """
-    lo, hi = sqrt_lower_upper(frac(d2), denom_bound)
+    lo, hi = sqrt_lower_upper(frac(d2), 1 << 32)
     return hi
 
 

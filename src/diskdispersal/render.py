@@ -28,7 +28,6 @@ PALETTE = {
 @dataclass(frozen=True)
 class RenderOptions:
     scale: Fraction = Fraction(12)
-    show_moves: bool = True
 
     def __post_init__(self):
         if frac(self.scale) <= 0:
@@ -47,7 +46,7 @@ def render_svg(inst: Instance, w: Optional[Witness] = None,
     boxes = [(float(b.x0), float(b.y0), float(b.x1), float(b.y1))
              for b in inst.blocks]
     targets = {}
-    if w is not None and opts.show_moves:
+    if w is not None:
         targets = {i: (approx_float(p.x), approx_float(p.y))
                    for i, p in sorted(w.moves.items())}
 

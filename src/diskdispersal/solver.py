@@ -7,9 +7,12 @@ the disks of A admit new positions.  Placement feasibility runs through
 three stages:
 
 1. structured exact candidates (tangency intersections, budget-tight
-   points, axis extremes), verified with exact arithmetic;
-2. a numeric penalty descent whose solutions are snapped to dyadic
-   rationals and re-verified exactly;
+   points, axis extremes), verified with exact arithmetic.  Only anchors
+   within d+2 of a movable's origin seed tangencies: a target within d of
+   the origin at distance 2 from an anchor puts that anchor within d+2;
+2. one numeric penalty descent from the origins (per axis choice in the
+   rectilinear variant) whose solution is snapped to dyadic rationals and
+   re-verified exactly;
 3. an exhaustive grid sweep over each movable's reachable region that
    either finds an exact grid witness or *proves* infeasibility: if no
    grid assignment survives with every constraint relaxed by the maximal
@@ -43,8 +46,8 @@ into one ``time.monotonic()`` deadline before kernelization and hands it to
 the enumeration, to every stage and to every DFS node of every grid pass, so
 an expired budget ends the solve within one step of any of them and reports
 unknown ("time budget").  The fixed search limits are module constants:
-``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_STARTS`` and
-``NUMERIC_ITERS`` (stage 2), ``DELTA_START`` (stage 3's first, coarsest
+``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_ITERS``
+(stage 2 descent steps), ``DELTA_START`` (stage 3's first, coarsest
 grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
 """
 
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +74,6 @@ from .numerics import (
     Ordering,
     approx_float,
     compare,
-    format_scalar,
     frac,
     quadext,
 )
@@ -89,8 +90,7 @@ __all__ = [
 
 FOUR = Fraction(4)
 CANDIDATE_CAP = 600          # stage 1: candidate targets kept per movable
-NUMERIC_STARTS = 5           # stage 2: jittered starts besides the origins
-NUMERIC_ITERS = 400          # stage 2: descent steps per start
+NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
 GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS calls (and menu work) per pass
 
@@ -221,42 +221,37 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
     """Structured target positions for one movable disk.
 
     Anchors are rational centers the target might end up tangent to; the
-    reachable ones (within d+4 of the origin) seed tangency circles.  The
-    four axis extremes of the move budget are candidates in both variants.
+    ones within d+2 of the origin seed tangency circles.  Every tangency
+    candidate lies at distance 2 from its anchor, so one that fits, within d
+    of the origin, puts that anchor within d+2 of it; a farther anchor seeds
+    only candidates that fail the move check.  The four axis extremes of
+    the move budget are candidates in both variants.
     """
-    out: list[Point] = [origin]
-    d_up = derived_d(d2)
-    reach2 = (d_up + 4) * (d_up + 4)
-    near: list[Point] = []
-    if origin.is_rational():
-        for a in anchors:
-            dd = dist2(a, origin)
-            if isinstance(dd, Fraction) and dd <= reach2:
-                near.append(a)
-        out.append(Point(quadext(origin.x, 1, d2), origin.y))
-        out.append(Point(quadext(origin.x, -1, d2), origin.y))
-        out.append(Point(origin.x, quadext(origin.y, 1, d2)))
-        out.append(Point(origin.x, quadext(origin.y, -1, d2)))
+    if not origin.is_rational():
+        return [origin]
+    out: list[Point] = [
+        origin,
+        Point(quadext(origin.x, 1, d2), origin.y),
+        Point(quadext(origin.x, -1, d2), origin.y),
+        Point(origin.x, quadext(origin.y, 1, d2)),
+        Point(origin.x, quadext(origin.y, -1, d2)),
+    ]
+    reach2 = (derived_d(d2) + 2) ** 2
+    near = [(a, dd) for a in anchors
+            if (dd := dist2(a, origin)) <= reach2]
     if variant == "euclidean":
-        for ai in range(len(near)):
-            u = near[ai]
-            du = dist2(u, origin)
-            if isinstance(du, Fraction) and du > 0:
+        for ai, (u, du) in enumerate(near):
+            if du > 0:
                 # tangency to u along the line towards the origin
-                c = du
-                ux, uy = u.x, u.y
-                dx, dy = origin.x - ux, origin.y - uy
-                out.append(Point(quadext(ux, 2 * dx / c, c),
-                                 quadext(uy, 2 * dy / c, c)))
-                if origin.is_rational():
-                    out.extend(circle_circle_candidates_sq(u, FOUR, origin, d2))
-            for bi in range(ai + 1, len(near)):
-                v = near[bi]
-                duv = dist2(u, v)
-                if isinstance(duv, Fraction) and 0 < duv <= 16:
+                dx, dy = origin.x - u.x, origin.y - u.y
+                out.append(Point(quadext(u.x, 2 * dx / du, du),
+                                 quadext(u.y, 2 * dy / du, du)))
+                out.extend(circle_circle_candidates_sq(u, FOUR, origin, d2))
+            for v, _ in near[ai + 1:]:
+                if 0 < dist2(u, v) <= 16:
                     out.extend(circle_circle_candidates_sq(u, FOUR, v, FOUR))
     else:  # rectilinear: axis-aligned tangencies
-        for u in near:
+        for u, _ in near:
             dy2 = (origin.y - u.y) ** 2
             if dy2 <= 4:
                 out.append(Point(quadext(u.x, 1, 4 - dy2), origin.y))
@@ -265,14 +260,9 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
             if dx2 <= 4:
                 out.append(Point(origin.x, quadext(u.y, 1, 4 - dx2)))
                 out.append(Point(origin.x, quadext(u.y, -1, 4 - dx2)))
-    seen: set[tuple[str, str]] = set()
-    uniq: list[Point] = []
-    for p in sorted(out, key=point_key):
-        pid = (format_scalar(p.x), format_scalar(p.y))
-        if pid not in seen:
-            seen.add(pid)
-            uniq.append(p)
-    return uniq[:CANDIDATE_CAP]
+    # points hash by structure, and single-level values are equal exactly
+    # when their structures are, so this drops only repeated points
+    return list(dict.fromkeys(sorted(out, key=point_key)))[:CANDIDATE_CAP]
 
 
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
@@ -401,42 +391,26 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
     origins_f = [(approx_float(p.x), approx_float(p.y)) for p in movables]
     fixed_f = [(approx_float(f.x), approx_float(f.y)) for f in fixed]
     d2f = float(frac(d2))
-    d_f = math.sqrt(d2f)
-    rng = random.Random(987654321)
-    n = len(movables)
 
     axis_combos: list[Optional[list[int]]]
     if variant == "rectilinear":
-        axis_combos = [list(c) for c in itertools.product((0, 1), repeat=n)]
+        axis_combos = [list(c) for c in
+                       itertools.product((0, 1), repeat=len(movables))]
     else:
         axis_combos = [None]
 
     for axes_idx in axis_combos:
+        if _expired(deadline):
+            return None
         axes = None
         if axes_idx is not None:
             axes = [(1.0, 0.0) if a == 0 else (0.0, 1.0) for a in axes_idx]
-        starts = [[list(p) for p in origins_f]]
-        for _ in range(NUMERIC_STARTS):
-            jig = []
-            for i, (ox, oy) in enumerate(origins_f):
-                if axes_idx is None:
-                    jig.append([ox + rng.uniform(-d_f, d_f),
-                                oy + rng.uniform(-d_f, d_f)])
-                elif axes_idx[i] == 0:
-                    jig.append([ox + rng.uniform(-d_f, d_f), oy])
-                else:
-                    jig.append([ox, oy + rng.uniform(-d_f, d_f)])
-            starts.append(jig)
-        for st in starts:
-            if _expired(deadline):
-                return None
-            sol = _descend(st, origins_f, fixed_f, d2f, axes, NUMERIC_ITERS)
-            if sol is None:
-                continue
-            snapped = _snap_and_verify(sol, movables, fixed, d2, variant,
-                                       axes_idx)
-            if snapped is not None:
-                return dict(enumerate(snapped))
+        sol = _descend(origins_f, origins_f, fixed_f, d2f, axes, NUMERIC_ITERS)
+        if sol is None:
+            continue
+        snapped = _snap_and_verify(sol, movables, fixed, d2, variant, axes_idx)
+        if snapped is not None:
+            return dict(enumerate(snapped))
     return None
 
 

@@ -263,6 +263,14 @@ class TestDispatchBasics:
         ["render", "{inst}", "{out}", "--scale", "1/0"],
         ["validate", "{inst}", "{wit}", "--tolerant", "1/0"],
         ["validate", "{inst}", "{wit}", "--tolerant=-1/1000"],
+        ["solve", "{inst}", "--delta", "0"],
+        ["solve", "{inst}", "--delta=-1/2"],
+        ["solve", "{inst}", "--oracle", "--delta", "0"],
+        ["render", "{inst}", "{out}", "--scale", "0"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "9",
+         "--d2=-1"],
+        ["generate", "colocated", "{out}", "--m", "2", "--k", "1",
+         "--d2=-1"],
     ])
     def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
         wit = tmp_path / "w.out"

@@ -87,6 +87,42 @@ class TestFeasibility:
         assert t.x == F(1)  # vertical slide
 
 
+class TestSearchStages:
+    @pytest.mark.parametrize("variant, movables, descents", [
+        ("euclidean", [P(1, 0)], 1),
+        ("rectilinear", [P(1, 0), P(3, 0)], 4),
+    ])
+    def test_numeric_stage_descends_once_per_axis_choice(
+            self, monkeypatch, variant, movables, descents):
+        calls = []
+        real = solver._descend
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_descend", counting)
+        got = solver._stage_numeric([P(0, 0), P(2, 0), P(4, 0)], movables,
+                                    F(1), variant, None)
+        assert got is None
+        assert len(calls) == descents
+
+    # (d, an anchor exactly d+2 from the origin, its one tangency point);
+    # d = 3/2 tells the reach d+2 apart from d2+2
+    @pytest.mark.parametrize("d, anchor, touch", [
+        (F(1), P(F(9, 5), F(12, 5)), P(F(3, 5), F(4, 5))),
+        (F(3, 2), P(F(21, 10), F(14, 5)), P(F(9, 10), F(6, 5))),
+    ])
+    def test_anchors_reach_exactly_d_plus_two(self, d, anchor, touch):
+        base = {P(0, 0), P(d, 0), P(-d, 0), P(0, d), P(0, -d)}
+        # the line and the circle-circle tangency give the same point
+        got = solver._candidates_for(P(0, 0), [anchor], d * d, "euclidean")
+        assert len(got) == 6 and set(got) == base | {touch}
+        beyond = Point(anchor.x + F(1, 100), anchor.y)
+        got = solver._candidates_for(P(0, 0), [beyond], d * d, "euclidean")
+        assert len(got) == 5 and set(got) == base
+
+
 class TestSolve:
     def test_fig1_yes_with_validating_witness(self):
         inst = fig1(1, 3)
