@@ -67,6 +67,15 @@ def _nonnegative(parse, strict: bool = False):
     return check
 
 
+def _integers(text: str) -> list[int]:
+    """An option type: comma-separated integers, as in ``1,3,2``."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not comma-separated integers: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="diskdispersal",
                 description="Exact toolkit for the disk dispersal problem")
@@ -80,7 +89,6 @@ def _build_parser() -> _Parser:
                     help="finest refutation grid resolution (default: the "
                          "solver's 1/64, the oracle's 1/16)")
     sp.add_argument("--time-budget", type=_nonnegative(float), default=None)
-    sp.add_argument("--max-set-size", type=_nonnegative(int), default=None)
     sp.add_argument("--oracle", action="store_true",
                     help="run the independent brute-force oracle instead "
                          "(takes --delta only)")
@@ -105,17 +113,18 @@ def _build_parser() -> _Parser:
     gsub = gp.add_subparsers(dest="family")
     rp = gsub.add_parser("random")
     rp.add_argument("output", type=Path)
-    rp.add_argument("--n", type=int, required=True)
-    rp.add_argument("--side", type=int, required=True)
+    rp.add_argument("--n", type=_nonnegative(int), required=True)
+    rp.add_argument("--side", type=_nonnegative(int, strict=True),
+                    required=True)
     rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--k", type=int, default=1)
+    rp.add_argument("--k", type=_nonnegative(int), default=1)
     rp.add_argument("--d2", type=_nonnegative(_rational), default=Fraction(1))
     rp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     cp = gsub.add_parser("colocated")
     cp.add_argument("output", type=Path)
-    cp.add_argument("--m", type=int, required=True)
-    cp.add_argument("--k", type=int, required=True)
+    cp.add_argument("--m", type=_nonnegative(int), required=True)
+    cp.add_argument("--k", type=_nonnegative(int), required=True)
     cp.add_argument("--d2", type=_nonnegative(_rational), required=True)
     cp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
@@ -135,9 +144,9 @@ def _build_parser() -> _Parser:
     wp.add_argument("input", type=Path)
     wp.add_argument("instance", type=Path)
     wp.add_argument("output", type=Path)
-    wp.add_argument("--rows", required=True,
+    wp.add_argument("--rows", type=_integers, required=True,
                     help="comma-separated row values")
-    wp.add_argument("--cols", required=True,
+    wp.add_argument("--cols", type=_integers, required=True,
                     help="comma-separated column values")
 
     dp = sub.add_parser("render", help="draw an instance as SVG")
@@ -170,18 +179,15 @@ def _maybe_expand(inst: Instance, flag: bool, what: str) -> Instance:
 
 
 def _cmd_solve(args) -> int:
-    if args.oracle and (args.time_budget is not None
-                        or args.max_set_size is not None):
-        raise _UsageError(
-            "--oracle takes --delta only, not --time-budget or --max-set-size")
+    if args.oracle and args.time_budget is not None:
+        raise _UsageError("--oracle takes --delta, not --time-budget")
     inst = _read_instance(args.instance)
     inst = _maybe_expand(inst, args.expand_blocks, "solve")
     delta = {} if args.delta is None else {"delta": args.delta}
     if args.oracle:
         ans = oracle(inst, **delta)
     else:
-        cfg = SolverConfig(time_budget=args.time_budget,
-                           max_set_size=args.max_set_size, **delta)
+        cfg = SolverConfig(time_budget=args.time_budget, **delta)
         ans = solve(inst, cfg)
     print(ans)
     for line in ans.log:
@@ -252,9 +258,7 @@ def _cmd_generate(args) -> int:
     elif fam == "gridtiling-witness":
         gt = gridtiling.parse_gridtiling(args.input.read_text())
         inst = _read_instance(args.instance)
-        rows = [int(v) for v in args.rows.split(",")]
-        cols = [int(v) for v in args.cols.split(",")]
-        w = gridtiling.gridtiling_witness(gt, inst, rows, cols)
+        w = gridtiling.gridtiling_witness(gt, inst, args.rows, args.cols)
         args.output.write_text(write_witness(w))
         print(f"wrote {len(w.moves)} moves")
         return 0

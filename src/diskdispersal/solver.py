@@ -19,6 +19,10 @@ three stages:
    rounding perturbation (sqrt(2)*delta per moved endpoint), no continuous
    solution exists.
 
+Stages 1 and 2 return a feasible ``Feasibility`` or None, stage 3 always a
+``Feasibility``; ``feasibility`` runs a stage only when the one before it
+returned None.
+
 Some covers are refuted without running the stages.  Lemma: let A be a
 cover and x a member of A such that A minus x is a cover too and x's origin
 lies at least d+2 from the origin of every other member.  If A minus x is
@@ -41,10 +45,11 @@ lattice fill, which must be expanded first.  Comparisons between exact
 coordinates are decided exactly; only ``~`` input can leave one undecided,
 and that answer is unknown.
 
-``SolverConfig.time_budget`` bounds the whole solve: ``solve`` turns it
-into one ``time.monotonic()`` deadline before kernelization and hands it to
-the enumeration, to every stage and to every DFS node of every grid pass, so
-an expired budget ends the solve within one step of any of them and reports
+``SolverConfig`` has two fields: ``delta`` (stage 3's finest grid) and
+``time_budget``, which bounds the whole solve: ``solve`` turns it into one
+``time.monotonic()`` deadline before kernelization and hands it to the
+enumeration, to every stage and to every DFS node of every grid pass, so an
+expired budget ends the solve within one step of any of them and reports
 unknown ("time budget").  The fixed search limits are module constants:
 ``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_ITERS``
 (stage 2 descent steps), ``DELTA_START`` (stage 3's first, coarsest
@@ -61,6 +66,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .geometry import (
+    FOUR,
     Point,
     circle_circle_candidates_sq,
     dist2,
@@ -88,7 +94,6 @@ __all__ = [
     "feasibility",
 ]
 
-FOUR = Fraction(4)
 CANDIDATE_CAP = 600          # stage 1: candidate targets kept per movable
 NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
@@ -97,7 +102,6 @@ GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS calls (and menu work) per pass
 
 @dataclass
 class SolverConfig:
-    max_set_size: Optional[int] = None      # cap on |A|; None means k
     delta: Fraction = Fraction(1, 64)       # finest refutation grid
     time_budget: Optional[float] = None     # wall-clock seconds, whole solve
 
@@ -267,7 +271,7 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
 
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
                       d2: Fraction, variant: str,
-                      deadline: Optional[float]) -> Optional[dict[int, Point]]:
+                      deadline: Optional[float]) -> Optional[Feasibility]:
     placed: list[Point] = []
     rational_fixed = [f for f in fixed if f.is_rational()]
 
@@ -288,7 +292,7 @@ def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
         return False
 
     if rec(0):
-        return dict(enumerate(placed))
+        return Feasibility("feasible", dict(enumerate(placed)))
     return None
 
 
@@ -383,7 +387,7 @@ def _snap_and_verify(sol: list[list[float]], origins: Sequence[Point],
 
 def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
                    d2: Fraction, variant: str, deadline: Optional[float]
-                   ) -> Optional[dict[int, Point]]:
+                   ) -> Optional[Feasibility]:
     if not all(p.is_rational() for p in movables):
         return None
     if not all(f.is_rational() for f in fixed):
@@ -410,7 +414,7 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
             continue
         snapped = _snap_and_verify(sol, movables, fixed, d2, variant, axes_idx)
         if snapped is not None:
-            return dict(enumerate(snapped))
+            return Feasibility("feasible", dict(enumerate(snapped)))
     return None
 
 
@@ -424,8 +428,8 @@ def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
 
     Outcomes: an exact grid witness (feasible); a completed sweep with no
     assignment surviving the relaxed constraints (infeasible, certificate
-    delta); or the finest pass's unknown, when relaxed assignments remain,
-    a budget runs out or indeterminacy interferes.
+    delta); or the finest pass's unknown, when relaxed assignments remain
+    or a budget runs out.
     """
     if not all(p.is_rational() for p in movables) or \
             not all(f.is_rational() for f in fixed):
@@ -579,7 +583,7 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
         menus = [per_disk[i] for i in order]
         origins = [movers_i[i] for i in order]
         rec(0, True)
-    except (_Stop, IndeterminateError) as e:
+    except _Stop as e:
         return Feasibility("unknown", reason=str(e))
     if found_exact[0] is not None:
         assignment = {}
@@ -611,12 +615,9 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
     d2 = frac(d2)
     if not movables:
         return Feasibility("feasible", {})
-    got = _stage_candidates(fixed, movables, d2, variant, deadline)
-    if got is None:
-        got = _stage_numeric(fixed, movables, d2, variant, deadline)
-    if got is not None:
-        return Feasibility("feasible", got)
-    return _stage_grid(fixed, movables, d2, variant, cfg, deadline)
+    return (_stage_candidates(fixed, movables, d2, variant, deadline)
+            or _stage_numeric(fixed, movables, d2, variant, deadline)
+            or _stage_grid(fixed, movables, d2, variant, cfg, deadline))
 
 
 def _implied_refutation(cand: list[int], refuted: set[frozenset[int]],
@@ -663,14 +664,12 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
         return Answer("yes", Witness({}),
                       log=("already a packing after reduction",))
 
-    cap = inst.k if cfg.max_set_size is None \
-        else min(inst.k, cfg.max_set_size)
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
     far2 = (derived_d(kinst.d2) + 2) ** 2
     refuted: set[frozenset[int]] = set()
-    for cand in enumerate_candidate_sets(g, cap, deadline):
+    for cand in enumerate_candidate_sets(g, inst.k, deadline):
         implied = _implied_refutation(cand, refuted, kinst.disks, far2)
         if implied is not None:
             refuted.add(frozenset(cand))
@@ -701,10 +700,5 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     if unknowns:
         return Answer("unknown",
                       reason=f"{unknowns} candidate sets undecided",
-                      log=tuple(log))
-    if cap < inst.k:
-        # the cap hid part of the search space, so a clean sweep is not
-        # a refutation of the full problem
-        return Answer("unknown", reason=f"moved-set size capped at {cap}",
                       log=tuple(log))
     return Answer("no", log=tuple(log))

@@ -72,14 +72,13 @@ class TestSolveChain:
         p.write_text(FIG1_TEXT.replace("d2: 3", "d2: 1/4"))
         assert dispatch(["solve", str(p), "--oracle"]) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--time-budget", "1"),
-                                             ("--max-set-size", "1")])
+    @pytest.mark.parametrize("flag, value", [("--time-budget", "1")])
     def test_oracle_rejects_solver_flags(self, fig1, capsys, flag, value):
-        # the oracle takes no budget or set-size cap; silently ignoring
-        # them would misreport what ran
+        # the oracle takes no budget; silently ignoring it would misreport
+        # what ran
         assert dispatch(["solve", str(fig1), "--oracle", flag, value]) == 64
         err = capsys.readouterr().err
-        assert "--time-budget" in err and "--max-set-size" in err
+        assert "--time-budget" in err
 
     def test_reject_exit_one(self, fig1, tmp_path):
         w = tmp_path / "w.bad"
@@ -257,7 +256,6 @@ class TestDispatchBasics:
         ["solve", "{inst}", "--delta", "0.5"],
         ["solve", "{inst}", "--time-budget", "-1"],
         ["solve", "{inst}", "--time-budget", "nan"],
-        ["solve", "{inst}", "--max-set-size", "-1"],
         ["generate", "random", "{out}", "--n", "2", "--side", "9",
          "--d2", "1/0"],
         ["render", "{inst}", "{out}", "--scale", "1/0"],
@@ -271,6 +269,18 @@ class TestDispatchBasics:
          "--d2=-1"],
         ["generate", "colocated", "{out}", "--m", "2", "--k", "1",
          "--d2=-1"],
+        ["generate", "gridtiling-witness", "{inst}", "{inst}", "{out}",
+         "--rows", "x", "--cols", "1"],
+        ["generate", "gridtiling-witness", "{inst}", "{inst}", "{out}",
+         "--rows", "1", "--cols", "1,,2"],
+        ["generate", "random", "{out}", "--n", "-1", "--side", "9"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "0"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "9",
+         "--k", "-1"],
+        ["generate", "colocated", "{out}", "--m", "-1", "--k", "1",
+         "--d2", "1"],
+        ["generate", "colocated", "{out}", "--m", "2", "--k", "-1",
+         "--d2", "1"],
     ])
     def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
         wit = tmp_path / "w.out"
