@@ -9,9 +9,10 @@ so that rational inputs stay rational.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .numerics import (
     DomainError,
@@ -89,85 +90,98 @@ def close_pairs(points: Sequence[Point], threshold,
     """Pairs (i, j), i < j, with dist2 below threshold (at most it when
     closed), in lexicographic order.
 
-    Candidates come from a square grid of integer width w >= sqrt(threshold).
-    A pair within the threshold differs by at most w in each axis, so the
-    cells holding its true coordinates are equal or adjacent.  Every point is
-    filed under all cells that its exact enclosure touches, which include the
-    cell of its true value, so scanning the 3x3 block around each cell of a
-    point finds all its partners.  A point whose enclosure touches more than
-    four cells is paired with every other point instead.
+    Candidates come from a square grid of integer width w >= sqrt(threshold):
+    the cells holding the true coordinates of a close pair are equal or
+    adjacent.  A rational point is filed once, under its cell computed on
+    its own numerators and denominators.  Any other point is filed under
+    every cell that its exact enclosure touches; one that touches more than
+    four is paired with every other point instead.  Points leave the grid
+    in index order, so the 3x3 block around a cell of point i holds only
+    partners j > i, and only the close ones are sorted.
 
-    A pair of rational points is decided on integers: with differences
-    dx/ex and dy/ey, dist2 < t/s iff ((dx*ey)^2 + (dy*ex)^2)*s < t*(ex*ey)^2.
-    Each pair uses its own denominators; a common denominator for the whole
-    set could grow with its size.  Any other pair goes through the exact
-    comparison, which raises IndeterminateError when interval operands
-    straddle the threshold.
+    A pair of rational points is decided on integers by :func:`ratio_below`.
+    Any other pair goes through the exact comparison, in the order of j,
+    which raises IndeterminateError when interval operands straddle the
+    threshold.
     """
     threshold = frac(threshold)
     tn, td = threshold.numerator, threshold.denominator
     width = sqrt_lower_upper(max(threshold, Fraction(1)), 1)[1].numerator
-    cells = [_cells(p, width) for p in points]
-    rats = [_ratio(p) for p in points]
-    grid: dict[tuple[int, int], list[int]] = {}
-    wide: list[int] = []
+    rats = [ratio(p) for p in points]
+    cells = [_cells(p, width) if r is None
+             else [(r[0] // (width * r[1]), r[2] // (width * r[3]))]
+             for p, r in zip(points, rats)]
+    # cell (cx, cy) has key cx*span + cy, distinct over every 3x3 block
+    # around a filed cell
+    ys = [cy for keys in cells if keys for _, cy in keys]
+    span = max(ys, default=0) - min(ys, default=0) + 3
+    around = [dx * span + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    grid: dict[int, list[int]] = {}
+    wide = [i for i, keys in enumerate(cells) if keys is None]
     for i, keys in enumerate(cells):
-        if keys is None:
-            wide.append(i)
-        else:
+        if keys is not None:
+            keys = cells[i] = [cx * span + cy for cx, cy in keys]
             for key in keys:
                 grid.setdefault(key, []).append(i)
-    n = len(points)
     for i, keys in enumerate(cells):
-        if keys is None:
-            near: Iterable[int] = range(i + 1, n)
-        else:
-            found = {j for cx, cy in keys for dx, dy in _NEIGHBOURS
-                     for j in grid.get((cx + dx, cy + dy), ()) if j > i}
-            found.update(j for j in wide if j > i)
-            near = sorted(found)
         ri = rats[i]
-        for j in near:
-            rj = rats[j]
-            if ri is not None and rj is not None:
-                xn, xd, yn, yd = ri
-                un, ud, vn, vd = rj
-                ex, ey = xd * ud, yd * vd
-                lhs = (((xn * ud - un * xd) * ey) ** 2
-                       + ((yn * vd - vn * yd) * ex) ** 2) * td
-                rhs = tn * (ex * ey) ** 2
-                if lhs < rhs or (closed and lhs == rhs):
-                    yield i, j
-                continue
-            o = compare(dist2(points[i], points[j]), threshold)
-            if o is Ordering.INDETERMINATE:
-                raise IndeterminateError(
-                    f"distance of {points[i]} and {points[j]}")
-            if o is Ordering.LESS or (closed and o is Ordering.EQUAL):
-                yield i, j
+        if keys is None:
+            near = range(i + 1, len(points))
+        else:
+            for key in keys:
+                del grid[key][0]
+            near = wide[bisect.bisect(wide, i):]
+            for key in keys:
+                for off in around:
+                    near += grid.get(key + off, ())
+        # j is a hit when close, or when only the exact comparison decides
+        hits = near if ri is None else [
+            j for j in near if (rj := rats[j]) is None
+            or ratio_below(ri, rj, tn, td, closed)]
+        for j in sorted(set(hits)) if hits else ():
+            if ri is None or rats[j] is None:
+                o = compare(dist2(points[i], points[j]), threshold)
+                if o is Ordering.INDETERMINATE:
+                    raise IndeterminateError(
+                        f"distance of {points[i]} and {points[j]}")
+                if not (o is Ordering.LESS
+                        or (closed and o is Ordering.EQUAL)):
+                    continue
+            yield i, j
 
 
-_NEIGHBOURS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-
-
-def _ratio(p: Point) -> Optional[tuple[int, int, int, int]]:
+def ratio(p: Point) -> Optional[tuple[int, int, int, int]]:
     """(x numerator, x denominator, y numerator, y denominator) of a
     rational point; None for any other."""
-    if p.is_rational():
-        return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    x, y = p.x, p.y
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return x.numerator, x.denominator, y.numerator, y.denominator
     return None
 
 
-def _cell(v: Fraction, width: int) -> int:
-    return v.numerator // (width * v.denominator)
+def ratio_below(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
+                tn: int, td: int, closed: bool = False) -> bool:
+    """Whether dist2 of the rational points a and b, given as (x numerator,
+    x denominator, y numerator, y denominator) with positive denominators,
+    is below tn/td (at most it when closed).
+
+    With differences dx/ex and dy/ey, dist2 < t/s iff ((dx*ey)^2 +
+    (dy*ex)^2)*s < t*(ex*ey)^2.  Each pair uses its own denominators; a
+    common denominator for a whole point set could grow with its size.
+    """
+    xn, xd, yn, yd = a
+    un, ud, vn, vd = b
+    ex, ey = xd * ud, yd * vd
+    lhs = (((xn * ud - un * xd) * ey) ** 2
+           + ((yn * vd - vn * yd) * ex) ** 2) * td
+    rhs = tn * (ex * ey) ** 2
+    return lhs < rhs or (closed and lhs == rhs)
 
 
 def _cells(p: Point, width: int) -> Optional[list[tuple[int, int]]]:
-    """Grid cells touched by an exact enclosure of p; None when more than
-    four."""
-    if p.is_rational():
-        return [(_cell(p.x, width), _cell(p.y, width))]
-    xs, ys = (range(_cell(iv.lo, width), _cell(iv.hi, width) + 1)
+    """Grid cells touched by an exact enclosure of a point that is not
+    rational; None when more than four."""
+    xs, ys = (range(iv.lo // width, iv.hi // width + 1)
               for iv in (to_interval(p.x), to_interval(p.y)))
     if len(xs) * len(ys) > 4:
         return None

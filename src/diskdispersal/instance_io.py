@@ -14,9 +14,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .geometry import Disk, Point, close_pairs, dist2, within_move
+from .geometry import (Disk, Point, close_pairs, dist2, ratio, ratio_below,
+                       within_move)
 from .numerics import (
     IndeterminateError,
     Ordering,
@@ -75,6 +76,9 @@ class Rect:
         return dx * dx + dy * dy
 
 
+Box = tuple[int, int, int, int]  # inclusive (i0, i1, j0, j1); may be empty
+
+
 @dataclass(frozen=True)
 class LatticeBlock:
     """Implicit disks at (x0 + i*step, y0 + j*step) inside the rectangle.
@@ -117,12 +121,9 @@ class LatticeBlock:
         return int((self.y1 - self.y0) / self.step)
 
     @cached_property
-    def _hole_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Inclusive index boxes (i0, i1, j0, j1) of the lattice points
-        inside each hole (empty when i0 > i1 or j0 > j1)."""
-        D, X0, Y0, S = self._scaled
-        return tuple(_index_range(h.x0, h.x1, 0, X0, S, D)
-                     + _index_range(h.y0, h.y1, 0, Y0, S, D)
+    def _hole_boxes(self) -> tuple[Box, ...]:
+        """The index box of the lattice points inside each hole."""
+        return tuple(self._window(h.x0, h.x1, h.y0, h.y1, 0)
                      for h in self.holes)
 
     def _alive(self, i: int, j: int) -> bool:
@@ -130,69 +131,85 @@ class LatticeBlock:
                        for i0, i1, j0, j1 in self._hole_boxes)
 
     def _window(self, xlo: Fraction, xhi: Fraction, ylo: Fraction,
-                yhi: Fraction, reach: Fraction | int) -> tuple[range, range]:
-        """Index ranges of the lattice points of the block within
-        Chebyshev distance reach of the box [xlo, xhi] x [ylo, yhi]."""
+                yhi: Fraction, reach: Fraction | int) -> Box:
+        """Index box of the lattice points of the block within Chebyshev
+        distance reach of the box [xlo, xhi] x [ylo, yhi]."""
         D, X0, Y0, S = self._scaled
-        i0, i1 = _index_range(xlo, xhi, reach, X0, S, D)
-        j0, j1 = _index_range(ylo, yhi, reach, Y0, S, D)
-        return (range(max(0, i0), min(self.nx, i1) + 1),
-                range(max(0, j0), min(self.ny, j1) + 1))
+        i0, i1 = _index_range(*(xlo - reach).as_integer_ratio(),
+                              *(xhi + reach).as_integer_ratio(), X0, S, D)
+        j0, j1 = _index_range(*(ylo - reach).as_integer_ratio(),
+                              *(yhi + reach).as_integer_ratio(), Y0, S, D)
+        return max(0, i0), min(self.nx, i1), max(0, j0), min(self.ny, j1)
 
-    def _point_window(self, p: Point,
-                      reach: Fraction | int) -> tuple[range, range]:
-        (xlo, xhi), (ylo, yhi) = _bounds(p.x), _bounds(p.y)
-        return self._window(xlo, xhi, ylo, yhi, reach)
+    def _point_window(self, p: Point, reach: Fraction | int) -> Box:
+        ix, iy = to_interval(p.x), to_interval(p.y)
+        return self._window(ix.lo, ix.hi, iy.lo, iy.hi, reach)
 
-    def _points(self, ii: range, jj: range) -> Iterator[Point]:
-        for i in ii:
+    def _points(self, box: Box) -> Iterator[Point]:
+        i0, i1, j0, j1 = box
+        for i in range(i0, i1 + 1):
             x = self.x0 + i * self.step
-            for j in jj:
+            for j in range(j0, j1 + 1):
                 if self._alive(i, j):
                     yield Point(x, self.y0 + j * self.step)
 
     def iter_disks(self) -> Iterator[Point]:
-        return self._points(range(self.nx + 1), range(self.ny + 1))
+        return self._points((0, self.nx, 0, self.ny))
 
     def near_points(self, p: Point, reach: Fraction) -> Iterator[Point]:
         """Lattice points of the block within Chebyshev distance reach of p."""
-        return self._points(*self._point_window(p, reach))
+        return self._points(self._point_window(p, reach))
 
-    def first_close(self, p: Point, threshold: Fraction) -> Optional[Point]:
-        """The first lattice point q, in index order, with dist2(p, q) below
-        threshold; None when there is none.
+    def first_close(self, points: Iterable[Point],
+                    threshold: Fraction) -> Optional[tuple[int, Point]]:
+        """The first index k of points, with the first lattice point q in
+        index order, such that dist2(points[k], q) is below threshold; None
+        when there is none.
 
-        A rational p is decided on integers.  Any other p goes through the
-        exact comparison, which raises IndeterminateError when it cannot
-        decide a lattice point before the first close one.
+        A point whose window of lattice points within reach lies in one hole
+        needs no test.  A rational point is decided on integers, window and
+        distances alike; any other point goes through the exact comparison,
+        which raises IndeterminateError when it cannot decide a lattice
+        point before the first close one.
         """
-        ii, jj = self._point_window(p, _reach(threshold))
-        if any(i0 <= ii.start and ii.stop <= i1 + 1 and j0 <= jj.start
-               and jj.stop <= j1 + 1 for i0, i1, j0, j1 in self._hole_boxes):
-            return None  # one hole covers the window
-        if not p.is_rational():
-            for q in self._points(ii, jj):
-                o = compare(dist2(p, q), threshold)
-                if o is Ordering.INDETERMINATE:
-                    raise IndeterminateError(f"separation of {p} and {q}")
-                if o is Ordering.LESS:
-                    return q
-            return None
-        # p - q = (u/ex, w/ey) with ex = xd*D and ey = yd*D, so dist2 < tn/td
-        # iff (u*ey)^2*td + (w*ex)^2*td < tn*(ex*ey)^2
         D, X0, Y0, S = self._scaled
         tn, td = threshold.numerator, threshold.denominator
-        xn, xd = p.x.numerator, p.x.denominator
-        yn, yd = p.y.numerator, p.y.denominator
-        ex, ey = xd * D, yd * D
-        a, b, r = ey * ey * td, ex * ex * td, tn * (ex * ey) ** 2
-        rows = [(j, (yn * D - (Y0 + j * S) * yd) ** 2 * b) for j in jj]
-        for i in ii:
-            u = (xn * D - (X0 + i * S) * xd) ** 2 * a
-            for j, w in rows:
-                if u + w < r and self._alive(i, j):
-                    return Point(self.x0 + i * self.step,
-                                 self.y0 + j * self.step)
+        reach = _reach(threshold)
+        h0, h1, g0, g1 = 1, 0, 1, 0  # the hole box tried first; none yet
+        for k, p in enumerate(points):
+            r = ratio(p)
+            if r is None:
+                i0, i1, j0, j1 = self._point_window(p, reach)
+            else:
+                xn, xd, yn, yd = r
+                i0, i1 = _index_range(xn - reach * xd, xd, xn + reach * xd,
+                                      xd, X0, S, D)
+                j0, j1 = _index_range(yn - reach * yd, yd, yn + reach * yd,
+                                      yd, Y0, S, D)
+                i0, i1 = max(0, i0), min(self.nx, i1)
+                j0, j1 = max(0, j0), min(self.ny, j1)
+            if i0 > i1 or j0 > j1 or (h0 <= i0 and i1 <= h1 and g0 <= j0
+                                      and j1 <= g1):
+                continue  # no lattice point, or the last hole covers them
+            for h0, h1, g0, g1 in self._hole_boxes:
+                if h0 <= i0 and i1 <= h1 and g0 <= j0 and j1 <= g1:
+                    break
+            else:
+                if r is None:
+                    for q in self._points((i0, i1, j0, j1)):
+                        o = compare(dist2(p, q), threshold)
+                        if o is Ordering.INDETERMINATE:
+                            raise IndeterminateError(
+                                f"separation of {p} and {q}")
+                        if o is Ordering.LESS:
+                            return k, q
+                    continue
+                for i in range(i0, i1 + 1):
+                    for j in range(j0, j1 + 1):
+                        if (ratio_below(r, (X0 + i * S, D, Y0 + j * S, D),
+                                        tn, td) and self._alive(i, j)):
+                            return k, Point(self.x0 + i * self.step,
+                                            self.y0 + j * self.step)
         return None
 
 
@@ -203,21 +220,11 @@ def _reach(threshold: Fraction) -> int:
     return r if r * r * td >= tn else r + 1
 
 
-def _bounds(v: Scalar) -> tuple[Fraction, Fraction]:
-    """v itself when rational, else the ends of an exact enclosure."""
-    if isinstance(v, Fraction):
-        return v, v
-    iv = to_interval(v, 64)
-    return iv.lo, iv.hi
-
-
-def _index_range(lo: Fraction, hi: Fraction, reach: Fraction | int,
-                 origin: int, step: int, D: int) -> tuple[int, int]:
-    """Smallest and largest k with lo - reach <= (origin + k*step)/D <=
-    hi + reach; the first exceeds the second when there is no such k."""
-    rn, rd = reach.numerator, reach.denominator
-    ln, ld = lo.numerator * rd - rn * lo.denominator, lo.denominator * rd
-    hn, hd = hi.numerator * rd + rn * hi.denominator, hi.denominator * rd
+def _index_range(ln: int, ld: int, hn: int, hd: int, origin: int, step: int,
+                 D: int) -> tuple[int, int]:
+    """Smallest and largest k with ln/ld <= (origin + k*step)/D <= hn/hd,
+    for positive ld and hd; the first exceeds the second when there is no
+    such k."""
     return (-((origin * ld - ln * D) // (step * ld)),
             (hn * D - origin * hd) // (step * hd))
 
@@ -468,13 +475,12 @@ def validate_witness(inst: Instance, w: Witness,
         for block in inst.blocks:
             if block.step < 2:
                 return ValidationResult("reject", "block-step", block.step, eps)
-            for i, p in enumerate(final):
-                if block.first_close(p, sep) is not None:
-                    return ValidationResult("reject", "block", i, eps)
+            hit = block.first_close(final, sep)
+            if hit is not None:
+                return ValidationResult("reject", "block", hit[0], eps)
         for bi in range(len(inst.blocks)):
             for bj in range(bi + 1, len(inst.blocks)):
-                pair = _blocks_conflict(inst.blocks[bi], inst.blocks[bj], sep)
-                if pair is not None:
+                if _blocks_conflict(inst.blocks[bi], inst.blocks[bj], sep):
                     return ValidationResult("reject", "block", (bi, bj), eps)
     except IndeterminateError as e:
         return ValidationResult("indeterminate", str(e), None, eps)
@@ -482,18 +488,14 @@ def validate_witness(inst: Instance, w: Witness,
     return ValidationResult("accept", None, None, eps)
 
 
-def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction):
+def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction) -> bool:
     ra = Rect(a.x0, a.y0, a.x1, a.y1)
     rb = Rect(b.x0, b.y0, b.x1, b.y1)
     if ra.min_dist2_to(rb) >= sep:
-        return None
-    # blocks approach each other: walk the points of a near b's rectangle
-    reach = _reach(sep)
-    for p in a._points(*a._window(rb.x0, rb.x1, rb.y0, rb.y1, reach)):
-        q = b.first_close(p, sep)
-        if q is not None:
-            return (p, q)
-    return None
+        return False
+    # blocks approach each other: query b with the points of a near it
+    near = a._points(a._window(rb.x0, rb.x1, rb.y0, rb.y1, _reach(sep)))
+    return b.first_close(near, sep) is not None
 
 
 def apply_witness(inst: Instance, w: Witness) -> Instance:

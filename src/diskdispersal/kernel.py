@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, Point, dist2
+from .geometry import Disk, Point, dist2, ratio, ratio_below
 from .instance_io import Instance
 from .numerics import frac, sign_le, sqrt_lower_upper
 from .udg import build_graph, approx_vc, components
@@ -103,12 +103,16 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
     d = derived_d(inst.d2)
     threshold = (d + 2) * (inst.k + 1)
     t2 = threshold * threshold
+    tn, td = t2.numerator, t2.denominator
+    centres = [(inst.disks[c], ratio(inst.disks[c])) for c in cover]
     kept: list[int] = []
     removed: list[int] = []
     for i, disk in enumerate(inst.disks):
+        r = ratio(disk)
         keep = any(
-            sign_le(dist2(disk, inst.disks[c]), t2, "kernel distance filter")
-            for c in cover)
+            ratio_below(r, rc, tn, td, closed=True) if r and rc else
+            sign_le(dist2(disk, c), t2, "kernel distance filter")
+            for c, rc in centres)
         (kept if keep else removed).append(i)
     out = Instance(inst.variant, inst.k, inst.d2,
                    tuple(inst.disks[i] for i in kept), ())

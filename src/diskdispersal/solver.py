@@ -53,7 +53,9 @@ expired budget ends the solve within one step of any of them and reports
 unknown ("time budget").  The fixed search limits are module constants:
 ``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_ITERS``
 (stage 2 descent steps), ``DELTA_START`` (stage 3's first, coarsest
-grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
+grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).  That budget counts
+DFS nodes and menu cells, not the separation tests made at each node, so
+only ``time_budget`` bounds the wall time of a pass.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ __all__ = [
 CANDIDATE_CAP = 600          # stage 1: candidate targets kept per movable
 NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
-GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS calls (and menu work) per pass
+GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS nodes plus menu cells per
+                              # pass, not the separation tests at a node
 
 
 @dataclass

@@ -173,6 +173,11 @@ class TestGridTiling:
         w = gridtiling_witness(FIG7, inst, *FIG7_SOLUTION)
         assert len(w.moves) == inst.k
         assert validate_witness(inst, w).status == "accept"
+        # the first overlapping pair of the unmoved disks, in lexicographic
+        # order: the scan stops there and reports it
+        res = validate_witness(inst, Witness({}))
+        assert (res.status, res.reason, res.detail) == \
+            ("reject", "packing", (35776, 35777))
 
     def test_non_solution_rejected(self):
         inst = gen_gridtiling(FIG7)

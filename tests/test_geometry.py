@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from diskdispersal.numerics import (
     Interval,
     Ordering,
     compare,
+    parse_scalar,
     quadext,
     to_interval,
 )
@@ -184,6 +186,38 @@ class TestClosePairs:
         close, undecided = brute_close_pairs(pts, threshold, closed)
         assert not undecided
         assert list(close_pairs(pts, threshold, closed)) == close
+
+    @pytest.mark.parametrize("kind", ["integer", "mixed", "interleaved"])
+    def test_seeded_sets_match_brute_force(self, kind):
+        # dense sets with many close pairs and exact tangencies; in the
+        # interleaved sets one radical or approximate point goes through the
+        # exact comparison and must merge into lexicographic order
+        rng = random.Random(f"close-pairs-{kind}")
+        for trial in range(40):
+            n = rng.randint(2, 40)
+            side = rng.randint(2, 12)
+            if kind == "integer":
+                pts = [P(rng.randint(0, side), rng.randint(0, side))
+                       for _ in range(n)]
+            else:
+                pts = [P(F(rng.randint(0, 4 * side), rng.choice([1, 2, 3, 4])),
+                         F(rng.randint(0, 4 * side), rng.choice([1, 5, 7])))
+                       for _ in range(n)]
+            if kind == "interleaved":
+                i = rng.randrange(n)
+                x, y = pts[i].x, pts[i].y
+                pts[i] = [
+                    Point(quadext(x, 1, 3), y),
+                    Point(x, parse_scalar(f"{float(y) + 0.5:.7f}~")),
+                    # an enclosure over more than four cells, far above
+                    Point(Interval(x - 6, x + 6), y + 50),
+                ][trial % 3]
+            for threshold in (F(4), F(4) - F(1, 10 ** 9), F(9, 4)):
+                for closed in (False, True):
+                    close, undecided = brute_close_pairs(pts, threshold,
+                                                         closed)
+                    assert not undecided
+                    assert list(close_pairs(pts, threshold, closed)) == close
 
     def test_tangencies_count_only_when_closed(self):
         # the three centers are pairwise exactly 2 apart

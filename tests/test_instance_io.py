@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -292,7 +293,46 @@ class TestBlocks:
                                  (p, F(25, 4)), (r, F(4))):
                 first = next((q for q in lattice if compare(
                     dist2(c, q), threshold) is Ordering.LESS), None)
-                assert b.first_close(c, threshold) == first
+                assert b.first_close([c], threshold) == \
+                    (None if first is None else (0, first))
+
+    def test_first_close_matches_brute_force(self):
+        # one query over many points: outside the block rectangle, inside
+        # windows that one hole covers, with mixed denominators, and one
+        # radical point among them
+        rng = random.Random(14)
+        for trial in range(60):
+            step = rng.choice([F(2), F(5, 2), F(7, 3)])
+            x0 = F(rng.randint(-12, 0), rng.choice([1, 2, 3]))
+            y0 = F(rng.randint(-12, 0), rng.choice([1, 4]))
+            holes = tuple(
+                Rect(hx, hy, hx + F(rng.randint(2, 16), 2),
+                     hy + F(rng.randint(2, 16), 3))
+                for hx, hy in ((F(rng.randint(-8, 16), rng.choice([1, 3])),
+                                F(rng.randint(-8, 16), rng.choice([1, 5])))
+                               for _ in range(rng.randint(0, 3))))
+            b = LatticeBlock(x0, y0, x0 + 8 * step, y0 + 6 * step, step,
+                             holes)
+            lattice = brute_lattice(b)
+            pts = []
+            for _ in range(rng.randint(1, 12)):
+                if holes and rng.random() < 0.4:
+                    h = rng.choice(holes)  # at the centre of a hole
+                    pts.append(Point((h.x0 + h.x1) / 2, (h.y0 + h.y1) / 2))
+                else:
+                    pts.append(Point(
+                        F(rng.randint(-60, 100), rng.choice([1, 2, 3, 7])),
+                        F(rng.randint(-60, 80), rng.choice([1, 4, 5]))))
+            if rng.random() < 0.5:
+                c = rng.randrange(len(pts))
+                pts[c] = Point(quadext(pts[c].x, 1, 2), pts[c].y)
+            for threshold in (F(4), F(4) - F(1, 10 ** 9), F(25, 4)):
+                want = next(((k, q) for k, p in enumerate(pts)
+                             for q in lattice if compare(
+                                 dist2(p, q), threshold) is Ordering.LESS),
+                            None)
+                assert b.first_close(pts, threshold) == want
+                assert b.first_close(iter(pts), threshold) == want
 
     def test_lattice_tangency_is_exact(self):
         # (4, 6) touches (2, 6); 2+sqrt(3), 7 touches (2, 6) and (2, 8)

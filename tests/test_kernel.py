@@ -13,6 +13,7 @@ from diskdispersal.kernel import (
     shrink_parts,
     size_bound,
 )
+from diskdispersal.numerics import quadext, sign_le
 
 
 def P(x, y):
@@ -70,6 +71,34 @@ class TestKernelize:
             assert set(report.kept) | set(report.removed) == set(range(n))
             assert not set(report.kept) & set(report.removed)
             assert len(report.kept) <= report.size_bound
+
+    def test_filter_matches_exact_comparison(self):
+        # rational pairs are decided on integers, the rest by sign_le; both
+        # keep a disk exactly at the threshold
+        rng = random.Random(5)
+        for trial in range(40):
+            k, d2 = rng.randint(1, 3), rng.choice([F(1, 4), F(1), F(9, 4)])
+            t = (derived_d(d2) + 2) * (k + 1)
+            # the cover holds disks 0 and 1; disk 2 lies exactly at the
+            # threshold from disk 0
+            disks = [P(0, 0), P(1, 0), P(-t, 0)] + [
+                P(F(rng.randint(0, 60), rng.choice([1, 2, 3, 7])),
+                  F(rng.randint(0, 60), rng.choice([1, 4, 5])))
+                for _ in range(rng.randint(0, 11))]
+            n = len(disks)
+            if trial % 2:
+                i = rng.randrange(2, n)
+                disks[i] = Point(quadext(disks[i].x, 1, 2), disks[i].y)
+            inst = Instance("euclidean", k, d2, tuple(disks))
+            kr = kernelize(inst)
+            if kr is None:
+                continue
+            report = kr[1]
+            t2 = report.threshold ** 2
+            kept = tuple(i for i, p in enumerate(disks) if any(
+                sign_le(dist2(p, disks[c]), t2) for c in report.cover))
+            assert report.kept == kept
+            assert report.removed == tuple(sorted(set(range(n)) - set(kept)))
 
 
 class TestSizeBound:
