@@ -55,7 +55,9 @@ class Point:
     y: Scalar
 
     def is_rational(self) -> bool:
-        return isinstance(self.x, Fraction) and isinstance(self.y, Fraction)
+        """Both coordinates are ``Fraction`` or ``int``."""
+        return isinstance(self.x, (Fraction, int)) and \
+            isinstance(self.y, (Fraction, int))
 
     def __repr__(self):
         return f"({format_scalar(self.x)}, {format_scalar(self.y)})"
@@ -152,9 +154,9 @@ def close_pairs(points: Sequence[Point], threshold,
 
 def ratio(p: Point) -> Optional[tuple[int, int, int, int]]:
     """(x numerator, x denominator, y numerator, y denominator) of a
-    rational point; None for any other."""
+    rational point, ``int`` coordinates included; None for any other."""
     x, y = p.x, p.y
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
+    if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
         return x.numerator, x.denominator, y.numerator, y.denominator
     return None
 

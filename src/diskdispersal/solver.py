@@ -9,7 +9,9 @@ three stages:
 1. structured exact candidates (tangency intersections, budget-tight
    points, axis extremes), verified with exact arithmetic.  Only anchors
    within d+2 of a movable's origin seed tangencies: a target within d of
-   the origin at distance 2 from an anchor puts that anchor within d+2;
+   the origin at distance 2 from an anchor puts that anchor within d+2.
+   Before its search, stage 1 refutes the set when one member alone has
+   no place clear of the fixed disks (the lone-member lemma below);
 2. one numeric penalty descent from the origins (per axis choice in the
    rectilinear variant) whose solution is snapped to dyadic rationals and
    re-verified exactly;
@@ -19,26 +21,55 @@ three stages:
    rounding perturbation (sqrt(2)*delta per moved endpoint), no continuous
    solution exists.
 
-Stages 1 and 2 return a feasible ``Feasibility`` or None, stage 3 always a
-``Feasibility``; ``feasibility`` runs a stage only when the one before it
-returned None.
+Stage 1 returns a feasible ``Feasibility``, a refutation by the
+lone-member lemma below, or None; stage 2 a feasible ``Feasibility`` or
+None; stage 3 always a ``Feasibility``.  ``feasibility`` runs a stage only
+when the one before it returned None.
 
-Some covers are refuted without running the stages.  Lemma: let A be a
-cover and x a member of A such that A minus x is a cover too and x's origin
-lies at least d+2 from the origin of every other member.  If A minus x is
-infeasible, so is A.  Proof: take targets for A and put x back at its
+Lone-member lemma.  Let every origin and every fixed centre be rational,
+and let R be the free region of one member x with origin o: the points
+within x's move budget (Euclidean: the closed disk of radius d around o;
+rectilinear: the two closed axis segments of half-length d through o) at
+distance at least 2 from every fixed centre.  A placement of the whole set
+puts x in R, so if R is empty the set is infeasible.  If R is not empty,
+its lowest point p (least y, then least x) is one of the points that
+``_candidates_for(o, fixed, d2, variant)`` lists, so when that list is not
+cut at ``CANDIDATE_CAP`` and no point of it fits, R is empty.  Proof,
+Euclidean: R is the closed move disk minus finitely many open disks, so it
+is compact and p lies on its boundary.  If p lies on two distinct circles
+among the move circle and the fixed circles, it is a move-fixed or a
+fixed-fixed intersection point (a tangency point included).  Otherwise
+every other constraint holds strictly at p, so near p, R is one circle's
+closed side.  On the move circle that side is the inside, and p must be
+the circle's bottom, an axis extreme.  On a fixed circle it is the
+outside: below the circle's bottom lie points of R, and from any other
+point of the circle, its top included, sliding along the circle toward
+the equator lowers y; so p is never there.  Rectilinear: on each segment
+the fixed disks remove open intervals, leaving a finite union of closed
+intervals whose lowest end is a segment end (an axis extreme) or a
+tangency end.  Each of these points that is not an axis extreme lies
+within d of o and at distance 2 from one or two fixed centres, which
+therefore lie within d+2 of o and seed it.  Stage 1 runs this test on each member alone
+before its search and reports the first member whose R is empty.
+
+Some covers are refuted without running the stages.  Far-member lemma:
+let A be a cover and x a member of A such that A minus x is a cover too
+and x's origin lies at least d+2 from the origin of every other member.
+If A minus x is infeasible, so is A.  Proof: take targets for A and put x back at its
 origin.  x at its origin clears every disk that A leaves fixed, since A
 minus x is a cover.  Every other member's target lies within d of its
 origin -- a rectilinear move is axis-parallel, so its Euclidean length is
 at most d as well -- and so at least 2 from x's origin.  The other
 constraints are those of A, so A minus x would be feasible.  ``solve``
 tests the distance exactly against (derived_d(d2) + 2)^2, an upper bound
-on (d+2)^2, and applies the lemma only to a subset that was refuted, by a
-grid or by the lemma itself, never to one left unknown.
+on (d+2)^2, and applies the lemma only to a subset that was refuted, by
+the lone-member lemma, a grid or this lemma itself, never to one left
+unknown.
 
 Yes answers always carry a witness that validates exactly; No answers are
-backed by a grid refutation, or by the lemma above from one, for every
-candidate set; anything else is reported Unknown rather than guessed.
+backed, for every candidate set, by the lone-member lemma, a grid
+refutation, or the far-member lemma from either; anything else is reported
+Unknown rather than guessed.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
 lattice fill, which must be expanded first.  Comparisons between exact
@@ -101,6 +132,7 @@ NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
 GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS nodes plus menu cells per
                               # pass, not the separation tests at a node
+NO_PLACE = "has no place clear of the fixed disks"  # stage 1 refutation
 
 
 @dataclass
@@ -135,6 +167,7 @@ class Feasibility:
     assignment: Optional[dict[int, Point]] = None
     delta: Optional[Fraction] = None  # grid used for an infeasibility proof
     reason: Optional[str] = None
+    member: Optional[int] = None      # movable that alone has no place
 
 
 def _expired(deadline: Optional[float]) -> bool:
@@ -232,7 +265,8 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
     candidate lies at distance 2 from its anchor, so one that fits, within d
     of the origin, puts that anchor within d+2 of it; a farther anchor seeds
     only candidates that fail the move check.  The four axis extremes of
-    the move budget are candidates in both variants.
+    the move budget are candidates in both variants.  The list is sorted,
+    free of repeats and not cut: callers apply ``CANDIDATE_CAP``.
     """
     if not origin.is_rational():
         return [origin]
@@ -251,8 +285,9 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
             if du > 0:
                 # tangency to u along the line towards the origin
                 dx, dy = origin.x - u.x, origin.y - u.y
-                out.append(Point(quadext(u.x, 2 * dx / du, du),
-                                 quadext(u.y, 2 * dy / du, du)))
+                s = 2 / frac(du)  # a Fraction even for int coordinates
+                out.append(Point(quadext(u.x, s * dx, du),
+                                 quadext(u.y, s * dy, du)))
                 out.extend(circle_circle_candidates_sq(u, FOUR, origin, d2))
             for v, _ in near[ai + 1:]:
                 if 0 < dist2(u, v) <= 16:
@@ -269,23 +304,41 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
                 out.append(Point(origin.x, quadext(u.y, -1, 4 - dx2)))
     # points hash by structure, and single-level values are equal exactly
     # when their structures are, so this drops only repeated points
-    return list(dict.fromkeys(sorted(out, key=point_key)))[:CANDIDATE_CAP]
+    return list(dict.fromkeys(sorted(out, key=point_key)))
 
 
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
                       d2: Fraction, variant: str,
                       deadline: Optional[float]) -> Optional[Feasibility]:
+    """A feasible placement built from structured candidates, a refutation
+    when some member alone has no place clear of the fixed disks (the
+    module docstring's lone-member lemma), or None."""
     placed: list[Point] = []
     rational_fixed = [f for f in fixed if f.is_rational()]
+    first: Optional[list[Point]] = None
+    if len(rational_fixed) == len(fixed) and \
+            all(p.is_rational() for p in movables):
+        for i, origin in enumerate(movables):
+            if _expired(deadline):
+                return None
+            cands = _candidates_for(origin, fixed, d2, variant)
+            if i == 0:
+                first = cands
+            if len(cands) <= CANDIDATE_CAP and not any(
+                    _fits(origin, p, fixed, (), d2, variant) for p in cands):
+                return Feasibility("infeasible", member=i, reason=NO_PLACE)
 
     def rec(idx: int) -> bool:
         if _expired(deadline):
             return False
         if idx == len(movables):
             return True
-        anchors = rational_fixed + [p for p in placed if p.is_rational()]
-        cands = _candidates_for(movables[idx], anchors, d2, variant)
-        for p in cands:
+        if idx == 0 and first is not None:
+            cands = first
+        else:
+            anchors = rational_fixed + [p for p in placed if p.is_rational()]
+            cands = _candidates_for(movables[idx], anchors, d2, variant)
+        for p in cands[:CANDIDATE_CAP]:
             if not _fits(movables[idx], p, fixed, placed, d2, variant):
                 continue
             placed.append(p)
@@ -627,11 +680,12 @@ def _implied_refutation(cand: list[int], refuted: set[frozenset[int]],
                         disks: Sequence[Point], far2: Fraction
                         ) -> Optional[list[int]]:
     """A refuted ``cand`` minus x whose x lies at least sqrt(far2) from every
-    other member, or None; by the module docstring's lemma it refutes
-    ``cand``.  Distances that are not rational never count as far."""
+    other member, or None; by the module docstring's far-member lemma it
+    refutes ``cand``.  Distances that are not rational never count as
+    far."""
     def far(i: int, j: int) -> bool:
         dd = dist2(disks[i], disks[j])
-        return isinstance(dd, Fraction) and dd >= far2
+        return isinstance(dd, (Fraction, int)) and dd >= far2
 
     for x in cand:
         rest = [i for i in cand if i != x]
@@ -644,9 +698,11 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     """Full decision pipeline over an explicit-disk instance.
 
     Candidate sets come from ``enumerate_candidate_sets``, smaller first.
-    A set that the module docstring's lemma refutes through a smaller
-    refuted set is logged as "refuted, implied by" that set and never
-    reaches ``feasibility``; every other set does.
+    A set that the module docstring's far-member lemma refutes through a
+    smaller refuted set is logged as "refuted, implied by" that set and
+    never reaches ``feasibility``; every other set does.  A set refuted by the
+    lone-member lemma is logged as "refuted, disk j has no place clear of
+    the fixed disks", j being the kernel index of that member.
     """
     cfg = cfg or SolverConfig()
     if inst.blocks:
@@ -693,7 +749,11 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
                           log=tuple(log + [f"moved set {cand}"]))
         if res.status == "infeasible":
             refuted.add(frozenset(cand))
-            log.append(f"set {cand}: refuted at delta {res.delta}")
+            if res.delta is not None:
+                log.append(f"set {cand}: refuted at delta {res.delta}")
+            else:
+                log.append(f"set {cand}: refuted, "
+                           f"disk {cand[res.member]} {res.reason}")
         else:
             unknowns += 1
             log.append(f"set {cand}: unknown ({res.reason})")

@@ -14,6 +14,7 @@ from diskdispersal.instance_io import (
     write_witness,
 )
 from diskdispersal.kernel import kernelize
+from diskdispersal.numerics import quadext
 from diskdispersal.oracle import GuardError, oracle
 from diskdispersal.solver import (
     SolverConfig,
@@ -72,9 +73,11 @@ class TestFeasibility:
         assert target.y * target.y == F(3)  # lands at (1, +-sqrt(3))
 
     def test_no_motion_possible(self):
+        # refuted by stage 1's lone-member test, not by a grid
         res = feasibility([P(0, 0)], [P(1, 0)], F(0), "euclidean")
         assert res.status == "infeasible"
-        assert res.delta is not None
+        assert res.member == 0 and res.reason == solver.NO_PLACE
+        assert res.delta is None
 
     def test_empty_movables(self):
         res = feasibility([P(0, 0), P(2, 0)], [], F(1), "euclidean")
@@ -121,6 +124,94 @@ class TestSearchStages:
         beyond = Point(anchor.x + F(1, 100), anchor.y)
         got = solver._candidates_for(P(0, 0), [beyond], d * d, "euclidean")
         assert len(got) == 5 and set(got) == base
+
+
+class TestLoneMember:
+    """Stage 1 refutes a set when one member alone has no place clear of
+    the fixed disks; see the solver module docstring's lone-member lemma."""
+
+    def test_thin_rectilinear_miss_is_no_without_a_grid(self, monkeypatch):
+        # the best move misses by 5/2 - sqrt(3) - 3/4 ~ 0.018, which grids
+        # coarser than 1/256 cannot refute
+        inst = Instance("rectilinear", 1, F(3), (
+            P(F(17, 4), F(5, 2)), P(F(7, 4), 4), P(F(17, 4), F(11, 4)),
+            P(F(3, 2), 2)))
+        passes = []
+        real = solver._grid_pass
+
+        def counting(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_grid_pass", counting)
+        ans = solve(inst)
+        assert ans.verdict == "no"
+        assert passes == []
+        assert all(o.startswith("refuted, disk ")
+                   for _, o in logged_sets(ans))
+
+    @pytest.mark.parametrize("fixed, origin, d2, variant, targets", [
+        # fits only at (0, 0), where the circles of (-2, 0) and (2, 0) touch
+        ([P(-2, 0), P(2, 0), P(0, 2), P(0, -2)], P(F(3, 10), F(1, 2)), F(1),
+         "euclidean", {P(0, 0)}),
+        # fits only at the tangency ends -3 + sqrt(3) and 1/2 - sqrt(3) on
+        # the horizontal segment
+        ([P(F(1, 2), 1), P(-3, 1), P(0, F(-29, 10))], P(0, 0), F(4),
+         "rectilinear", {Point(quadext(-3, 1, 3), F(0)),
+                         Point(quadext(F(1, 2), -1, 3), F(0))}),
+    ])
+    def test_guard_cases_are_found_feasible(self, fixed, origin, d2,
+                                            variant, targets):
+        res = solver._stage_candidates(fixed, [origin], d2, variant, None)
+        assert res is not None and res.status == "feasible"
+        assert res.assignment[0] in targets
+
+    def test_refutation_never_meets_a_grid_witness(self):
+        # every lone-member refutation of a random cover (1-3 movers, both
+        # variants) is checked against the delta 1/16 grid on the whole set;
+        # sets the grid leaves undecided are skipped
+        cfg = SolverConfig(delta=F(1, 16))
+        rng = random.Random(20261019)
+        sets = fired = refuted = 0
+        trial = 0
+        while sets < 500:
+            n = rng.randint(3, 8)
+            k = rng.randint(1, 3)
+            d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(3), F(4)])
+            variant = ("euclidean", "rectilinear")[trial % 2]
+            inst = gen_random(n, rng.randint(2, 5) + n // 2,
+                              rng.randrange(10 ** 6), k, d2, variant)
+            trial += 1
+            for cand in enumerate_candidate_sets(build_graph(inst.disks), k):
+                if not cand:
+                    continue
+                sets += 1
+                fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
+                movables = [inst.disks[i] for i in cand]
+                res = solver._stage_candidates(fixed, movables, d2, variant,
+                                               None)
+                if res is None or res.status != "infeasible":
+                    continue
+                fired += 1
+                grid = solver._stage_grid(fixed, movables, d2, variant, cfg,
+                                          None)
+                assert grid.status != "feasible", (trial, cand)
+                refuted += grid.status == "infeasible"
+        assert fired >= 100 and refuted >= fired - 20
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d2", [F(1), F(3), F(9, 4)])
+    @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
+    def test_int_and_fraction_coordinates_agree(self, k, d2, variant):
+        coords = ((0, 0), (1, 0), (2, 0), (2, 3), (-3, 1))
+        ints = Instance(variant, k, d2, tuple(Point(x, y) for x, y in coords))
+        fracs = Instance(variant, k, d2, tuple(P(x, y) for x, y in coords))
+        a, b = solve(ints), solve(fracs)
+        assert a.verdict == b.verdict != "unknown"
+        assert a.log == b.log
+        if a.verdict == "yes":
+            assert write_witness(a.witness) == write_witness(b.witness)
+            assert validate_witness(ints, a.witness).accepted
 
 
 class TestSolve:
@@ -399,20 +490,22 @@ class TestImpliedRefutation:
         assert sum(o.startswith("refuted, implied by") for _, o in logged) \
             == 12
 
-    def test_far_means_at_least_d_plus_two_exactly(self):
+    def test_far_means_at_least_d_plus_two_exactly(self, monkeypatch):
         # fig1 at d2 = 1/4 (d + 2 = 5/2) with a disk just inside and one
         # exactly at 5/2 from the middle disk; every cover is refuted
         inst = Instance("euclidean", 2, F(1, 4), (
             P(0, 0), P(1, 0), P(2, 0), P(1, F(249, 100)), P(1, F(-5, 2))))
-        ans = solve(inst)
+        ans, seen = solve_recording(monkeypatch, inst)
         assert ans.verdict == "no"
         logged = dict((str(s), o) for s, o in logged_sets(ans))
-        assert logged["[1]"].startswith("refuted at delta")
-        assert logged["[1, 3]"].startswith("refuted at delta")
+        # the middle disk has no place clear of the fixed ones
+        no_place = "refuted, disk 1 has no place clear of the fixed disks"
+        assert logged["[1]"] == logged["[1, 3]"] == no_place
+        assert {frozenset([1]), frozenset([1, 3])} <= set(seen)
         assert logged["[1, 4]"] == "refuted, implied by [1]"
+        assert frozenset([1, 4]) not in seen
 
     def test_irrational_distance_or_unknown_subset_implies_nothing(self):
-        from diskdispersal.numerics import quadext
         disks = [P(0, 0), P(10, 0), Point(quadext(10, 1, 2), F(0))]
         refuted = {frozenset([0])}
         implied = solver._implied_refutation
