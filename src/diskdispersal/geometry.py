@@ -19,7 +19,7 @@ from .numerics import (
     IndeterminateError,
     Ordering,
     Scalar,
-    approx_float,
+    ceil_sqrt,
     compare,
     format_scalar,
     frac,
@@ -27,7 +27,6 @@ from .numerics import (
     sign_eq,
     sign_le,
     sign_lt,
-    sqrt_lower_upper,
     to_interval,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "circle_circle_candidates",
     "circle_circle_candidates_sq",
     "translate",
-    "point_key",
 ]
 
 FOUR = Fraction(4)
@@ -108,7 +106,7 @@ def close_pairs(points: Sequence[Point], threshold,
     """
     threshold = frac(threshold)
     tn, td = threshold.numerator, threshold.denominator
-    width = sqrt_lower_upper(max(threshold, Fraction(1)), 1)[1].numerator
+    width = max(ceil_sqrt(threshold), 1)
     rats = [ratio(p) for p in points]
     cells = [_cells(p, width) if r is None
              else [(r[0] // (width * r[1]), r[2] // (width * r[3]))]
@@ -238,11 +236,8 @@ def circle_circle_candidates_sq(c1: Point, r1_sq, c2: Point, r2_sq) -> list[Poin
     if h2 == 0:
         return [Point(fx, fy)]
     c = h2 / dd
-    p1 = Point(quadext(fx, -dy, c), quadext(fy, dx, c))
-    p2 = Point(quadext(fx, dy, c), quadext(fy, -dx, c))
-    pts = [p1, p2]
-    pts.sort(key=point_key)
-    return pts
+    return [Point(quadext(fx, -dy, c), quadext(fy, dx, c)),
+            Point(quadext(fx, dy, c), quadext(fy, -dx, c))]
 
 
 def circle_circle_candidates(c1: Point, r1, c2: Point, r2) -> list[Point]:
@@ -255,8 +250,3 @@ def circle_circle_candidates(c1: Point, r1, c2: Point, r2) -> list[Point]:
 def translate(p: Point, vx, vy) -> Point:
     return Point(p.x + frac(vx), p.y + frac(vy))
 
-
-def point_key(p: Point) -> tuple:
-    """Deterministic sort key (float approximation plus repr tiebreak)."""
-    return (approx_float(p.x), approx_float(p.y),
-            format_scalar(p.x), format_scalar(p.y))

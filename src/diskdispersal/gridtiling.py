@@ -57,6 +57,10 @@ class GridTilingInstance:
     def __post_init__(self):
         if self.n < 1 or self.kappa < 1:
             raise GeneratorError("need n >= 1 and kappa >= 1")
+        for i, j in self.sets:
+            if not (1 <= i <= self.kappa and 1 <= j <= self.kappa):
+                raise GeneratorError(
+                    f"cell ({i}, {j}) outside 1..{self.kappa}")
         for i in range(1, self.kappa + 1):
             for j in range(1, self.kappa + 1):
                 cell = self.sets.get((i, j))

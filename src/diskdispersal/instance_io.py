@@ -22,6 +22,7 @@ from .numerics import (
     IndeterminateError,
     Ordering,
     Scalar,
+    ceil_sqrt,
     compare,
     format_scalar,
     parse_rational,
@@ -174,7 +175,7 @@ class LatticeBlock:
         """
         D, X0, Y0, S = self._scaled
         tn, td = threshold.numerator, threshold.denominator
-        reach = _reach(threshold)
+        reach = ceil_sqrt(threshold)
         h0, h1, g0, g1 = 1, 0, 1, 0  # the hole box tried first; none yet
         for k, p in enumerate(points):
             r = ratio(p)
@@ -211,13 +212,6 @@ class LatticeBlock:
                             return k, Point(self.x0 + i * self.step,
                                             self.y0 + j * self.step)
         return None
-
-
-def _reach(threshold: Fraction) -> int:
-    """The least integer r >= 0 with r*r >= threshold."""
-    tn, td = threshold.numerator, threshold.denominator
-    r = math.isqrt(max(0, -(-tn // td)))
-    return r if r * r * td >= tn else r + 1
 
 
 def _index_range(ln: int, ld: int, hn: int, hd: int, origin: int, step: int,
@@ -494,7 +488,7 @@ def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction) -> bool:
     if ra.min_dist2_to(rb) >= sep:
         return False
     # blocks approach each other: query b with the points of a near it
-    near = a._points(a._window(rb.x0, rb.x1, rb.y0, rb.y1, _reach(sep)))
+    near = a._points(a._window(rb.x0, rb.x1, rb.y0, rb.y1, ceil_sqrt(sep)))
     return b.first_close(near, sep) is not None
 
 

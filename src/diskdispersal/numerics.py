@@ -38,6 +38,7 @@ __all__ = [
     "quadext",
     "compare",
     "sqrt_lower_upper",
+    "ceil_sqrt",
     "to_interval",
     "sign_le",
     "sign_lt",
@@ -414,8 +415,15 @@ def sqrt_lower_upper(x, denom_bound: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def ceil_sqrt(t: Fraction) -> int:
+    """The least integer r >= 0 with r*r >= t."""
+    tn, td = t.numerator, t.denominator
+    r = math.isqrt(max(0, -(-tn // td)))
+    return r if r * r * td >= tn else r + 1
+
+
 # ---------------------------------------------------------------------------
-# float approximation (for deterministic ordering keys and display only)
+# float approximation (for display and numeric heuristics only)
 
 def approx_float(x: Scalar) -> float:
     if isinstance(x, (Fraction, int)):

@@ -33,24 +33,24 @@ rectilinear: the two closed axis segments of half-length d through o) at
 distance at least 2 from every fixed centre.  A placement of the whole set
 puts x in R, so if R is empty the set is infeasible.  If R is not empty,
 its lowest point p (least y, then least x) is one of the points that
-``_candidates_for(o, fixed, d2, variant)`` lists, so when that list is not
-cut at ``CANDIDATE_CAP`` and no point of it fits, R is empty.  Proof,
-Euclidean: R is the closed move disk minus finitely many open disks, so it
-is compact and p lies on its boundary.  If p lies on two distinct circles
-among the move circle and the fixed circles, it is a move-fixed or a
-fixed-fixed intersection point (a tangency point included).  Otherwise
-every other constraint holds strictly at p, so near p, R is one circle's
-closed side.  On the move circle that side is the inside, and p must be
-the circle's bottom, an axis extreme.  On a fixed circle it is the
-outside: below the circle's bottom lie points of R, and from any other
-point of the circle, its top included, sliding along the circle toward
-the equator lowers y; so p is never there.  Rectilinear: on each segment
-the fixed disks remove open intervals, leaving a finite union of closed
-intervals whose lowest end is a segment end (an axis extreme) or a
-tangency end.  Each of these points that is not an axis extreme lies
+``_candidates_for(o, fixed, d2, variant)`` lists, so when no point of that
+list fits, R is empty.  Proof, Euclidean: R is the closed move disk minus
+finitely many open disks, so it is compact and p lies on its boundary.  If
+p lies on two distinct circles among the move circle and the fixed circles,
+it is a move-fixed or a fixed-fixed intersection point (a tangency point
+included).  Otherwise every other constraint holds strictly at p, so near
+p, R is one circle's closed side.  On the move circle that side is the
+inside, and p must be the circle's bottom, an axis extreme.  On a fixed
+circle it is the outside: below the circle's bottom lie points of R, and
+from any other point of the circle, its top included, sliding along the
+circle toward the equator lowers y; so p is never there.  Rectilinear: on
+each segment the fixed disks remove open intervals, leaving a finite union
+of closed intervals whose lowest end is a segment end (an axis extreme) or
+a tangency end.  Each of these points that is not an axis extreme lies
 within d of o and at distance 2 from one or two fixed centres, which
-therefore lie within d+2 of o and seed it.  Stage 1 runs this test on each member alone
-before its search and reports the first member whose R is empty.
+therefore lie within d+2 of o and seed it.  Stage 1 runs this test on each
+member alone before its search and reports the first member whose R is
+empty.
 
 Some covers are refuted without running the stages.  Far-member lemma:
 let A be a cover and x a member of A such that A minus x is a cover too
@@ -82,11 +82,12 @@ and that answer is unknown.
 enumeration, to every stage and to every DFS node of every grid pass, so an
 expired budget ends the solve within one step of any of them and reports
 unknown ("time budget").  The fixed search limits are module constants:
-``CANDIDATE_CAP`` (stage 1 targets per movable), ``NUMERIC_ITERS``
-(stage 2 descent steps), ``DELTA_START`` (stage 3's first, coarsest
-grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).  That budget counts
-DFS nodes and menu cells, not the separation tests made at each node, so
-only ``time_budget`` bounds the wall time of a pass.
+``NUMERIC_ITERS`` (stage 2 descent steps), ``DELTA_START`` (stage 3's
+first, coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
+That budget counts DFS nodes and menu cells, not the separation tests made
+at each node, so only ``time_budget`` bounds the wall time of a pass.
+Stage 1 has no limit of its own: it walks every candidate it lists, in
+the order it builds them.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ from .geometry import (
     Point,
     circle_circle_candidates_sq,
     dist2,
-    point_key,
     within_move,
 )
 from .instance_io import Instance, Witness
@@ -127,7 +127,6 @@ __all__ = [
     "feasibility",
 ]
 
-CANDIDATE_CAP = 600          # stage 1: candidate targets kept per movable
 NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
 GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS nodes plus menu cells per
@@ -264,9 +263,10 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
     ones within d+2 of the origin seed tangency circles.  Every tangency
     candidate lies at distance 2 from its anchor, so one that fits, within d
     of the origin, puts that anchor within d+2 of it; a farther anchor seeds
-    only candidates that fail the move check.  The four axis extremes of
-    the move budget are candidates in both variants.  The list is sorted,
-    free of repeats and not cut: callers apply ``CANDIDATE_CAP``.
+    only candidates that fail the move check.  The list is in build order
+    with repeats dropped: the origin, the four axis extremes of the move
+    budget ((x+d, y), (x-d, y), (x, y+d), (x, y-d), in both variants), then
+    each anchor's tangency points, in anchor order.
     """
     if not origin.is_rational():
         return [origin]
@@ -304,7 +304,7 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
                 out.append(Point(origin.x, quadext(u.y, -1, 4 - dx2)))
     # points hash by structure, and single-level values are equal exactly
     # when their structures are, so this drops only repeated points
-    return list(dict.fromkeys(sorted(out, key=point_key)))
+    return list(dict.fromkeys(out))
 
 
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
@@ -324,8 +324,8 @@ def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
             cands = _candidates_for(origin, fixed, d2, variant)
             if i == 0:
                 first = cands
-            if len(cands) <= CANDIDATE_CAP and not any(
-                    _fits(origin, p, fixed, (), d2, variant) for p in cands):
+            if not any(_fits(origin, p, fixed, (), d2, variant)
+                       for p in cands):
                 return Feasibility("infeasible", member=i, reason=NO_PLACE)
 
     def rec(idx: int) -> bool:
@@ -338,7 +338,7 @@ def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
         else:
             anchors = rational_fixed + [p for p in placed if p.is_rational()]
             cands = _candidates_for(movables[idx], anchors, d2, variant)
-        for p in cands[:CANDIDATE_CAP]:
+        for p in cands:
             if not _fits(movables[idx], p, fixed, placed, d2, variant):
                 continue
             placed.append(p)

@@ -228,6 +228,17 @@ class TestGridTiling:
         text = write_gridtiling(FIG7)
         assert parse_gridtiling(text) == FIG7
 
+    @pytest.mark.parametrize("cell", [(7, 7), (0, 1), (1, 2), (2, 0)])
+    def test_cell_outside_kappa_rejected(self, cell):
+        # the writer emits only cells 1..kappa, so a kept stray cell would
+        # change the instance on a text round trip
+        sets = {(1, 1): frozenset({(1, 2), (2, 1)}), cell: frozenset({(1, 1)})}
+        with pytest.raises(GeneratorError, match="outside"):
+            GridTilingInstance(2, 1, sets)
+        i, j = cell
+        with pytest.raises(GeneratorError, match="outside"):
+            parse_gridtiling(f"2 1\n1 1: 1,2 2,1\n{i} {j}: 1,1\n")
+
     def test_odd_kappa_witness_builds(self):
         # kappa=3 exercises the opposite emptying-row parity branch; the
         # builder itself asserts axis-parallelism, move lengths and the

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from ast import literal_eval
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,63 @@ class TestLoneMember:
         if a.verdict == "yes":
             assert write_witness(a.witness) == write_witness(b.witness)
             assert validate_witness(ints, a.witness).accepted
+
+
+class TestCandidateList:
+    """Stage 1 lists a member's candidates in build order and walks them
+    all, however long the list."""
+
+    # a member at (1/2, 1/3) inside a square lattice of touching disks, with
+    # d = 9: no point within d of it is clear of the lattice
+    ORIGIN = P(F(1, 2), F(1, 3))
+    D2 = F(81)
+
+    def lattice(self):
+        fixed = [P(2 * i, 2 * j) for i in range(-6, 7) for j in range(-6, 7)]
+        return sorted(fixed, key=lambda p: dist2(p, self.ORIGIN))
+
+    def test_lone_member_lemma_holds_on_a_long_list(self):
+        fixed = self.lattice()
+        cands = solver._candidates_for(self.ORIGIN, fixed, self.D2,
+                                       "euclidean")
+        assert len(cands) == 654
+        res = solver._stage_candidates(fixed, [self.ORIGIN], self.D2,
+                                       "euclidean", None)
+        assert res is not None and res.status == "infeasible"
+        assert (res.member, res.reason) == (0, solver.NO_PLACE)
+
+    @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
+    def test_build_order_origin_then_axis_extremes(self, variant):
+        o = self.ORIGIN
+        cands = solver._candidates_for(o, self.lattice(), self.D2, variant)
+        assert cands[:5] == [o, P(o.x + 9, o.y), P(o.x - 9, o.y),
+                             P(o.x, o.y + 9), P(o.x, o.y - 9)]
+        assert len(set(cands)) == len(cands)
+
+
+# solves the first 30 random-small benchmark instances and prints one line
+# each: the verdict and the witness text
+HASH_SCRIPT = """
+import json, sys
+from diskdispersal import parse_instance, solve, write_witness
+for rec in json.load(open(sys.argv[1]))["pool"][:30]:
+    ans = solve(parse_instance(rec["instance"]))
+    print(ans.verdict, repr(ans.witness and write_witness(ans.witness)))
+"""
+
+
+def test_witness_texts_do_not_depend_on_hashing():
+    # candidate order rests on anchor order and insertion order only
+    root = Path(__file__).resolve().parent.parent
+    pool = root / "perfbench" / "data" / "random_small_pool.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    outs = [subprocess.run(
+        [sys.executable, "-c", HASH_SCRIPT, str(pool)], capture_output=True,
+        text=True, check=True, env=dict(env, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 30 and "sqrt" in outs[0]
 
 
 class TestSolve:
