@@ -39,6 +39,9 @@ __all__ = [
     "compare",
     "sqrt_lower_upper",
     "ceil_sqrt",
+    "split_sqrt",
+    "sign_sqrt",
+    "sign_sqrt2",
     "to_interval",
     "sign_le",
     "sign_lt",
@@ -230,12 +233,22 @@ def quadext(p, q, c) -> Scalar:
         raise DomainError("negative radicand")
     if q == 0 or c == 0:
         return p
-    # sqrt(n/d) = sqrt(n*d)/d
-    s, f = _extract_square(c.numerator * c.denominator)
-    q2 = q * Fraction(s, c.denominator)
+    s, f, e = split_sqrt(c.numerator, c.denominator)
+    q2 = q * Fraction(s, e)
     if f == 1:
         return p + q2
     return QuadExt(p, q2, Fraction(f))
+
+
+def split_sqrt(n: int, d: int) -> tuple[int, int, int]:
+    """(s, f, e) with sqrt(n/d) = s*sqrt(f)/e, for integers n >= 0 and
+    d > 0: n/d is m/e in lowest terms, s*s*f = m*e, and f is the radicand
+    :func:`quadext` stores for n/d (0 when n is 0, 1 when n/d is the square
+    of a rational)."""
+    g = math.gcd(n, d)
+    n, e = n // g, d // g
+    s, f = _extract_square(n * e)
+    return s, f, e
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +433,38 @@ def ceil_sqrt(t: Fraction) -> int:
     tn, td = t.numerator, t.denominator
     r = math.isqrt(max(0, -(-tn // td)))
     return r if r * r * td >= tn else r + 1
+
+
+# ---------------------------------------------------------------------------
+# signs of integer radical expressions
+
+def sign_sqrt(a: int, b: int, c: int) -> int:
+    """The sign of a + b*sqrt(c), for integers a and b and c >= 0: that of b
+    when a is zero or has b's sign, else the sign of a times that of
+    a^2 - b^2*c."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0) if c else 0
+    if sa == 0 or sa == sb:
+        return sb
+    if sb == 0:
+        return sa
+    t = a * a - b * b * c
+    return sa * ((t > 0) - (t < 0))
+
+
+def sign_sqrt2(a: int, b: int, g: int, h: int, c1: int, c2: int) -> int:
+    """The sign of (a + b*sqrt(c1)) + sqrt(c2)*(g + h*sqrt(c1)), for integers
+    and c1, c2 >= 0: :func:`sign_sqrt` over the field of sqrt(c1), whose
+    square difference (a + b*sqrt(c1))^2 - c2*(g + h*sqrt(c1))^2 is again of
+    the form A + B*sqrt(c1)."""
+    sp = sign_sqrt(a, b, c1)
+    sq = sign_sqrt(g, h, c1) if c2 else 0
+    if sp == 0 or sp == sq:
+        return sq
+    if sq == 0:
+        return sp
+    return sp * sign_sqrt(a * a + b * b * c1 - c2 * (g * g + h * h * c1),
+                          2 * (a * b - c2 * g * h), c1)
 
 
 # ---------------------------------------------------------------------------

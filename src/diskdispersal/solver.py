@@ -11,7 +11,15 @@ three stages:
    within d+2 of a movable's origin seed tangencies: a target within d of
    the origin at distance 2 from an anchor puts that anchor within d+2.
    Before its search, stage 1 refutes the set when one member alone has
-   no place clear of the fixed disks (the lone-member lemma below);
+   no place clear of the fixed disks (the lone-member lemma below).  When
+   every centre is rational, both run on integers (``_Frame``): the
+   origins and the near fixed centres, those within derived_d(d2) + 2 of
+   some origin, are multiplied by one scale M with d2*M^2 an integer;
+   every candidate is a tuple of integers over one radicand, every test
+   the sign of an integer radical expression, and a member is tested
+   against its near fixed centres only, since a target within d of its
+   origin is at least 2 from every farther centre.  Otherwise the search
+   walks ``Point`` candidates and the lemma is not used;
 2. one numeric penalty descent from the origins (per axis choice in the
    rectilinear variant) whose solution is snapped to dyadic rationals and
    re-verified exactly;
@@ -77,13 +85,14 @@ coordinates are decided exactly; only ``~`` input can leave one undecided,
 and that answer is unknown.
 
 ``SolverConfig`` has two fields: ``delta`` (stage 3's finest grid) and
-``time_budget``, which bounds the whole solve: ``solve`` turns it into one
-``time.monotonic()`` deadline before kernelization and hands it to the
-enumeration, to every stage and to every DFS node of every grid pass, so an
-expired budget ends the solve within one step of any of them and reports
-unknown ("time budget").  The fixed search limits are module constants:
-``NUMERIC_ITERS`` (stage 2 descent steps), ``DELTA_START`` (stage 3's
-first, coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
+``time_budget`` (None, or seconds at least 0), which bounds the whole
+solve: ``solve`` turns it into one ``time.monotonic()`` deadline before
+kernelization and hands it to the enumeration, to every stage and to every
+DFS node of every grid pass, so an expired budget ends the solve within
+one step of any of them and reports unknown ("time budget").  The fixed
+search limits are module constants: ``NUMERIC_ITERS`` (stage 2 descent
+steps), ``DELTA_START`` (stage 3's first, coarsest grid) and
+``GRID_NODE_BUDGET`` (stage 3 work per pass).
 That budget counts DFS nodes and menu cells, not the separation tests made
 at each node, so only ``time_budget`` bounds the wall time of a pass.
 Stage 1 has no limit of its own: it walks every candidate it lists, in
@@ -102,8 +111,9 @@ from typing import Iterator, Optional, Sequence
 from .geometry import (
     FOUR,
     Point,
-    circle_circle_candidates_sq,
     dist2,
+    ratio,
+    ratio_below,
     within_move,
 )
 from .instance_io import Instance, Witness
@@ -115,6 +125,9 @@ from .numerics import (
     compare,
     frac,
     quadext,
+    sign_sqrt,
+    sign_sqrt2,
+    split_sqrt,
 )
 from .udg import IntersectionGraph, build_graph
 
@@ -143,6 +156,9 @@ class SolverConfig:
         self.delta = frac(self.delta)
         if self.delta <= 0:
             raise ValueError("grid resolution must be positive")
+        # a nan deadline never passes, so nan is refused with the negatives
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time budget must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -266,80 +282,244 @@ def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
     only candidates that fail the move check.  The list is in build order
     with repeats dropped: the origin, the four axis extremes of the move
     budget ((x+d, y), (x-d, y), (x, y+d), (x, y-d), in both variants), then
-    each anchor's tangency points, in anchor order.
+    each anchor's tangency points, in anchor order.  It is the ``Point``
+    view of :meth:`_Frame.candidates`.
     """
     if not origin.is_rational():
         return [origin]
-    out: list[Point] = [
-        origin,
-        Point(quadext(origin.x, 1, d2), origin.y),
-        Point(quadext(origin.x, -1, d2), origin.y),
-        Point(origin.x, quadext(origin.y, 1, d2)),
-        Point(origin.x, quadext(origin.y, -1, d2)),
-    ]
-    reach2 = (derived_d(d2) + 2) ** 2
-    near = [(a, dd) for a in anchors
-            if (dd := dist2(a, origin)) <= reach2]
-    if variant == "euclidean":
-        for ai, (u, du) in enumerate(near):
-            if du > 0:
-                # tangency to u along the line towards the origin
-                dx, dy = origin.x - u.x, origin.y - u.y
-                s = 2 / frac(du)  # a Fraction even for int coordinates
-                out.append(Point(quadext(u.x, s * dx, du),
-                                 quadext(u.y, s * dy, du)))
-                out.extend(circle_circle_candidates_sq(u, FOUR, origin, d2))
-            for v, _ in near[ai + 1:]:
-                if 0 < dist2(u, v) <= 16:
-                    out.extend(circle_circle_candidates_sq(u, FOUR, v, FOUR))
-    else:  # rectilinear: axis-aligned tangencies
-        for u, _ in near:
-            dy2 = (origin.y - u.y) ** 2
-            if dy2 <= 4:
-                out.append(Point(quadext(u.x, 1, 4 - dy2), origin.y))
-                out.append(Point(quadext(u.x, -1, 4 - dy2), origin.y))
-            dx2 = (origin.x - u.x) ** 2
-            if dx2 <= 4:
-                out.append(Point(origin.x, quadext(u.y, 1, 4 - dx2)))
-                out.append(Point(origin.x, quadext(u.y, -1, 4 - dx2)))
-    # points hash by structure, and single-level values are equal exactly
-    # when their structures are, so this drops only repeated points
-    return list(dict.fromkeys(out))
+    frame = _Frame(anchors, [origin], frac(d2), variant)
+    return [frame.point(t) for t in frame.candidates(0, ())]
 
 
-def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
-                      d2: Fraction, variant: str,
-                      deadline: Optional[float]) -> Optional[Feasibility]:
-    """A feasible placement built from structured candidates, a refutation
-    when some member alone has no place clear of the fixed disks (the
-    module docstring's lone-member lemma), or None."""
-    placed: list[Point] = []
-    rational_fixed = [f for f in fixed if f.is_rational()]
-    first: Optional[list[Point]] = None
-    if len(rational_fixed) == len(fixed) and \
-            all(p.is_rational() for p in movables):
-        for i, origin in enumerate(movables):
-            if _expired(deadline):
-                return None
-            cands = _candidates_for(origin, fixed, d2, variant)
-            if i == 0:
-                first = cands
-            if not any(_fits(origin, p, fixed, (), d2, variant)
-                       for p in cands):
-                return Feasibility("infeasible", member=i, reason=NO_PLACE)
+def _pt(X: int, Y: int, U: int, V: int, E: int, f: int) -> tuple:
+    """The candidate ((X + U*sqrt(f))/E, (Y + V*sqrt(f))/E) in lowest terms;
+    an f of 0 or 1 folds the radical in, and a rational candidate has
+    radicand 0."""
+    if f <= 1:
+        X, Y, U, V = X + U * f, Y + V * f, 0, 0
+    g = math.gcd(X, Y, U, V, E)
+    return X // g, Y // g, U // g, V // g, E // g, f if U or V else 0
+
+
+def _apart(t: tuple, p: tuple, four: int) -> bool:
+    """Exact: candidates t and p are at least 2 apart, ``four`` being 4*M^2.
+
+    E1*E2 times their difference is a + u1*sqrt(c1) + u2*sqrt(c2) in x and
+    the same with b, v1, v2 in y; its square, less four*(E1*E2)^2, is
+    A + B*sqrt(c1) + sqrt(c2)*(G + H*sqrt(c1)), one radical when the
+    radicands agree or one side is rational."""
+    X1, Y1, U1, V1, E1, c1 = t
+    X2, Y2, U2, V2, E2, c2 = p
+    a, b = X1 * E2 - X2 * E1, Y1 * E2 - Y2 * E1
+    u1, v1, u2, v2 = U1 * E2, V1 * E2, -U2 * E1, -V2 * E1
+    lim = four * (E1 * E2) ** 2
+    if c1 == c2 or not c1 or not c2:
+        u, v, c = u1 + u2, v1 + v2, c1 or c2
+        return sign_sqrt(a * a + b * b + (u * u + v * v) * c - lim,
+                         2 * (a * u + b * v), c) >= 0
+    return sign_sqrt2(
+        a * a + b * b + (u1 * u1 + v1 * v1) * c1 + (u2 * u2 + v2 * v2) * c2
+        - lim, 2 * (a * u1 + b * v1), 2 * (a * u2 + b * v2),
+        2 * (u1 * u2 + v1 * v2), c1, c2) >= 0
+
+
+class _Frame:
+    """Stage 1 of one moved set on integers.
+
+    Coordinates are multiplied by one scale M: the least common multiple of
+    the denominators of d2, of the origins and of the near fixed centres,
+    those within derived_d(d2) + 2 of some origin.  These centres become
+    integer points and d2*M^2 an integer D2.  A candidate is a tuple
+    (X, Y, U, V, E, c), built by :func:`_pt`, for the scaled point
+    ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand ``quadext``
+    stores, so two candidates are equal exactly when their ``Point`` views
+    are.  An anchor is a rational scaled point (X, Y, E).  Moves and
+    separations are signs of integer radical expressions (:func:`sign_sqrt`
+    and :func:`sign_sqrt2`), and a member is tested against its near fixed
+    centres only: a target within d of its origin is at least 2 from every
+    farther centre.
+    """
+
+    def __init__(self, fixed: Sequence[Point], origins: Sequence[Point],
+                 d2: Fraction, variant: str):
+        reach2 = (derived_d(d2) + 2) ** 2
+        self.reach = reach2.numerator, reach2.denominator
+        self.variant = variant
+        frats = [ratio(f) for f in fixed]
+        self.orats = [ratio(o) for o in origins]
+        near = [[j for j, r in enumerate(frats)
+                 if ratio_below(o, r, *self.reach, True)]
+                for o in self.orats]
+        M = self.M = math.lcm(d2.denominator, *(
+            r[k] for r in self.orats + [frats[j] for js in near for j in js]
+            for k in (1, 3)))
+        self.four = 4 * M * M
+        self.D2 = d2.numerator * M * M // d2.denominator
+        s, f, e = split_sqrt(d2.numerator, d2.denominator)
+        self.axis = s * M // e, f
+        self.origins = [(xn * (M // xd), yn * (M // yd))
+                        for xn, xd, yn, yd in self.orats]
+        self.fixed = [[(frats[j][0] * (M // frats[j][1]),
+                        frats[j][2] * (M // frats[j][3])) for j in js]
+                      for js in near]
+        self.near = near
+        self.memo: dict[tuple, list] = {}
+        self.lone: list[Optional[list[tuple]]] = [None] * len(origins)
+        self.clear: list[dict[tuple, bool]] = [{} for _ in origins]
+
+    def point(self, t: tuple) -> Point:
+        X, Y, U, V, E, c = t
+        m = E * self.M
+        return Point(quadext(Fraction(X, m), Fraction(U, m), c),
+                     quadext(Fraction(Y, m), Fraction(V, m), c))
+
+    def candidates(self, i: int, placed: Sequence[tuple]) -> list[tuple]:
+        """Member i's candidates in build order, repeats dropped: the
+        origin, the four axis extremes, then the points of each anchor, the
+        near fixed centres in order and then the rational placed points
+        within derived_d(d2) + 2 of the origin.  A Euclidean anchor gives
+        its tangency toward the origin and its points on the move circle,
+        then its points on the circles of the later anchors that lie within
+        4 of it; a rectilinear one gives the ends of its clearance on the
+        two axis segments."""
+        M = self.M
+        extra = [(X, Y, E) for X, Y, U, V, E, _ in placed if not (U or V)
+                 and ratio_below((X, E * M, Y, E * M), self.orats[i],
+                                 *self.reach, True)]
+        if not extra and self.lone[i] is not None:
+            return self.lone[i]
+        ox, oy = O = self.origins[i]
+        R, f = self.axis
+        out = [_pt(ox, oy, 0, 0, 1, 0), _pt(ox, oy, R, 0, 1, f),
+               _pt(ox, oy, -R, 0, 1, f), _pt(ox, oy, 0, R, 1, f),
+               _pt(ox, oy, 0, -R, 1, f)]
+        # fixed anchors carry their index, which keys their cached points
+        keys = self.near[i] + [None] * len(extra)
+        anchors = [(x, y, 1) for x, y in self.fixed[i]] + extra
+        for n, (j, a) in enumerate(zip(keys, anchors)):
+            out += (self._own(O, a) if j is None else
+                    self._memo(("own", i, j), lambda: self._own(O, a)))
+            if self.variant != "euclidean":
+                continue
+            for k, b in zip(keys[n + 1:], anchors[n + 1:]):
+                out += (self._meet(a, b) if k is None else
+                        self._memo(("meet", j, k), lambda: self._meet(a, b)))
+        cands = list(dict.fromkeys(out))
+        if not extra:
+            self.lone[i] = cands
+        return cands
+
+    def _memo(self, key: tuple, build):
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = build()
+        return got
+
+    def _own(self, O: tuple[int, int], a: tuple[int, int, int]) -> list:
+        """Anchor a's points that do not depend on other anchors."""
+        ox, oy = O
+        ax, ay, e = a
+        wx, wy = e * ox - ax, e * oy - ay
+        if self.variant == "euclidean":
+            w2 = wx * wx + wy * wy
+            if not w2:
+                return []
+            # 2 from a toward O: a + 2*w/|w|, with |w|^2 = w2/(e*M)^2
+            s, f, q = split_sqrt(w2, e * e * self.M * self.M)
+            return [_pt(ax * s * f, ay * s * f, 2 * q * wx, 2 * q * wy,
+                        e * s * f, f),
+                    *self._meet(a, (ox, oy, 1), self.D2)]
+        out = []
+        lim = e * e * self.four
+        # the ends, at distance 2 from a, of the horizontal and the vertical
+        # segment through O
+        for w, horizontal in ((wy, True), (wx, False)):
+            if w * w <= lim:
+                s, f, q = split_sqrt(lim - w * w, e * e * self.M * self.M)
+                r = self.M * s * e
+                for sign in (1, -1):
+                    out.append(_pt(ax * q, oy * e * q, sign * r, 0, e * q, f)
+                               if horizontal else
+                               _pt(ox * e * q, ay * q, 0, sign * r, e * q, f))
+        return out
+
+    def _meet(self, a: tuple[int, int, int], b: tuple[int, int, int],
+              rb: Optional[int] = None) -> tuple:
+        """The points 2 from anchor a and sqrt(rb)/M from anchor b, as
+        ``geometry.circle_circle_candidates_sq`` orders them.  Without rb,
+        b is another anchor, and there are none unless 0 < |ab| <= 4."""
+        (ax, ay, ea), (bx, by, eb) = a, b
+        e = math.lcm(ea, eb)
+        ax, ay, bx, by = (ax * (e // ea), ay * (e // ea),
+                          bx * (e // eb), by * (e // eb))
+        dx, dy = bx - ax, by - ay
+        dd = dx * dx + dy * dy
+        ee = e * e
+        ra = self.four * ee
+        if rb is None:
+            if not 0 < dd <= 4 * ra:
+                return ()
+            rb = ra
+        else:
+            rb *= ee
+        # in units of 1/(e*M): the foot (2*dd*a + n*(b - a))/(2*dd) of the
+        # radical line, offset by -+(dy, -dx)*sqrt(k/(4*dd^2))
+        n = ra - rb + dd
+        k = 4 * dd * ra - n * n
+        if k < 0:
+            return ()
+        s, f, q = split_sqrt(k, 4 * dd * dd)
+        fx, fy = (2 * dd * ax + n * dx) * q, (2 * dd * ay + n * dy) * q
+        u, v, E = 2 * dd * s * dy, 2 * dd * s * dx, 2 * dd * q * e
+        return _pt(fx, fy, -u, v, E, f), _pt(fx, fy, u, -v, E, f)
+
+    def fits(self, i: int, t: tuple, placed: Sequence[tuple]) -> bool:
+        """Exact: candidate t is within member i's move budget and clear of
+        its near fixed centres and of every placed candidate."""
+        ok = self.clear[i].get(t)
+        if ok is None:
+            ok = self.clear[i][t] = self._moves(i, t) and self._clear(i, t)
+        return ok and all(_apart(t, p, self.four) for p in placed)
+
+    def _moves(self, i: int, t: tuple) -> bool:
+        X, Y, U, V, E, c = t
+        ox, oy = self.origins[i]
+        a, b = X - E * ox, Y - E * oy
+        D = self.D2 * E * E
+        if self.variant == "euclidean":
+            return sign_sqrt(D - a * a - b * b - (U * U + V * V) * c,
+                             -2 * (a * U + b * V), c) >= 0
+        if not (a or U):
+            return sign_sqrt(D - b * b - V * V * c, -2 * b * V, c) >= 0
+        if not (b or V):
+            return sign_sqrt(D - a * a - U * U * c, -2 * a * U, c) >= 0
+        return False
+
+    def _clear(self, i: int, t: tuple) -> bool:
+        X, Y, U, V, E, c = t
+        q = (U * U + V * V) * c - self.four * E * E
+        for fx, fy in self.fixed[i]:
+            a, b = X - E * fx, Y - E * fy
+            if sign_sqrt(a * a + b * b + q, 2 * (a * U + b * V), c) < 0:
+                return False
+        return True
+
+
+def _walk(n: int, candidates, fits, deadline: Optional[float]
+          ) -> Optional[list]:
+    """The first placement of members 0..n-1, depth first: member i tries
+    ``candidates(i, placed)`` in order and keeps a candidate p when
+    ``fits(i, p, placed)``.  None when there is none or the deadline
+    passes."""
+    placed: list = []
 
     def rec(idx: int) -> bool:
         if _expired(deadline):
             return False
-        if idx == len(movables):
+        if idx == n:
             return True
-        if idx == 0 and first is not None:
-            cands = first
-        else:
-            anchors = rational_fixed + [p for p in placed if p.is_rational()]
-            cands = _candidates_for(movables[idx], anchors, d2, variant)
-        for p in cands:
-            if not _fits(movables[idx], p, fixed, placed, d2, variant):
+        for p in candidates(idx, placed):
+            if not fits(idx, p, placed):
                 continue
             placed.append(p)
             if rec(idx + 1):
@@ -347,9 +527,43 @@ def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
             placed.pop()
         return False
 
-    if rec(0):
-        return Feasibility("feasible", dict(enumerate(placed)))
-    return None
+    return placed if rec(0) else None
+
+
+def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
+                      d2: Fraction, variant: str,
+                      deadline: Optional[float]) -> Optional[Feasibility]:
+    """A feasible placement built from structured candidates, a refutation
+    when some member alone has no place clear of the fixed disks (the
+    module docstring's lone-member lemma), or None.
+
+    With every centre rational both run on a :class:`_Frame`.  Otherwise
+    the lemma does not apply, and the search walks ``Point`` candidates
+    anchored at the rational centres."""
+    if all(p.is_rational() for p in itertools.chain(fixed, movables)):
+        frame = _Frame(fixed, movables, d2, variant)
+        for i in range(len(movables)):
+            if _expired(deadline):
+                return None
+            if not any(frame.fits(i, t, ()) for t in frame.candidates(i, ())):
+                return Feasibility("infeasible", member=i, reason=NO_PLACE)
+        found = _walk(len(movables), frame.candidates, frame.fits, deadline)
+        if found is None:
+            return None
+        return Feasibility("feasible",
+                           {i: frame.point(t) for i, t in enumerate(found)})
+    rational_fixed = [f for f in fixed if f.is_rational()]
+    found = _walk(
+        len(movables),
+        lambda i, placed: _candidates_for(
+            movables[i], rational_fixed + [p for p in placed
+                                           if p.is_rational()], d2, variant),
+        lambda i, p, placed: _fits(movables[i], p, fixed, placed, d2,
+                                   variant),
+        deadline)
+    if found is None:
+        return None
+    return Feasibility("feasible", dict(enumerate(found)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -14,6 +16,9 @@ from diskdispersal.numerics import (
     format_scalar,
     parse_scalar,
     quadext,
+    sign_sqrt,
+    sign_sqrt2,
+    split_sqrt,
     sqrt_lower_upper,
     to_interval,
 )
@@ -91,6 +96,68 @@ class TestCompare:
             return
         assert compare(v, p) is not Ordering.EQUAL
         assert compare(v, p + F(17, 12)) is not Ordering.EQUAL
+
+
+class TestIntegerSigns:
+    """sign_sqrt and sign_sqrt2 against QuadExt.sign(), through compare."""
+
+    # zero, one, square-free, perfect squares, squares times square-free
+    RADICANDS = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 25, 50, 72, 10007)
+
+    @staticmethod
+    def _int(rng):
+        return rng.choice((0, rng.randint(-9, 9),
+                           rng.randint(-10 ** 6, 10 ** 6)))
+
+    @staticmethod
+    def _reference(value) -> int:
+        return compare(value, F(0)).value
+
+    def test_one_radical(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            b, c = self._int(rng), rng.choice(self.RADICANDS)
+            if rng.random() < 0.3:
+                # a near -b*sqrt(c): exact cancellation when c is a square
+                a = -math.isqrt(b * b * c) * (1 if b >= 0 else -1) \
+                    + rng.choice((-1, 0, 1))
+            else:
+                a = self._int(rng)
+            want = self._reference(quadext(a, b, c))
+            assert sign_sqrt(a, b, c) == want, (a, b, c)
+
+    def test_two_radicals(self):
+        rng = random.Random(18)
+        zeros = 0
+        for n in range(2000):
+            a, b, g, h = (self._int(rng) for _ in range(4))
+            c1, c2 = (rng.choice(self.RADICANDS) for _ in range(2))
+            mode = n % 5
+            if mode == 0:
+                c2 = c1
+            elif mode == 1:
+                # one rational operand
+                if rng.random() < 0.5:
+                    b = 0
+                else:
+                    h = 0
+            elif mode == 2:
+                # (a + b*sqrt(c1)) = -s*(g + h*sqrt(c1)) with sqrt(c2) = s
+                s = rng.randint(1, 40)
+                c2, a, b = s * s, -s * g, -s * h
+            value = quadext(a, b, c1) + quadext(0, 1, c2) * quadext(g, h, c1)
+            want = self._reference(value)
+            zeros += want == 0
+            assert sign_sqrt2(a, b, g, h, c1, c2) == want, (a, b, g, h, c1, c2)
+        assert zeros >= 300
+
+    def test_split_sqrt_matches_quadext(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            n, d = rng.randint(0, 10 ** 5), rng.randint(1, 10 ** 4)
+            s, f, e = split_sqrt(n, d)
+            assert F(s * s * f, e * e) == F(n, d)
+            assert quadext(0, F(s, e), f) == quadext(0, 1, F(n, d))
 
 
 class TestQuadExtArithmetic:

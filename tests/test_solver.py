@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from diskdispersal import solver
-from diskdispersal.geometry import Point, dist2
+from diskdispersal.geometry import FOUR, Point, dist2, within_move
 from diskdispersal.instance_io import (
     Instance,
     Witness,
@@ -18,7 +18,7 @@ from diskdispersal.instance_io import (
     write_witness,
 )
 from diskdispersal.kernel import kernelize
-from diskdispersal.numerics import quadext
+from diskdispersal.numerics import Ordering, compare, parse_scalar, quadext
 from diskdispersal.oracle import GuardError, oracle
 from diskdispersal.solver import (
     SolverConfig,
@@ -250,6 +250,87 @@ class TestCandidateList:
         assert len(set(cands)) == len(cands)
 
 
+class TestIntegerStageOne:
+    """Stage 1 on a moved set's integer frame agrees with ``Point``
+    arithmetic, and keeps the answers of the ``Point`` walk."""
+
+    def test_member_test_matches_point_reference(self):
+        # every candidate of a random member, and its separation from up to
+        # four earlier candidates that fit, against within_move and an
+        # exact distance test to every fixed centre, near or not; then the
+        # separation of random pairs of its candidates
+        rng = random.Random(20261020)
+        tests = {"euclidean": 0, "rectilinear": 0}
+        trial = 0
+        while min(tests.values()) < 500:
+            variant = ("euclidean", "rectilinear")[trial % 2]
+            trial += 1
+            den = rng.choice((1, 2, 3, 4))
+
+            def pt():
+                return P(F(rng.randint(-5 * den, 5 * den), den),
+                         F(rng.randint(-5 * den, 5 * den), den))
+
+            d2 = rng.choice([F(1, 4), F(1, 2), F(1), F(2), F(9, 4), F(3),
+                             F(4)])
+            origin, fixed = pt(), [pt() for _ in range(rng.randint(1, 8))]
+            frame = solver._Frame(fixed, [origin], d2, variant)
+            placed: list = []
+            for t in frame.candidates(0, ()):
+                p = frame.point(t)
+                alone = within_move(origin, p, d2, variant) and all(
+                    compare(dist2(p, f), FOUR) is not Ordering.LESS
+                    for f in fixed)
+                apart = all(compare(dist2(p, frame.point(q)), FOUR)
+                            is not Ordering.LESS for q in placed)
+                assert frame.fits(0, t, ()) == alone, (trial, p)
+                assert frame.fits(0, t, placed) == (alone and apart), \
+                    (trial, p)
+                tests[variant] += 1
+                if alone and len(placed) < 4 and rng.random() < 0.5:
+                    placed.append(t)
+            # any two candidates, whatever their radicands
+            cands = frame.candidates(0, ())
+            for _ in range(10):
+                t, q = rng.choice(cands), rng.choice(cands)
+                assert solver._apart(t, q, frame.four) == (
+                    compare(dist2(frame.point(t), frame.point(q)), FOUR)
+                    is not Ordering.LESS), (trial, t, q)
+
+    # centres that are not all rational take the Point walk, which finds
+    # these witnesses
+    @pytest.mark.parametrize("variant, d2, third, target", [
+        ("euclidean", 1, Point(quadext(3, 1, 2), F(0)), P(-1, 0)),
+        ("euclidean", 1, Point(parse_scalar("4.41421~"), F(0)), P(-1, 0)),
+        ("rectilinear", 4, Point(quadext(1, 1, 2), F(2)), P(-2, 0)),
+    ])
+    def test_non_rational_centres_keep_their_yes(self, variant, d2, third,
+                                                 target):
+        inst = Instance(variant, 1, F(d2), (P(0, 0), P(1, 0), third))
+        ans = solve(inst)
+        assert ans.verdict == "yes" and ans.log[-1] == "moved set [0]"
+        assert ans.witness.moves == {0: target}
+        assert validate_witness(inst, ans.witness).accepted
+
+    def test_placed_anchor_off_the_scaled_grid(self):
+        # the set's scale M is 4.  Member 0's first candidate clear of the
+        # fixed disks is (9/5, 12/5), 2 from (3, 4) toward its origin;
+        # member 1 then lands on the circles of (3, 4) and (9/5, 12/5), a
+        # point that no candidate of the fixed centres alone gives
+        fixed = [P(3, 4), P(F(7, 2), -1), P(-1, -1), P(F(-7, 2), 1),
+                 P(F(1, 2), F(-7, 2)), P(-1, F(7, 2)), P(7, F(7, 2)),
+                 P(F(11, 4), 8)]
+        movables = [P(0, 0), P(F(9, 4), 4)]
+        res = solver._stage_candidates(fixed, movables, F(9), "euclidean",
+                                       None)
+        target = Point(quadext(F(12, 5), F(4, 5), 3),
+                       quadext(F(16, 5), F(-3, 5), 3))
+        assert res.status == "feasible"
+        assert res.assignment == {0: P(F(9, 5), F(12, 5)), 1: target}
+        assert target not in solver._candidates_for(movables[1], fixed, F(9),
+                                                    "euclidean")
+
+
 # solves the first 30 random-small benchmark instances and prints one line
 # each: the verdict and the witness text
 HASH_SCRIPT = """
@@ -382,6 +463,15 @@ class TestDeadline:
         g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
         assert list(enumerate_candidate_sets(
             g, 2, deadline=time.monotonic() - 1)) == []
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+    def test_nan_or_negative_budget_rejected(self, budget):
+        # a nan deadline never passes: the solve would have no bound
+        with pytest.raises(ValueError):
+            SolverConfig(time_budget=budget)
+
+    def test_zero_budget_allowed(self):
+        assert SolverConfig(time_budget=0).time_budget == 0
 
 
 class TestRefutationMonotonicity:
