@@ -25,7 +25,7 @@ from .instance_io import (
     write_instance,
     write_witness,
 )
-from .kernel import kernelize, shrink_kernel
+from .kernel import coordinate_stat, kernelize, shrink_kernel
 from .numerics import IndeterminateError, parse_rational
 from .oracle import GuardError, oracle
 from .render import RenderOptions, render_svg
@@ -213,7 +213,7 @@ def _cmd_kernelize(args) -> int:
         f"# kept: {len(report.kept)} of {len(inst.disks)}",
         f"# removed: {list(report.removed)}",
         f"# size_bound: {report.size_bound}",
-        f"# coord_stat: {report.coord_stat}",
+        f"# coord_stat: {coordinate_stat(inst.disks)}",
     ]
     args.output.write_text("\n".join(header) + "\n" + write_instance(kinst))
     print(f"kept {len(report.kept)} of {len(inst.disks)} disks")

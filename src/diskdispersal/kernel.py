@@ -47,7 +47,6 @@ class KernelReport:
     kept: tuple[int, ...]
     removed: tuple[int, ...]
     size_bound: int
-    coord_stat: int              # max(b+c) over coordinates written as a + b/c
 
 
 def derived_d(d2) -> Fraction:
@@ -123,7 +122,6 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
         kept=tuple(kept),
         removed=tuple(removed),
         size_bound=size_bound(inst.k, d),
-        coord_stat=coordinate_stat(inst.disks),
     )
     return out, report
 

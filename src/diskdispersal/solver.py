@@ -12,14 +12,10 @@ three stages:
    the origin at distance 2 from an anchor puts that anchor within d+2.
    Before its search, stage 1 refutes the set when one member alone has
    no place clear of the fixed disks (the lone-member lemma below).  When
-   every centre is rational, both run on integers (``_Frame``): the
-   origins and the near fixed centres, those within derived_d(d2) + 2 of
-   some origin, are multiplied by one scale M with d2*M^2 an integer;
-   every candidate is a tuple of integers over one radicand, every test
-   the sign of an integer radical expression, and a member is tested
-   against its near fixed centres only, since a target within d of its
-   origin is at least 2 from every farther centre.  Otherwise the search
-   walks ``Point`` candidates and the lemma is not used;
+   every centre is rational, both run on the set's ``_Frame``: every
+   candidate is a tuple of integers over one radicand and every test the
+   sign of an integer radical expression.  Otherwise the search walks
+   ``Point`` candidates and the lemma is not used;
 2. one numeric penalty descent from the origins (per axis choice in the
    rectilinear variant) whose solution is snapped to dyadic rationals and
    re-verified exactly;
@@ -27,7 +23,20 @@ three stages:
    either finds an exact grid witness or *proves* infeasibility: if no
    grid assignment survives with every constraint relaxed by the maximal
    rounding perturbation (sqrt(2)*delta per moved endpoint), no continuous
-   solution exists.
+   solution exists.  It needs every centre rational and runs on the set's
+   ``_Frame`` too; each pass rescales it once more to put the grid on
+   integers.
+
+Near fixed centres.  ``_Frame`` multiplies the origins of one moved set,
+and the fixed centres near each member, by one scale M with d2*M^2 an
+integer; stages 1 and 3 test each member against its near centres only.
+The closed test picks those within derived_d(d2) + 2 of the member's
+origin, so each centre left out lies farther than d + 2 from it.  Every
+exact test asks for a point within d of the origin, which is then more
+than 2 from such a centre.  Stage 3's relaxed move test asks for a grid
+point within d + sqrt(2)*delta, which is then more than 2 - sqrt(2)*delta
+from it and passes the relaxed separation test (for delta <= sqrt(2);
+coarser grids only relax that test further).
 
 Stage 1 returns a feasible ``Feasibility``, a refutation by the
 lone-member lemma below, or None; stage 2 a feasible ``Feasibility`` or
@@ -93,8 +102,8 @@ one step of any of them and reports unknown ("time budget").  The fixed
 search limits are module constants: ``NUMERIC_ITERS`` (stage 2 descent
 steps), ``DELTA_START`` (stage 3's first, coarsest grid) and
 ``GRID_NODE_BUDGET`` (stage 3 work per pass).
-That budget counts DFS nodes and menu cells, not the separation tests made
-at each node, so only ``time_budget`` bounds the wall time of a pass.
+That budget counts DFS nodes, and menu cells times (near fixed centres +
+1), not the tests at a node, so only ``time_budget`` bounds a pass.
 Stage 1 has no limit of its own: it walks every candidate it lists, in
 the order it builds them.
 """
@@ -142,8 +151,8 @@ __all__ = [
 
 NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
-GRID_NODE_BUDGET = 1_500_000  # stage 3: DFS nodes plus menu cells per
-                              # pass, not the separation tests at a node
+GRID_NODE_BUDGET = 1_500_000  # stage 3, per pass: DFS nodes, and menu cells
+                              # times (near fixed centres + 1); not node tests
 NO_PLACE = "has no place clear of the fixed disks"  # stage 1 refutation
 
 
@@ -324,20 +333,19 @@ def _apart(t: tuple, p: tuple, four: int) -> bool:
 
 
 class _Frame:
-    """Stage 1 of one moved set on integers.
+    """One moved set on integers, for stages 1 and 3.
 
     Coordinates are multiplied by one scale M: the least common multiple of
     the denominators of d2, of the origins and of the near fixed centres,
     those within derived_d(d2) + 2 of some origin.  These centres become
-    integer points and d2*M^2 an integer D2.  A candidate is a tuple
-    (X, Y, U, V, E, c), built by :func:`_pt`, for the scaled point
-    ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand ``quadext``
-    stores, so two candidates are equal exactly when their ``Point`` views
-    are.  An anchor is a rational scaled point (X, Y, E).  Moves and
-    separations are signs of integer radical expressions (:func:`sign_sqrt`
-    and :func:`sign_sqrt2`), and a member is tested against its near fixed
-    centres only: a target within d of its origin is at least 2 from every
-    farther centre.
+    integer points, ``fixed[i]`` holding member i's, and d2*M^2 an integer
+    D2.  A candidate is a tuple (X, Y, U, V, E, c), built by :func:`_pt`,
+    for the scaled point ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the
+    radicand ``quadext`` stores, so two candidates are equal exactly when
+    their ``Point`` views are.  An anchor is a rational scaled point
+    (X, Y, E).  Moves and separations are signs of integer radical
+    expressions (:func:`sign_sqrt` and :func:`sign_sqrt2`), and a member is
+    tested against its near fixed centres only (module docstring).
     """
 
     def __init__(self, fixed: Sequence[Point], origins: Sequence[Point],
@@ -694,16 +702,15 @@ def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
 def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
                 d2: Fraction, variant: str, cfg: SolverConfig,
                 deadline: Optional[float]) -> Feasibility:
-    """Sweep delta grids coarse to fine.
-
-    Outcomes: an exact grid witness (feasible); a completed sweep with no
-    assignment surviving the relaxed constraints (infeasible, certificate
-    delta); or the finest pass's unknown, when relaxed assignments remain
-    or a budget runs out.
+    """Sweep delta grids coarse to fine on the set's :class:`_Frame`,
+    built once.  Outcomes: an exact grid witness (feasible); a completed
+    sweep with no assignment surviving the relaxed constraints (infeasible,
+    certificate delta); or the finest pass's unknown, when relaxed
+    assignments remain or a budget runs out.
     """
-    if not all(p.is_rational() for p in movables) or \
-            not all(f.is_rational() for f in fixed):
+    if not all(p.is_rational() for p in itertools.chain(fixed, movables)):
         return Feasibility("unknown", reason="non-rational centers")
+    frame = _Frame(fixed, movables, d2, variant)
     deltas: list[Fraction] = []
     dlt = DELTA_START
     while dlt > cfg.delta:
@@ -714,37 +721,32 @@ def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
     for delta in deltas:
         if _expired(deadline):
             return Feasibility("unknown", reason="time budget")
-        res = _grid_pass(fixed, movables, d2, variant, delta, deadline)
+        res = _grid_pass(frame, delta, deadline)
         if res.status != "unknown":
             return res
     return res
 
 
-def _grid_pass(fixed, movables, d2: Fraction, variant: str,
-               delta: Fraction, deadline: Optional[float]) -> Feasibility:
-    """One sweep at a fixed resolution, on integer-rescaled coordinates.
+def _grid_pass(frame: _Frame, delta: Fraction,
+               deadline: Optional[float]) -> Feasibility:
+    """One sweep of the frame's moved set at a fixed resolution.
 
-    Everything is multiplied by one common denominator so that the hot
-    loops run on plain integers; all tests remain exact.  Relaxed
+    The frame's integers are multiplied once more, by the least r that
+    makes the grid step delta*M*r an integer.  Member i's menu and exact
+    check read only its near fixed centres ``frame.fixed[i]``.  Relaxed
     separation thresholds have the form (2 - s*sqrt(2))^2 =
     (4 + 2s^2) - 4s*sqrt(2) with s = delta for moved-fixed pairs and
     s = 2*delta for moved-moved pairs.  The pass gives up with unknown when
     its work passes GRID_NODE_BUDGET or the deadline passes; both checks
     run once per movable while the menus are built and at every DFS node.
     """
-    M = delta.denominator
-    for p in list(fixed) + list(movables):
-        M = math.lcm(M, p.x.denominator, p.y.denominator)
-    M = math.lcm(M, d2.denominator)
-    MM = M * M
-    step = int(delta * M)
-    four = 4 * MM
-    d2i = d2 * MM
-    assert d2i.denominator == 1
-    d2i = d2i.numerator
+    r = delta.denominator // math.gcd(frame.M, delta.denominator)
+    M = frame.M * r
+    step = delta.numerator * M // delta.denominator
+    four = frame.four * r * r
+    d2i = frame.D2 * r * r
     sA1, sB1 = four + 2 * step * step, 4 * step * M
-    s2 = 2 * step
-    sA2, sB2 = four + 2 * s2 * s2, 4 * s2 * M
+    sA2, sB2 = four + 8 * step * step, 8 * step * M
     mvA = d2i + 2 * step * step
     mv_rhs = 8 * step * step * d2i
 
@@ -756,9 +758,8 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
         t = V - mvA
         return t <= 0 or t * t <= mv_rhs
 
-    d_up = derived_d(d2)
-    amax = int((d_up + 2 * delta) / delta) + 1
-    if variant == "euclidean":
+    amax = math.isqrt(d2i) // step + 2
+    if frame.variant == "euclidean":
         disps = [(a * step, b * step)
                  for a in range(-amax, amax + 1)
                  for b in range(-amax, amax + 1)
@@ -768,8 +769,8 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
                 if mv_rel((a * step) ** 2)]
         disps = sorted({(v, 0) for v in axis} | {(0, v) for v in axis})
 
-    fixed_i = [(int(f.x * M), int(f.y * M)) for f in fixed]
-    movers_i = [(int(o.x * M), int(o.y * M)) for o in movables]
+    origins = [(x * r, y * r) for x, y in frame.origins]
+    fixed = [[(x * r, y * r) for x, y in near] for near in frame.fixed]
 
     def spend(work: int) -> None:
         if work > GRID_NODE_BUDGET:
@@ -777,13 +778,14 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
         if _expired(deadline):
             raise _Stop("time budget")
 
-    def menu(ox: int, oy: int) -> list[tuple[int, int]]:
-        """The displaced positions of one movable that pass the relaxed
-        tests against every fixed disk."""
+    def menu(i: int) -> list[tuple[int, int]]:
+        """Member i's displaced positions that pass the relaxed tests
+        against its near fixed centres."""
+        ox, oy = origins[i]
         pts = []
         for vx, vy in disps:
             px, py = ox + vx, oy + vy
-            for fx, fy in fixed_i:
+            for fx, fy in fixed[i]:
                 dx, dy = px - fx, py - fy
                 if not sep_rel(dx * dx + dy * dy, sA1, sB1):
                     break
@@ -796,14 +798,14 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
     found_exact: list[Optional[list[tuple[int, int]]]] = [None]
     visited = [0]
 
-    def point_exact(idx: int, px: int, py: int) -> bool:
+    def point_exact(i: int, px: int, py: int) -> bool:
         # incremental exact check; callers guarantee the chosen prefix is
         # itself exact when this is consulted
-        ox, oy = origins[idx]
+        ox, oy = origins[i]
         dx, dy = px - ox, py - oy
         if dx * dx + dy * dy > d2i:
             return False
-        for fx, fy in fixed_i:
+        for fx, fy in fixed[i]:
             ex, ey = px - fx, py - fy
             if ex * ex + ey * ey < four:
                 return False
@@ -818,12 +820,13 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
         relaxed-feasibility is already established."""
         visited[0] += 1
         spend(visited[0])
-        if idx == len(menus):
+        if idx == len(order):
             found_relaxed[0] = True
             if prefix_exact:
                 found_exact[0] = list(chosen)
             return
-        for p in menus[idx]:
+        i = order[idx]
+        for p in menus[i]:
             if found_exact[0] is not None:
                 return
             ok = True
@@ -834,7 +837,7 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
                     break
             if not ok:
                 continue
-            pe = prefix_exact and point_exact(idx, p[0], p[1])
+            pe = prefix_exact and point_exact(i, p[0], p[1])
             if found_relaxed[0] and not pe:
                 continue
             chosen.append(p)
@@ -842,16 +845,14 @@ def _grid_pass(fixed, movables, d2: Fraction, variant: str,
             chosen.pop()
 
     try:
-        per_disk: list[list[tuple[int, int]]] = []
-        for ox, oy in movers_i:
-            per_disk.append(menu(ox, oy))
-            spend(len(per_disk) * len(disps) * (len(fixed_i) + 1))
+        menus, work = [], 0
+        for i in range(len(origins)):
+            menus.append(menu(i))
+            work += len(disps) * (len(fixed[i]) + 1)
+            spend(work)
         # most-constrained-first ordering keeps the DFS shallow; results map
         # back through the permutation
-        order = sorted(range(len(movables)),
-                       key=lambda i: (len(per_disk[i]), i))
-        menus = [per_disk[i] for i in order]
-        origins = [movers_i[i] for i in order]
+        order = sorted(range(len(origins)), key=lambda i: (len(menus[i]), i))
         rec(0, True)
     except _Stop as e:
         return Feasibility("unknown", reason=str(e))

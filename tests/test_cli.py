@@ -145,12 +145,14 @@ class TestKernelizeCommand:
     def test_writes_report_comments(self, tmp_path):
         p = tmp_path / "inst"
         p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
-                     "disks: 4\n0 0\n1 0\n5 0\n10 0\n")
+                     "disks: 4\n0 0\n1 0\n5 0\n10 7/3\n")
         out = tmp_path / "kern"
         assert dispatch(["kernelize", str(p), str(out)]) == 0
         body = out.read_text()
         assert "# cover: [0, 1]" in body
         assert "# threshold: 6" in body
+        # 7/3 = 2 + 1/3 gives b + c = 1 + 3
+        assert "# coord_stat: 4\n" in body
         inst = parse_instance(body)
         assert len(inst.disks) == 3
 

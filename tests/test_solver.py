@@ -17,7 +17,7 @@ from diskdispersal.instance_io import (
     validate_witness,
     write_witness,
 )
-from diskdispersal.kernel import kernelize
+from diskdispersal.kernel import derived_d, kernelize
 from diskdispersal.numerics import Ordering, compare, parse_scalar, quadext
 from diskdispersal.oracle import GuardError, oracle
 from diskdispersal.solver import (
@@ -474,6 +474,100 @@ class TestDeadline:
         assert SolverConfig(time_budget=0).time_budget == 0
 
 
+class TestGridOnFrame:
+    """Stage 3 runs on the moved set's ``_Frame``: one integer scale, and
+    each member tested against its near fixed centres only."""
+
+    @staticmethod
+    def ring(core):
+        # 25 disks on a 5/2 lattice around (31/10, 28/5): squared distance
+        # to it in [20, 64], squared distance to every core disk >= 5
+        c = Point(F(31, 10), F(28, 5))
+        ring = [Point(c.x + F(5, 2) * i, c.y + F(5, 2) * j)
+                for i in range(-8, 9) for j in range(-8, 9)]
+        return [p for p in ring if 20 <= dist2(p, c) <= 64
+                and all(dist2(p, q) >= 5 for q in core)]
+
+    def test_unreachable_ring_keeps_the_refutation(self):
+        # the ring lies beyond d+2 of both movers; a pass that counts its
+        # disks in every menu runs out of node budget before delta 1/64
+        core = [P(3, F(23, 4)), P(F(13, 4), F(11, 2)), P(F(11, 4), F(11, 4)),
+                P(F(11, 4), 5), P(F(23, 4), F(23, 4)), P(F(5, 2), 0)]
+        ring = self.ring(core)
+        assert len(ring) == 25
+        for disks in (core, core + ring):
+            ans = solve(Instance("euclidean", 2, F(2), tuple(disks)))
+            assert ans.verdict == "no"
+            assert ([0, 1], "refuted at delta 1/64") in logged_sets(ans)
+
+    @staticmethod
+    def far_disks(disks, movables, d2, count):
+        """Up to ``count`` points of a 5/2 lattice, each farther than
+        derived_d(d2) + 2 from every mover and at least 2 from every
+        disk."""
+        reach2 = (derived_d(d2) + 2) ** 2
+        x0, y0 = min(p.x for p in disks), min(p.y for p in disks)
+        pts = sorted((Point(x0 + F(5, 2) * i, y0 + F(5, 2) * j)
+                      for i in range(-12, 13) for j in range(-12, 13)),
+                     key=lambda p: ((p.x - x0) ** 2 + (p.y - y0) ** 2,
+                                    p.x, p.y))
+        return [p for p in pts
+                if all(dist2(p, m) > reach2 for m in movables)
+                and all(dist2(p, q) >= 4 for q in disks)][:count]
+
+    def test_far_fixed_disks_change_nothing(self, monkeypatch):
+        # seeded sets that reach stage 3, in both variants, with 150 fixed
+        # disks added beyond derived_d(d2) + 2 of every mover: no relaxed or
+        # exact test can see them, so the sweep must end the same way.
+        # They are enough to exhaust the node budget on at least one set if
+        # a pass counted every fixed disk in its menus.
+        real = solver._stage_grid
+        reached = []
+
+        def recording(*args):
+            res = real(*args)
+            reached.append((args, res))
+            return res
+
+        monkeypatch.setattr(solver, "_stage_grid", recording)
+        rng = random.Random(1)
+        trial = 0
+        while len(reached) < 15:
+            n, k = rng.randint(3, 7), rng.randint(1, 3)
+            d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(2)])
+            variant = ("euclidean", "rectilinear")[trial % 2]
+            inst = gen_random(n, rng.randint(2, 4) + n // 2,
+                              rng.randrange(10 ** 6), k, d2, variant)
+            trial += 1
+            for cand in enumerate_candidate_sets(build_graph(inst.disks), k):
+                fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
+                feasibility(fixed, [inst.disks[i] for i in cand], d2, variant)
+        for (fixed, movables, d2, variant, cfg, _), want in reached:
+            far = self.far_disks(fixed + movables, movables, d2, 150)
+            assert len(far) == 150
+            got = real(fixed + far, movables, d2, variant, cfg, None)
+            assert (got.status, got.delta, got.assignment, got.reason) == \
+                (want.status, want.delta, want.assignment, want.reason)
+
+    @pytest.mark.parametrize("delta", [F(1, 6), F(1, 12), F(2, 9), F(1, 4)])
+    def test_delta_sharing_a_factor_with_the_scale(self, delta):
+        # the frame's scale is 3; each delta needs one more factor r (2, 4,
+        # 3 and 4) to put the grid on integers
+        fixed = [P(0, 0), P(F(13, 3), F(2, 3))]
+        movables = [P(F(1, 3), F(2, 3)), P(F(7, 3), F(1, 3))]
+        frame = solver._Frame(fixed, movables, F(4), "euclidean")
+        assert frame.M == 3
+        res = solver._grid_pass(frame, delta, None)
+        assert res.status == "feasible"
+        for i, target in res.assignment.items():
+            steps = [(t - o) / delta for t, o in
+                     ((target.x, movables[i].x), (target.y, movables[i].y))]
+            assert all(s.denominator == 1 for s in steps)
+        inst = Instance("euclidean", 2, F(4), tuple(fixed + movables))
+        moves = {len(fixed) + i: t for i, t in res.assignment.items()}
+        assert validate_witness(inst, Witness(moves)).accepted
+
+
 class TestRefutationMonotonicity:
     def test_finer_grids_keep_refuting(self):
         # once a set is refuted at some resolution, every finer tested
@@ -486,8 +580,9 @@ class TestRefutationMonotonicity:
         for fixed, movs, d2 in cases:
             deltas = [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
             refuted_from = None
+            frame = solver._Frame(fixed, movs, d2, "euclidean")
             for i, dl in enumerate(deltas):
-                res = solver._grid_pass(fixed, movs, d2, "euclidean", dl, None)
+                res = solver._grid_pass(frame, dl, None)
                 if res.status == "infeasible" and refuted_from is None:
                     refuted_from = i
                 if refuted_from is not None:
