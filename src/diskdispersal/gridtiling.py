@@ -16,7 +16,8 @@ axis-parallel, and the vast empty area is filled by an implicit lattice
 block.  Each gadget group's hole in that block is cut where the group is
 placed, from the same coordinates: one per cell, row feeder and emptying
 row, two per column feeder and emptying column (the group and its stack
-or vacancy gadget).
+or vacancy gadget).  The layout stays on ``int``: ``_Layout.instance()``
+and the witness's move targets alone build ``Fraction``s.
 
 Deliberate deviations from the usual presentation of this construction
 (vertical cell spacing, parity of the extra column gadget, sub-row
@@ -107,9 +108,9 @@ class _Gadget:
     def stack_point(self) -> tuple[int, int]:
         return (self.x_mid, self.base_top + 2)
 
-    def emit(self, disks: list[Point]) -> None:
+    def emit(self, disks: list[tuple[int, int]]) -> None:
         def add(x: int, y: int) -> None:
-            disks.append(Point(Fraction(x), Fraction(y)))
+            disks.append((x, y))
 
         x0, y0, L = self.x0, self.y0, self.L
         if self.kind == "absent":
@@ -156,6 +157,9 @@ def _col_phi(j: int) -> int:
 
 
 class _Layout:
+    """Integer centres ``disks``, fill-block ``box`` and ``holes``, from
+    which ``instance()`` builds the ``Point``s, ``Rect``s and block."""
+
     def __init__(self, gt: GridTilingInstance):
         self.gt = gt
         n, kappa = gt.n, gt.kappa
@@ -175,7 +179,8 @@ class _Layout:
         self.cell_h = 2 * self.L * n
         self.k = self._budget()
         self.gadgets: dict[tuple, _Gadget] = {}
-        self.disks: list[Point] = []
+        self.disks: list[tuple[int, int]] = []
+        self.holes: list[tuple[int, int, int, int]] = []
         self._build()
 
     # quantities per construction row/column
@@ -227,7 +232,6 @@ class _Layout:
         feeders (two holes each), emptying rows, emptying columns (two
         holes each)."""
         n, K, L = self.n, self.kappa, self.L
-        holes: list[Rect] = []
 
         def put(key, x0, y0, phi, kind, m):
             g = _Gadget(x0, y0, phi, kind, m, L, self.N1)
@@ -235,8 +239,7 @@ class _Layout:
             self.gadgets[key] = g
 
         def hole(x0, y0, x1, y1):
-            holes.append(Rect(Fraction(x0), Fraction(y0),
-                              Fraction(x1), Fraction(y1)))
+            self.holes.append((x0, y0, x1, y1))
 
         # cells of pair / absent gadgets
         for i in range(1, K + 1):
@@ -303,19 +306,16 @@ class _Layout:
             hole(xn1 - 2, y0 - 2 * L - 2, xn1 + 6, y0 + 2)
 
         # the fill lattice spans the even points inside the disks' bounding box
-        xs = [int(p.x) for p in self.disks]
-        ys = [int(p.y) for p in self.disks]
-        bx0 = min(xs) + (min(xs) % 2)
-        by0 = min(ys) + (min(ys) % 2)
-        bx1 = max(xs) - (max(xs) % 2)
-        by1 = max(ys) - (max(ys) % 2)
-        self.block = LatticeBlock(Fraction(bx0), Fraction(by0), Fraction(bx1),
-                                  Fraction(by1), Fraction(2), tuple(holes))
+        xs, ys = zip(*self.disks)
+        self.box = (min(xs) + min(xs) % 2, min(ys) + min(ys) % 2,
+                    max(xs) - max(xs) % 2, max(ys) - max(ys) % 2)
 
     def instance(self) -> Instance:
-        d2 = Fraction(self.d) ** 2
-        return Instance("rectilinear", self.k, d2,
-                        tuple(self.disks), (self.block,))
+        disks = tuple(Point(Fraction(x), Fraction(y)) for x, y in self.disks)
+        holes = tuple(Rect(*map(Fraction, h)) for h in self.holes)
+        block = LatticeBlock(*map(Fraction, self.box), Fraction(2), holes)
+        return Instance("rectilinear", self.k, Fraction(self.d) ** 2, disks,
+                        (block,))
 
 
 def build_layout(gt: GridTilingInstance) -> _Layout:
@@ -348,15 +348,14 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
             if pair not in gt.sets[(i, j)]:
                 raise GeneratorError(
                     f"({pair[0]}, {pair[1]}) not allowed in cell ({i}, {j})")
-    if list(inst.disks) != lay.disks:
+    if [(p.x, p.y) for p in inst.disks] != lay.disks:
         raise GeneratorError("instance does not match this grid-tiling input")
 
     moves: dict[int, Point] = {}
 
     def put_move(idx: int, x: int, y: int):
-        src = lay.disks[idx]
-        dx = abs(int(src.x) - x)
-        dy = abs(int(src.y) - y)
+        sx, sy = lay.disks[idx]
+        dx, dy = abs(sx - x), abs(sy - y)
         if idx in moves:
             raise GeneratorError(f"disk {idx} moved twice")
         if (dx != 0 and dy != 0) or max(dx, dy) > lay.d:

@@ -64,18 +64,18 @@ def oracle(inst: Instance, delta=Fraction(1, 16)) -> Answer:
     assert move_cap.denominator == 1
     move_cap = move_cap.numerator
 
-    # relaxed thresholds, all integers:
-    #   separation >= 2 - s*sqrt(2)  <=>  D >= (4MM + 2(sM)^2) - 4(sM)M*sqrt(2)
-    sA1 = 4 * MM + 2 * step * step          # moved-fixed, s = delta
-    sB1 = 4 * step * M
-    sA2 = 4 * MM + 8 * step * step          # moved-moved, s = 2*delta
-    sB2 = 8 * step * M
+    # relaxed separation, all integers: the centre distance sqrt(D) plus the
+    # slack s*sqrt(2)*M is at least 2M.  With the squared slack S = 2(sM)^2
+    # that reads sqrt(D) + sqrt(S) >= 2M, i.e. 2*sqrt(D*S) >= 4MM - D - S.
+    # When s*sqrt(2) >= 2 the right side is never positive: every D passes.
+    slack1 = 2 * step * step                # moved-fixed, s = delta
+    slack2 = 8 * step * step                # moved-moved, s = 2*delta
     mvA = move_cap + 2 * step * step        # move length <= d + delta*sqrt(2)
     mv_rhs = 8 * step * step * move_cap     # bound for t^2 <= 8 (dM)^2 d2 M^2
 
-    def sep_relaxed(D: int, A: int, B: int) -> bool:
-        t = A - D
-        return t <= 0 or t * t <= 2 * B * B
+    def sep_relaxed(D: int, S: int) -> bool:
+        t = four - D - S
+        return t <= 0 or t * t <= 4 * D * S
 
     def move_relaxed(V: int) -> bool:
         t = V - mvA
@@ -134,7 +134,7 @@ def oracle(inst: Instance, delta=Fraction(1, 16)) -> Answer:
                     good = True
                     for fx, fy in fixed_pts:
                         dx, dy = px - fx, py - fy
-                        if not sep_relaxed(dx * dx + dy * dy, sA1, sB1):
+                        if not sep_relaxed(dx * dx + dy * dy, slack1):
                             good = False
                             break
                     if good:
@@ -147,7 +147,7 @@ def oracle(inst: Instance, delta=Fraction(1, 16)) -> Answer:
                 continue
 
             hit = _search(list(subset), menus, centers, fixed_pts, four,
-                          move_cap, sA2, sB2, M, sep_relaxed)
+                          move_cap, slack2, M, sep_relaxed)
             if isinstance(hit, Witness):
                 return Answer("yes", hit,
                               log=(f"oracle grid hit, subset {list(subset)}",))
@@ -160,8 +160,7 @@ def oracle(inst: Instance, delta=Fraction(1, 16)) -> Answer:
 
 
 def _search(subset, menus, centers, fixed_pts, four: int, move_cap: int,
-            sA2: int, sB2: int, M: int,
-            sep_relaxed) -> Union[Witness, bool]:
+            slack2: int, M: int, sep_relaxed) -> Union[Witness, bool]:
     """DFS over displacement menus.
 
     Returns a Witness on an exact hit, True if only relaxed assignments
@@ -201,7 +200,7 @@ def _search(subset, menus, centers, fixed_pts, four: int, move_cap: int,
             ok = True
             for q in chosen:
                 dx, dy = p[0] - q[0], p[1] - q[1]
-                if not sep_relaxed(dx * dx + dy * dy, sA2, sB2):
+                if not sep_relaxed(dx * dx + dy * dy, slack2):
                     ok = False
                     break
             if ok:

@@ -35,8 +35,8 @@ origin, so each centre left out lies farther than d + 2 from it.  Every
 exact test asks for a point within d of the origin, which is then more
 than 2 from such a centre.  Stage 3's relaxed move test asks for a grid
 point within d + sqrt(2)*delta, which is then more than 2 - sqrt(2)*delta
-from it and passes the relaxed separation test (for delta <= sqrt(2);
-coarser grids only relax that test further).
+from it and passes the relaxed separation test.  For delta >= sqrt(2)
+that test is vacuous (2 - sqrt(2)*delta <= 0) and every point passes it.
 
 Stage 1 returns a feasible ``Feasibility``, a refutation by the
 lone-member lemma below, or None; stage 2 a feasible ``Feasibility`` or
@@ -734,11 +734,12 @@ def _grid_pass(frame: _Frame, delta: Fraction,
     The frame's integers are multiplied once more, by the least r that
     makes the grid step delta*M*r an integer.  Member i's menu and exact
     check read only its near fixed centres ``frame.fixed[i]``.  Relaxed
-    separation thresholds have the form (2 - s*sqrt(2))^2 =
-    (4 + 2s^2) - 4s*sqrt(2) with s = delta for moved-fixed pairs and
-    s = 2*delta for moved-moved pairs.  The pass gives up with unknown when
-    its work passes GRID_NODE_BUDGET or the deadline passes; both checks
-    run once per movable while the menus are built and at every DFS node.
+    separation thresholds have the form (2 - s*sqrt(2))^2 = A - B*sqrt(2),
+    A = 4 + 2s^2 and B = 4s, with s = delta for moved-fixed pairs and
+    s = 2*delta for moved-moved pairs; A = 0 makes one vacuous once
+    s*sqrt(2) >= 2.  The pass gives up with unknown when its work passes
+    GRID_NODE_BUDGET or the deadline passes; both checks run once per
+    movable while the menus are built and at every DFS node.
     """
     r = delta.denominator // math.gcd(frame.M, delta.denominator)
     M = frame.M * r
@@ -747,6 +748,8 @@ def _grid_pass(frame: _Frame, delta: Fraction,
     d2i = frame.D2 * r * r
     sA1, sB1 = four + 2 * step * step, 4 * step * M
     sA2, sB2 = four + 8 * step * step, 8 * step * M
+    sA1 = 0 if sB1 * sB1 >= 2 * four * four else sA1
+    sA2 = 0 if sB2 * sB2 >= 2 * four * four else sA2
     mvA = d2i + 2 * step * step
     mv_rhs = 8 * step * step * d2i
 

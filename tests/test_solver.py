@@ -488,17 +488,49 @@ class TestGridOnFrame:
         return [p for p in ring if 20 <= dist2(p, c) <= 64
                 and all(dist2(p, q) >= 5 for q in core)]
 
+    CORE = [P(3, F(23, 4)), P(F(13, 4), F(11, 2)), P(F(11, 4), F(11, 4)),
+            P(F(11, 4), 5), P(F(23, 4), F(23, 4)), P(F(5, 2), 0)]
+
     def test_unreachable_ring_keeps_the_refutation(self):
         # the ring lies beyond d+2 of both movers; a pass that counts its
         # disks in every menu runs out of node budget before delta 1/64
-        core = [P(3, F(23, 4)), P(F(13, 4), F(11, 2)), P(F(11, 4), F(11, 4)),
-                P(F(11, 4), 5), P(F(23, 4), F(23, 4)), P(F(5, 2), 0)]
+        core = self.CORE
         ring = self.ring(core)
         assert len(ring) == 25
         for disks in (core, core + ring):
             ans = solve(Instance("euclidean", 2, F(2), tuple(disks)))
             assert ans.verdict == "no"
             assert ([0, 1], "refuted at delta 1/64") in logged_sets(ans)
+
+    def test_node_budget_ends_the_pass_as_unknown(self, monkeypatch):
+        monkeypatch.setattr(solver, "GRID_NODE_BUDGET", 1000)
+        ans = solve(Instance("euclidean", 2, F(2), tuple(self.CORE)))
+        assert ans.verdict == "unknown"
+        assert ([0, 1], "unknown (grid node budget)") in logged_sets(ans)
+
+    def test_non_rational_centres_are_unknown_not_no(self):
+        # (3 + sqrt(2), 0) keeps the search off the frame: neither stage 1
+        # nor a grid may refute a set
+        inst = Instance("euclidean", 1, F(1, 4),
+                        (P(0, 0), P(1, 0), Point(quadext(3, 1, 2), F(0))))
+        ans = solve(inst)
+        assert ans.verdict == "unknown"
+        assert logged_sets(ans) == [([0], "unknown (non-rational centers)"),
+                                    ([1], "unknown (non-rational centers)")]
+
+    def test_coarse_grid_keeps_every_point_once_slack_passes_two(self):
+        # at delta = 2, s*sqrt(2) >= 2 for both separation thresholds, so
+        # rounding keeps every grid point: a squared test against
+        # (2 - s*sqrt(2))^2 refuted this feasible set
+        fixed = [P(F(5, 2), F(3, 2)), P(F(1, 2), 3)]
+        movables = [P(F(-1, 2), 0), P(F(1, 2), 1)]
+        d2 = F(1)
+        res = solver._stage_candidates(fixed, movables, d2, "rectilinear",
+                                       None)
+        assert res.assignment == {0: P(F(-3, 2), 0), 1: P(F(1, 2), 1)}
+        res = solver._stage_grid(fixed, movables, d2, "rectilinear",
+                                 SolverConfig(delta=F(2)), None)
+        assert res.status != "infeasible"
 
     @staticmethod
     def far_disks(disks, movables, d2, count):
@@ -617,6 +649,19 @@ class TestOracle:
             oracle(gen_colocated(13, 1, 1))
         with pytest.raises(GuardError):
             oracle(Instance("euclidean", 4, F(1), (P(0, 0),)))
+
+    def test_coarse_grid_never_refutes_a_yes(self):
+        # solve moves disk 0 to (-1/2, -1/2); at delta = 4 the relaxed
+        # separation test is vacuous, so the oracle may not answer no
+        text = "1/2 -1/2; -9/2 -3/2; -3 5/2; 2 5; -1 -5/2; 3/2 -1; " \
+               "5 1/2; 3 -3; 9/2 -3/2"
+        disks = tuple(P(*map(F, pair.split())) for pair in text.split(";"))
+        inst = Instance("euclidean", 1, F(1), disks)
+        ans = solve(inst)
+        assert ans.verdict == "yes"
+        assert validate_witness(inst, ans.witness).accepted
+        assert oracle(inst, F(4)).verdict != "no"
+        assert oracle(inst, F(1, 16)).verdict == "yes"
 
     def test_rectilinear_refutes_diagonal_only_solution(self):
         # two overlapping disks; only diagonal escapes exist euclidean-ly

@@ -5,10 +5,17 @@
 solves the random-small and planted-triples inputs of ``perfbench`` at seeds
 1 and 7 with the default ``SolverConfig`` and prints, per workload and seed,
 the number of solves and a SHA-256 over each answer's verdict, reason,
-witness text and log lines.  Two checkouts that print the same lines gave
-byte-identical answers.  The inputs come from ``perfbench/workloads.py``,
-which is imported and never changed; the library is imported from this
-checkout's ``src/``.
+witness text and log lines.  A last line gives the SHA-256 of the Fig. 7
+grid-tiling instance text and of its witness text.  Two checkouts that
+print the same lines gave byte-identical answers.  The inputs come from
+``perfbench/workloads.py``, which is imported and never changed; the
+library is imported from this checkout's ``src/``.
+
+``tools/solve_digest.txt`` holds the expected output, and CI diffs a fresh
+run against it.  A change that alters these outputs on purpose rewrites
+that file:
+
+    python3 tools/solve_digest.py > tools/solve_digest.txt
 """
 
 from __future__ import annotations
@@ -41,11 +48,26 @@ def digest(cases) -> tuple[int, str]:
     return len(cases), h.hexdigest()
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fig7_line() -> str:
+    spec = workloads.fig7_input(1).spec
+    inst = dd.gen_gridtiling(spec)
+    w = dd.gridtiling_witness(spec, inst, workloads.FIG7_ROWS,
+                              workloads.FIG7_COLS)
+    return (f"gridtiling-fig7: instance sha256 "
+            f"{sha256(dd.write_instance(inst))}, witness sha256 "
+            f"{sha256(dd.write_witness(w))}")
+
+
 def main() -> int:
     for name, build in CASES.items():
         for seed in SEEDS:
             count, hexdigest = digest(build(seed))
             print(f"{name} seed {seed}: {count} solves, sha256 {hexdigest}")
+    print(fig7_line())
     return 0
 
 
