@@ -58,7 +58,10 @@ class Point:
             isinstance(self.y, (Fraction, int))
 
     def __repr__(self):
-        return f"({format_scalar(self.x)}, {format_scalar(self.y)})"
+        try:
+            return f"({format_scalar(self.x)}, {format_scalar(self.y)})"
+        except ValueError:  # an interval too wide for a literal
+            return f"Point({self.x!r}, {self.y!r})"
 
 
 # a unit disk is represented by its center

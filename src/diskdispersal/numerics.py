@@ -419,12 +419,8 @@ def sqrt_lower_upper(x, denom_bound: int) -> tuple[Fraction, Fraction]:
     t = math.isqrt(n * B * B // d)
     lo = Fraction(t, B)
     hi = Fraction(t + 1, B)
-    # floor-division introduces no error in the floor of the true root, but
-    # guard the bracket anyway
-    while hi * hi < x:
-        hi += Fraction(1, B)
-    while lo * lo > x:
-        lo -= Fraction(1, B)
+    # t = floor(B*sqrt(x)), as an integer m <= sqrt(y) iff m*m <= floor(y);
+    # so lo^2 <= x < hi^2
     return lo, hi
 
 
@@ -540,7 +536,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form, inverse of :func:`parse_scalar` on models."""
+    """Canonical text form, inverse of :func:`parse_scalar` on models.
+
+    An interval is written as the ``~`` literal with the most fractional
+    digits (1 to its bits) whose enclosure holds it, so a parsed literal
+    keeps its text; ValueError when none does, as for one wider than 0.2.
+    """
     if isinstance(x, (Fraction, int)):
         return str(x)
     if isinstance(x, QuadExt):
@@ -549,21 +550,17 @@ def format_scalar(x: Scalar) -> str:
             return format_scalar(to_interval(x))
         sign = "-" if x.q < 0 else "+"
         return f"{x.p}{sign}{abs(x.q)}*sqrt({x.c})"
-    # interval: recover the decimal-with-tilde shape
-    v = x.midpoint()
-    u = x.width / 2
-    if u > 0 and u.numerator == 1 and _is_pow10(u.denominator):
-        digits = len(str(u.denominator)) - 1
-        sign = "-" if v < 0 else ""
-        av = abs(v)
-        whole = av.numerator // av.denominator
-        rem = av - whole
-        fracpart = rem * 10 ** digits
-        return f"{sign}{whole}.{fracpart.numerator // fracpart.denominator:0{digits}d}~"
-    return f"{float(v):.12g}~"
+    # [hi - u, lo + u] is centred on the midpoint, so the multiple of u
+    # nearest it fits if any does; when n + 1 digits fit, so do n
+    def fit(n: int):
+        u = Fraction(1, 10 ** n)
+        m = round(x.midpoint() / u)
+        return m if x.hi - u <= m * u <= x.lo + u else None
 
-
-def _is_pow10(n: int) -> bool:
-    while n % 10 == 0:
-        n //= 10
-    return n == 1
+    n, m = 1, fit(1)
+    if m is None:
+        raise ValueError(f"no decimal literal encloses {x!r}")
+    while n < x.bits and (wider := fit(n + 1)) is not None:
+        n, m = n + 1, wider
+    whole, digits = divmod(abs(m), 10 ** n)
+    return f"{'-' if m < 0 else ''}{whole}.{digits:0{n}d}~"

@@ -345,7 +345,9 @@ class _Frame:
     their ``Point`` views are.  An anchor is a rational scaled point
     (X, Y, E).  Moves and separations are signs of integer radical
     expressions (:func:`sign_sqrt` and :func:`sign_sqrt2`), and a member is
-    tested against its near fixed centres only (module docstring).
+    tested against its near fixed centres only (module docstring).  The
+    frame holds only values fixed at construction: every call builds its
+    candidates and runs its tests afresh.
     """
 
     def __init__(self, fixed: Sequence[Point], origins: Sequence[Point],
@@ -370,10 +372,6 @@ class _Frame:
         self.fixed = [[(frats[j][0] * (M // frats[j][1]),
                         frats[j][2] * (M // frats[j][3])) for j in js]
                       for js in near]
-        self.near = near
-        self.memo: dict[tuple, list] = {}
-        self.lone: list[Optional[list[tuple]]] = [None] * len(origins)
-        self.clear: list[dict[tuple, bool]] = [{} for _ in origins]
 
     def point(self, t: tuple) -> Point:
         X, Y, U, V, E, c = t
@@ -390,38 +388,22 @@ class _Frame:
         then its points on the circles of the later anchors that lie within
         4 of it; a rectilinear one gives the ends of its clearance on the
         two axis segments."""
-        M = self.M
-        extra = [(X, Y, E) for X, Y, U, V, E, _ in placed if not (U or V)
-                 and ratio_below((X, E * M, Y, E * M), self.orats[i],
-                                 *self.reach, True)]
-        if not extra and self.lone[i] is not None:
-            return self.lone[i]
         ox, oy = O = self.origins[i]
         R, f = self.axis
         out = [_pt(ox, oy, 0, 0, 1, 0), _pt(ox, oy, R, 0, 1, f),
                _pt(ox, oy, -R, 0, 1, f), _pt(ox, oy, 0, R, 1, f),
                _pt(ox, oy, 0, -R, 1, f)]
-        # fixed anchors carry their index, which keys their cached points
-        keys = self.near[i] + [None] * len(extra)
-        anchors = [(x, y, 1) for x, y in self.fixed[i]] + extra
-        for n, (j, a) in enumerate(zip(keys, anchors)):
-            out += (self._own(O, a) if j is None else
-                    self._memo(("own", i, j), lambda: self._own(O, a)))
-            if self.variant != "euclidean":
-                continue
-            for k, b in zip(keys[n + 1:], anchors[n + 1:]):
-                out += (self._meet(a, b) if k is None else
-                        self._memo(("meet", j, k), lambda: self._meet(a, b)))
-        cands = list(dict.fromkeys(out))
-        if not extra:
-            self.lone[i] = cands
-        return cands
-
-    def _memo(self, key: tuple, build):
-        got = self.memo.get(key)
-        if got is None:
-            got = self.memo[key] = build()
-        return got
+        M = self.M
+        anchors = [(x, y, 1) for x, y in self.fixed[i]] + [
+            (X, Y, E) for X, Y, U, V, E, _ in placed if not (U or V)
+            and ratio_below((X, E * M, Y, E * M), self.orats[i], *self.reach,
+                            True)]
+        for n, a in enumerate(anchors):
+            out += self._own(O, a)
+            if self.variant == "euclidean":
+                for b in anchors[n + 1:]:
+                    out += self._meet(a, b)
+        return list(dict.fromkeys(out))
 
     def _own(self, O: tuple[int, int], a: tuple[int, int, int]) -> list:
         """Anchor a's points that do not depend on other anchors."""
@@ -484,10 +466,8 @@ class _Frame:
     def fits(self, i: int, t: tuple, placed: Sequence[tuple]) -> bool:
         """Exact: candidate t is within member i's move budget and clear of
         its near fixed centres and of every placed candidate."""
-        ok = self.clear[i].get(t)
-        if ok is None:
-            ok = self.clear[i][t] = self._moves(i, t) and self._clear(i, t)
-        return ok and all(_apart(t, p, self.four) for p in placed)
+        return (self._moves(i, t) and self._clear(i, t)
+                and all(_apart(t, p, self.four) for p in placed))
 
     def _moves(self, i: int, t: tuple) -> bool:
         X, Y, U, V, E, c = t

@@ -165,6 +165,16 @@ class TestKernelizeCommand:
         inst = parse_instance(out.read_text())
         assert min(d.x for d in inst.disks) == 0
 
+    def test_colocated_pair_without_moves_is_trivially_no(self, tmp_path,
+                                                          capsys):
+        p = tmp_path / "inst"
+        p.write_text("DISKDISPERSAL v1\nvariant: euclidean\nk: 0\nd2: 1\n"
+                     "disks: 2\n0 0\n0 0\n")
+        out = tmp_path / "kern"
+        assert dispatch(["kernelize", str(p), str(out)]) == 1
+        assert capsys.readouterr().out.startswith("trivially-no: ")
+        assert not out.exists()
+
     def test_shrink_kernelizes_once(self, tmp_path, monkeypatch):
         from diskdispersal import cli, kernel
         calls = []
@@ -218,6 +228,13 @@ class TestGenerateCommands:
         inst = parse_instance(out.read_text())
         assert inst.k == 5
 
+    def test_appending_frame(self, tmp_path):
+        out = tmp_path / "a.inst"
+        assert dispatch(["generate", "appending", str(out), "--a", "216",
+                         "--kappa", "1"]) == 0
+        inst = parse_instance(out.read_text())
+        assert len(inst.disks) == 2 * 216 - 4 and inst.k == 1
+
     def test_full_chain_generate_solve_validate_render(self, tmp_path):
         inst_f = tmp_path / "chain.inst"
         assert dispatch(["generate", "random", str(inst_f), "--n", "5",
@@ -252,6 +269,15 @@ class TestDispatchBasics:
         assert dispatch(["graph", str(fig1)]) == 0
         out = capsys.readouterr().out
         assert "0 1" in out and "1 2" in out
+
+    def test_graph_notes_blocks_it_leaves_out(self, tmp_path, capsys):
+        p = tmp_path / "block.inst"
+        block = LatticeBlock(F(10), F(0), F(14), F(4), F(2))
+        p.write_text(write_instance(Instance("euclidean", 0, F(0),
+                                             (P(0, 0),), (block,))))
+        assert dispatch(["graph", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            "# note: 1 lattice blocks not included\nvertices: 1\n")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "{inst}", "--delta", "1/0"],

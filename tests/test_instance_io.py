@@ -19,7 +19,7 @@ from diskdispersal.instance_io import (
     write_instance,
     write_witness,
 )
-from diskdispersal.numerics import Ordering, compare, quadext
+from diskdispersal.numerics import Ordering, compare, parse_scalar, quadext
 
 
 def P(x, y):
@@ -247,6 +247,20 @@ class TestBlocks:
         implicit2 = validate_witness(inst2, w)
         explicit2 = validate_witness(expand_blocks(inst2), w)
         assert implicit2.status == explicit2.status == "accept"
+
+    def test_undecided_lattice_separation_is_indeterminate(self):
+        # (12.0~, 0) lies 1.9 to 2.1 from the block corner (10, 0)
+        b = LatticeBlock(F(0), F(0), F(10), F(10), F(2))
+        inst = Instance("euclidean", 0, F(0),
+                        (Point(parse_scalar("12.0~"), F(0)),), (b,))
+        assert str(validate_witness(inst, Witness({}))) == \
+            "indeterminate(separation of (12.0~, 0) and (10, 0))"
+
+    def test_block_step_below_two_rejected(self):
+        b = LatticeBlock(F(0), F(0), F(10), F(10), F(1))
+        inst = Instance("euclidean", 0, F(0), (), (b,))
+        assert str(validate_witness(inst, Witness({}))) == \
+            "reject(block-step, 1)"
 
     def test_expansion_cap(self):
         b = LatticeBlock(F(0), F(0), F(10 ** 5), F(10 ** 5), F(2))

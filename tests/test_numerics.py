@@ -400,6 +400,29 @@ class TestTextForms:
             assert format_scalar(parse_scalar(format_scalar(v))) == \
                 format_scalar(v)
 
+    @pytest.mark.parametrize("value, text", [
+        (Interval(-F(1, 2 ** 40), F(1, 2 ** 40), 40), "0.000000000000~"),
+        # 0.00001~ squared is [0, 4e-10], rounded out to [0, 2^-19]
+        (parse_scalar("0.00001~") * parse_scalar("0.00001~"), "0.000001~"),
+        # a point has a literal at every length; the bits cap the digits
+        (Interval(F(1, 4), F(1, 4), 8), "0.25000000~"),
+        (parse_scalar("2.0~") + 1, None),
+        (parse_scalar("2.0~") + F(1, 3), None),
+    ])
+    def test_computed_interval_literal_encloses_it(self, value, text):
+        # a literal encloses one unit in its last digit on each side, so an
+        # interval wider than 0.2 has none
+        if text is None:
+            assert value.width > F(1, 5)
+            with pytest.raises(ValueError):
+                format_scalar(value)
+        else:
+            assert format_scalar(value) == text
+            back = parse_scalar(text)
+            assert back.lo <= value.lo and value.hi <= back.hi
+        # a message naming the point must not raise
+        repr(Point(value, value))
+
     def test_bad_literals(self):
         for text in ("", "abc", "1/0", "sqrt(2)", "1+2*sqrt(-3)"):
             with pytest.raises(ValueError):

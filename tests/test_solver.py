@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -241,6 +242,15 @@ class TestCandidateList:
         assert res is not None and res.status == "infeasible"
         assert (res.member, res.reason) == (0, solver.NO_PLACE)
 
+    def test_non_rational_origin_is_its_only_candidate(self):
+        # two disks at (sqrt(2), 0): either one's only candidate is its
+        # origin, on the other disk, and no stage may refute the set
+        c = Point(quadext(0, 1, 2), F(0))
+        ans = solve(Instance("euclidean", 1, F(9), (c, c)))
+        assert ans.verdict == "unknown"
+        assert logged_sets(ans) == [([0], "unknown (non-rational centers)"),
+                                    ([1], "unknown (non-rational centers)")]
+
     @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
     def test_build_order_origin_then_axis_extremes(self, variant):
         o = self.ORIGIN
@@ -458,6 +468,17 @@ class TestDeadline:
         res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean",
                           deadline=time.monotonic() - 1)
         assert res.status == "unknown" and res.reason == "time budget"
+
+    def test_stage_one_walk_checks_the_deadline(self, monkeypatch):
+        # the lone-member pass reads the clock once, at 0; the walk then
+        # reads 10, past the deadline of 5
+        args = ([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean")
+        res = solver._stage_candidates(*args, None)
+        assert res.status == "feasible"
+        assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
+        clock = iter(itertools.chain([0], itertools.repeat(10)))
+        monkeypatch.setattr(solver.time, "monotonic", lambda: next(clock))
+        assert solver._stage_candidates(*args, 5.0) is None
 
     def test_enumeration_past_deadline_yields_nothing(self):
         g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
