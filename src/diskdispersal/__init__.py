@@ -19,7 +19,6 @@ from .numerics import (
 from .geometry import (
     Disk,
     Point,
-    circle_circle_candidates,
     close_pairs,
     dist2,
     is_packing,

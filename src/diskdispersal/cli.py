@@ -130,13 +130,13 @@ def _build_parser() -> _Parser:
                     default="euclidean")
     ap = gsub.add_parser("appending")
     ap.add_argument("output", type=Path)
-    ap.add_argument("--a", type=int, required=True)
-    ap.add_argument("--kappa", type=int, required=True)
+    ap.add_argument("--a", type=_nonnegative(int), required=True)
+    ap.add_argument("--kappa", type=_nonnegative(int), required=True)
     xp = gsub.add_parser("crosscompose")
     xp.add_argument("output", type=Path)
-    xp.add_argument("--t", type=int, required=True)
-    xp.add_argument("--a", type=int, required=True)
-    xp.add_argument("--kappa", type=int, required=True)
+    xp.add_argument("--t", type=_nonnegative(int), required=True)
+    xp.add_argument("--a", type=_nonnegative(int), required=True)
+    xp.add_argument("--kappa", type=_nonnegative(int), required=True)
     tp = gsub.add_parser("gridtiling")
     tp.add_argument("input", type=Path, help="grid-tiling set description")
     tp.add_argument("output", type=Path)

@@ -23,7 +23,6 @@ from .numerics import (
     compare,
     format_scalar,
     frac,
-    quadext,
     sign_eq,
     sign_le,
     sign_lt,
@@ -39,8 +38,6 @@ __all__ = [
     "is_packing",
     "close_pairs",
     "within_move",
-    "circle_circle_candidates",
-    "circle_circle_candidates_sq",
     "translate",
 ]
 
@@ -211,43 +208,6 @@ def within_move(origin: Point, target: Point, d2, variant: str) -> bool:
             return sign_le(dx * dx, d2, "move bound")
         return False
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def circle_circle_candidates_sq(c1: Point, r1_sq, c2: Point, r2_sq) -> list[Point]:
-    """Intersection points of two circles given by center and squared radius.
-
-    Centers must be rational and distinct; squared radii rational.  The
-    returned coordinates share one radicand, so every point is exactly
-    checkable.  Empty when the circles are disjoint or nested; a single
-    point at tangency.
-    """
-    if not (c1.is_rational() and c2.is_rational()):
-        raise DomainError("circle intersection needs rational centers")
-    r1_sq, r2_sq = frac(r1_sq), frac(r2_sq)
-    dx = c2.x - c1.x
-    dy = c2.y - c1.y
-    dd = dx * dx + dy * dy
-    if dd == 0:
-        raise DomainError("coincident circle centers")
-    # foot of the radical line along the center segment: c1 + t*(dx, dy)
-    t = (r1_sq - r2_sq + dd) / (2 * dd)
-    fx = c1.x + t * dx
-    fy = c1.y + t * dy
-    h2 = r1_sq - t * t * dd  # squared offset / dd gives the radicand
-    if h2 < 0:
-        return []
-    if h2 == 0:
-        return [Point(fx, fy)]
-    c = h2 / dd
-    return [Point(quadext(fx, -dy, c), quadext(fy, dx, c)),
-            Point(quadext(fx, dy, c), quadext(fy, -dx, c))]
-
-
-def circle_circle_candidates(c1: Point, r1, c2: Point, r2) -> list[Point]:
-    r1, r2 = frac(r1), frac(r2)
-    if r1 < 0 or r2 < 0:
-        raise DomainError("negative radius")
-    return circle_circle_candidates_sq(c1, r1 * r1, c2, r2 * r2)
 
 
 def translate(p: Point, vx, vy) -> Point:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .geometry import Disk, Point, dist2, ratio, ratio_below
 from .instance_io import Instance
 from .numerics import frac, sign_le, sqrt_lower_upper
-from .udg import build_graph, approx_vc, components
+from .udg import IntersectionGraph, build_graph, approx_vc, components
 
 __all__ = [
     "KernelReport",
@@ -47,6 +47,7 @@ class KernelReport:
     kept: tuple[int, ...]
     removed: tuple[int, ...]
     size_bound: int
+    graph: IntersectionGraph     # of the kernel instance
 
 
 def derived_d(d2) -> Fraction:
@@ -92,6 +93,11 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
     (more than k vertex-disjoint overlapping pairs).  Otherwise returns the
     reduced instance (a subsequence of the input disks, order preserved)
     plus a report.  Disks exactly at the threshold distance are kept.
+
+    Every edge of the input's intersection graph survives: the greedy cover
+    holds one endpoint, and the other lies within 2 of it, which is at most
+    the threshold.  So the report's graph is the input graph renumbered
+    through ``kept``, an increasing map that keeps the edges sorted.
     """
     if inst.blocks:
         raise ValueError("kernelize requires explicit disks; expand blocks first")
@@ -115,6 +121,7 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
         (kept if keep else removed).append(i)
     out = Instance(inst.variant, inst.k, inst.d2,
                    tuple(inst.disks[i] for i in kept), ())
+    slot = {v: n for n, v in enumerate(kept)}
     report = KernelReport(
         cover=tuple(cover),
         threshold=threshold,
@@ -122,6 +129,8 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
         kept=tuple(kept),
         removed=tuple(removed),
         size_bound=size_bound(inst.k, d),
+        graph=IntersectionGraph(len(kept), tuple((slot[i], slot[j])
+                                                 for i, j in g.edges)),
     )
     return out, report
 

@@ -464,7 +464,7 @@ def sign_sqrt2(a: int, b: int, g: int, h: int, c1: int, c2: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# float approximation (for display and numeric heuristics only)
+# float approximation (for display only)
 
 def approx_float(x: Scalar) -> float:
     if isinstance(x, (Fraction, int)):

@@ -4,21 +4,21 @@ The search enumerates every subset A (|A| <= k) whose removal leaves the
 remaining disks pairwise non-overlapping -- exactly the vertex covers of the
 intersection graph, non-minimal ones included -- and asks for each whether
 the disks of A admit new positions.  Placement feasibility runs through
-three stages:
+three stages, all exact: apart from the clock of its time budget, the
+solver uses no floats.
 
-1. structured exact candidates (tangency intersections, budget-tight
-   points, axis extremes), verified with exact arithmetic.  Only anchors
-   within d+2 of a movable's origin seed tangencies: a target within d of
-   the origin at distance 2 from an anchor puts that anchor within d+2.
-   Before its search, stage 1 refutes the set when one member alone has
-   no place clear of the fixed disks (the lone-member lemma below).  When
-   every centre is rational, both run on the set's ``_Frame``: every
-   candidate is a tuple of integers over one radicand and every test the
-   sign of an integer radical expression.  Otherwise the search walks
-   ``Point`` candidates and the lemma is not used;
-2. one numeric penalty descent from the origins (per axis choice in the
-   rectilinear variant) whose solution is snapped to dyadic rationals and
-   re-verified exactly;
+1. for a set whose centres are all rational, structured candidates
+   (tangency intersections, budget-tight points, axis extremes) on the
+   set's ``_Frame``: every candidate is a tuple of integers over one
+   radicand and every test the sign of an integer radical expression.
+   Only anchors within d+2 of a movable's origin seed tangencies: a target
+   within d of the origin at distance 2 from an anchor puts that anchor
+   within d+2.  Before its search, stage 1 refutes the set when one member
+   alone has no place clear of the fixed disks (the lone-member lemma
+   below);
+2. for a set with a centre that is not rational, the same structured
+   candidates as ``Point`` values on ``numerics`` scalars, anchored at the
+   rational centres and tested exactly; the lemma is not used;
 3. an exhaustive grid sweep over each movable's reachable region that
    either finds an exact grid witness or *proves* infeasibility: if no
    grid assignment survives with every constraint relaxed by the maximal
@@ -41,7 +41,9 @@ that test is vacuous (2 - sqrt(2)*delta <= 0) and every point passes it.
 Stage 1 returns a feasible ``Feasibility``, a refutation by the
 lone-member lemma below, or None; stage 2 a feasible ``Feasibility`` or
 None; stage 3 always a ``Feasibility``.  ``feasibility`` runs a stage only
-when the one before it returned None.
+when the one before it returned None, so a set reaches stage 3 after
+stage 1 (all centres rational) or stage 2 (some centre not rational) found
+no placement.
 
 Lone-member lemma.  Let every origin and every fixed centre be rational,
 and let R be the free region of one member x with origin o: the points
@@ -99,13 +101,12 @@ solve: ``solve`` turns it into one ``time.monotonic()`` deadline before
 kernelization and hands it to the enumeration, to every stage and to every
 DFS node of every grid pass, so an expired budget ends the solve within
 one step of any of them and reports unknown ("time budget").  The fixed
-search limits are module constants: ``NUMERIC_ITERS`` (stage 2 descent
-steps), ``DELTA_START`` (stage 3's first, coarsest grid) and
-``GRID_NODE_BUDGET`` (stage 3 work per pass).
+search limits are module constants: ``DELTA_START`` (stage 3's first,
+coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
 That budget counts DFS nodes, and menu cells times (near fixed centres +
 1), not the tests at a node, so only ``time_budget`` bounds a pass.
-Stage 1 has no limit of its own: it walks every candidate it lists, in
-the order it builds them.
+Stages 1 and 2 have no limit of their own: each walks every candidate it
+lists, in the order it builds them.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ from .kernel import derived_d, kernelize
 from .numerics import (
     IndeterminateError,
     Ordering,
-    approx_float,
     compare,
     frac,
     quadext,
@@ -138,7 +138,7 @@ from .numerics import (
     sign_sqrt2,
     split_sqrt,
 )
-from .udg import IntersectionGraph, build_graph
+from .udg import IntersectionGraph
 
 __all__ = [
     "SolverConfig",
@@ -149,7 +149,6 @@ __all__ = [
     "feasibility",
 ]
 
-NUMERIC_ITERS = 400          # stage 2: descent steps
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
 GRID_NODE_BUDGET = 1_500_000  # stage 3, per pass: DFS nodes, and menu cells
                               # times (near fixed centres + 1); not node tests
@@ -435,9 +434,10 @@ class _Frame:
 
     def _meet(self, a: tuple[int, int, int], b: tuple[int, int, int],
               rb: Optional[int] = None) -> tuple:
-        """The points 2 from anchor a and sqrt(rb)/M from anchor b, as
-        ``geometry.circle_circle_candidates_sq`` orders them.  Without rb,
-        b is another anchor, and there are none unless 0 < |ab| <= 4."""
+        """The points 2 from anchor a and sqrt(rb)/M from anchor b: first
+        the one to the left of the line from a to b, then the one to its
+        right, the tangency point twice when the circles touch.  Without
+        rb, b is another anchor, and there are none unless 0 < |ab| <= 4."""
         (ax, ay, ea), (bx, by, eb) = a, b
         e = math.lcm(ea, eb)
         ax, ay, bx, by = (ax * (e // ea), ay * (e // ea),
@@ -521,25 +521,41 @@ def _walk(n: int, candidates, fits, deadline: Optional[float]
 def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
                       d2: Fraction, variant: str,
                       deadline: Optional[float]) -> Optional[Feasibility]:
-    """A feasible placement built from structured candidates, a refutation
-    when some member alone has no place clear of the fixed disks (the
-    module docstring's lone-member lemma), or None.
-
-    With every centre rational both run on a :class:`_Frame`.  Otherwise
-    the lemma does not apply, and the search walks ``Point`` candidates
-    anchored at the rational centres."""
-    if all(p.is_rational() for p in itertools.chain(fixed, movables)):
-        frame = _Frame(fixed, movables, d2, variant)
-        for i in range(len(movables)):
-            if _expired(deadline):
-                return None
-            if not any(frame.fits(i, t, ()) for t in frame.candidates(i, ())):
-                return Feasibility("infeasible", member=i, reason=NO_PLACE)
-        found = _walk(len(movables), frame.candidates, frame.fits, deadline)
-        if found is None:
+    """Stage 1, for a set whose centres are all rational (None at once
+    otherwise): on the set's :class:`_Frame`, a refutation when some member
+    alone has no place clear of the fixed disks (the module docstring's
+    lone-member lemma), else a feasible placement built from structured
+    candidates, or None."""
+    if not all(p.is_rational() for p in itertools.chain(fixed, movables)):
+        return None
+    frame = _Frame(fixed, movables, d2, variant)
+    for i in range(len(movables)):
+        if _expired(deadline):
             return None
-        return Feasibility("feasible",
-                           {i: frame.point(t) for i, t in enumerate(found)})
+        if not any(frame.fits(i, t, ()) for t in frame.candidates(i, ())):
+            return Feasibility("infeasible", member=i, reason=NO_PLACE)
+    found = _walk(len(movables), frame.candidates, frame.fits, deadline)
+    if found is None:
+        return None
+    return Feasibility("feasible",
+                       {i: frame.point(t) for i, t in enumerate(found)})
+
+
+# ---------------------------------------------------------------------------
+# stage 2: structured candidates as exact points, for non-rational sets
+
+def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
+                   d2: Fraction, variant: str, deadline: Optional[float]
+                   ) -> Optional[Feasibility]:
+    """Stage 2, for a set with a centre that is not rational (None at once
+    when every centre is rational): a feasible placement walked over
+    ``Point`` candidates anchored at the rational centres, every test exact
+    on ``numerics`` scalars, or None.  The lone-member lemma does not apply
+    here.  The name is left from the float descent this stage once ran:
+    the stage wrappers of ``perfbench/layers.py`` bind it, so a rename waits
+    for a change to the benchmark."""
+    if all(p.is_rational() for p in itertools.chain(fixed, movables)):
+        return None
     rational_fixed = [f for f in fixed if f.is_rational()]
     found = _walk(
         len(movables),
@@ -552,128 +568,6 @@ def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
     if found is None:
         return None
     return Feasibility("feasible", dict(enumerate(found)))
-
-
-# ---------------------------------------------------------------------------
-# stage 2: numeric descent, snapped and re-verified exactly
-
-def _penalty_and_grad(pos: list[list[float]], origins_f: list[tuple[float, float]],
-                      fixed_f: list[tuple[float, float]], d2f: float,
-                      axes: Optional[list[tuple[float, float]]]):
-    n = len(pos)
-    pen = 0.0
-    grad = [[0.0, 0.0] for _ in range(n)]
-    for i in range(n):
-        xi, yi = pos[i]
-        for j in range(i + 1, n):
-            dx, dy = xi - pos[j][0], yi - pos[j][1]
-            dd = dx * dx + dy * dy
-            if dd < 4.0:
-                v = 4.0 - dd
-                pen += v * v
-                grad[i][0] += -4.0 * v * dx
-                grad[i][1] += -4.0 * v * dy
-                grad[j][0] += 4.0 * v * dx
-                grad[j][1] += 4.0 * v * dy
-        for fx, fy in fixed_f:
-            dx, dy = xi - fx, yi - fy
-            dd = dx * dx + dy * dy
-            if dd < 4.0:
-                v = 4.0 - dd
-                pen += v * v
-                grad[i][0] += -4.0 * v * dx
-                grad[i][1] += -4.0 * v * dy
-        ox, oy = origins_f[i]
-        dx, dy = xi - ox, yi - oy
-        dd = dx * dx + dy * dy
-        if dd > d2f:
-            v = dd - d2f
-            pen += v * v
-            grad[i][0] += 4.0 * v * dx
-            grad[i][1] += 4.0 * v * dy
-    if axes is not None:
-        for i in range(n):
-            ax, ay = axes[i]
-            g = grad[i][0] * ax + grad[i][1] * ay
-            grad[i] = [g * ax, g * ay]
-    return pen, grad
-
-
-def _descend(start: list[list[float]], origins_f, fixed_f, d2f,
-             axes, iters: int) -> Optional[list[list[float]]]:
-    pos = [list(p) for p in start]
-    lr = 0.05
-    for _ in range(iters):
-        pen, grad = _penalty_and_grad(pos, origins_f, fixed_f, d2f, axes)
-        if pen < 1e-22:
-            return pos
-        trial = [[pos[i][0] - lr * grad[i][0], pos[i][1] - lr * grad[i][1]]
-                 for i in range(len(pos))]
-        pen2, _ = _penalty_and_grad(trial, origins_f, fixed_f, d2f, axes)
-        if pen2 < pen:
-            pos = trial
-            lr = min(lr * 1.3, 0.5)
-        else:
-            lr *= 0.5
-            if lr < 1e-12:
-                break
-    pen, _ = _penalty_and_grad(pos, origins_f, fixed_f, d2f, axes)
-    return pos if pen < 1e-22 else None
-
-
-def _snap_and_verify(sol: list[list[float]], origins: Sequence[Point],
-                     fixed: Sequence[Point], d2: Fraction, variant: str,
-                     axes_idx: Optional[list[int]]) -> Optional[list[Point]]:
-    for bits in range(0, 24):
-        scale = 1 << bits
-        targets = []
-        for i, (x, y) in enumerate(sol):
-            qx = Fraction(round(x * scale), scale)
-            qy = Fraction(round(y * scale), scale)
-            if axes_idx is not None:
-                # lock the off-axis coordinate to the origin's exact value
-                if axes_idx[i] == 0:
-                    qy = origins[i].y
-                else:
-                    qx = origins[i].x
-            targets.append(Point(qx, qy))
-        if all(_fits(o, t, fixed, targets[:i], d2, variant)
-               for i, (o, t) in enumerate(zip(origins, targets))):
-            return targets
-    return None
-
-
-def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
-                   d2: Fraction, variant: str, deadline: Optional[float]
-                   ) -> Optional[Feasibility]:
-    if not all(p.is_rational() for p in movables):
-        return None
-    if not all(f.is_rational() for f in fixed):
-        return None
-    origins_f = [(approx_float(p.x), approx_float(p.y)) for p in movables]
-    fixed_f = [(approx_float(f.x), approx_float(f.y)) for f in fixed]
-    d2f = float(frac(d2))
-
-    axis_combos: list[Optional[list[int]]]
-    if variant == "rectilinear":
-        axis_combos = [list(c) for c in
-                       itertools.product((0, 1), repeat=len(movables))]
-    else:
-        axis_combos = [None]
-
-    for axes_idx in axis_combos:
-        if _expired(deadline):
-            return None
-        axes = None
-        if axes_idx is not None:
-            axes = [(1.0, 0.0) if a == 0 else (0.0, 1.0) for a in axes_idx]
-        sol = _descend(origins_f, origins_f, fixed_f, d2f, axes, NUMERIC_ITERS)
-        if sol is None:
-            continue
-        snapped = _snap_and_verify(sol, movables, fixed, d2, variant, axes_idx)
-        if snapped is not None:
-            return Feasibility("feasible", dict(enumerate(snapped)))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -860,10 +754,14 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
     """Decide whether the movable disks admit new positions.
 
     ``fixed`` must already be a packing, and all disks are explicit (no
-    lattice fill).  See the module docstring for the three stages and their
-    guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
-    limit); once it has passed, every stage gives up and the answer is
-    unknown with reason "time budget".
+    lattice fill).  Stage 1 (the integer frame) takes sets whose centres
+    are all rational and stage 2 (the ``Point`` walk) the others; each
+    returns None on the sets it does not take, and stage 3 (the grid) runs
+    when neither found a placement or, in stage 1, a refutation.  See the
+    module docstring for their guarantees.  ``deadline`` is a
+    ``time.monotonic()`` instant (None: no limit); once it has passed,
+    every stage gives up and the answer is unknown with reason "time
+    budget".
     """
     cfg = cfg or SolverConfig()
     d2 = frac(d2)
@@ -913,10 +811,10 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
             return Answer("no",
                           log=("conflict matching exceeds the move budget",))
         kinst, report = kr
-        g = build_graph(kinst.disks)
     except IndeterminateError as e:
         # an overlap that exact arithmetic cannot decide proves nothing
         return Answer("unknown", reason=str(e))
+    g = report.graph
     if not g.edges:
         return Answer("yes", Witness({}),
                       log=("already a packing after reduction",))

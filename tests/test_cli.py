@@ -309,6 +309,14 @@ class TestDispatchBasics:
          "--d2", "1"],
         ["generate", "colocated", "{out}", "--m", "2", "--k", "-1",
          "--d2", "1"],
+        ["generate", "appending", "{out}", "--a", "-1", "--kappa", "0"],
+        ["generate", "appending", "{out}", "--a", "216", "--kappa", "-1"],
+        ["generate", "crosscompose", "{out}", "--t", "-1", "--a", "216",
+         "--kappa", "1"],
+        ["generate", "crosscompose", "{out}", "--t", "3", "--a", "-1",
+         "--kappa", "1"],
+        ["generate", "crosscompose", "{out}", "--t", "3", "--a", "216",
+         "--kappa", "-1"],
     ])
     def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
         wit = tmp_path / "w.out"

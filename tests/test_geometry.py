@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from diskdispersal.geometry import (
     Point,
-    circle_circle_candidates,
-    circle_circle_candidates_sq,
     close_pairs,
     dist2,
     is_packing,
@@ -16,7 +14,6 @@ from diskdispersal.geometry import (
     within_move,
 )
 from diskdispersal.numerics import (
-    DomainError,
     IndeterminateError,
     Interval,
     Ordering,
@@ -242,44 +239,3 @@ class TestWithinMove:
     def test_axis_moves_rectilinear(self):
         assert within_move(P(0, 0), P(0, 3), F(9), "rectilinear") is True
         assert within_move(P(0, 0), P(3, 0), F(8), "rectilinear") is False
-
-
-class TestCircleIntersections:
-    def test_symmetric_pair(self):
-        pts = circle_circle_candidates(P(0, 0), 2, P(2, 0), 2)
-        assert len(pts) == 2
-        ys = sorted(pts, key=lambda p: 0 if compare(p.y, F(0)) is Ordering.LESS else 1)
-        assert all(p.x == F(1) for p in pts)
-        assert compare(ys[0].y * ys[0].y, F(3)) is Ordering.EQUAL
-        assert compare(ys[1].y, quadext(0, 1, 3)) is Ordering.EQUAL
-
-    def test_disjoint(self):
-        assert circle_circle_candidates(P(0, 0), 2, P(5, 0), 2) == []
-
-    def test_tangent_single_point(self):
-        pts = circle_circle_candidates(P(0, 0), 2, P(4, 0), 2)
-        assert pts == [P(2, 0)]
-
-    def test_coincident_centers_error(self):
-        with pytest.raises(DomainError):
-            circle_circle_candidates(P(1, 1), 2, P(1, 1), 3)
-
-    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
-           st.integers(-6, 6), st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=150, deadline=None)
-    def test_points_satisfy_both_circle_equations(self, x1, y1, x2, y2, r1, r2):
-        if (x1, y1) == (x2, y2):
-            return
-        c1, c2 = P(x1, y1), P(x2, y2)
-        for p in circle_circle_candidates(c1, r1, c2, r2):
-            assert compare(dist2(p, c1), F(r1 * r1)) is Ordering.EQUAL
-            assert compare(dist2(p, c2), F(r2 * r2)) is Ordering.EQUAL
-
-    def test_squared_radius_form_for_irrational_radius(self):
-        # circle around origin with squared radius 3 meets the unit-ring
-        # of (2, 0): candidates where a move budget of sqrt(3) is tight
-        pts = circle_circle_candidates_sq(P(0, 0), F(3), P(2, 0), F(4))
-        assert pts
-        for p in pts:
-            assert compare(dist2(p, P(0, 0)), F(3)) is Ordering.EQUAL
-            assert compare(dist2(p, P(2, 0)), F(4)) is Ordering.EQUAL

@@ -13,7 +13,13 @@ from diskdispersal.kernel import (
     shrink_parts,
     size_bound,
 )
-from diskdispersal.numerics import quadext, sign_le
+from diskdispersal.numerics import (
+    IndeterminateError,
+    parse_scalar,
+    quadext,
+    sign_le,
+)
+from diskdispersal.udg import build_graph
 
 
 def P(x, y):
@@ -99,6 +105,33 @@ class TestKernelize:
                 sign_le(dist2(p, disks[c]), t2) for c in report.cover))
             assert report.kept == kept
             assert report.removed == tuple(sorted(set(range(n)) - set(kept)))
+
+    @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
+    def test_report_graph_is_the_kernel_graph(self, variant):
+        # solve reads the kernel's graph off the report instead of building
+        # it again; some disks get a radical or a ``~`` coordinate
+        rng = random.Random(11)
+        checked = 0
+        for trial in range(60):
+            disks = [P(F(rng.randint(0, 48), 4), F(rng.randint(0, 48), 4))
+                     for _ in range(rng.randint(2, 14))]
+            for i in rng.sample(range(len(disks)), rng.randint(0, 2)):
+                x = disks[i].x
+                disks[i] = Point(
+                    quadext(x, F(1, 8), 2) if rng.random() < 0.5 else
+                    parse_scalar(f"{float(x) + 0.17678:.5f}~"), disks[i].y)
+            inst = Instance(variant, rng.randint(0, 3),
+                            rng.choice([F(1, 4), F(1), F(2)]), tuple(disks))
+            try:
+                kr = kernelize(inst)
+            except IndeterminateError:
+                continue
+            if kr is None:
+                continue
+            kinst, report = kr
+            assert report.graph == build_graph(kinst.disks)
+            checked += 1
+        assert checked >= 30
 
 
 class TestSizeBound:

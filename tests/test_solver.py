@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diskdispersal import solver
 from diskdispersal.geometry import FOUR, Point, dist2, within_move
@@ -95,25 +96,25 @@ class TestFeasibility:
         assert t.x == F(1)  # vertical slide
 
 
+def refuse(*args):
+    raise AssertionError("not reached")
+
+
 class TestSearchStages:
-    @pytest.mark.parametrize("variant, movables, descents", [
-        ("euclidean", [P(1, 0)], 1),
-        ("rectilinear", [P(1, 0), P(3, 0)], 4),
+    def test_stage_two_skips_rational_sets(self, monkeypatch):
+        monkeypatch.setattr(solver, "_candidates_for", refuse)
+        assert solver._stage_numeric([P(0, 0), P(2, 0)], [P(1, 0)], F(1),
+                                     "euclidean", None) is None
+
+    @pytest.mark.parametrize("fixed, movables", [
+        ([P(0, 0), Point(quadext(3, 1, 2), F(0))], [P(1, 0)]),
+        ([P(0, 0)], [Point(quadext(1, 1, 2), F(0))]),
     ])
-    def test_numeric_stage_descends_once_per_axis_choice(
-            self, monkeypatch, variant, movables, descents):
-        calls = []
-        real = solver._descend
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(solver, "_descend", counting)
-        got = solver._stage_numeric([P(0, 0), P(2, 0), P(4, 0)], movables,
-                                    F(1), variant, None)
-        assert got is None
-        assert len(calls) == descents
+    def test_stage_one_skips_non_rational_sets(self, monkeypatch, fixed,
+                                               movables):
+        monkeypatch.setattr(solver, "_Frame", refuse)
+        assert solver._stage_candidates(fixed, movables, F(1), "euclidean",
+                                        None) is None
 
     # (d, an anchor exactly d+2 from the origin, its one tangency point);
     # d = 3/2 tells the reach d+2 apart from d2+2
@@ -307,20 +308,30 @@ class TestIntegerStageOne:
                     compare(dist2(frame.point(t), frame.point(q)), FOUR)
                     is not Ordering.LESS), (trial, t, q)
 
-    # centres that are not all rational take the Point walk, which finds
-    # these witnesses
+    # centres that are not all rational take stage 2's Point walk, which
+    # finds these witnesses
     @pytest.mark.parametrize("variant, d2, third, target", [
         ("euclidean", 1, Point(quadext(3, 1, 2), F(0)), P(-1, 0)),
         ("euclidean", 1, Point(parse_scalar("4.41421~"), F(0)), P(-1, 0)),
         ("rectilinear", 4, Point(quadext(1, 1, 2), F(2)), P(-2, 0)),
     ])
-    def test_non_rational_centres_keep_their_yes(self, variant, d2, third,
-                                                 target):
+    def test_non_rational_centres_keep_their_yes(self, monkeypatch, variant,
+                                                 d2, third, target):
+        found = []
+        real = solver._stage_numeric
+
+        def spy(*args):
+            found.append(real(*args))
+            return found[-1]
+
+        monkeypatch.setattr(solver, "_stage_numeric", spy)
         inst = Instance(variant, 1, F(d2), (P(0, 0), P(1, 0), third))
         ans = solve(inst)
         assert ans.verdict == "yes" and ans.log[-1] == "moved set [0]"
         assert ans.witness.moves == {0: target}
         assert validate_witness(inst, ans.witness).accepted
+        assert found[-1].status == "feasible"
+        assert found[-1].assignment == {0: target}
 
     def test_placed_anchor_off_the_scaled_grid(self):
         # the set's scale M is 4.  Member 0's first candidate clear of the
@@ -339,6 +350,60 @@ class TestIntegerStageOne:
         assert res.assignment == {0: P(F(9, 5), F(12, 5)), 1: target}
         assert target not in solver._candidates_for(movables[1], fixed, F(9),
                                                     "euclidean")
+
+
+class TestFrameMeet:
+    """``_Frame._meet`` on a frame of scale M: anchors (X, Y, E) stand for
+    (X/(E*M), Y/(E*M)), a's circle has radius 2 and b's radius sqrt(rb)/M,
+    or 2 without rb."""
+
+    @pytest.mark.parametrize("a, b, rb, want", [
+        # two anchors 2 apart: the point left of a->b comes first
+        ((0, 0, 1), (2, 0, 1), None,
+         [Point(F(1), quadext(0, 1, 3)), Point(F(1), quadext(0, -1, 3))]),
+        ((0, 0, 1), (5, 0, 1), None, []),
+        ((0, 0, 1), (4, 0, 1), None, [P(2, 0), P(2, 0)]),
+        ((1, 1, 1), (1, 1, 1), None, []),
+        # squared radius 3 around b: where a move budget of sqrt(3) is tight
+        ((2, 0, 1), (0, 0, 1), 3,
+         [Point(F(3, 4), quadext(0, F(-1, 4), 39)),
+          Point(F(3, 4), quadext(0, F(1, 4), 39))]),
+    ], ids=["symmetric_pair", "disjoint", "tangent", "coincident",
+            "squared_radius"])
+    def test_examples(self, a, b, rb, want):
+        frame = solver._Frame([], [P(0, 0)], F(1), "euclidean")
+        assert [frame.point(t) for t in frame._meet(a, b, rb)] == want
+
+    @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 3),
+           st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 3),
+           st.integers(1, 4), st.none() | st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_points_lie_on_both_circles(self, ax, ay, ea, bx, by, eb, m, rb):
+        frame = solver._Frame([], [P(0, 0)], F(1, m), "euclidean")
+        assert frame.M == m
+        A = P(F(ax, ea * m), F(ay, ea * m))
+        B = P(F(bx, eb * m), F(by, eb * m))
+        assume(rb is None or A != B)
+        pts = [frame.point(t) for t in frame._meet((ax, ay, ea), (bx, by, eb),
+                                                   rb)]
+        rb2 = FOUR if rb is None else F(rb, m * m)
+        for p in pts:
+            assert compare(dist2(p, A), FOUR) is Ordering.EQUAL
+            assert compare(dist2(p, B), rb2) is Ordering.EQUAL
+        # the circles meet when 0 < |AB| and |2 - r| <= |AB| <= 2 + r
+        ab2 = dist2(A, B)
+        if rb is None:
+            meets = 0 < ab2 <= 16
+        else:
+            low = quadext(4 + rb2, F(-4, m), rb)
+            high = quadext(4 + rb2, F(4, m), rb)
+            meets = (compare(ab2, low) is not Ordering.LESS
+                     and compare(ab2, high) is not Ordering.GREATER)
+        assert len(pts) == (2 if meets else 0)
+        # the first point lies left of the line from A to B, the second right
+        for p, side in zip(pts, (Ordering.LESS, Ordering.GREATER)):
+            cross = ((B.x - A.x) * (p.y - A.y) - (B.y - A.y) * (p.x - A.x))
+            assert compare(cross, F(0)) is not side
 
 
 # solves the first 30 random-small benchmark instances and prints one line

@@ -6,8 +6,11 @@ solves the random-small and planted-triples inputs of ``perfbench`` at seeds
 1 and 7 with the default ``SolverConfig`` and prints, per workload and seed,
 the number of solves and a SHA-256 over each answer's verdict, reason,
 witness text and log lines.  A last line gives the SHA-256 of the Fig. 7
-grid-tiling instance text and of its witness text.  Two checkouts that
-print the same lines gave byte-identical answers.  The inputs come from
+grid-tiling instance text and of its witness text, and one more line
+digests 50 small seeded ``gen_random`` instances whose one coordinate is a
+radical or a ``~`` literal, so that their covers take the ``Point`` walk
+for sets with a centre that is not rational.  Two checkouts that print the
+same lines gave byte-identical answers.  The benchmark inputs come from
 ``perfbench/workloads.py``, which is imported and never changed; the
 library is imported from this checkout's ``src/``.
 
@@ -21,7 +24,9 @@ that file:
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import diskdispersal as dd  # noqa: E402
 import workloads  # noqa: E402
+from diskdispersal.numerics import parse_scalar  # noqa: E402
 
 CASES = {"random-small": workloads.random_small_cases,
          "planted-triples": workloads.planted_cases}
@@ -40,12 +46,12 @@ def answer_text(ans: dd.Answer) -> str:
     return "\n".join([ans.verdict, str(ans.reason), witness, *ans.log])
 
 
-def digest(cases) -> tuple[int, str]:
+def digest(instances) -> tuple[int, str]:
     h = hashlib.sha256()
-    for case in cases:
-        h.update(answer_text(dd.solve(case.instance)).encode())
+    for inst in instances:
+        h.update(answer_text(dd.solve(inst)).encode())
         h.update(b"\0")
-    return len(cases), h.hexdigest()
+    return len(instances), h.hexdigest()
 
 
 def sha256(text: str) -> str:
@@ -62,12 +68,36 @@ def fig7_line() -> str:
             f"{sha256(dd.write_witness(w))}")
 
 
+def non_rational_cases() -> list[dd.Instance]:
+    """3-7 disks in [0, 6]^2, k 1-3, both variants, one disk's x moved by
+    sqrt(2)/8: as a radical in two seeds of three, else as a ``~``
+    literal."""
+    cases = []
+    for seed in range(50):
+        rng = random.Random(seed)
+        variant = ("euclidean", "rectilinear")[seed % 2]
+        inst = dd.gen_random(rng.randint(3, 7), 6, seed, k=rng.randint(1, 3),
+                             d2=rng.choice([Fraction(1, 4), Fraction(1),
+                                            Fraction(2), Fraction(9, 4)]),
+                             variant=variant)
+        disks = list(inst.disks)
+        j = rng.randrange(len(disks))
+        p = disks[j]
+        x = (dd.quadext(p.x, Fraction(1, 8), 2) if seed % 3 else
+             parse_scalar(f"{float(p.x) + 0.17678:.5f}~"))
+        disks[j] = dd.Point(x, p.y)
+        cases.append(dd.Instance(variant, inst.k, inst.d2, tuple(disks)))
+    return cases
+
+
 def main() -> int:
     for name, build in CASES.items():
         for seed in SEEDS:
-            count, hexdigest = digest(build(seed))
+            count, hexdigest = digest([c.instance for c in build(seed)])
             print(f"{name} seed {seed}: {count} solves, sha256 {hexdigest}")
     print(fig7_line())
+    count, hexdigest = digest(non_rational_cases())
+    print(f"non-rational random: {count} solves, sha256 {hexdigest}")
     return 0
 
 
