@@ -5,45 +5,54 @@ remaining disks pairwise non-overlapping -- exactly the vertex covers of the
 intersection graph, non-minimal ones included -- and asks for each whether
 the disks of A admit new positions.  Placement feasibility runs through
 three stages, all exact: apart from the clock of its time budget, the
-solver uses no floats.
+solver uses no floats.  ``feasibility`` gives a set whose members' centres
+are all rational one ``_Frame``, which every stage reads: the origins and
+the rational fixed centres near each member, multiplied by one scale M
+with d2*M^2 an integer, and each fixed centre that is not rational as a
+``Point`` in ``frame.others``.
 
-1. for a set whose centres are all rational, structured candidates
-   (tangency intersections, budget-tight points, axis extremes) on the
-   set's ``_Frame``: every candidate is a tuple of integers over one
-   radicand and every test the sign of an integer radical expression.
-   Only anchors within d+2 of a movable's origin seed tangencies: a target
-   within d of the origin at distance 2 from an anchor puts that anchor
-   within d+2.  Before its search, stage 1 refutes the set when one member
-   alone has no place clear of the fixed disks (the lone-member lemma
-   below);
-2. for a set with a centre that is not rational, the same structured
-   candidates as ``Point`` values on ``numerics`` scalars, anchored at the
-   rational centres and tested exactly; the lemma is not used;
-3. an exhaustive grid sweep over each movable's reachable region that
-   either finds an exact grid witness or *proves* infeasibility: if no
-   grid assignment survives with every constraint relaxed by the maximal
-   rounding perturbation (sqrt(2)*delta per moved endpoint), no continuous
-   solution exists.  It needs every centre rational and runs on the set's
-   ``_Frame`` too; each pass rescales it once more to put the grid on
-   integers.
+1. on a frame without ``others``, structured candidates (tangency
+   intersections, budget-tight points, axis extremes): every candidate is
+   a tuple of integers over one radicand and every test the sign of an
+   integer radical expression.  Only anchors within d+2 of a movable's
+   origin seed tangencies: a target within d of the origin at distance 2
+   from an anchor puts that anchor within d+2.  Before its search, stage 1
+   refutes the set when one member alone has no place clear of the fixed
+   disks (the lone-member lemma below);
+2. on a frame with ``others``, stage 1's walk, each candidate also tested
+   exactly against every centre of ``others``; the lemma is not used;
+3. on a frame without ``others``, an exhaustive grid sweep over each
+   movable's reachable region that either finds an exact grid witness or
+   *proves* infeasibility: if no grid assignment survives with every
+   constraint relaxed by the maximal rounding perturbation (sqrt(2)*delta
+   per moved endpoint), no continuous solution exists.  Each pass rescales
+   the frame once more to put the grid on integers.
 
-Near fixed centres.  ``_Frame`` multiplies the origins of one moved set,
-and the fixed centres near each member, by one scale M with d2*M^2 an
-integer; stages 1 and 3 test each member against its near centres only.
-The closed test picks those within derived_d(d2) + 2 of the member's
-origin, so each centre left out lies farther than d + 2 from it.  Every
-exact test asks for a point within d of the origin, which is then more
-than 2 from such a centre.  Stage 3's relaxed move test asks for a grid
-point within d + sqrt(2)*delta, which is then more than 2 - sqrt(2)*delta
-from it and passes the relaxed separation test.  For delta >= sqrt(2)
-that test is vacuous (2 - sqrt(2)*delta <= 0) and every point passes it.
+Near fixed centres.  Of the rational fixed centres, stages test each
+member against its near ones only.  The closed test picks those within
+derived_d(d2) + 2 of the member's origin, so each centre left out lies
+farther than d + 2 from it.  Every exact test asks for a point within d of
+the origin, which is then more than 2 from such a centre.  Stage 3's
+relaxed move test asks for a grid point within d + sqrt(2)*delta, which is
+then more than 2 - sqrt(2)*delta from it and passes the relaxed separation
+test.  For delta >= sqrt(2) that test is vacuous (2 - sqrt(2)*delta <= 0)
+and every point passes it.
 
 Stage 1 returns a feasible ``Feasibility``, a refutation by the
 lone-member lemma below, or None; stage 2 a feasible ``Feasibility`` or
-None; stage 3 always a ``Feasibility``.  ``feasibility`` runs a stage only
-when the one before it returned None, so a set reaches stage 3 after
-stage 1 (all centres rational) or stage 2 (some centre not rational) found
-no placement.
+None; stage 3 always a ``Feasibility``, unknown ("non-rational centers")
+without a frame or on one with ``others``.  ``feasibility`` runs a stage
+only when the one before it returned None.
+
+A member x whose centre o is not rational.  Its set A gets no frame and
+ends unknown ("non-rational centers"), and no yes is lost: as tangencies
+are built on rational centres only, a walk on A could only keep x at o,
+clear of the fixed disks and of the other targets.  Then the cover A minus
+x, which the enumeration yields first, has the same placement with o
+fixed, and by induction on such members its first subset with a frame
+finds one: its walk lists the same candidates and runs the same tests.  No
+set of a kernel instance that holds a disk that is not rational is
+refuted, so the far-member lemma below never skips one.
 
 Lone-member lemma.  Let every origin and every fixed centre be rational,
 and let R be the free region of one member x with origin o: the points
@@ -52,7 +61,7 @@ rectilinear: the two closed axis segments of half-length d through o) at
 distance at least 2 from every fixed centre.  A placement of the whole set
 puts x in R, so if R is empty the set is infeasible.  If R is not empty,
 its lowest point p (least y, then least x) is one of the points that
-``_candidates_for(o, fixed, d2, variant)`` lists, so when no point of that
+``_Frame.candidates(i, ())`` lists for x, so when no point of that
 list fits, R is empty.  Proof, Euclidean: R is the closed move disk minus
 finitely many open disks, so it is compact and p lies on its boundary.  If
 p lies on two distinct circles among the move circle and the fixed circles,
@@ -80,10 +89,11 @@ minus x is a cover.  Every other member's target lies within d of its
 origin -- a rectilinear move is axis-parallel, so its Euclidean length is
 at most d as well -- and so at least 2 from x's origin.  The other
 constraints are those of A, so A minus x would be feasible.  ``solve``
-tests the distance exactly against (derived_d(d2) + 2)^2, an upper bound
-on (d+2)^2, and applies the lemma only to a subset that was refuted, by
-the lone-member lemma, a grid or this lemma itself, never to one left
-unknown.
+tests the distance exactly, on the integers of the two origins, against
+(derived_d(d2) + 2)^2, an upper bound on (d+2)^2; an origin that is not
+rational is never far.  It applies the lemma only to a subset that was
+refuted, by the lone-member lemma, a grid or this lemma itself, never to
+one left unknown.
 
 Yes answers always carry a witness that validates exactly; No answers are
 backed, for every candidate set, by the lone-member lemma, a grid
@@ -124,7 +134,6 @@ from .geometry import (
     dist2,
     ratio,
     ratio_below,
-    within_move,
 )
 from .instance_io import Instance, Witness
 from .kernel import derived_d, kernelize
@@ -253,50 +262,11 @@ def _min_cover_size(g: IntersectionGraph, k: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact constraint checks
+# stages 1 and 2: structured candidates on the set's integer frame
 
 def _sep_ok(a: Point, b: Point) -> bool:
     """Exact: centers at distance >= 2. Indeterminate counts as failure."""
     return compare(dist2(a, b), FOUR) in (Ordering.GREATER, Ordering.EQUAL)
-
-
-def _move_ok(origin: Point, target: Point, d2: Fraction, variant: str) -> bool:
-    try:
-        return within_move(origin, target, d2, variant)
-    except IndeterminateError:
-        return False
-
-
-def _fits(origin: Point, target: Point, fixed: Sequence[Point],
-          placed: Sequence[Point], d2: Fraction, variant: str) -> bool:
-    """Exact: ``target`` is within the move budget of ``origin`` and clear
-    of every fixed disk and every disk already placed."""
-    return (_move_ok(origin, target, d2, variant)
-            and all(_sep_ok(target, f) for f in fixed)
-            and all(_sep_ok(target, q) for q in placed))
-
-
-# ---------------------------------------------------------------------------
-# stage 1: structured candidates
-
-def _candidates_for(origin: Point, anchors: Sequence[Point], d2: Fraction,
-                    variant: str) -> list[Point]:
-    """Structured target positions for one movable disk.
-
-    Anchors are rational centers the target might end up tangent to; the
-    ones within d+2 of the origin seed tangency circles.  Every tangency
-    candidate lies at distance 2 from its anchor, so one that fits, within d
-    of the origin, puts that anchor within d+2 of it; a farther anchor seeds
-    only candidates that fail the move check.  The list is in build order
-    with repeats dropped: the origin, the four axis extremes of the move
-    budget ((x+d, y), (x-d, y), (x, y+d), (x, y-d), in both variants), then
-    each anchor's tangency points, in anchor order.  It is the ``Point``
-    view of :meth:`_Frame.candidates`.
-    """
-    if not origin.is_rational():
-        return [origin]
-    frame = _Frame(anchors, [origin], frac(d2), variant)
-    return [frame.point(t) for t in frame.candidates(0, ())]
 
 
 def _pt(X: int, Y: int, U: int, V: int, E: int, f: int) -> tuple:
@@ -332,19 +302,21 @@ def _apart(t: tuple, p: tuple, four: int) -> bool:
 
 
 class _Frame:
-    """One moved set on integers, for stages 1 and 3.
+    """One moved set on integers, for every stage.
 
     Coordinates are multiplied by one scale M: the least common multiple of
-    the denominators of d2, of the origins and of the near fixed centres,
-    those within derived_d(d2) + 2 of some origin.  These centres become
-    integer points, ``fixed[i]`` holding member i's, and d2*M^2 an integer
-    D2.  A candidate is a tuple (X, Y, U, V, E, c), built by :func:`_pt`,
-    for the scaled point ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the
-    radicand ``quadext`` stores, so two candidates are equal exactly when
-    their ``Point`` views are.  An anchor is a rational scaled point
-    (X, Y, E).  Moves and separations are signs of integer radical
-    expressions (:func:`sign_sqrt` and :func:`sign_sqrt2`), and a member is
-    tested against its near fixed centres only (module docstring).  The
+    the denominators of d2, of the origins, which must be rational, and of
+    the near fixed centres, the rational ones within derived_d(d2) + 2 of
+    some origin.  These centres become integer points, ``fixed[i]`` holding
+    member i's, and d2*M^2 an integer D2; a fixed centre that is not
+    rational stays a ``Point`` in ``others``.  A candidate is a tuple
+    (X, Y, U, V, E, c), built by :func:`_pt`, for the scaled point
+    ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand ``quadext``
+    stores, so two candidates are equal exactly when their ``Point`` views
+    are.  An anchor is a rational scaled point (X, Y, E).  Moves and
+    separations are signs of integer radical expressions (:func:`sign_sqrt`
+    and :func:`sign_sqrt2`), and a member is tested against its near fixed
+    centres only (module docstring) and exactly against ``others``.  The
     frame holds only values fixed at construction: every call builds its
     candidates and runs its tests afresh.
     """
@@ -354,7 +326,9 @@ class _Frame:
         reach2 = (derived_d(d2) + 2) ** 2
         self.reach = reach2.numerator, reach2.denominator
         self.variant = variant
-        frats = [ratio(f) for f in fixed]
+        rats = [ratio(f) for f in fixed]
+        frats = [r for r in rats if r is not None]
+        self.others = [f for f, r in zip(fixed, rats) if r is None]
         self.orats = [ratio(o) for o in origins]
         near = [[j for j, r in enumerate(frats)
                  if ratio_below(o, r, *self.reach, True)]
@@ -465,7 +439,7 @@ class _Frame:
 
     def fits(self, i: int, t: tuple, placed: Sequence[tuple]) -> bool:
         """Exact: candidate t is within member i's move budget and clear of
-        its near fixed centres and of every placed candidate."""
+        its near fixed centres, of ``others`` and of every placed one."""
         return (self._moves(i, t) and self._clear(i, t)
                 and all(_apart(t, p, self.four) for p in placed))
 
@@ -490,101 +464,83 @@ class _Frame:
             a, b = X - E * fx, Y - E * fy
             if sign_sqrt(a * a + b * b + q, 2 * (a * U + b * V), c) < 0:
                 return False
+        if self.others:
+            p = self.point(t)
+            return all(_sep_ok(p, f) for f in self.others)
         return True
 
 
-def _walk(n: int, candidates, fits, deadline: Optional[float]
-          ) -> Optional[list]:
-    """The first placement of members 0..n-1, depth first: member i tries
-    ``candidates(i, placed)`` in order and keeps a candidate p when
-    ``fits(i, p, placed)``.  None when there is none or the deadline
-    passes."""
+def _walk(frame: _Frame, deadline: Optional[float]
+          ) -> Optional[Feasibility]:
+    """The first placement of the frame's members, depth first: member i
+    tries ``frame.candidates(i, placed)`` in order and keeps a candidate t
+    when ``frame.fits(i, t, placed)``.  None when there is none or the
+    deadline passes."""
     placed: list = []
 
     def rec(idx: int) -> bool:
         if _expired(deadline):
             return False
-        if idx == n:
+        if idx == len(frame.origins):
             return True
-        for p in candidates(idx, placed):
-            if not fits(idx, p, placed):
+        for t in frame.candidates(idx, placed):
+            if not frame.fits(idx, t, placed):
                 continue
-            placed.append(p)
+            placed.append(t)
             if rec(idx + 1):
                 return True
             placed.pop()
         return False
 
-    return placed if rec(0) else None
-
-
-def _stage_candidates(fixed: Sequence[Point], movables: Sequence[Point],
-                      d2: Fraction, variant: str,
-                      deadline: Optional[float]) -> Optional[Feasibility]:
-    """Stage 1, for a set whose centres are all rational (None at once
-    otherwise): on the set's :class:`_Frame`, a refutation when some member
-    alone has no place clear of the fixed disks (the module docstring's
-    lone-member lemma), else a feasible placement built from structured
-    candidates, or None."""
-    if not all(p.is_rational() for p in itertools.chain(fixed, movables)):
+    if not rec(0):
         return None
-    frame = _Frame(fixed, movables, d2, variant)
-    for i in range(len(movables)):
+    return Feasibility("feasible",
+                       {i: frame.point(t) for i, t in enumerate(placed)})
+
+
+def _stage_candidates(frame: Optional[_Frame], deadline: Optional[float]
+                      ) -> Optional[Feasibility]:
+    """Stage 1, on a frame without ``others`` (None at once otherwise): a
+    refutation when some member alone has no place clear of the fixed
+    disks (the module docstring's lone-member lemma), else a feasible
+    placement built from structured candidates, or None."""
+    if frame is None or frame.others:
+        return None
+    for i in range(len(frame.origins)):
         if _expired(deadline):
             return None
         if not any(frame.fits(i, t, ()) for t in frame.candidates(i, ())):
             return Feasibility("infeasible", member=i, reason=NO_PLACE)
-    found = _walk(len(movables), frame.candidates, frame.fits, deadline)
-    if found is None:
-        return None
-    return Feasibility("feasible",
-                       {i: frame.point(t) for i, t in enumerate(found)})
+    return _walk(frame, deadline)
 
 
-# ---------------------------------------------------------------------------
-# stage 2: structured candidates as exact points, for non-rational sets
-
-def _stage_numeric(fixed: Sequence[Point], movables: Sequence[Point],
-                   d2: Fraction, variant: str, deadline: Optional[float]
+def _stage_numeric(frame: Optional[_Frame], deadline: Optional[float]
                    ) -> Optional[Feasibility]:
-    """Stage 2, for a set with a centre that is not rational (None at once
-    when every centre is rational): a feasible placement walked over
-    ``Point`` candidates anchored at the rational centres, every test exact
-    on ``numerics`` scalars, or None.  The lone-member lemma does not apply
+    """Stage 2, on a frame with ``others`` (None at once otherwise): stage
+    1's walk, each candidate also tested exactly against the fixed centres
+    that are not rational, or None.  The lone-member lemma does not apply
     here.  The name is left from the float descent this stage once ran:
-    the stage wrappers of ``perfbench/layers.py`` bind it, so a rename waits
-    for a change to the benchmark."""
-    if all(p.is_rational() for p in itertools.chain(fixed, movables)):
+    the stage wrappers of ``perfbench/layers.py`` bind it, so a rename
+    waits for a change to the benchmark."""
+    if frame is None or not frame.others:
         return None
-    rational_fixed = [f for f in fixed if f.is_rational()]
-    found = _walk(
-        len(movables),
-        lambda i, placed: _candidates_for(
-            movables[i], rational_fixed + [p for p in placed
-                                           if p.is_rational()], d2, variant),
-        lambda i, p, placed: _fits(movables[i], p, fixed, placed, d2,
-                                   variant),
-        deadline)
-    if found is None:
-        return None
-    return Feasibility("feasible", dict(enumerate(found)))
+    return _walk(frame, deadline)
 
 
 # ---------------------------------------------------------------------------
 # stage 3: grid sweep with Lipschitz slack (proof-grade refutation)
 
-def _stage_grid(fixed: Sequence[Point], movables: Sequence[Point],
-                d2: Fraction, variant: str, cfg: SolverConfig,
+def _stage_grid(frame: Optional[_Frame], cfg: SolverConfig,
                 deadline: Optional[float]) -> Feasibility:
-    """Sweep delta grids coarse to fine on the set's :class:`_Frame`,
-    built once.  Outcomes: an exact grid witness (feasible); a completed
-    sweep with no assignment surviving the relaxed constraints (infeasible,
-    certificate delta); or the finest pass's unknown, when relaxed
-    assignments remain or a budget runs out.
+    """Stage 3, on a frame without ``others`` (unknown, "non-rational
+    centers", otherwise): sweep delta grids coarse to fine on the frame.
+    Outcomes: an exact grid witness (feasible); a completed sweep with no
+    assignment surviving the relaxed constraints (infeasible, certificate
+    delta); or the finest pass's unknown, when relaxed assignments remain
+    or a budget runs out.
     """
-    if not all(p.is_rational() for p in itertools.chain(fixed, movables)):
+    if frame is None or frame.others:
         return Feasibility("unknown", reason="non-rational centers")
-    frame = _Frame(fixed, movables, d2, variant)
     deltas: list[Fraction] = []
     dlt = DELTA_START
     while dlt > cfg.delta:
@@ -754,34 +710,35 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
     """Decide whether the movable disks admit new positions.
 
     ``fixed`` must already be a packing, and all disks are explicit (no
-    lattice fill).  Stage 1 (the integer frame) takes sets whose centres
-    are all rational and stage 2 (the ``Point`` walk) the others; each
-    returns None on the sets it does not take, and stage 3 (the grid) runs
-    when neither found a placement or, in stage 1, a refutation.  See the
-    module docstring for their guarantees.  ``deadline`` is a
-    ``time.monotonic()`` instant (None: no limit); once it has passed,
-    every stage gives up and the answer is unknown with reason "time
-    budget".
+    lattice fill).  The set gets one :class:`_Frame` when every movable's
+    centre is rational, and none otherwise; every stage reads it.  See the
+    module docstring for which stage takes which frame, and for their
+    guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
+    limit); once it has passed, every stage gives up and the answer is
+    unknown with reason "time budget", or "non-rational centers" for a set
+    that stage 3 does not take.
     """
     cfg = cfg or SolverConfig()
     d2 = frac(d2)
     if not movables:
         return Feasibility("feasible", {})
-    return (_stage_candidates(fixed, movables, d2, variant, deadline)
-            or _stage_numeric(fixed, movables, d2, variant, deadline)
-            or _stage_grid(fixed, movables, d2, variant, cfg, deadline))
+    frame = (_Frame(fixed, movables, d2, variant)
+             if all(p.is_rational() for p in movables) else None)
+    return (_stage_candidates(frame, deadline)
+            or _stage_numeric(frame, deadline)
+            or _stage_grid(frame, cfg, deadline))
 
 
 def _implied_refutation(cand: list[int], refuted: set[frozenset[int]],
-                        disks: Sequence[Point], far2: Fraction
-                        ) -> Optional[list[int]]:
-    """A refuted ``cand`` minus x whose x lies at least sqrt(far2) from every
-    other member, or None; by the module docstring's far-member lemma it
-    refutes ``cand``.  Distances that are not rational never count as
-    far."""
+                        rats: Sequence[Optional[tuple]],
+                        reach: tuple[int, int]) -> Optional[list[int]]:
+    """A refuted ``cand`` minus x whose x lies at least sqrt(reach[0] /
+    reach[1]) from every other member, or None; by the module docstring's
+    far-member lemma it refutes ``cand``.  ``rats`` holds each disk's
+    :func:`ratio`; a disk that is not rational is never far."""
     def far(i: int, j: int) -> bool:
-        dd = dist2(disks[i], disks[j])
-        return isinstance(dd, (Fraction, int)) and dd >= far2
+        return (rats[i] is not None and rats[j] is not None
+                and not ratio_below(rats[i], rats[j], *reach))
 
     for x in cand:
         rest = [i for i in cand if i != x]
@@ -822,10 +779,12 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
-    far2 = (derived_d(kinst.d2) + 2) ** 2
+    reach2 = (derived_d(kinst.d2) + 2) ** 2
+    reach = reach2.numerator, reach2.denominator
+    rats = [ratio(p) for p in kinst.disks]
     refuted: set[frozenset[int]] = set()
     for cand in enumerate_candidate_sets(g, inst.k, deadline):
-        implied = _implied_refutation(cand, refuted, kinst.disks, far2)
+        implied = _implied_refutation(cand, refuted, rats, reach)
         if implied is not None:
             refuted.add(frozenset(cand))
             log.append(f"set {cand}: refuted, implied by {implied}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diskdispersal import solver
-from diskdispersal.geometry import FOUR, Point, dist2, within_move
+from diskdispersal.geometry import FOUR, Point, dist2, ratio, within_move
 from diskdispersal.instance_io import (
     Instance,
     Witness,
@@ -100,11 +100,18 @@ def refuse(*args):
     raise AssertionError("not reached")
 
 
+def candidate_points(fixed, origin, d2, variant):
+    """The candidates of a lone member at ``origin``, as ``Point`` values."""
+    frame = solver._Frame(fixed, [origin], d2, variant)
+    return [frame.point(t) for t in frame.candidates(0, ())]
+
+
 class TestSearchStages:
     def test_stage_two_skips_rational_sets(self, monkeypatch):
-        monkeypatch.setattr(solver, "_candidates_for", refuse)
-        assert solver._stage_numeric([P(0, 0), P(2, 0)], [P(1, 0)], F(1),
-                                     "euclidean", None) is None
+        frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(1),
+                              "euclidean")
+        monkeypatch.setattr(solver, "_walk", refuse)
+        assert solver._stage_numeric(frame, None) is None
 
     @pytest.mark.parametrize("fixed, movables", [
         ([P(0, 0), Point(quadext(3, 1, 2), F(0))], [P(1, 0)]),
@@ -112,9 +119,13 @@ class TestSearchStages:
     ])
     def test_stage_one_skips_non_rational_sets(self, monkeypatch, fixed,
                                                movables):
-        monkeypatch.setattr(solver, "_Frame", refuse)
-        assert solver._stage_candidates(fixed, movables, F(1), "euclidean",
-                                        None) is None
+        # a fixed centre that is not rational goes to the frame's others;
+        # a member that is not rational gets no frame
+        frame = (solver._Frame(fixed, movables, F(1), "euclidean")
+                 if movables[0].is_rational() else None)
+        monkeypatch.setattr(solver._Frame, "fits", refuse)
+        monkeypatch.setattr(solver, "_walk", refuse)
+        assert solver._stage_candidates(frame, None) is None
 
     # (d, an anchor exactly d+2 from the origin, its one tangency point);
     # d = 3/2 tells the reach d+2 apart from d2+2
@@ -125,11 +136,69 @@ class TestSearchStages:
     def test_anchors_reach_exactly_d_plus_two(self, d, anchor, touch):
         base = {P(0, 0), P(d, 0), P(-d, 0), P(0, d), P(0, -d)}
         # the line and the circle-circle tangency give the same point
-        got = solver._candidates_for(P(0, 0), [anchor], d * d, "euclidean")
+        got = candidate_points([anchor], P(0, 0), d * d, "euclidean")
         assert len(got) == 6 and set(got) == base | {touch}
         beyond = Point(anchor.x + F(1, 100), anchor.y)
-        got = solver._candidates_for(P(0, 0), [beyond], d * d, "euclidean")
+        got = candidate_points([beyond], P(0, 0), d * d, "euclidean")
         assert len(got) == 5 and set(got) == base
+
+
+class TestOneFrame:
+    """``feasibility`` builds one frame per moved set, and none for a set
+    with a member whose centre is not rational."""
+
+    # (-2 - sqrt(2)/8, 0), within d+2 = 4 of (0, 0) at d2 = 4
+    X = Point(quadext(-2, F(-1, 8), 2), F(0))
+
+    @staticmethod
+    def spy(monkeypatch):
+        built = []
+
+        class Counting(solver._Frame):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(solver, "_Frame", Counting)
+        return built
+
+    def test_rational_set_reaching_stage_three_builds_one_frame(
+            self, monkeypatch):
+        # the members, 1/2 apart, cannot get 2 apart with moves of 1/2
+        # each; alone each has a place, so stage 3 refutes the set
+        built = self.spy(monkeypatch)
+        grids = []
+        real = solver._stage_grid
+
+        def recording(frame, *args):
+            grids.append(frame)
+            return real(frame, *args)
+
+        monkeypatch.setattr(solver, "_stage_grid", recording)
+        res = feasibility([P(F(3, 2), F(7, 4))],
+                          [P(F(1, 2), 0), P(F(1, 2), F(1, 2))], F(1, 4),
+                          "euclidean")
+        assert res.status == "infeasible" and res.delta == F(1, 8)
+        assert len(built) == 1 and grids == built
+
+    def test_non_rational_member_builds_no_frame(self, monkeypatch):
+        built = self.spy(monkeypatch)
+        res = feasibility([P(1, 0)], [P(0, 0), self.X], F(4), "euclidean")
+        assert (res.status, res.reason) == ("unknown", "non-rational centers")
+        assert built == []
+
+    def test_smaller_cover_answers_for_a_non_rational_member(self):
+        # cover [0, 2], unknown in the test above, has a placement with X
+        # at its origin; [0], enumerated first, answers yes with the same
+        # target for disk 0, tested against X as a fixed centre that is
+        # not rational
+        inst = Instance("euclidean", 2, F(4), (P(0, 0), P(1, 0), self.X))
+        covers = list(enumerate_candidate_sets(build_graph(inst.disks), 2))
+        assert covers.index([0]) < covers.index([0, 2])
+        ans = solve(inst)
+        assert ans.verdict == "yes" and ans.log[-1] == "moved set [0]"
+        assert ans.witness.moves == {0: P(0, 2)}
+        assert validate_witness(inst, ans.witness).accepted
 
 
 class TestLoneMember:
@@ -168,7 +237,8 @@ class TestLoneMember:
     ])
     def test_guard_cases_are_found_feasible(self, fixed, origin, d2,
                                             variant, targets):
-        res = solver._stage_candidates(fixed, [origin], d2, variant, None)
+        res = solver._stage_candidates(
+            solver._Frame(fixed, [origin], d2, variant), None)
         assert res is not None and res.status == "feasible"
         assert res.assignment[0] in targets
 
@@ -194,13 +264,12 @@ class TestLoneMember:
                 sets += 1
                 fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
                 movables = [inst.disks[i] for i in cand]
-                res = solver._stage_candidates(fixed, movables, d2, variant,
-                                               None)
+                frame = solver._Frame(fixed, movables, d2, variant)
+                res = solver._stage_candidates(frame, None)
                 if res is None or res.status != "infeasible":
                     continue
                 fired += 1
-                grid = solver._stage_grid(fixed, movables, d2, variant, cfg,
-                                          None)
+                grid = solver._stage_grid(frame, cfg, None)
                 assert grid.status != "feasible", (trial, cand)
                 refuted += grid.status == "infeasible"
         assert fired >= 100 and refuted >= fired - 20
@@ -235,11 +304,9 @@ class TestCandidateList:
 
     def test_lone_member_lemma_holds_on_a_long_list(self):
         fixed = self.lattice()
-        cands = solver._candidates_for(self.ORIGIN, fixed, self.D2,
-                                       "euclidean")
-        assert len(cands) == 654
-        res = solver._stage_candidates(fixed, [self.ORIGIN], self.D2,
-                                       "euclidean", None)
+        frame = solver._Frame(fixed, [self.ORIGIN], self.D2, "euclidean")
+        assert len(frame.candidates(0, ())) == 654
+        res = solver._stage_candidates(frame, None)
         assert res is not None and res.status == "infeasible"
         assert (res.member, res.reason) == (0, solver.NO_PLACE)
 
@@ -255,21 +322,23 @@ class TestCandidateList:
     @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
     def test_build_order_origin_then_axis_extremes(self, variant):
         o = self.ORIGIN
-        cands = solver._candidates_for(o, self.lattice(), self.D2, variant)
+        cands = candidate_points(self.lattice(), o, self.D2, variant)
         assert cands[:5] == [o, P(o.x + 9, o.y), P(o.x - 9, o.y),
                              P(o.x, o.y + 9), P(o.x, o.y - 9)]
         assert len(set(cands)) == len(cands)
 
 
 class TestIntegerStageOne:
-    """Stage 1 on a moved set's integer frame agrees with ``Point``
-    arithmetic, and keeps the answers of the ``Point`` walk."""
+    """Stages 1 and 2 on a moved set's integer frame agree with ``Point``
+    arithmetic."""
 
     def test_member_test_matches_point_reference(self):
         # every candidate of a random member, and its separation from up to
         # four earlier candidates that fit, against within_move and an
         # exact distance test to every fixed centre, near or not; then the
-        # separation of random pairs of its candidates
+        # separation of random pairs of its candidates.  Two trials in
+        # three add fixed centres that are not rational, the frame's
+        # others: one radical, then also one ~ literal
         rng = random.Random(20261020)
         tests = {"euclidean": 0, "rectilinear": 0}
         trial = 0
@@ -278,20 +347,26 @@ class TestIntegerStageOne:
             trial += 1
             den = rng.choice((1, 2, 3, 4))
 
-            def pt():
-                return P(F(rng.randint(-5 * den, 5 * den), den),
-                         F(rng.randint(-5 * den, 5 * den), den))
+            def pt(gen=rng):
+                return P(F(gen.randint(-5 * den, 5 * den), den),
+                         F(gen.randint(-5 * den, 5 * den), den))
 
             d2 = rng.choice([F(1, 4), F(1, 2), F(1), F(2), F(9, 4), F(3),
                              F(4)])
             origin, fixed = pt(), [pt() for _ in range(rng.randint(1, 8))]
-            frame = solver._Frame(fixed, [origin], d2, variant)
+            q, r = pt(random.Random(trial)), pt(random.Random(-trial))
+            others = [Point(quadext(q.x, F(1, 8), 2), q.y),
+                      Point(parse_scalar(f"{float(r.x) + 0.17678:.5f}~"),
+                            r.y)][:trial % 3]
+            frame = solver._Frame(fixed + others, [origin], d2, variant)
+            assert frame.others == others
             placed: list = []
             for t in frame.candidates(0, ()):
                 p = frame.point(t)
                 alone = within_move(origin, p, d2, variant) and all(
-                    compare(dist2(p, f), FOUR) is not Ordering.LESS
-                    for f in fixed)
+                    compare(dist2(p, f), FOUR) in (Ordering.GREATER,
+                                                   Ordering.EQUAL)
+                    for f in fixed + others)
                 apart = all(compare(dist2(p, frame.point(q)), FOUR)
                             is not Ordering.LESS for q in placed)
                 assert frame.fits(0, t, ()) == alone, (trial, p)
@@ -308,8 +383,8 @@ class TestIntegerStageOne:
                     compare(dist2(frame.point(t), frame.point(q)), FOUR)
                     is not Ordering.LESS), (trial, t, q)
 
-    # centres that are not all rational take stage 2's Point walk, which
-    # finds these witnesses
+    # a fixed centre that is not rational sends the set to stage 2, which
+    # finds these witnesses on the frame
     @pytest.mark.parametrize("variant, d2, third, target", [
         ("euclidean", 1, Point(quadext(3, 1, 2), F(0)), P(-1, 0)),
         ("euclidean", 1, Point(parse_scalar("4.41421~"), F(0)), P(-1, 0)),
@@ -342,14 +417,13 @@ class TestIntegerStageOne:
                  P(F(1, 2), F(-7, 2)), P(-1, F(7, 2)), P(7, F(7, 2)),
                  P(F(11, 4), 8)]
         movables = [P(0, 0), P(F(9, 4), 4)]
-        res = solver._stage_candidates(fixed, movables, F(9), "euclidean",
-                                       None)
+        frame = solver._Frame(fixed, movables, F(9), "euclidean")
+        res = solver._stage_candidates(frame, None)
         target = Point(quadext(F(12, 5), F(4, 5), 3),
                        quadext(F(16, 5), F(-3, 5), 3))
         assert res.status == "feasible"
         assert res.assignment == {0: P(F(9, 5), F(12, 5)), 1: target}
-        assert target not in solver._candidates_for(movables[1], fixed, F(9),
-                                                    "euclidean")
+        assert target not in [frame.point(t) for t in frame.candidates(1, ())]
 
 
 class TestFrameMeet:
@@ -537,13 +611,14 @@ class TestDeadline:
     def test_stage_one_walk_checks_the_deadline(self, monkeypatch):
         # the lone-member pass reads the clock once, at 0; the walk then
         # reads 10, past the deadline of 5
-        args = ([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean")
-        res = solver._stage_candidates(*args, None)
+        frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
+                              "euclidean")
+        res = solver._stage_candidates(frame, None)
         assert res.status == "feasible"
         assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
         clock = iter(itertools.chain([0], itertools.repeat(10)))
         monkeypatch.setattr(solver.time, "monotonic", lambda: next(clock))
-        assert solver._stage_candidates(*args, 5.0) is None
+        assert solver._stage_candidates(frame, 5.0) is None
 
     def test_enumeration_past_deadline_yields_nothing(self):
         g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
@@ -610,12 +685,10 @@ class TestGridOnFrame:
         # (2 - s*sqrt(2))^2 refuted this feasible set
         fixed = [P(F(5, 2), F(3, 2)), P(F(1, 2), 3)]
         movables = [P(F(-1, 2), 0), P(F(1, 2), 1)]
-        d2 = F(1)
-        res = solver._stage_candidates(fixed, movables, d2, "rectilinear",
-                                       None)
+        frame = solver._Frame(fixed, movables, F(1), "rectilinear")
+        res = solver._stage_candidates(frame, None)
         assert res.assignment == {0: P(F(-3, 2), 0), 1: P(F(1, 2), 1)}
-        res = solver._stage_grid(fixed, movables, d2, "rectilinear",
-                                 SolverConfig(delta=F(2)), None)
+        res = solver._stage_grid(frame, SolverConfig(delta=F(2)), None)
         assert res.status != "infeasible"
 
     @staticmethod
@@ -640,12 +713,12 @@ class TestGridOnFrame:
         # They are enough to exhaust the node budget on at least one set if
         # a pass counted every fixed disk in its menus.
         real = solver._stage_grid
+        grids = []
         reached = []
 
         def recording(*args):
-            res = real(*args)
-            reached.append((args, res))
-            return res
+            grids.append(real(*args))
+            return grids[-1]
 
         monkeypatch.setattr(solver, "_stage_grid", recording)
         rng = random.Random(1)
@@ -659,11 +732,16 @@ class TestGridOnFrame:
             trial += 1
             for cand in enumerate_candidate_sets(build_graph(inst.disks), k):
                 fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
-                feasibility(fixed, [inst.disks[i] for i in cand], d2, variant)
-        for (fixed, movables, d2, variant, cfg, _), want in reached:
+                movables = [inst.disks[i] for i in cand]
+                grids.clear()
+                feasibility(fixed, movables, d2, variant)
+                if grids:
+                    reached.append((fixed, movables, d2, variant, grids[0]))
+        for fixed, movables, d2, variant, want in reached:
             far = self.far_disks(fixed + movables, movables, d2, 150)
             assert len(far) == 150
-            got = real(fixed + far, movables, d2, variant, cfg, None)
+            got = real(solver._Frame(fixed + far, movables, d2, variant),
+                       SolverConfig(), None)
             assert (got.status, got.delta, got.assignment, got.reason) == \
                 (want.status, want.delta, want.assignment, want.reason)
 
@@ -884,12 +962,14 @@ class TestImpliedRefutation:
 
     def test_irrational_distance_or_unknown_subset_implies_nothing(self):
         disks = [P(0, 0), P(10, 0), Point(quadext(10, 1, 2), F(0))]
+        rats = [ratio(p) for p in disks]
+        reach = FAR2.numerator, FAR2.denominator
         refuted = {frozenset([0])}
         implied = solver._implied_refutation
-        assert implied([0, 1], refuted, disks, FAR2) == [0]
-        assert implied([0, 2], refuted, disks, FAR2) is None
+        assert implied([0, 1], refuted, rats, reach) == [0]
+        assert implied([0, 2], refuted, rats, reach) is None
         # a subset left unknown is not in the refuted set
-        assert implied([0, 1], set(), disks, FAR2) is None
+        assert implied([0, 1], set(), rats, reach) is None
 
     @pytest.mark.parametrize("k, seed, verdict", [
         (3, None, "no"), (4, None, "yes"), (4, 1, "yes"), (4, 2, "yes")])

@@ -8,11 +8,12 @@ the number of solves and a SHA-256 over each answer's verdict, reason,
 witness text and log lines.  A last line gives the SHA-256 of the Fig. 7
 grid-tiling instance text and of its witness text, and one more line
 digests 50 small seeded ``gen_random`` instances whose one coordinate is a
-radical or a ``~`` literal, so that their covers take the ``Point`` walk
-for sets with a centre that is not rational.  Two checkouts that print the
-same lines gave byte-identical answers.  The benchmark inputs come from
-``perfbench/workloads.py``, which is imported and never changed; the
-library is imported from this checkout's ``src/``.
+radical or a ``~`` literal, so that their covers have a centre that is not
+rational.  Two checkouts that print the same lines gave byte-identical
+answers.  Every yes witness of a solve is also validated exactly; the
+script exits 1, after its lines, when one is rejected.  The benchmark
+inputs come from ``perfbench/workloads.py``, which is imported and never
+changed; the library is imported from this checkout's ``src/``.
 
 ``tools/solve_digest.txt`` holds the expected output, and CI diffs a fresh
 run against it.  A change that alters these outputs on purpose rewrites
@@ -46,12 +47,18 @@ def answer_text(ans: dd.Answer) -> str:
     return "\n".join([ans.verdict, str(ans.reason), witness, *ans.log])
 
 
-def digest(instances) -> tuple[int, str]:
+def digest(instances) -> tuple[int, str, int]:
+    """The number of solves, their SHA-256, and the number of yes witnesses
+    that ``validate_witness`` rejects."""
     h = hashlib.sha256()
+    rejected = 0
     for inst in instances:
-        h.update(answer_text(dd.solve(inst)).encode())
+        ans = dd.solve(inst)
+        if ans.verdict == "yes":
+            rejected += not dd.validate_witness(inst, ans.witness).accepted
+        h.update(answer_text(ans).encode())
         h.update(b"\0")
-    return len(instances), h.hexdigest()
+    return len(instances), h.hexdigest(), rejected
 
 
 def sha256(text: str) -> str:
@@ -91,13 +98,19 @@ def non_rational_cases() -> list[dd.Instance]:
 
 
 def main() -> int:
+    rejected = 0
     for name, build in CASES.items():
         for seed in SEEDS:
-            count, hexdigest = digest([c.instance for c in build(seed)])
+            count, hexdigest, bad = digest([c.instance for c in build(seed)])
+            rejected += bad
             print(f"{name} seed {seed}: {count} solves, sha256 {hexdigest}")
     print(fig7_line())
-    count, hexdigest = digest(non_rational_cases())
+    count, hexdigest, bad = digest(non_rational_cases())
+    rejected += bad
     print(f"non-rational random: {count} solves, sha256 {hexdigest}")
+    if rejected:
+        print(f"{rejected} yes witnesses fail validation", file=sys.stderr)
+        return 1
     return 0
 
 
