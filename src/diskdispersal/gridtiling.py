@@ -17,7 +17,8 @@ block.  Each gadget group's hole in that block is cut where the group is
 placed, from the same coordinates: one per cell, row feeder and emptying
 row, two per column feeder and emptying column (the group and its stack
 or vacancy gadget).  The layout stays on ``int``: ``_Layout.instance()``
-and the witness's move targets alone build ``Fraction``s.
+and the witness's move targets alone build ``Fraction``s, the former one
+per distinct coordinate.
 
 Deliberate deviations from the usual presentation of this construction
 (vertical cell spacing, parity of the extra column gadget, sub-row
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Point
-from .instance_io import Instance, LatticeBlock, Rect, Witness
+from .instance_io import _INT_RE, Instance, LatticeBlock, Rect, Witness
 
 __all__ = [
     "GridTilingInstance",
@@ -311,7 +312,9 @@ class _Layout:
                     max(xs) - max(xs) % 2, max(ys) - max(ys) % 2)
 
     def instance(self) -> Instance:
-        disks = tuple(Point(Fraction(x), Fraction(y)) for x, y in self.disks)
+        # one Fraction per distinct coordinate, shared by the Points
+        frac = {v: Fraction(v) for v in {v for xy in self.disks for v in xy}}
+        disks = tuple(Point(frac[x], frac[y]) for x, y in self.disks)
         holes = tuple(Rect(*map(Fraction, h)) for h in self.holes)
         block = LatticeBlock(*map(Fraction, self.box), Fraction(2), holes)
         return Instance("rectilinear", self.k, Fraction(self.d) ** 2, disks,
@@ -457,34 +460,43 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
 # text format for grid-tiling inputs
 
 def parse_gridtiling(text: str) -> GridTilingInstance:
-    """First line "n kappa"; then kappa^2 lines "i j: a1,b1 a2,b2 ..."."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """First line "n kappa"; then kappa^2 lines "i j: a1,b1 a2,b2 ...".
+    Every integer takes the instance format's grammar, ``[+-]?[0-9]+``."""
+    lines = [(no, ln.split("#", 1)[0].strip())
+             for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln]
     if not lines:
         raise GeneratorError("empty grid-tiling input")
-    head = lines[0].split()
+    no, first = lines[0]
+    head = first.split()
     if len(head) != 2:
-        raise GeneratorError("first line must be 'n kappa'")
-    n, kappa = int(head[0]), int(head[1])
+        raise GeneratorError(f"line {no}: first line must be 'n kappa'")
+    n, kappa = _int(no, head[0]), _int(no, head[1])
     sets: dict[tuple[int, int], frozenset] = {}
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         if ":" not in ln:
-            raise GeneratorError(f"bad cell line {ln!r}")
+            raise GeneratorError(f"line {no}: bad cell line {ln!r}")
         key, vals = ln.split(":", 1)
         parts = key.split()
         if len(parts) != 2:
-            raise GeneratorError(f"bad cell key {key!r}")
-        i, j = int(parts[0]), int(parts[1])
+            raise GeneratorError(f"line {no}: bad cell key {key!r}")
+        i, j = _int(no, parts[0]), _int(no, parts[1])
         pairs = set()
         for tok in vals.split():
             ab = tok.split(",")
-            if len(ab) != 2:
-                raise GeneratorError(f"bad pair {tok!r}")
+            if len(ab) != 2 or not all(map(_INT_RE.fullmatch, ab)):
+                raise GeneratorError(f"line {no}: bad pair {tok!r}")
             pairs.add((int(ab[0]), int(ab[1])))
         if (i, j) in sets:
-            raise GeneratorError(f"duplicate cell ({i}, {j})")
+            raise GeneratorError(f"line {no}: duplicate cell ({i}, {j})")
         sets[(i, j)] = frozenset(pairs)
     return GridTilingInstance(n, kappa, sets)
+
+
+def _int(no: int, tok: str) -> int:
+    if not _INT_RE.fullmatch(tok):
+        raise GeneratorError(f"line {no}: bad integer {tok!r}")
+    return int(tok)
 
 
 def write_gridtiling(gt: GridTilingInstance) -> str:

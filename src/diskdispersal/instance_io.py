@@ -288,7 +288,7 @@ def _rat(no: int, tok: str) -> Fraction:
         raise ParseError(no, f"bad rational {tok!r}") from None
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def _int(no: int, tok: str) -> int:
@@ -322,12 +322,13 @@ def parse_instance(text: str) -> Instance:
     if n < 0:
         raise ParseError(no, "disk count must be nonnegative")
 
+    scalars: dict[str, Scalar] = {}
     disks = []
     for _ in range(n):
         no, toks = cur.next("disk coordinates")
         if len(toks) != 2:
             raise ParseError(no, "expected two coordinates")
-        disks.append(Point(_parse_coord(no, toks[0]), _parse_coord(no, toks[1])))
+        disks.append(_point(scalars, no, toks[0], toks[1]))
 
     blocks: list[LatticeBlock] = []
     if not cur.done():
@@ -361,11 +362,23 @@ def parse_instance(text: str) -> Instance:
     return Instance(variant, k, d2, tuple(disks), tuple(blocks))
 
 
-def _parse_coord(no: int, tok: str) -> Scalar:
+def _point(scalars: dict[str, Scalar], no: int, xtok: str,
+           ytok: str) -> Point:
+    """The Point of a line's two coordinate tokens.  ``scalars`` belongs to
+    one parse: each distinct token is parsed once, at its first line, and a
+    repeat shares that scalar.  Every scalar is immutable, and a bulk
+    instance repeats few distinct coordinates many times."""
+    x, y = scalars.get(xtok), scalars.get(ytok)
+    return Point(_coord(scalars, no, xtok) if x is None else x,
+                 _coord(scalars, no, ytok) if y is None else y)
+
+
+def _coord(scalars: dict[str, Scalar], no: int, tok: str) -> Scalar:
     try:
-        return parse_scalar(tok)
+        value = scalars[tok] = parse_scalar(tok)
     except ValueError:
         raise ParseError(no, f"bad coordinate {tok!r}") from None
+    return value
 
 
 def write_instance(inst: Instance) -> str:
@@ -390,6 +403,7 @@ def parse_witness(text: str) -> Witness:
     if " ".join(toks) != WITNESS_HEADER:
         raise ParseError(no, f"expected header {WITNESS_HEADER!r}")
     no, mtok = _expect_kv(cur, "moves")
+    scalars: dict[str, Scalar] = {}
     moves: dict[int, Point] = {}
     for _ in range(_int(no, mtok)):
         no, toks = cur.next("move line")
@@ -400,7 +414,7 @@ def parse_witness(text: str) -> Witness:
             raise ParseError(no, "negative disk index")
         if idx in moves:
             raise ParseError(no, f"duplicate move for disk {idx}")
-        moves[idx] = Point(_parse_coord(no, toks[2]), _parse_coord(no, toks[3]))
+        moves[idx] = _point(scalars, no, toks[2], toks[3])
     if not cur.done():
         no, toks = cur.next("")
         raise ParseError(no, f"unexpected trailing content {' '.join(toks)!r}")

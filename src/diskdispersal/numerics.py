@@ -477,16 +477,22 @@ def approx_float(x: Scalar) -> float:
 # ---------------------------------------------------------------------------
 # text forms
 
+# re.ASCII: \d means [0-9]; another script's digits would parse, then write
+# back as ASCII text
 _RAT = r"[+-]?\d+(?:/\d+)?"
-_QUAD_RE = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)\*sqrt\(({_RAT})\)$")
-_TILDE_RE = re.compile(r"^([+-]?\d+)\.(\d+)~$")
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_QUAD_RE = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)\*sqrt\(({_RAT})\)$",
+                      re.ASCII)
+_TILDE_RE = re.compile(r"^([+-]?\d+)\.(\d+)~$", re.ASCII)
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def _rational(m: re.Match) -> Fraction:
     """The Fraction of a ``_RAT_RE`` match."""
+    num, den = m.group(1, 2)
+    if den is None:
+        return Fraction(int(num))  # no gcd to take
     try:
-        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {m.string!r}") from None
 

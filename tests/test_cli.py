@@ -295,6 +295,8 @@ class TestDispatchBasics:
         ["render", "{inst}", "{out}", "--scale", "0"],
         ["generate", "random", "{out}", "--n", "2", "--side", "9",
          "--d2=-1"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "9",
+         "--d2", "\uff13"],
         ["generate", "colocated", "{out}", "--m", "2", "--k", "1",
          "--d2=-1"],
         ["generate", "gridtiling-witness", "{inst}", "{inst}", "{out}",

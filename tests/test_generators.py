@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -227,6 +228,26 @@ class TestGridTiling:
     def test_text_format_round_trip(self):
         text = write_gridtiling(FIG7)
         assert parse_gridtiling(text) == FIG7
+
+    @pytest.mark.parametrize("text, line, tok", [
+        ("2 1\n1 1: 1_1,1\n", 2, "1_1,1"),
+        ("\u0663 2\n", 1, "\u0663"),
+        ("2 1\n1 1: 1, 1\n", 2, "1,"),
+    ])
+    def test_text_format_integer_grammar(self, text, line, tok):
+        with pytest.raises(GeneratorError,
+                           match=re.escape(f"line {line}: bad") + ".*"
+                           + re.escape(repr(tok))):
+            parse_gridtiling(text)
+
+    def test_fig7_coordinates_are_shared_fractions(self):
+        # the witness check of the benchmark needs Fraction coordinates;
+        # the generator and the parser build each distinct value once
+        inst = gen_gridtiling(FIG7)
+        for disks in (inst.disks, parse_instance(write_instance(inst)).disks):
+            coords = [v for p in disks for v in (p.x, p.y)]
+            assert all(type(v) is F for v in coords)
+            assert len({id(v) for v in coords}) == len(set(coords))
 
     @pytest.mark.parametrize("cell", [(7, 7), (0, 1), (1, 2), (2, 0)])
     def test_cell_outside_kappa_rejected(self, cell):

@@ -92,6 +92,16 @@ class TestParsing:
         ("step 2 ", "step 2.0 ", 10, "2.0"),
         ("holes 1", "holes 1_0", 10, "1_0"),
         ("-1 -1 3 1", "-1 -1 3 0.5", 11, "0.5"),
+        # digits are ASCII only: others would not write back as read
+        ("k: 1", "k: \uff11", 3, "\uff11"),
+        ("k: 1", "k: \u0662", 3, "\u0662"),
+        ("d2: 3", "d2: \uff13", 4, "\uff13"),
+        ("d2: 3", "d2: \u0663/\u0664", 4, "\u0663/\u0664"),
+        ("1 0", "\uff11 0", 7, "\uff11"),
+        ("1 0", "\u0663 4", 7, "\u0663"),
+        ("2 0", "2 1+1*sqrt(\uff12)", 8, "1+1*sqrt(\uff12)"),
+        ("2 0", "2 1+1*sqrt(\u0663)", 8, "1+1*sqrt(\u0663)"),
+        ("2 0", "2 1.\u0665~", 8, "1.\u0665~"),
     ])
     def test_number_fields_share_one_grammar(self, old, new, line, tok):
         bad = SPEC_FILE.replace(old, new, 1)
@@ -104,6 +114,10 @@ class TestParsing:
         ("DISPERSALMOVES v1\nmoves: 1_0\n", 2, "1_0"),
         ("DISPERSALMOVES v1\nmoves: 1\n1_0 -> 5 0\n", 3, "1_0"),
         ("DISPERSALMOVES v1\nmoves: 1\n1.0 -> 5 0\n", 3, "1.0"),
+        ("DISPERSALMOVES v1\nmoves: \uff11\n1 -> 5 0\n", 2, "\uff11"),
+        ("DISPERSALMOVES v1\nmoves: 1\n\uff11 -> 5 0\n", 3, "\uff11"),
+        ("DISPERSALMOVES v1\nmoves: 1\n\u0661 -> 5 0\n", 3, "\u0661"),
+        ("DISPERSALMOVES v1\nmoves: 1\n1 -> \u0665 0\n", 3, "\u0665"),
     ])
     def test_witness_integers_share_one_grammar(self, text, line, tok):
         with pytest.raises(ParseError) as ei:
@@ -117,6 +131,41 @@ class TestParsing:
         assert write_instance(parse_instance(text)) == text
         wtext = "DISPERSALMOVES v1\nmoves: 2\n0 -> -5/2 0\n7 -> 1 2\n"
         assert write_witness(parse_witness(wtext)) == wtext
+
+
+class TestCoordinateSharing:
+    """A parse builds one scalar per distinct coordinate token."""
+
+    TOKENS = [("3/2", "1+1*sqrt(2)"), ("1.5~", "3/2"),
+              ("1+1*sqrt(2)", "1.5~"), ("3/2", "1.5~")]
+
+    def test_repeated_tokens_share_one_scalar(self):
+        text = ("DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
+                "disks: 4\n" + "".join(f"{x} {y}\n" for x, y in self.TOKENS))
+        inst = parse_instance(text)
+        a, b, c, d = inst.disks
+        assert a.x is b.y is d.x  # a rational
+        assert a.y is c.x  # a radical
+        assert b.x is c.y is d.y  # a ~ literal
+        assert inst == Instance("euclidean", 1, F(1), tuple(
+            Point(parse_scalar(x), parse_scalar(y)) for x, y in self.TOKENS))
+
+    def test_bad_token_reports_its_first_line(self):
+        text = ("DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
+                "disks: 4\nzz 0\n1 0\n2 0\n3 zz\n")
+        with pytest.raises(ParseError) as ei:
+            parse_instance(text)
+        assert ei.value.line == 6 and "'zz'" in ei.value.msg
+
+    def test_witness_targets_share_one_scalar(self):
+        text = ("DISPERSALMOVES v1\nmoves: 3\n" + "".join(
+            f"{i} -> {x} {y}\n" for i, (x, y) in enumerate(self.TOKENS[:3])))
+        w = parse_witness(text)
+        assert w.moves[0].x is w.moves[1].y
+        assert w.moves[0].y is w.moves[2].x
+        assert w.moves[1].x is w.moves[2].y
+        assert w.moves == {i: Point(parse_scalar(x), parse_scalar(y))
+                           for i, (x, y) in enumerate(self.TOKENS[:3])}
 
 
 class TestWitnessFormat:

@@ -5,15 +5,17 @@
 solves the random-small and planted-triples inputs of ``perfbench`` at seeds
 1 and 7 with the default ``SolverConfig`` and prints, per workload and seed,
 the number of solves and a SHA-256 over each answer's verdict, reason,
-witness text and log lines.  A last line gives the SHA-256 of the Fig. 7
+witness text and log lines.  A fifth line gives the SHA-256 of the Fig. 7
 grid-tiling instance text and of its witness text, and one more line
 digests 50 small seeded ``gen_random`` instances whose one coordinate is a
 radical or a ``~`` literal, so that their covers have a centre that is not
 rational.  Two checkouts that print the same lines gave byte-identical
-answers.  Every yes witness of a solve is also validated exactly; the
-script exits 1, after its lines, when one is rejected.  The benchmark
-inputs come from ``perfbench/workloads.py``, which is imported and never
-changed; the library is imported from this checkout's ``src/``.
+answers.  Every yes witness of a solve is also validated exactly, and the
+two Fig. 7 texts are parsed back: each must write back byte for byte, with
+every parsed coordinate a ``Fraction``.  The script exits 1, after its
+lines, when a witness is rejected or the Fig. 7 round trip fails.  The
+benchmark inputs come from ``perfbench/workloads.py``, which is imported and
+never changed; the library is imported from this checkout's ``src/``.
 
 ``tools/solve_digest.txt`` holds the expected output, and CI diffs a fresh
 run against it.  A change that alters these outputs on purpose rewrites
@@ -65,14 +67,27 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fig7_line() -> str:
+def fig7_line() -> tuple[str, list[str]]:
+    """The Fig. 7 line, and the faults of its text round trip: a text that
+    does not write back byte for byte, or a parsed coordinate that is not a
+    ``Fraction``."""
     spec = workloads.fig7_input(1).spec
     inst = dd.gen_gridtiling(spec)
     w = dd.gridtiling_witness(spec, inst, workloads.FIG7_ROWS,
                               workloads.FIG7_COLS)
-    return (f"gridtiling-fig7: instance sha256 "
-            f"{sha256(dd.write_instance(inst))}, witness sha256 "
-            f"{sha256(dd.write_witness(w))}")
+    inst_text, witness_text = dd.write_instance(inst), dd.write_witness(w)
+    back, w_back = dd.parse_instance(inst_text), dd.parse_witness(witness_text)
+    faults = []
+    if dd.write_instance(back) != inst_text:
+        faults.append("the Fig. 7 instance text does not write back")
+    if dd.write_witness(w_back) != witness_text:
+        faults.append("the Fig. 7 witness text does not write back")
+    if any(type(v) is not Fraction
+           for p in (*back.disks, *w_back.moves.values()) for v in (p.x, p.y)):
+        faults.append("a parsed Fig. 7 coordinate is not a Fraction")
+    line = (f"gridtiling-fig7: instance sha256 {sha256(inst_text)}, "
+            f"witness sha256 {sha256(witness_text)}")
+    return line, faults
 
 
 def non_rational_cases() -> list[dd.Instance]:
@@ -104,14 +119,16 @@ def main() -> int:
             count, hexdigest, bad = digest([c.instance for c in build(seed)])
             rejected += bad
             print(f"{name} seed {seed}: {count} solves, sha256 {hexdigest}")
-    print(fig7_line())
+    line, faults = fig7_line()
+    print(line)
     count, hexdigest, bad = digest(non_rational_cases())
     rejected += bad
     print(f"non-rational random: {count} solves, sha256 {hexdigest}")
     if rejected:
-        print(f"{rejected} yes witnesses fail validation", file=sys.stderr)
-        return 1
-    return 0
+        faults.append(f"{rejected} yes witnesses fail validation")
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
