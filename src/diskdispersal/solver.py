@@ -502,8 +502,7 @@ def _stage_candidates(frame: Optional[_Frame], deadline: Optional[float]
                       ) -> Optional[Feasibility]:
     """Stage 1, on a frame without ``others`` (None at once otherwise): a
     refutation when some member alone has no place clear of the fixed
-    disks (the module docstring's lone-member lemma), else a feasible
-    placement built from structured candidates, or None."""
+    disks (the module docstring's lone-member lemma), else None."""
     if frame is None or frame.others:
         return None
     for i in range(len(frame.origins)):
@@ -511,20 +510,16 @@ def _stage_candidates(frame: Optional[_Frame], deadline: Optional[float]
             return None
         if not any(frame.fits(i, t, ()) for t in frame.candidates(i, ())):
             return Feasibility("infeasible", member=i, reason=NO_PLACE)
-    return _walk(frame, deadline)
+    return None
 
 
 def _stage_numeric(frame: Optional[_Frame], deadline: Optional[float]
                    ) -> Optional[Feasibility]:
-    """Stage 2, on a frame with ``others`` (None at once otherwise): stage
-    1's walk, each candidate also tested exactly against the fixed centres
-    that are not rational, or None.  The lone-member lemma does not apply
-    here.  The name is left from the float descent this stage once ran:
-    the stage wrappers of ``perfbench/layers.py`` bind it, so a rename
-    waits for a change to the benchmark."""
-    if frame is None or not frame.others:
-        return None
-    return _walk(frame, deadline)
+    """Stage 2: the walk's first placement on any frame, or None.  The
+    name is left from the float descent this stage once ran: the stage
+    wrappers of ``perfbench/layers.py`` bind it, so its rename to
+    ``_stage_walk`` waits for ROADMAP item 1(a)."""
+    return None if frame is None else _walk(frame, deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,17 @@ def candidate_points(fixed, origin, d2, variant):
 
 
 class TestSearchStages:
-    def test_stage_two_skips_rational_sets(self, monkeypatch):
-        frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(1),
+    def test_stage_two_walks_a_rational_frame(self, monkeypatch):
+        # stage 1 cannot refute the set and never walks; stage 2 walks the
+        # frame to (1, +-sqrt(3))
+        frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
                               "euclidean")
-        monkeypatch.setattr(solver, "_walk", refuse)
-        assert solver._stage_numeric(frame, None) is None
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_walk", refuse)
+            assert solver._stage_candidates(frame, None) is None
+        res = solver._stage_numeric(frame, None)
+        assert res.status == "feasible"
+        assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
 
     @pytest.mark.parametrize("fixed, movables", [
         ([P(0, 0), Point(quadext(3, 1, 2), F(0))], [P(1, 0)]),
@@ -126,6 +132,47 @@ class TestSearchStages:
         monkeypatch.setattr(solver._Frame, "fits", refuse)
         monkeypatch.setattr(solver, "_walk", refuse)
         assert solver._stage_candidates(frame, None) is None
+
+    def test_each_stage_decides_by_its_one_rule(self, monkeypatch):
+        # over the seed-1 benchmark inputs: stage 1 returns only lone-member
+        # refutations, stage 2 only placements, and no cover gets a verdict
+        # from two stages
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import workloads
+
+        covers = []
+        real_feasibility = solver.feasibility
+
+        def per_cover(*args, **kwargs):
+            covers.append([])
+            return real_feasibility(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "feasibility", per_cover)
+        for n, name in enumerate(("_stage_candidates", "_stage_numeric",
+                                  "_stage_grid"), 1):
+            def spy(*args, real=getattr(solver, name), n=n):
+                covers[-1].append((n, real(*args)))
+                return covers[-1][-1][1]
+
+            monkeypatch.setattr(solver, name, spy)
+        for case in (workloads.random_small_cases(1)
+                     + workloads.planted_cases(1)):
+            solve(case.instance)
+        decided = {1: 0, 2: 0, 3: 0}
+        for stages in covers:
+            verdicts = [n for n, res in stages
+                        if res is not None and res.status != "unknown"]
+            assert len(verdicts) <= 1, stages
+            for n, res in stages:
+                if n == 1 and res is not None:
+                    assert res.status == "infeasible"
+                    assert res.member is not None
+                if n == 2 and res is not None:
+                    assert res.status == "feasible"
+            for n in verdicts:
+                decided[n] += 1
+        assert decided[1] and decided[2] and decided[3]
 
     # (d, an anchor exactly d+2 from the origin, its one tangency point);
     # d = 3/2 tells the reach d+2 apart from d2+2
@@ -237,8 +284,10 @@ class TestLoneMember:
     ])
     def test_guard_cases_are_found_feasible(self, fixed, origin, d2,
                                             variant, targets):
-        res = solver._stage_candidates(
-            solver._Frame(fixed, [origin], d2, variant), None)
+        # the lemma keeps the set, and stage 2's walk places the member
+        frame = solver._Frame(fixed, [origin], d2, variant)
+        assert solver._stage_candidates(frame, None) is None
+        res = solver._stage_numeric(frame, None)
         assert res is not None and res.status == "feasible"
         assert res.assignment[0] in targets
 
@@ -418,7 +467,7 @@ class TestIntegerStageOne:
                  P(F(11, 4), 8)]
         movables = [P(0, 0), P(F(9, 4), 4)]
         frame = solver._Frame(fixed, movables, F(9), "euclidean")
-        res = solver._stage_candidates(frame, None)
+        res = solver._stage_numeric(frame, None)
         target = Point(quadext(F(12, 5), F(4, 5), 3),
                        quadext(F(16, 5), F(-3, 5), 3))
         assert res.status == "feasible"
@@ -608,17 +657,17 @@ class TestDeadline:
                           deadline=time.monotonic() - 1)
         assert res.status == "unknown" and res.reason == "time budget"
 
-    def test_stage_one_walk_checks_the_deadline(self, monkeypatch):
-        # the lone-member pass reads the clock once, at 0; the walk then
-        # reads 10, past the deadline of 5
+    def test_stage_two_walk_checks_the_deadline(self, monkeypatch):
+        # the walk reads the clock at its root, at 0, and then at each
+        # node below it, at 10, past the deadline of 5
         frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
                               "euclidean")
-        res = solver._stage_candidates(frame, None)
+        res = solver._stage_numeric(frame, None)
         assert res.status == "feasible"
         assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
         clock = iter(itertools.chain([0], itertools.repeat(10)))
         monkeypatch.setattr(solver.time, "monotonic", lambda: next(clock))
-        assert solver._stage_candidates(frame, 5.0) is None
+        assert solver._stage_numeric(frame, 5.0) is None
 
     def test_enumeration_past_deadline_yields_nothing(self):
         g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
@@ -686,7 +735,7 @@ class TestGridOnFrame:
         fixed = [P(F(5, 2), F(3, 2)), P(F(1, 2), 3)]
         movables = [P(F(-1, 2), 0), P(F(1, 2), 1)]
         frame = solver._Frame(fixed, movables, F(1), "rectilinear")
-        res = solver._stage_candidates(frame, None)
+        res = solver._stage_numeric(frame, None)
         assert res.assignment == {0: P(F(-3, 2), 0), 1: P(F(1, 2), 1)}
         res = solver._stage_grid(frame, SolverConfig(delta=F(2)), None)
         assert res.status != "infeasible"
