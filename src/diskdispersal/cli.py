@@ -26,7 +26,7 @@ from .instance_io import (
     write_witness,
 )
 from .kernel import coordinate_stat, kernelize, shrink_kernel
-from .numerics import IndeterminateError, parse_rational
+from .numerics import IndeterminateError, parse_int, parse_rational
 from .oracle import GuardError, oracle
 from .render import RenderOptions, render_svg
 from .solver import SolverConfig, solve
@@ -53,6 +53,14 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _integer(text: str) -> int:
+    """An integer option in the file formats' number grammar."""
+    try:
+        return parse_int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _nonnegative(parse, strict: bool = False):
     """An option type: ``parse`` of the text, which must be at least 0, or
     above 0 when ``strict`` (either test also rejects a float nan)."""
@@ -70,7 +78,7 @@ def _nonnegative(parse, strict: bool = False):
 def _integers(text: str) -> list[int]:
     """An option type: comma-separated integers, as in ``1,3,2``."""
     try:
-        return [int(v) for v in text.split(",")]
+        return [parse_int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not comma-separated integers: {text!r}") from None
@@ -113,30 +121,30 @@ def _build_parser() -> _Parser:
     gsub = gp.add_subparsers(dest="family")
     rp = gsub.add_parser("random")
     rp.add_argument("output", type=Path)
-    rp.add_argument("--n", type=_nonnegative(int), required=True)
-    rp.add_argument("--side", type=_nonnegative(int, strict=True),
+    rp.add_argument("--n", type=_nonnegative(_integer), required=True)
+    rp.add_argument("--side", type=_nonnegative(_integer, strict=True),
                     required=True)
-    rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--k", type=_nonnegative(int), default=1)
+    rp.add_argument("--seed", type=_integer, default=0)
+    rp.add_argument("--k", type=_nonnegative(_integer), default=1)
     rp.add_argument("--d2", type=_nonnegative(_rational), default=Fraction(1))
     rp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     cp = gsub.add_parser("colocated")
     cp.add_argument("output", type=Path)
-    cp.add_argument("--m", type=_nonnegative(int), required=True)
-    cp.add_argument("--k", type=_nonnegative(int), required=True)
+    cp.add_argument("--m", type=_nonnegative(_integer), required=True)
+    cp.add_argument("--k", type=_nonnegative(_integer), required=True)
     cp.add_argument("--d2", type=_nonnegative(_rational), required=True)
     cp.add_argument("--variant", choices=["euclidean", "rectilinear"],
                     default="euclidean")
     ap = gsub.add_parser("appending")
     ap.add_argument("output", type=Path)
-    ap.add_argument("--a", type=_nonnegative(int), required=True)
-    ap.add_argument("--kappa", type=_nonnegative(int), required=True)
+    ap.add_argument("--a", type=_nonnegative(_integer), required=True)
+    ap.add_argument("--kappa", type=_nonnegative(_integer), required=True)
     xp = gsub.add_parser("crosscompose")
     xp.add_argument("output", type=Path)
-    xp.add_argument("--t", type=_nonnegative(int), required=True)
-    xp.add_argument("--a", type=_nonnegative(int), required=True)
-    xp.add_argument("--kappa", type=_nonnegative(int), required=True)
+    xp.add_argument("--t", type=_nonnegative(_integer), required=True)
+    xp.add_argument("--a", type=_nonnegative(_integer), required=True)
+    xp.add_argument("--kappa", type=_nonnegative(_integer), required=True)
     tp = gsub.add_parser("gridtiling")
     tp.add_argument("input", type=Path, help="grid-tiling set description")
     tp.add_argument("output", type=Path)

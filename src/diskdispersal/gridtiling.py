@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Point
-from .instance_io import _INT_RE, Instance, LatticeBlock, Rect, Witness
+from .instance_io import Instance, LatticeBlock, Rect, Witness
+from .numerics import parse_int
 
 __all__ = [
     "GridTilingInstance",
@@ -483,10 +484,11 @@ def parse_gridtiling(text: str) -> GridTilingInstance:
         i, j = _int(no, parts[0]), _int(no, parts[1])
         pairs = set()
         for tok in vals.split():
-            ab = tok.split(",")
-            if len(ab) != 2 or not all(map(_INT_RE.fullmatch, ab)):
-                raise GeneratorError(f"line {no}: bad pair {tok!r}")
-            pairs.add((int(ab[0]), int(ab[1])))
+            try:
+                a, b = map(parse_int, tok.split(","))
+            except ValueError:
+                raise GeneratorError(f"line {no}: bad pair {tok!r}") from None
+            pairs.add((a, b))
         if (i, j) in sets:
             raise GeneratorError(f"line {no}: duplicate cell ({i}, {j})")
         sets[(i, j)] = frozenset(pairs)
@@ -494,9 +496,10 @@ def parse_gridtiling(text: str) -> GridTilingInstance:
 
 
 def _int(no: int, tok: str) -> int:
-    if not _INT_RE.fullmatch(tok):
-        raise GeneratorError(f"line {no}: bad integer {tok!r}")
-    return int(tok)
+    try:
+        return parse_int(tok)
+    except ValueError:
+        raise GeneratorError(f"line {no}: bad integer {tok!r}") from None
 
 
 def write_gridtiling(gt: GridTilingInstance) -> str:

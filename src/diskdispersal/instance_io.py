@@ -10,7 +10,6 @@ queries instead of materialising millions of circles.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +24,7 @@ from .numerics import (
     ceil_sqrt,
     compare,
     format_scalar,
+    parse_int,
     parse_rational,
     parse_scalar,
     to_interval,
@@ -288,13 +288,11 @@ def _rat(no: int, tok: str) -> Fraction:
         raise ParseError(no, f"bad rational {tok!r}") from None
 
 
-_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
-
-
 def _int(no: int, tok: str) -> int:
-    if not _INT_RE.fullmatch(tok):
-        raise ParseError(no, f"bad integer {tok!r}")
-    return int(tok)
+    try:
+        return parse_int(tok)
+    except ValueError:
+        raise ParseError(no, f"bad integer {tok!r}") from None
 
 
 def parse_instance(text: str) -> Instance:

@@ -49,6 +49,7 @@ __all__ = [
     "approx_float",
     "parse_scalar",
     "parse_rational",
+    "parse_int",
     "format_scalar",
 ]
 
@@ -73,8 +74,6 @@ def frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"not a rational value: {v!r}")
 
@@ -484,6 +483,7 @@ _QUAD_RE = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)\*sqrt\(({_RAT})\)$",
                       re.ASCII)
 _TILDE_RE = re.compile(r"^([+-]?\d+)\.(\d+)~$", re.ASCII)
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def _rational(m: re.Match) -> Fraction:
@@ -539,6 +539,15 @@ def parse_rational(text: str) -> Fraction:
     if not m:
         raise ValueError(f"bad rational literal: {text!r}")
     return _rational(m)
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer literal, ``[+-]?\\d+``; any other spelling, such
+    as ``1_0`` or another script's digits, raises ValueError."""
+    text = text.strip()
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"bad integer literal: {text!r}")
+    return int(text)
 
 
 def format_scalar(x: Scalar) -> str:

@@ -4,45 +4,49 @@ The search enumerates every subset A (|A| <= k) whose removal leaves the
 remaining disks pairwise non-overlapping -- exactly the vertex covers of the
 intersection graph, non-minimal ones included -- and asks for each whether
 the disks of A admit new positions.  Placement feasibility runs through
-three stages, all exact: apart from the clock of its time budget, the
-solver uses no floats.  ``feasibility`` gives a set whose members' centres
-are all rational one ``_Frame``, which every stage reads: the origins and
-the rational fixed centres near each member, multiplied by one scale M
-with d2*M^2 an integer, and each fixed centre that is not rational as a
-``Point`` in ``frame.others``.
+three stages of one rule each, all exact: apart from the clock of its time
+budget, the solver uses no floats.  ``feasibility`` gives a set whose
+members' centres are all rational one ``_Frame``, which every stage reads:
+the origins and the rational fixed centres near each member, multiplied by
+one scale M with d2*M^2 an integer, and in ``frame.others[i]`` member i's
+near fixed centres that are not rational, as exact ``Point`` values.
 
-1. on a frame without ``others``, structured candidates (tangency
-   intersections, budget-tight points, axis extremes): every candidate is
-   a tuple of integers over one radicand and every test the sign of an
-   integer radical expression.  Only anchors within d+2 of a movable's
-   origin seed tangencies: a target within d of the origin at distance 2
-   from an anchor puts that anchor within d+2.  Before its search, stage 1
-   refutes the set when one member alone has no place clear of the fixed
-   disks (the lone-member lemma below);
-2. on a frame with ``others``, stage 1's walk, each candidate also tested
-   exactly against every centre of ``others``; the lemma is not used;
-3. on a frame without ``others``, an exhaustive grid sweep over each
-   movable's reachable region that either finds an exact grid witness or
-   *proves* infeasibility: if no grid assignment survives with every
-   constraint relaxed by the maximal rounding perturbation (sqrt(2)*delta
-   per moved endpoint), no continuous solution exists.  Each pass rescales
-   the frame once more to put the grid on integers.
+1. the lone-member lemma below: the set is refuted when one member whose
+   ``others`` are empty alone has no place clear of the fixed disks.  A
+   member with ``others`` is skipped;
+2. on every frame, a depth-first walk over structured candidates
+   (tangency intersections, budget-tight points, axis extremes): every
+   candidate is a tuple of integers over one radicand and every test the
+   sign of an integer radical expression, and member i's candidates are
+   also tested exactly against ``others[i]``.  Only anchors within d+2 of
+   a movable's origin seed tangencies: a target within d of the origin at
+   distance 2 from an anchor puts that anchor within d+2;
+3. on a frame where no member has ``others``, an exhaustive grid sweep
+   over each movable's reachable region that either finds an exact grid
+   witness or *proves* infeasibility: if no grid assignment survives with
+   every constraint relaxed by the maximal rounding perturbation
+   (sqrt(2)*delta per moved endpoint), no continuous solution exists.  Each
+   pass rescales the frame once more to put the grid on integers.
 
-Near fixed centres.  Of the rational fixed centres, stages test each
-member against its near ones only.  The closed test picks those within
-derived_d(d2) + 2 of the member's origin, so each centre left out lies
-farther than d + 2 from it.  Every exact test asks for a point within d of
-the origin, which is then more than 2 from such a centre.  Stage 3's
-relaxed move test asks for a grid point within d + sqrt(2)*delta, which is
-then more than 2 - sqrt(2)*delta from it and passes the relaxed separation
+Near fixed centres.  Stages test each member against its near fixed
+centres only.  Of the rational ones, the closed test picks those within
+derived_d(d2) + 2 of the member's origin.  Of the others, an exact
+``compare`` of the squared distance with (derived_d(d2) + 2)^2 leaves out
+only those it proves farther; an undecided comparison counts as near.  So
+each centre left out lies farther than d + 2 from the origin, whether it is
+rational or not.  Every exact test asks for a point within d of the
+origin, which is then more than 2 from such a centre.  Stage 3's relaxed
+move test asks for a grid point within d + sqrt(2)*delta, which is then
+more than 2 - sqrt(2)*delta from it and passes the relaxed separation
 test.  For delta >= sqrt(2) that test is vacuous (2 - sqrt(2)*delta <= 0)
 and every point passes it.
 
-Stage 1 returns a feasible ``Feasibility``, a refutation by the
-lone-member lemma below, or None; stage 2 a feasible ``Feasibility`` or
-None; stage 3 always a ``Feasibility``, unknown ("non-rational centers")
-without a frame or on one with ``others``.  ``feasibility`` runs a stage
-only when the one before it returned None.
+Stage 1 returns a refutation by the lone-member lemma or None, never a
+placement; stage 2 a feasible ``Feasibility`` or None; stage 3 always a
+``Feasibility``, unknown ("non-rational centers") without a frame or on one
+where some member has ``others``.  ``feasibility`` runs a stage only when
+the one before it returned None, so one rule decides each set: the lemma,
+the walk or the grid.
 
 A member x whose centre o is not rational.  Its set A gets no frame and
 ends unknown ("non-rational centers"), and no yes is lost: as tangencies
@@ -50,15 +54,18 @@ are built on rational centres only, a walk on A could only keep x at o,
 clear of the fixed disks and of the other targets.  Then the cover A minus
 x, which the enumeration yields first, has the same placement with o
 fixed, and by induction on such members its first subset with a frame
-finds one: its walk lists the same candidates and runs the same tests.  No
-set of a kernel instance that holds a disk that is not rational is
-refuted, so the far-member lemma below never skips one.
+finds one: its walk lists the same candidates and runs the same tests.
+That subset is never refuted, nor skipped by the far-member lemma below:
+every refutation is sound (the lone-member lemma on a member whose near
+fixed centres are all rational, a grid on a frame whose near centres all
+are, and the far-member lemma applied to a refuted subset), and the subset
+has a placement.
 
-Lone-member lemma.  Let every origin and every fixed centre be rational,
-and let R be the free region of one member x with origin o: the points
-within x's move budget (Euclidean: the closed disk of radius d around o;
-rectilinear: the two closed axis segments of half-length d through o) at
-distance at least 2 from every fixed centre.  A placement of the whole set
+Lone-member lemma.  Let x be a member whose origin o is rational, with
+every fixed centre within derived_d(d2) + 2 of o rational, and let R be the
+free region of x: the points within x's move budget (Euclidean: the closed
+disk of radius d around o; rectilinear: the two closed axis segments of
+half-length d through o) at distance at least 2 from every fixed centre.  A placement of the whole set
 puts x in R, so if R is empty the set is infeasible.  If R is not empty,
 its lowest point p (least y, then least x) is one of the points that
 ``_Frame.candidates(i, ())`` lists for x, so when no point of that
@@ -76,9 +83,10 @@ each segment the fixed disks remove open intervals, leaving a finite union
 of closed intervals whose lowest end is a segment end (an axis extreme) or
 a tangency end.  Each of these points that is not an axis extreme lies
 within d of o and at distance 2 from one or two fixed centres, which
-therefore lie within d+2 of o and seed it.  Stage 1 runs this test on each
-member alone before its search and reports the first member whose R is
-empty.
+therefore lie within d+2 of o, are rational and seed it.  A fixed centre
+farther away is more than 2 from every point within d of o, so it changes
+neither R nor the list.  Stage 1 runs this test on each member whose
+``others`` are empty and reports the first whose R is empty.
 
 Some covers are refuted without running the stages.  Far-member lemma:
 let A be a cover and x a member of A such that A minus x is a cover too
@@ -115,7 +123,7 @@ search limits are module constants: ``DELTA_START`` (stage 3's first,
 coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
 That budget counts DFS nodes, and menu cells times (near fixed centres +
 1), not the tests at a node, so only ``time_budget`` bounds a pass.
-Stages 1 and 2 have no limit of their own: each walks every candidate it
+Stages 1 and 2 have no limit of their own: each tries every candidate it
 lists, in the order it builds them.
 """
 
@@ -308,17 +316,18 @@ class _Frame:
     the denominators of d2, of the origins, which must be rational, and of
     the near fixed centres, the rational ones within derived_d(d2) + 2 of
     some origin.  These centres become integer points, ``fixed[i]`` holding
-    member i's, and d2*M^2 an integer D2; a fixed centre that is not
-    rational stays a ``Point`` in ``others``.  A candidate is a tuple
-    (X, Y, U, V, E, c), built by :func:`_pt`, for the scaled point
+    member i's, and d2*M^2 an integer D2; member i's near fixed centres that
+    are not rational (module docstring) stay ``Point`` values in
+    ``others[i]``.  A candidate is a tuple (X, Y, U, V, E, c), built by
+    :func:`_pt`, for the scaled point
     ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand ``quadext``
     stores, so two candidates are equal exactly when their ``Point`` views
     are.  An anchor is a rational scaled point (X, Y, E).  Moves and
     separations are signs of integer radical expressions (:func:`sign_sqrt`
     and :func:`sign_sqrt2`), and a member is tested against its near fixed
-    centres only (module docstring) and exactly against ``others``.  The
-    frame holds only values fixed at construction: every call builds its
-    candidates and runs its tests afresh.
+    centres only, rational or not.  The frame holds only values fixed at
+    construction: every call builds its candidates and runs its tests
+    afresh.
     """
 
     def __init__(self, fixed: Sequence[Point], origins: Sequence[Point],
@@ -328,7 +337,10 @@ class _Frame:
         self.variant = variant
         rats = [ratio(f) for f in fixed]
         frats = [r for r in rats if r is not None]
-        self.others = [f for f, r in zip(fixed, rats) if r is None]
+        # a centre that is not rational is near unless proven farther
+        loose = [f for f, r in zip(fixed, rats) if r is None]
+        self.others = [[f for f in loose if compare(
+            dist2(o, f), reach2) is not Ordering.GREATER] for o in origins]
         self.orats = [ratio(o) for o in origins]
         near = [[j for j, r in enumerate(frats)
                  if ratio_below(o, r, *self.reach, True)]
@@ -439,7 +451,7 @@ class _Frame:
 
     def fits(self, i: int, t: tuple, placed: Sequence[tuple]) -> bool:
         """Exact: candidate t is within member i's move budget and clear of
-        its near fixed centres, of ``others`` and of every placed one."""
+        its near fixed centres, rational or not, and of every placed one."""
         return (self._moves(i, t) and self._clear(i, t)
                 and all(_apart(t, p, self.four) for p in placed))
 
@@ -464,9 +476,9 @@ class _Frame:
             a, b = X - E * fx, Y - E * fy
             if sign_sqrt(a * a + b * b + q, 2 * (a * U + b * V), c) < 0:
                 return False
-        if self.others:
+        if self.others[i]:
             p = self.point(t)
-            return all(_sep_ok(p, f) for f in self.others)
+            return all(_sep_ok(p, f) for f in self.others[i])
         return True
 
 
@@ -500,15 +512,16 @@ def _walk(frame: _Frame, deadline: Optional[float]
 
 def _stage_candidates(frame: Optional[_Frame], deadline: Optional[float]
                       ) -> Optional[Feasibility]:
-    """Stage 1, on a frame without ``others`` (None at once otherwise): a
-    refutation when some member alone has no place clear of the fixed
-    disks (the module docstring's lone-member lemma), else None."""
-    if frame is None or frame.others:
+    """Stage 1: a refutation when some member without ``others`` alone has
+    no place clear of the fixed disks (the module docstring's lone-member
+    lemma), else None."""
+    if frame is None:
         return None
-    for i in range(len(frame.origins)):
+    for i, others in enumerate(frame.others):
         if _expired(deadline):
             return None
-        if not any(frame.fits(i, t, ()) for t in frame.candidates(i, ())):
+        if not (others or any(frame.fits(i, t, ())
+                              for t in frame.candidates(i, ()))):
             return Feasibility("infeasible", member=i, reason=NO_PLACE)
     return None
 
@@ -527,14 +540,15 @@ def _stage_numeric(frame: Optional[_Frame], deadline: Optional[float]
 
 def _stage_grid(frame: Optional[_Frame], cfg: SolverConfig,
                 deadline: Optional[float]) -> Feasibility:
-    """Stage 3, on a frame without ``others`` (unknown, "non-rational
-    centers", otherwise): sweep delta grids coarse to fine on the frame.
+    """Stage 3, on a frame where no member has ``others`` (unknown,
+    "non-rational centers", otherwise): sweep delta grids coarse to fine on
+    the frame.
     Outcomes: an exact grid witness (feasible); a completed sweep with no
     assignment surviving the relaxed constraints (infeasible, certificate
     delta); or the finest pass's unknown, when relaxed assignments remain
     or a budget runs out.
     """
-    if frame is None or frame.others:
+    if frame is None or any(frame.others):
         return Feasibility("unknown", reason="non-rational centers")
     deltas: list[Fraction] = []
     dlt = DELTA_START
@@ -707,8 +721,7 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
     ``fixed`` must already be a packing, and all disks are explicit (no
     lattice fill).  The set gets one :class:`_Frame` when every movable's
     centre is rational, and none otherwise; every stage reads it.  See the
-    module docstring for which stage takes which frame, and for their
-    guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
+    module docstring for the rule of each stage and its guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
     limit); once it has passed, every stage gives up and the answer is
     unknown with reason "time budget", or "non-rational centers" for a set
     that stage 3 does not take.

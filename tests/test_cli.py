@@ -319,6 +319,14 @@ class TestDispatchBasics:
          "--kappa", "1"],
         ["generate", "crosscompose", "{out}", "--t", "3", "--a", "216",
          "--kappa", "-1"],
+        # int() reads these; the file formats' integer grammar does not
+        ["generate", "random", "{out}", "--n", "\uff13", "--side", "9"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "9",
+         "--k", "1_0"],
+        ["generate", "random", "{out}", "--n", "2", "--side", "9",
+         "--seed", "\u0663"],
+        ["generate", "gridtiling-witness", "{inst}", "{inst}", "{out}",
+         "--rows", "1_0", "--cols", "1"],
     ])
     def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
         wit = tmp_path / "w.out"

@@ -13,7 +13,9 @@ from diskdispersal.numerics import (
     Ordering,
     QuadExt,
     compare,
+    frac,
     format_scalar,
+    parse_int,
     parse_scalar,
     quadext,
     sign_sqrt,
@@ -427,3 +429,21 @@ class TestTextForms:
         for text in ("", "abc", "1/0", "sqrt(2)", "1+2*sqrt(-3)"):
             with pytest.raises(ValueError):
                 parse_scalar(text)
+
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-12", -12),
+                                             ("+3", 3), (" 40 ", 40)])
+    def test_integer_literals(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("text", ["", "1_0", "\uff13", "\u0663", "1.0",
+                                      "1/1", "- 1", "0x10"])
+    def test_bad_integer_literals(self, text):
+        # int() reads 1_0 and the digits of other scripts; the file
+        # grammar reads none of these
+        with pytest.raises(ValueError):
+            parse_int(text)
+
+    def test_frac_takes_no_text(self):
+        # text goes through parse_rational, the one rational grammar
+        with pytest.raises(TypeError):
+            frac("1/2")

@@ -120,13 +120,14 @@ class TestSearchStages:
         assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
 
     @pytest.mark.parametrize("fixed, movables", [
-        ([P(0, 0), Point(quadext(3, 1, 2), F(0))], [P(1, 0)]),
+        ([P(0, 0), Point(quadext(3, F(1, 8), 2), F(0))], [P(1, 0)]),
         ([P(0, 0)], [Point(quadext(1, 1, 2), F(0))]),
     ])
     def test_stage_one_skips_non_rational_sets(self, monkeypatch, fixed,
                                                movables):
-        # a fixed centre that is not rational goes to the frame's others;
-        # a member that is not rational gets no frame
+        # a fixed centre that is not rational, within d+2 = 3 of the member,
+        # goes to the member's others; a member that is not rational gets
+        # no frame
         frame = (solver._Frame(fixed, movables, F(1), "euclidean")
                  if movables[0].is_rational() else None)
         monkeypatch.setattr(solver._Frame, "fits", refuse)
@@ -339,7 +340,7 @@ class TestLoneMember:
 
 
 class TestCandidateList:
-    """Stage 1 lists a member's candidates in build order and walks them
+    """Stage 1 lists a member's candidates in build order and tests them
     all, however long the list."""
 
     # a member at (1/2, 1/3) inside a square lattice of touching disks, with
@@ -390,6 +391,7 @@ class TestIntegerStageOne:
         # others: one radical, then also one ~ literal
         rng = random.Random(20261020)
         tests = {"euclidean": 0, "rectilinear": 0}
+        kept = {True: 0, False: 0}
         trial = 0
         while min(tests.values()) < 500:
             variant = ("euclidean", "rectilinear")[trial % 2]
@@ -404,11 +406,27 @@ class TestIntegerStageOne:
                              F(4)])
             origin, fixed = pt(), [pt() for _ in range(rng.randint(1, 8))]
             q, r = pt(random.Random(trial)), pt(random.Random(-trial))
+            tilde = f"{float(r.x) + 0.17678:.5f}"
             others = [Point(quadext(q.x, F(1, 8), 2), q.y),
-                      Point(parse_scalar(f"{float(r.x) + 0.17678:.5f}~"),
-                            r.y)][:trial % 3]
+                      Point(parse_scalar(tilde + "~"), r.y)][:trial % 3]
+            # the x ranges of the two: sqrt(2)/8 lies in (0.17677669,
+            # 0.1767767), and the ~ literal is one unit wide on each side
+            xs = [(q.x + F(17677669, 10 ** 8), q.x + F(1767767, 10 ** 7)),
+                  (F(tilde) - F(1, 10 ** 5), F(tilde) + F(1, 10 ** 5))]
             frame = solver._Frame(fixed + others, [origin], d2, variant)
-            assert frame.others == others
+            # member 0's others: a centre whose whole x range lies within
+            # derived_d(d2) + 2 of the origin must be there, and one whose
+            # whole range lies farther must not
+            reach2 = (derived_d(d2) + 2) ** 2
+            for f, (lo, hi) in zip(others, xs):
+                near = [(x - origin.x) ** 2 + (f.y - origin.y) ** 2
+                        for x in (lo, hi, min(max(origin.x, lo), hi))]
+                if max(near[:2]) <= reach2:
+                    assert f in frame.others[0], (trial, f)
+                    kept[True] += 1
+                elif near[2] > reach2 + F(1, 1000):
+                    assert f not in frame.others[0], (trial, f)
+                    kept[False] += 1
             placed: list = []
             for t in frame.candidates(0, ()):
                 p = frame.point(t)
@@ -431,9 +449,10 @@ class TestIntegerStageOne:
                 assert solver._apart(t, q, frame.four) == (
                     compare(dist2(frame.point(t), frame.point(q)), FOUR)
                     is not Ordering.LESS), (trial, t, q)
+        assert kept[True] and kept[False]
 
-    # a fixed centre that is not rational sends the set to stage 2, which
-    # finds these witnesses on the frame
+    # with a fixed centre that is not rational, stage 2's walk finds these
+    # witnesses on the frame
     @pytest.mark.parametrize("variant, d2, third, target", [
         ("euclidean", 1, Point(quadext(3, 1, 2), F(0)), P(-1, 0)),
         ("euclidean", 1, Point(parse_scalar("4.41421~"), F(0)), P(-1, 0)),
@@ -652,7 +671,7 @@ class TestDeadline:
         assert ans.verdict == "unknown" and ans.reason == "time budget"
 
     def test_feasibility_past_deadline_is_unknown(self):
-        # stage 1 would find (1, +-sqrt(3)) at once without the deadline
+        # stage 2 would find (1, +-sqrt(3)) at once without the deadline
         res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean",
                           deadline=time.monotonic() - 1)
         assert res.status == "unknown" and res.reason == "time budget"
@@ -719,14 +738,31 @@ class TestGridOnFrame:
         assert ([0, 1], "unknown (grid node budget)") in logged_sets(ans)
 
     def test_non_rational_centres_are_unknown_not_no(self):
-        # (3 + sqrt(2), 0) keeps the search off the frame: neither stage 1
-        # nor a grid may refute a set
-        inst = Instance("euclidean", 1, F(1, 4),
-                        (P(0, 0), P(1, 0), Point(quadext(3, 1, 2), F(0))))
+        # (3 + sqrt(2)/8, 0) lies within d+2 = 5/2 of (1, 0): neither stage
+        # 1 nor a grid may refute set [1].  It lies farther from (0, 0), so
+        # the lemma refutes set [0]
+        inst = Instance("euclidean", 1, F(1, 4), (
+            P(0, 0), P(1, 0), Point(quadext(3, F(1, 8), 2), F(0))))
         ans = solve(inst)
         assert ans.verdict == "unknown"
-        assert logged_sets(ans) == [([0], "unknown (non-rational centers)"),
-                                    ([1], "unknown (non-rational centers)")]
+        assert logged_sets(ans) == [
+            ([0], "refuted, disk 0 has no place clear of the fixed disks"),
+            ([1], "unknown (non-rational centers)")]
+
+    @pytest.mark.parametrize("third", [
+        Point(quadext(3, 1, 2), F(0)),
+        Point(quadext(5, F(1, 8), 2), F(0)),
+        Point(parse_scalar("5.17678~"), F(0)),
+        P(F(41, 8), 0),
+    ])
+    def test_far_non_rational_centres_keep_the_refutation(self, third):
+        # the third disk lies farther than d+2 = 5/2 from both members, so
+        # it takes no part in their tests, rational or not
+        inst = Instance("euclidean", 1, F(1, 4), (P(0, 0), P(1, 0), third))
+        frame = solver._Frame([P(1, 0), third], [P(0, 0)], F(1, 4),
+                              "euclidean")
+        assert frame.others == [[]]
+        assert solve(inst).verdict == "no"
 
     def test_coarse_grid_keeps_every_point_once_slack_passes_two(self):
         # at delta = 2, s*sqrt(2) >= 2 for both separation thresholds, so

@@ -10,9 +10,11 @@ grid-tiling instance text and of its witness text, and one more line
 digests 50 small seeded ``gen_random`` instances whose one coordinate is a
 radical or a ``~`` literal, so that their covers have a centre that is not
 rational.  Two checkouts that print the same lines gave byte-identical
-answers.  Every yes witness of a solve is also validated exactly, and the
-two Fig. 7 texts are parsed back: each must write back byte for byte, with
-every parsed coordinate a ``Fraction``.  The script exits 1, after its
+answers.  Each solve line's tally of yes, no and unknown verdicts goes to
+stderr, so a changed digest shows whether verdicts moved.  Every yes
+witness of a solve is also validated exactly, and the two Fig. 7 texts are
+parsed back: each must write back byte for byte, with every parsed
+coordinate a ``Fraction``.  The script exits 1, after its
 lines, when a witness is rejected or the Fig. 7 round trip fails.  The
 benchmark inputs come from ``perfbench/workloads.py``, which is imported and
 never changed; the library is imported from this checkout's ``src/``.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,18 +52,25 @@ def answer_text(ans: dd.Answer) -> str:
     return "\n".join([ans.verdict, str(ans.reason), witness, *ans.log])
 
 
-def digest(instances) -> tuple[int, str, int]:
-    """The number of solves, their SHA-256, and the number of yes witnesses
-    that ``validate_witness`` rejects."""
+def digest(label: str, instances) -> int:
+    """Print the number of solves and their SHA-256 under ``label``, and
+    their verdict tally to stderr; return the number of yes witnesses that
+    ``validate_witness`` rejects."""
     h = hashlib.sha256()
     rejected = 0
+    tally = Counter()
     for inst in instances:
         ans = dd.solve(inst)
+        tally[ans.verdict] += 1
         if ans.verdict == "yes":
             rejected += not dd.validate_witness(inst, ans.witness).accepted
         h.update(answer_text(ans).encode())
         h.update(b"\0")
-    return len(instances), h.hexdigest(), rejected
+    print(f"{label}: {len(instances)} solves, sha256 {h.hexdigest()}")
+    print(f"{label}: " + ", ".join(f"{tally[v]} {v}"
+                                   for v in ("yes", "no", "unknown")),
+          file=sys.stderr)
+    return rejected
 
 
 def sha256(text: str) -> str:
@@ -116,14 +126,11 @@ def main() -> int:
     rejected = 0
     for name, build in CASES.items():
         for seed in SEEDS:
-            count, hexdigest, bad = digest([c.instance for c in build(seed)])
-            rejected += bad
-            print(f"{name} seed {seed}: {count} solves, sha256 {hexdigest}")
+            rejected += digest(f"{name} seed {seed}",
+                               [c.instance for c in build(seed)])
     line, faults = fig7_line()
     print(line)
-    count, hexdigest, bad = digest(non_rational_cases())
-    rejected += bad
-    print(f"non-rational random: {count} solves, sha256 {hexdigest}")
+    rejected += digest("non-rational random", non_rational_cases())
     if rejected:
         faults.append(f"{rejected} yes witnesses fail validation")
     for fault in faults:
