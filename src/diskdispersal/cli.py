@@ -96,7 +96,10 @@ def _build_parser() -> _Parser:
                     default=None,
                     help="finest refutation grid resolution (default: the "
                          "solver's 1/64, the oracle's 1/16)")
-    sp.add_argument("--time-budget", type=_nonnegative(float), default=None)
+    sp.add_argument("--time-budget", type=_nonnegative(_rational),
+                    default=None,
+                    help="seconds for the whole solve, as a rational: 5/2 "
+                         "for 2.5 s")
     sp.add_argument("--oracle", action="store_true",
                     help="run the independent brute-force oracle instead "
                          "(takes --delta only)")
@@ -195,7 +198,8 @@ def _cmd_solve(args) -> int:
     if args.oracle:
         ans = oracle(inst, **delta)
     else:
-        cfg = SolverConfig(time_budget=args.time_budget, **delta)
+        budget = None if args.time_budget is None else float(args.time_budget)
+        cfg = SolverConfig(time_budget=budget, **delta)
         ans = solve(inst, cfg)
     print(ans)
     for line in ans.log:

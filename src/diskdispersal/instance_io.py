@@ -451,17 +451,23 @@ class ValidationResult:
         return self.status
 
 
+def check_witness_indices(inst: Instance, w: Witness) -> None:
+    """Raise ValueError for a move of a disk that ``inst`` does not have."""
+    for idx in w.moves:
+        if not 0 <= idx < len(inst.disks):
+            raise ValueError(f"witness index {idx} out of range")
+
+
 def validate_witness(inst: Instance, w: Witness,
                      eps: Optional[Fraction] = None) -> ValidationResult:
     """Check a move assignment against an instance.
 
     eps=None is exact mode.  In tolerant mode separation thresholds drop to
     4 - eps and the move budget grows to d2 + eps; acceptance is then
-    reported together with the eps used.
+    reported together with the eps used.  A move of a disk the instance
+    does not have raises ValueError.
     """
-    for idx in w.moves:
-        if not (0 <= idx < len(inst.disks)):
-            raise ValueError(f"witness index {idx} out of range")
+    check_witness_indices(inst, w)
     if len(w.moves) > inst.k:
         return ValidationResult("reject", "budget", len(w.moves), eps)
 

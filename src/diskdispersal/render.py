@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .instance_io import Instance, Witness
+from .instance_io import Instance, Witness, check_witness_indices
 from .numerics import approx_float, frac
 
 __all__ = ["RenderOptions", "render_svg"]
@@ -40,6 +40,8 @@ def _fmt(v: float) -> str:
 
 def render_svg(inst: Instance, w: Optional[Witness] = None,
                opts: Optional[RenderOptions] = None) -> str:
+    """The SVG document of ``inst``, with ``w``'s moves drawn as arrows; a
+    move of a disk the instance does not have raises ValueError."""
     opts = opts or RenderOptions()
     scale = float(frac(opts.scale))
     pts = [(approx_float(d.x), approx_float(d.y)) for d in inst.disks]
@@ -47,6 +49,7 @@ def render_svg(inst: Instance, w: Optional[Witness] = None,
              for b in inst.blocks]
     targets = {}
     if w is not None:
+        check_witness_indices(inst, w)
         targets = {i: (approx_float(p.x), approx_float(p.y))
                    for i, p in sorted(w.moves.items())}
 

@@ -26,7 +26,9 @@ near fixed centres that are not rational, as exact ``Point`` values.
    witness or *proves* infeasibility: if no grid assignment survives with
    every constraint relaxed by the maximal rounding perturbation
    (sqrt(2)*delta per moved endpoint), no continuous solution exists.  Each
-   pass rescales the frame once more to put the grid on integers.
+   pass rescales the frame once more to put the grid on integers, so a
+   grid point is a frame candidate: ``frame.fits`` is its exact test and
+   ``frame.point`` builds the witness, as in stage 2.
 
 Near fixed centres.  Stages test each member against its near fixed
 centres only.  Of the rational ones, the closed test picks those within
@@ -571,14 +573,16 @@ def _grid_pass(frame: _Frame, delta: Fraction,
     """One sweep of the frame's moved set at a fixed resolution.
 
     The frame's integers are multiplied once more, by the least r that
-    makes the grid step delta*M*r an integer.  Member i's menu and exact
-    check read only its near fixed centres ``frame.fixed[i]``.  Relaxed
-    separation thresholds have the form (2 - s*sqrt(2))^2 = A - B*sqrt(2),
-    A = 4 + 2s^2 and B = 4s, with s = delta for moved-fixed pairs and
-    s = 2*delta for moved-moved pairs; A = 0 makes one vacuous once
-    s*sqrt(2) >= 2.  The pass gives up with unknown when its work passes
-    GRID_NODE_BUDGET or the deadline passes; both checks run once per
-    movable while the menus are built and at every DFS node.
+    makes the grid step delta*M*r an integer, and grid point (px, py) is
+    the frame candidate (px, py, 0, 0, r, 0).  Member i's menu reads only
+    its near fixed centres ``frame.fixed[i]``; the exact test is
+    ``frame.fits`` and an exact assignment becomes ``frame.point`` values.
+    Relaxed separation thresholds have the form (2 - s*sqrt(2))^2 =
+    A - B*sqrt(2), A = 4 + 2s^2 and B = 4s, with s = delta for moved-fixed
+    pairs and s = 2*delta for moved-moved pairs; A = 0 makes one vacuous
+    once s*sqrt(2) >= 2.  The pass gives up with unknown when its work
+    passes GRID_NODE_BUDGET or the deadline passes; both checks run once
+    per movable while the menus are built and at every DFS node.
     """
     r = delta.denominator // math.gcd(frame.M, delta.denominator)
     M = frame.M * r
@@ -592,8 +596,8 @@ def _grid_pass(frame: _Frame, delta: Fraction,
     mvA = d2i + 2 * step * step
     mv_rhs = 8 * step * step * d2i
 
-    def sep_rel(D: int, A: int, B: int) -> bool:
-        t = A - D
+    def sep_rel(dx: int, dy: int, A: int, B: int) -> bool:
+        t = A - dx * dx - dy * dy
         return t <= 0 or t * t <= 2 * B * B
 
     def mv_rel(V: int) -> bool:
@@ -611,100 +615,72 @@ def _grid_pass(frame: _Frame, delta: Fraction,
                 if mv_rel((a * step) ** 2)]
         disps = sorted({(v, 0) for v in axis} | {(0, v) for v in axis})
 
-    origins = [(x * r, y * r) for x, y in frame.origins]
-    fixed = [[(x * r, y * r) for x, y in near] for near in frame.fixed]
-
     def spend(work: int) -> None:
         if work > GRID_NODE_BUDGET:
             raise _Stop("grid node budget")
         if _expired(deadline):
             raise _Stop("time budget")
 
-    def menu(i: int) -> list[tuple[int, int]]:
+    def menu(i: int) -> list[tuple]:
         """Member i's displaced positions that pass the relaxed tests
-        against its near fixed centres."""
-        ox, oy = origins[i]
+        against its near fixed centres, as frame candidates."""
+        ox, oy = frame.origins[i]
+        near = [(fx * r, fy * r) for fx, fy in frame.fixed[i]]
         pts = []
         for vx, vy in disps:
-            px, py = ox + vx, oy + vy
-            for fx, fy in fixed[i]:
-                dx, dy = px - fx, py - fy
-                if not sep_rel(dx * dx + dy * dy, sA1, sB1):
+            px, py = ox * r + vx, oy * r + vy
+            for fx, fy in near:
+                if not sep_rel(px - fx, py - fy, sA1, sB1):
                     break
             else:
-                pts.append((px, py))
+                pts.append((px, py, 0, 0, r, 0))
         return pts
 
-    chosen: list[tuple[int, int]] = []
-    found_relaxed = [False]
-    found_exact: list[Optional[list[tuple[int, int]]]] = [None]
-    visited = [0]
+    chosen: list[tuple] = []
+    nodes = 0
 
-    def point_exact(i: int, px: int, py: int) -> bool:
-        # incremental exact check; callers guarantee the chosen prefix is
-        # itself exact when this is consulted
-        ox, oy = origins[i]
-        dx, dy = px - ox, py - oy
-        if dx * dx + dy * dy > d2i:
-            return False
-        for fx, fy in fixed[i]:
-            ex, ey = px - fx, py - fy
-            if ex * ex + ey * ey < four:
-                return False
-        for qx, qy in chosen:
-            dx, dy = px - qx, py - qy
-            if dx * dx + dy * dy < four:
-                return False
-        return True
-
-    def rec(idx: int, prefix_exact: bool) -> None:
-        """Explore relaxed completions; prune to exact-viable branches once
-        relaxed-feasibility is already established."""
-        visited[0] += 1
-        spend(visited[0])
+    def rec(idx: int, exact: bool, relaxed: bool) -> tuple[bool, bool]:
+        """Extend ``chosen``, exact when ``exact`` is, over the members
+        from ``order[idx]`` on.  Returns (relaxed, found): whether a
+        relaxed assignment is known, ``relaxed`` telling whether one was
+        before this call, and whether an exact one fills ``chosen``.  Once
+        a relaxed assignment is known, only exact branches are explored."""
+        nonlocal nodes
+        nodes += 1
+        spend(nodes)
         if idx == len(order):
-            found_relaxed[0] = True
-            if prefix_exact:
-                found_exact[0] = list(chosen)
-            return
+            return True, exact
         i = order[idx]
         for p in menus[i]:
-            if found_exact[0] is not None:
-                return
-            ok = True
-            for qx, qy in chosen:
-                dx, dy = p[0] - qx, p[1] - qy
-                if not sep_rel(dx * dx + dy * dy, sA2, sB2):
-                    ok = False
+            for q in chosen:
+                if not sep_rel(p[0] - q[0], p[1] - q[1], sA2, sB2):
                     break
-            if not ok:
-                continue
-            pe = prefix_exact and point_exact(i, p[0], p[1])
-            if found_relaxed[0] and not pe:
-                continue
-            chosen.append(p)
-            rec(idx + 1, pe)
-            chosen.pop()
+            else:
+                pe = exact and frame.fits(i, p, chosen)
+                if pe or not relaxed:
+                    chosen.append(p)
+                    relaxed, found = rec(idx + 1, pe, relaxed)
+                    if found:
+                        return True, True
+                    chosen.pop()
+        return relaxed, False
 
     try:
         menus, work = [], 0
-        for i in range(len(origins)):
+        for i in range(len(frame.origins)):
             menus.append(menu(i))
-            work += len(disps) * (len(fixed[i]) + 1)
+            work += len(disps) * (len(frame.fixed[i]) + 1)
             spend(work)
         # most-constrained-first ordering keeps the DFS shallow; results map
         # back through the permutation
-        order = sorted(range(len(origins)), key=lambda i: (len(menus[i]), i))
-        rec(0, True)
+        order = sorted(range(len(menus)), key=lambda i: (len(menus[i]), i))
+        relaxed, exact = rec(0, True, False)
     except _Stop as e:
         return Feasibility("unknown", reason=str(e))
-    if found_exact[0] is not None:
-        assignment = {}
-        for pos, slot in enumerate(order):
-            px, py = found_exact[0][pos]
-            assignment[slot] = Point(Fraction(px, M), Fraction(py, M))
-        return Feasibility("feasible", assignment)
-    if not found_relaxed[0]:
+    if exact:
+        return Feasibility("feasible", {i: frame.point(t)
+                                        for i, t in zip(order, chosen)})
+    if not relaxed:
         return Feasibility("infeasible", delta=delta)
     return Feasibility("unknown",
                        reason=f"relaxed grid assignments remain at delta {delta}")

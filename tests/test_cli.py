@@ -72,6 +72,24 @@ class TestSolveChain:
         p.write_text(FIG1_TEXT.replace("d2: 3", "d2: 1/4"))
         assert dispatch(["solve", str(p), "--oracle"]) == 1
 
+    def test_time_budget_takes_a_rational(self, fig1):
+        assert dispatch(["solve", str(fig1), "--time-budget", "5/2"]) == 0
+
+    @pytest.mark.parametrize("index", [3, 5])
+    def test_render_witness_index_out_of_range(self, fig1, tmp_path, capsys,
+                                               index):
+        # as validate does, render refuses a move of a disk the instance
+        # does not have
+        w = tmp_path / "w.out"
+        w.write_text(f"DISPERSALMOVES v1\nmoves: 1\n{index} -> 1 2\n")
+        svg = tmp_path / "out.svg"
+        assert dispatch(["render", str(fig1), str(svg),
+                         "--witness", str(w)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: witness index {index} out of range\n")
+        assert not svg.exists()
+        assert dispatch(["validate", str(fig1), str(w)]) == 2
+
     @pytest.mark.parametrize("flag, value", [("--time-budget", "1")])
     def test_oracle_rejects_solver_flags(self, fig1, capsys, flag, value):
         # the oracle takes no budget; silently ignoring it would misreport
@@ -327,6 +345,11 @@ class TestDispatchBasics:
          "--seed", "\u0663"],
         ["generate", "gridtiling-witness", "{inst}", "{inst}", "{out}",
          "--rows", "1_0", "--cols", "1"],
+        # float() reads these; the rational grammar does not
+        ["solve", "{inst}", "--time-budget", "1_0"],
+        ["solve", "{inst}", "--time-budget", "\uff13"],
+        ["solve", "{inst}", "--time-budget", "inf"],
+        ["solve", "{inst}", "--time-budget", "2.5"],
     ])
     def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
         wit = tmp_path / "w.out"
@@ -367,6 +390,12 @@ class TestRendering:
         b = render_svg(inst, w)
         assert a == b
         assert a.count("<rect") == 1  # the block, hatched
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_witness_index_outside_the_instance(self, index):
+        inst = Instance("euclidean", 1, F(3), (P(0, 0), P(1, 0), P(2, 0)))
+        with pytest.raises(ValueError, match=f"witness index {index} out"):
+            render_svg(inst, Witness({index: P(1, 2)}))
 
     def test_empty_canvas(self):
         svg = render_svg(Instance("euclidean", 0, F(0), ()))

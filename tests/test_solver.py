@@ -1,10 +1,12 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import time
 from ast import literal_eval
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -847,6 +849,105 @@ class TestGridOnFrame:
         inst = Instance("euclidean", 2, F(4), tuple(fixed + movables))
         moves = {len(fixed) + i: t for i, t in res.assignment.items()}
         assert validate_witness(inst, Witness(moves)).accepted
+
+
+    @staticmethod
+    def grid_exact(frame, r, i, px, py, chosen):
+        """Integer reference for the exact test of grid point (px, py), in
+        units of 1/(M*r): within member i's move budget, and at least 2
+        from its near fixed centres and from every ``chosen`` point.  It
+        tests the Euclidean budget only; a rectilinear grid point lies on
+        the axes through the origin."""
+        four, d2i = frame.four * r * r, frame.D2 * r * r
+        ox, oy = frame.origins[i]
+        dx, dy = px - ox * r, py - oy * r
+        if dx * dx + dy * dy > d2i:
+            return False
+        for fx, fy in frame.fixed[i]:
+            ex, ey = px - fx * r, py - fy * r
+            if ex * ex + ey * ey < four:
+                return False
+        for qx, qy in chosen:
+            dx, dy = px - qx, py - qy
+            if dx * dx + dy * dy < four:
+                return False
+        return True
+
+    def test_exact_test_is_the_frames(self):
+        # grid points of seeded frames, alone and with up to three placed
+        # grid points: frame.fits on (px, py, 0, 0, r, 0) agrees with the
+        # integer reference, and frame.point gives (px, py)/(M*r)
+        rng = random.Random(20261019)
+        seen = Counter()
+        for trial in range(300):
+            variant = ("euclidean", "rectilinear")[trial % 2]
+            den = rng.choice((1, 2, 3, 4))
+
+            def pt():
+                return P(F(rng.randint(-4 * den, 4 * den), den),
+                         F(rng.randint(-4 * den, 4 * den), den))
+
+            d2 = rng.choice([F(1, 4), F(1, 2), F(1), F(2), F(9, 4), F(4)])
+            delta = rng.choice([F(1, 4), F(1, 6), F(1, 8), F(2, 9), F(1)])
+            movables = [pt() for _ in range(rng.randint(1, 3))]
+            frame = solver._Frame([pt() for _ in range(rng.randint(0, 6))],
+                                  movables, d2, variant)
+            r = delta.denominator // math.gcd(frame.M, delta.denominator)
+            M = frame.M * r
+            step = delta.numerator * M // delta.denominator
+            reach = math.isqrt(frame.D2 * r * r) // step + 1
+
+            def grid_point(i):
+                a, b = (rng.randint(-reach, reach) for _ in range(2))
+                if variant == "rectilinear":
+                    a, b = rng.choice([(a, 0), (0, b)])
+                ox, oy = frame.origins[i]
+                return ox * r + a * step, oy * r + b * step
+
+            for _ in range(20):
+                i = rng.randrange(len(movables))
+                chosen = [grid_point(rng.randrange(len(movables)))
+                          for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+                px, py = grid_point(i)
+                want = self.grid_exact(frame, r, i, px, py, chosen)
+                placed = [(qx, qy, 0, 0, r, 0) for qx, qy in chosen]
+                assert frame.fits(i, (px, py, 0, 0, r, 0), placed) == want, \
+                    (trial, i, px, py, chosen)
+                assert frame.point((px, py, 0, 0, r, 0)) == \
+                    Point(F(px, M), F(py, M))
+                seen[variant, bool(chosen), want] += 1
+        assert len(seen) == 8 and min(seen.values()) >= 50, seen
+
+    # seeded instances whose one yes comes from a stage-3 grid witness;
+    # tools/solve_digest.py digests the same three
+    @pytest.mark.parametrize("args, moved, text", [
+        ((3, 4, 768000, 2, F(1, 4), "euclidean"), [0, 1],
+         "0 -> 9/16 45/16\n1 -> 17/8 65/16\n"),
+        ((4, 5, 951059, 3, F(1, 4), "euclidean"), [0, 2, 3],
+         "0 -> 41/16 3/8\n2 -> 7/16 1/8\n3 -> 21/16 31/16\n"),
+        ((5, 4, 319576, 3, F(2), "rectilinear"), [1, 2, 4],
+         "1 -> 51/32 1\n2 -> 165/32 2\n4 -> 101/32 9/4\n"),
+    ])
+    def test_grid_witness_answers_yes(self, monkeypatch, args, moved, text):
+        grids = []
+        real = solver._stage_grid
+
+        def spy(*a):
+            grids.append(real(*a))
+            return grids[-1]
+
+        monkeypatch.setattr(solver, "_stage_grid", spy)
+        inst = gen_random(*args)
+        ans = solve(inst)
+        assert ans.verdict == "yes"
+        assert write_witness(ans.witness) == (
+            f"DISPERSALMOVES v1\nmoves: {len(moved)}\n" + text)
+        assert ans.log[-1] == f"moved set {moved}"
+        res = grids[-1]
+        assert res.status == "feasible"
+        assert {moved[slot]: t for slot, t in res.assignment.items()
+                if t != inst.disks[moved[slot]]} == ans.witness.moves
+        assert oracle(inst).verdict == "yes"
 
 
 class TestRefutationMonotonicity:

@@ -9,8 +9,10 @@ witness text and log lines.  A fifth line gives the SHA-256 of the Fig. 7
 grid-tiling instance text and of its witness text, and one more line
 digests 50 small seeded ``gen_random`` instances whose one coordinate is a
 radical or a ``~`` literal, so that their covers have a centre that is not
-rational.  Two checkouts that print the same lines gave byte-identical
-answers.  Each solve line's tally of yes, no and unknown verdicts goes to
+rational.  The last line digests the three seeded ``gen_random`` instances
+whose yes comes from a stage-3 grid witness, which no other line reaches.
+Two checkouts that print the same lines gave byte-identical answers.  Each
+solve line's tally of yes, no and unknown verdicts goes to
 stderr, so a changed digest shows whether verdicts moved.  Every yes
 witness of a solve is also validated exactly, and the two Fig. 7 texts are
 parsed back: each must write back byte for byte, with every parsed
@@ -45,6 +47,12 @@ from diskdispersal.numerics import parse_scalar  # noqa: E402
 CASES = {"random-small": workloads.random_small_cases,
          "planted-triples": workloads.planted_cases}
 SEEDS = (1, 7)
+# the seeded instances whose one yes is a stage-3 grid witness
+GRID_WITNESS_CASES = (
+    (3, 4, 768000, 2, Fraction(1, 4), "euclidean"),
+    (4, 5, 951059, 3, Fraction(1, 4), "euclidean"),
+    (5, 4, 319576, 3, Fraction(2), "rectilinear"),
+)
 
 
 def answer_text(ans: dd.Answer) -> str:
@@ -131,6 +139,8 @@ def main() -> int:
     line, faults = fig7_line()
     print(line)
     rejected += digest("non-rational random", non_rational_cases())
+    rejected += digest("grid witnesses",
+                       [dd.gen_random(*args) for args in GRID_WITNESS_CASES])
     if rejected:
         faults.append(f"{rejected} yes witnesses fail validation")
     for fault in faults:
