@@ -10,6 +10,7 @@ so that rational inputs stay rational.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -37,6 +38,8 @@ __all__ = [
     "overlap",
     "is_packing",
     "close_pairs",
+    "ScaledPoints",
+    "scale_points",
     "within_move",
     "translate",
 ]
@@ -85,61 +88,76 @@ def is_packing(disks: Sequence[Disk]) -> Optional[tuple[int, int]]:
     return next(close_pairs(disks, FOUR), None)
 
 
-def close_pairs(points: Sequence[Point], threshold,
-                closed: bool = False) -> Iterator[tuple[int, int]]:
+def close_pairs(points: Sequence[Point], threshold, closed: bool = False,
+                scaled: Optional[ScaledPoints] = None
+                ) -> Iterator[tuple[int, int]]:
     """Pairs (i, j), i < j, with dist2 below threshold (at most it when
     closed), in lexicographic order.
 
-    Candidates come from a square grid of integer width w >= sqrt(threshold):
-    the cells holding the true coordinates of a close pair are equal or
-    adjacent.  A rational point is filed once, under its cell computed on
-    its own numerators and denominators.  Any other point is filed under
-    every cell that its exact enclosure touches; one that touches more than
-    four is paired with every other point instead.  Points leave the grid
-    in index order, so the 3x3 block around a cell of point i holds only
-    partners j > i, and only the close ones are sorted.
+    ``scaled`` is :func:`scale_points` of ``points``, built here when not
+    given.  Candidates come from a square grid of integer width w >=
+    sqrt(threshold): the cells holding the true coordinates of a close pair
+    are equal or adjacent.  A point (X/D, Y/D) on the scale is filed once,
+    under the cell (X // (w*D), Y // (w*D)).  A point off the scale is
+    filed under every cell that its exact enclosure touches, which is one
+    cell for a rational point; one that touches more than four is paired
+    with every other point instead.  Points leave the grid in index order,
+    so the 3x3 block around a cell of point i holds only partners j > i,
+    and only the close ones are sorted.
 
-    A pair of rational points is decided on integers by :func:`ratio_below`.
-    Any other pair goes through the exact comparison, in the order of j,
-    which raises IndeterminateError when interval operands straddle the
+    A pair of points on the scale is decided on plain integers: dist2 <
+    tn/td iff (dX^2 + dY^2)*td < tn*D^2, and dist2 <= tn/td iff the left
+    side is below tn*D^2 + 1.  Any other pair goes through the exact
+    comparison, in the order of j, which decides every rational pair and
+    raises IndeterminateError when interval operands straddle the
     threshold.
     """
     threshold = frac(threshold)
     tn, td = threshold.numerator, threshold.denominator
     width = max(ceil_sqrt(threshold), 1)
-    rats = [ratio(p) for p in points]
-    cells = [_cells(p, width) if r is None
-             else [(r[0] // (width * r[1]), r[2] // (width * r[3]))]
-             for p, r in zip(points, rats)]
+    D, X, Y = scaled or scale_points(points)
+    wD = width * D
+    # the cells of each point off the scale; None when more than four
+    loose = {i: _cells(points[i], width) for i, x in enumerate(X) if x is None}
     # cell (cx, cy) has key cx*span + cy, distinct over every 3x3 block
     # around a filed cell
-    ys = [cy for keys in cells if keys for _, cy in keys]
+    ys = [cy for cells in loose.values() if cells for _, cy in cells]
+    on = [y for y in Y if y is not None] if loose else Y
+    if on:
+        ys += [min(on) // wD, max(on) // wD]
     span = max(ys, default=0) - min(ys, default=0) + 3
     around = [dx * span + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    keys = [[(x // wD) * span + y // wD] if x is not None
+            else None if (cells := loose[i]) is None
+            else [cx * span + cy for cx, cy in cells]
+            for i, (x, y) in enumerate(zip(X, Y))]
     grid: dict[int, list[int]] = {}
-    wide = [i for i, keys in enumerate(cells) if keys is None]
-    for i, keys in enumerate(cells):
-        if keys is not None:
-            keys = cells[i] = [cx * span + cy for cx, cy in keys]
-            for key in keys:
-                grid.setdefault(key, []).append(i)
-    for i, keys in enumerate(cells):
-        ri = rats[i]
-        if keys is None:
-            near = range(i + 1, len(points))
+    for i, cell in enumerate(keys):
+        for key in cell or ():
+            grid.setdefault(key, []).append(i)
+    get = grid.get
+    wide = [i for i, cell in enumerate(keys) if cell is None]
+    limit = tn * D * D + closed
+    for i, cell in enumerate(keys):
+        xi = X[i]
+        if cell is None:
+            hits = range(i + 1, len(points))
         else:
-            for key in keys:
+            for key in cell:
                 del grid[key][0]
-            near = wide[bisect.bisect(wide, i):]
-            for key in keys:
-                for off in around:
-                    near += grid.get(key + off, ())
-        # j is a hit when close, or when only the exact comparison decides
-        hits = near if ri is None else [
-            j for j in near if (rj := rats[j]) is None
-            or ratio_below(ri, rj, tn, td, closed)]
+            if xi is None:
+                hits = [j for key in cell for off in around
+                        for j in get(key + off, ())]
+            else:
+                # j is a hit when close, or when it is off the scale
+                yi, (key,) = Y[i], cell
+                hits = [j for off in around for j in get(key + off, ())
+                        if (xj := X[j]) is None
+                        or ((xj - xi) ** 2 + (Y[j] - yi) ** 2) * td < limit]
+            if wide:
+                hits += wide[bisect.bisect(wide, i):]
         for j in sorted(set(hits)) if hits else ():
-            if ri is None or rats[j] is None:
+            if xi is None or X[j] is None:
                 o = compare(dist2(points[i], points[j]), threshold)
                 if o is Ordering.INDETERMINATE:
                     raise IndeterminateError(
@@ -148,6 +166,64 @@ def close_pairs(points: Sequence[Point], threshold,
                         or (closed and o is Ordering.EQUAL)):
                     continue
             yield i, j
+
+
+# Bits of the largest common denominator of a scale.  A set with many
+# unrelated denominators has a common denominator as long as all of them
+# together, so without a bound every scaled coordinate, and with it every
+# pair test, would grow with the size of the set.  Within 64 bits a pair
+# test stays on integers of a few machine words.  A point whose denominators
+# would pass the bound is left off the scale; its pairs go through the exact
+# comparison, whose cost depends on the pair alone.
+SCALE_BITS = 64
+# Points from which scale_points converts each distinct coordinate object
+# once.  That costs a dictionary lookup per coordinate, which pays where
+# points share coordinate objects, as those of a parsed or generated bulk
+# instance do; a smaller set converts every coordinate, which costs little
+# at any sharing.
+SHARED_POINTS = 1024
+
+
+# A point set on one integer scale, (D, X, Y): point i is (X[i]/D, Y[i]/D),
+# or X[i] and Y[i] are both None when it is off the scale.
+ScaledPoints = tuple[int, list[Optional[int]], list[Optional[int]]]
+
+
+def scale_points(points: Sequence[Point]) -> ScaledPoints:
+    """The points on the scale D, the least common denominator of their
+    rational coordinates.
+
+    Coordinates are met in order, the x of every point and then the y of
+    every point, from SHARED_POINTS points on each distinct coordinate
+    object once.  A coordinate is on the scale unless it is not rational or
+    its denominator would take D past SCALE_BITS bits, and a point is on
+    the scale when both its coordinates are.
+    """
+    n = len(points)
+    xy = [p.x for p in points] + [p.y for p in points]
+    shared = n >= SHARED_POINTS
+    if shared:
+        ids = list(map(id, xy))
+        coords = dict(zip(ids, xy))
+    rats = [v.as_integer_ratio() if isinstance(v, (Fraction, int)) else None
+            for v in (coords.values() if shared else xy)]
+    D = math.lcm(*[r[1] for r in rats if r is not None])
+    if D.bit_length() > SCALE_BITS:
+        D = 1
+        for i, r in enumerate(rats):
+            if r is not None:
+                m = math.lcm(D, r[1])
+                if m.bit_length() > SCALE_BITS:
+                    rats[i] = None
+                else:
+                    D = m
+    scaled = [None if r is None else r[0] * (D // r[1]) for r in rats]
+    if shared:
+        scaled = list(map(dict(zip(coords, scaled)).get, ids))
+    if None in rats:
+        for i in [i % n for i, v in enumerate(scaled) if v is None]:
+            scaled[i] = scaled[n + i] = None
+    return D, scaled[:n], scaled[n:]
 
 
 def ratio(p: Point) -> Optional[tuple[int, int, int, int]]:
@@ -166,8 +242,10 @@ def ratio_below(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
     is below tn/td (at most it when closed).
 
     With differences dx/ex and dy/ey, dist2 < t/s iff ((dx*ey)^2 +
-    (dy*ex)^2)*s < t*(ex*ey)^2.  Each pair uses its own denominators; a
-    common denominator for a whole point set could grow with its size.
+    (dy*ex)^2)*s < t*(ex*ey)^2.  Each pair uses its own denominators.  A
+    whole point set goes on one common denominator with
+    :func:`scale_points` instead, which bounds it at SCALE_BITS bits
+    because it grows with the set.
     """
     xn, xd, yn, yd = a
     un, ud, vn, vd = b
@@ -179,8 +257,8 @@ def ratio_below(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
 
 
 def _cells(p: Point, width: int) -> Optional[list[tuple[int, int]]]:
-    """Grid cells touched by an exact enclosure of a point that is not
-    rational; None when more than four."""
+    """Grid cells touched by an exact enclosure of a point off the scale,
+    one for a rational point; None when more than four."""
     xs, ys = (range(iv.lo // width, iv.hi // width + 1)
               for iv in (to_interval(p.x), to_interval(p.y)))
     if len(xs) * len(ys) > 4:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .geometry import (Disk, Point, close_pairs, dist2, ratio, ratio_below,
-                       within_move)
+from .geometry import (Disk, Point, ScaledPoints, close_pairs, dist2,
+                       scale_points, within_move)
 from .numerics import (
     IndeterminateError,
     Ordering,
@@ -161,34 +161,44 @@ class LatticeBlock:
         """Lattice points of the block within Chebyshev distance reach of p."""
         return self._points(self._point_window(p, reach))
 
-    def first_close(self, points: Iterable[Point],
-                    threshold: Fraction) -> Optional[tuple[int, Point]]:
+    def first_close(self, points: Iterable[Point], threshold: Fraction,
+                    scaled: Optional[ScaledPoints] = None
+                    ) -> Optional[tuple[int, Point]]:
         """The first index k of points, with the first lattice point q in
         index order, such that dist2(points[k], q) is below threshold; None
-        when there is none.
+        when there is none.  ``scaled`` is :func:`scale_points` of points,
+        built here when not given.
 
         A point whose window of lattice points within reach lies in one hole
-        needs no test.  A rational point is decided on integers, window and
-        distances alike; any other point goes through the exact comparison,
-        which raises IndeterminateError when it cannot decide a lattice
-        point before the first close one.
+        needs no test.  A point on the scale is decided on plain integers,
+        window and distances alike, on M, the least common multiple of its
+        scale and the block's.  Any other point goes through the exact
+        comparison, which decides every rational point and raises
+        IndeterminateError when it cannot decide a lattice point before the
+        first close one.
         """
-        D, X0, Y0, S = self._scaled
+        if scaled is None:
+            points = list(points)
+            scaled = scale_points(points)
+        Db, Xb, Yb, Sb = self._scaled
+        P, X, Y = scaled
+        M = math.lcm(Db, P)
+        mb, mp = M // Db, M // P
+        X0, Y0, S = Xb * mb, Yb * mb, Sb * mb
         tn, td = threshold.numerator, threshold.denominator
         reach = ceil_sqrt(threshold)
+        RM, limit = reach * M, tn * M * M
         h0, h1, g0, g1 = 1, 0, 1, 0  # the hole box tried first; none yet
         for k, p in enumerate(points):
-            r = ratio(p)
-            if r is None:
+            x = X[k]
+            if x is None:
                 i0, i1, j0, j1 = self._point_window(p, reach)
             else:
-                xn, xd, yn, yd = r
-                i0, i1 = _index_range(xn - reach * xd, xd, xn + reach * xd,
-                                      xd, X0, S, D)
-                j0, j1 = _index_range(yn - reach * yd, yd, yn + reach * yd,
-                                      yd, Y0, S, D)
-                i0, i1 = max(0, i0), min(self.nx, i1)
-                j0, j1 = max(0, j0), min(self.ny, j1)
+                x, y = x * mp, Y[k] * mp
+                i0 = max(0, -((X0 - x + RM) // S))
+                i1 = min(self.nx, (x + RM - X0) // S)
+                j0 = max(0, -((Y0 - y + RM) // S))
+                j1 = min(self.ny, (y + RM - Y0) // S)
             if i0 > i1 or j0 > j1 or (h0 <= i0 and i1 <= h1 and g0 <= j0
                                       and j1 <= g1):
                 continue  # no lattice point, or the last hole covers them
@@ -196,7 +206,7 @@ class LatticeBlock:
                 if h0 <= i0 and i1 <= h1 and g0 <= j0 and j1 <= g1:
                     break
             else:
-                if r is None:
+                if x is None:
                     for q in self._points((i0, i1, j0, j1)):
                         o = compare(dist2(p, q), threshold)
                         if o is Ordering.INDETERMINATE:
@@ -206,9 +216,11 @@ class LatticeBlock:
                             return k, q
                     continue
                 for i in range(i0, i1 + 1):
+                    dx = X0 + i * S - x
                     for j in range(j0, j1 + 1):
-                        if (ratio_below(r, (X0 + i * S, D, Y0 + j * S, D),
-                                        tn, td) and self._alive(i, j)):
+                        dy = Y0 + j * S - y
+                        if ((dx * dx + dy * dy) * td < limit
+                                and self._alive(i, j)):
                             return k, Point(self.x0 + i * self.step,
                                             self.y0 + j * self.step)
         return None
@@ -479,15 +491,18 @@ def validate_witness(inst: Instance, w: Witness,
             if not within_move(inst.disks[idx], target, budget, inst.variant):
                 return ValidationResult("reject", "move", idx, eps)
 
-        final = [w.moves.get(i, d) for i, d in enumerate(inst.disks)]
-        bad = next(close_pairs(final, sep), None)
+        final = list(inst.disks)
+        for idx, target in w.moves.items():
+            final[idx] = target
+        scaled = scale_points(final)
+        bad = next(close_pairs(final, sep, scaled=scaled), None)
         if bad is not None:
             return ValidationResult("reject", "packing", bad, eps)
 
         for block in inst.blocks:
             if block.step < 2:
                 return ValidationResult("reject", "block-step", block.step, eps)
-            hit = block.first_close(final, sep)
+            hit = block.first_close(final, sep, scaled)
             if hit is not None:
                 return ValidationResult("reject", "block", hit[0], eps)
         for bi in range(len(inst.blocks)):
@@ -511,6 +526,9 @@ def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction) -> bool:
 
 
 def apply_witness(inst: Instance, w: Witness) -> Instance:
+    """The instance with the witness's moves made; a move of a disk that
+    ``inst`` does not have raises ValueError."""
+    check_witness_indices(inst, w)
     disks = tuple(w.moves.get(i, d) for i, d in enumerate(inst.disks))
     return Instance(inst.variant, inst.k, inst.d2, disks, inst.blocks)
 

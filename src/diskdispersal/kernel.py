@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, Point, dist2, ratio, ratio_below
+from .geometry import Disk, Point, dist2, scale_points
 from .instance_io import Instance
 from .numerics import frac, sign_le, sqrt_lower_upper
 from .udg import IntersectionGraph, build_graph, approx_vc, components
@@ -101,23 +101,26 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
     """
     if inst.blocks:
         raise ValueError("kernelize requires explicit disks; expand blocks first")
-    g = build_graph(inst.disks)
+    scaled = scale_points(inst.disks)
+    g = build_graph(inst.disks, scaled=scaled)
     cover = approx_vc(g, inst.k)
     if cover is None:
         return None
     d = derived_d(inst.d2)
     threshold = (d + 2) * (inst.k + 1)
     t2 = threshold * threshold
-    tn, td = t2.numerator, t2.denominator
-    centres = [(inst.disks[c], ratio(inst.disks[c])) for c in cover]
+    D, X, Y = scaled
+    limit = t2.numerator * D * D + 1  # closed: lhs <= t iff lhs < t + 1
+    td = t2.denominator
     kept: list[int] = []
     removed: list[int] = []
-    for i, disk in enumerate(inst.disks):
-        r = ratio(disk)
+    for i, (x, y) in enumerate(zip(X, Y)):
         keep = any(
-            ratio_below(r, rc, tn, td, closed=True) if r and rc else
-            sign_le(dist2(disk, c), t2, "kernel distance filter")
-            for c, rc in centres)
+            ((x - X[c]) ** 2 + (y - Y[c]) ** 2) * td < limit
+            if x is not None and X[c] is not None else
+            sign_le(dist2(inst.disks[i], inst.disks[c]), t2,
+                    "kernel distance filter")
+            for c in cover)
         (kept if keep else removed).append(i)
     out = Instance(inst.variant, inst.k, inst.d2,
                    tuple(inst.disks[i] for i in kept), ())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, close_pairs
+from .geometry import Disk, ScaledPoints, close_pairs
 from .numerics import frac
 
 __all__ = ["IntersectionGraph", "build_graph", "approx_vc", "components"]
@@ -25,18 +25,20 @@ class IntersectionGraph:
 
 
 def build_graph(disks: Sequence[Disk], radius=Fraction(1), *,
-                include_touching: bool = False) -> IntersectionGraph:
+                include_touching: bool = False,
+                scaled: Optional[ScaledPoints] = None) -> IntersectionGraph:
     """Intersection graph over disks of the given common radius.
 
     The threshold on squared center distance is (2*radius)^2; strict by
     default, closed when include_touching is set (used for the enlarged
-    halo graphs).  Edges come from :func:`geometry.close_pairs`.
+    halo graphs).  Edges come from :func:`geometry.close_pairs`, which
+    takes ``scaled``, the disks' :func:`geometry.scale_points`, when given.
     """
     r = frac(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
     threshold = (2 * r) * (2 * r)
-    edges = tuple(close_pairs(disks, threshold, include_touching))
+    edges = tuple(close_pairs(disks, threshold, include_touching, scaled))
     return IntersectionGraph(len(disks), edges)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diskdispersal.geometry import (
+    SCALE_BITS,
+    SHARED_POINTS,
     Point,
     close_pairs,
     dist2,
     is_packing,
     overlap,
+    scale_points,
     translate,
     within_move,
 )
@@ -61,6 +65,54 @@ def brute_close_pairs(pts, threshold, closed):
             elif o is Ordering.LESS or (closed and o is Ordering.EQUAL):
                 close.append((i, j))
     return close, undecided
+
+
+def large_primes(start, count):
+    """The first count primes from start, by trial division."""
+    out, n = [], start
+    while len(out) < count:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+def past_the_bound(seed, n=40):
+    """n points in [0, 12]^2, half on integers and half with distinct prime
+    denominators near 10^6, whose common denominator passes SCALE_BITS;
+    every third point with a prime denominator has a partner exactly 2 to
+    its right, on the same denominators."""
+    rng = random.Random(seed)
+    primes = iter(large_primes(10 ** 6, n))
+    pts = []
+    while len(pts) < n:
+        if rng.random() < 0.5:
+            pts.append(P(rng.randint(0, 12), rng.randint(0, 12)))
+            continue
+        p, q = next(primes), next(primes)
+        a = Point(F(rng.randint(0, 10 * p), p), F(rng.randint(0, 12 * q), q))
+        pts.append(a)
+        if len(pts) % 3 == 0:
+            pts.insert(rng.randrange(len(pts) + 1), Point(a.x + 2, a.y))
+    return pts[:n]
+
+
+def scale_reference(pts):
+    """Reference for scale_points, coordinate by coordinate: the x of every
+    point, then the y of every point, each on the scale when it is rational
+    and keeps the common denominator within SCALE_BITS bits."""
+    xy = [p.x for p in pts] + [p.y for p in pts]
+    D, on = 1, []
+    for v in xy:
+        m = math.lcm(D, v.denominator) if isinstance(v, (F, int)) else None
+        on.append(m is not None and m.bit_length() <= SCALE_BITS)
+        D = m if on[-1] else D
+    n = len(pts)
+    X = [int(p.x * D) if on[i] and on[n + i] else None
+         for i, p in enumerate(pts)]
+    Y = [int(p.y * D) if on[i] and on[n + i] else None
+         for i, p in enumerate(pts)]
+    return D, X, Y
 
 
 def boxes_apart(a, b, threshold):
@@ -222,6 +274,95 @@ class TestClosePairs:
         assert list(close_pairs(pts, F(4))) == []
         assert list(close_pairs(pts, F(4), closed=True)) == \
             [(0, 1), (0, 2), (1, 2)]
+
+
+class TestScaledPoints:
+    def test_one_common_denominator(self):
+        # the radical point is off the scale; its rational x still counts
+        # towards D
+        pts = [P(F(1, 2), 3), Point(F(1, 3), quadext(0, 1, 2)),
+               Point(2, F(5, 4))]
+        assert scale_points(pts) == (12, [6, None, 24], [36, None, 15])
+
+    def test_no_points(self):
+        assert scale_points([]) == (1, [], [])
+
+    def test_bulk_set_matches_reference(self):
+        # from SHARED_POINTS points on, each distinct coordinate object is
+        # converted once; the scale is the same as coordinate by coordinate
+        rng = random.Random(3)
+        primes = large_primes(10 ** 6, 6)
+        pool = ([F(rng.randint(-40, 40), rng.choice([1, 2, 4]))
+                 for _ in range(24)]
+                + [F(rng.randint(1, p - 1), p) for p in primes]
+                + [quadext(1, 1, 2), parse_scalar("0.5~")])
+        for n in (SHARED_POINTS - 1, SHARED_POINTS):
+            pts = [Point(rng.choice(pool), rng.choice(pool))
+                   for _ in range(n)]
+            D, X, Y = scale_points(pts)
+            assert (D, X, Y) == scale_reference(pts)
+            assert None in X and D.bit_length() > 40
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_denominators_past_the_bound_leave_the_scale(self, seed):
+        pts = past_the_bound(seed)
+        D, X, Y = scale_points(pts)
+        assert (D, X, Y) == scale_reference(pts)
+        assert None in X and any(x is not None for x in X)
+        for p, x, y in zip(pts, X, Y):
+            if x is not None:
+                assert (F(x, D), F(y, D)) == (p.x, p.y)
+            else:
+                assert math.lcm(D, p.x.denominator,
+                                p.y.denominator).bit_length() > SCALE_BITS
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_close_pairs_off_the_scale_match_brute_force(self, seed):
+        pts = past_the_bound(seed)
+        for threshold in (F(4), F(4) - F(1, 10 ** 9), F(9, 4)):
+            for closed in (False, True):
+                close, undecided = brute_close_pairs(pts, threshold, closed)
+                assert not undecided
+                assert list(close_pairs(pts, threshold, closed)) == close
+        # the tangent partners count only when closed
+        assert (set(close_pairs(pts, F(4), closed=True))
+                > set(close_pairs(pts, F(4))))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_set_order_and_undecided_pair(self, seed):
+        # points on the scale and one point that is not rational, near 2
+        # from another: a radical merges into lexicographic order; a ``~``
+        # literal whose enclosure straddles 2 raises at the first undecided
+        # pair of the lexicographic scan, after every close pair before it
+        rng = random.Random(f"mixed-{seed}")
+        pts = [P(F(rng.randint(0, 24), 2), F(rng.randint(0, 24), 2))
+               for _ in range(rng.randint(2, 30))]
+        i, j = rng.sample(range(len(pts)), 2)
+        x, y = pts[j].x + 2, pts[j].y
+        pts[i] = (Point(quadext(x, F(1, 8), 2), y) if seed % 2 else
+                  Point(parse_scalar(f"{float(x):.7f}~"), y))
+        for threshold in (F(4), F(9, 4)):
+            for closed in (False, True):
+                before, first = [], None
+                for a in range(len(pts)):
+                    for b in range(a + 1, len(pts)):
+                        o = compare(dist2(pts[a], pts[b]), threshold)
+                        if o is Ordering.INDETERMINATE:
+                            first = first or (a, b)
+                        elif first is None and (
+                                o is Ordering.LESS
+                                or (closed and o is Ordering.EQUAL)):
+                            before.append((a, b))
+                got = []
+                if first is None:
+                    got.extend(close_pairs(pts, threshold, closed))
+                    assert got == before
+                    continue
+                with pytest.raises(IndeterminateError) as err:
+                    got.extend(close_pairs(pts, threshold, closed))
+                assert got == before
+                a, b = first
+                assert str(err.value) == f"distance of {pts[a]} and {pts[b]}"
 
 
 class TestWithinMove:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diskdispersal.geometry import Point, dist2
+from diskdispersal.geometry import Point, dist2, scale_points
 from diskdispersal.instance_io import (
     Instance,
     LatticeBlock,
@@ -250,6 +250,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_witness(FIG1, Witness({9: P(0, 0)}))
 
+    @pytest.mark.parametrize("idx", [5, -1])
+    def test_apply_index_out_of_range_is_error(self, idx):
+        w = Witness({idx: P(9, 9)})
+        with pytest.raises(ValueError,
+                           match=f"^witness index {idx} out of range$"):
+            apply_witness(FIG1, w)
+
     def test_apply_then_empty_witness_accepts(self):
         w = Witness({1: Point(F(1), quadext(0, 1, 3))})
         after = apply_witness(FIG1, w)
@@ -396,6 +403,39 @@ class TestBlocks:
                             None)
                 assert b.first_close(pts, threshold) == want
                 assert b.first_close(iter(pts), threshold) == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_close_off_the_scale_matches_brute_force(self, seed):
+        # half the points have distinct prime denominators near 10^6, so
+        # the common denominator passes the scale's bound and some points
+        # leave the scale; the others are on it, over a block whose origin
+        # has its own denominator
+        rng = random.Random(f"off-scale-{seed}")
+        primes = iter(rng.sample(
+            [n for n in range(10 ** 6 + 1, 10 ** 6 + 3000, 2)
+             if all(n % d for d in range(3, 1003, 2))], 80))
+        b = LatticeBlock(F(1, 3), F(-1, 2), F(49, 3), F(23, 2), F(2),
+                         (Rect(F(5), F(3), F(9), F(7)),))
+        lattice = brute_lattice(b)
+        pts = []
+        for _ in range(40):
+            if rng.random() < 0.5:
+                pts.append(P(F(rng.randint(-4, 36), 2),
+                             F(rng.randint(-4, 28), 2)))
+            else:
+                p, q = next(primes), next(primes)
+                pts.append(Point(F(rng.randint(-2 * p, 18 * p), p),
+                                 F(rng.randint(-2 * q, 14 * q), q)))
+        _, X, _ = scale_points(pts)
+        assert None in X and any(x is not None for x in X)
+        for threshold in (F(4), F(4) - F(1, 10 ** 9), F(25, 4)):
+            for start in range(len(pts)):
+                rest = pts[start:]
+                want = next(((k, q) for k, p in enumerate(rest)
+                             for q in lattice if compare(
+                                 dist2(p, q), threshold) is Ordering.LESS),
+                            None)
+                assert b.first_close(rest, threshold) == want
 
     def test_lattice_tangency_is_exact(self):
         # (4, 6) touches (2, 6); 2+sqrt(3), 7 touches (2, 6) and (2, 8)

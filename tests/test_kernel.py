@@ -106,6 +106,30 @@ class TestKernelize:
             assert report.kept == kept
             assert report.removed == tuple(sorted(set(range(n)) - set(kept)))
 
+    def test_filter_off_the_scale_matches_exact_comparison(self):
+        # disks with distinct prime denominators near 10^6 pass the scale's
+        # bound and go through sign_le; the integer disks stay on the scale
+        rng = random.Random(8)
+        primes = [n for n in range(10 ** 6 + 1, 10 ** 6 + 3000, 2)
+                  if all(n % d for d in range(3, 1003, 2))]
+        for trial in range(20):
+            k, d2 = rng.randint(1, 2), rng.choice([F(1, 4), F(1)])
+            fresh = iter(rng.sample(primes, 20))
+            disks = [P(0, 0), P(1, 0)]
+            for _ in range(rng.randint(4, 10)):
+                p, q = next(fresh), next(fresh)
+                disks.append(Point(F(rng.randint(-30 * p, 30 * p), p),
+                                   F(rng.randint(-30 * q, 30 * q), q)))
+            disks.append(P(rng.randint(-30, 30), rng.randint(-30, 30)))
+            kr = kernelize(Instance("euclidean", k, d2, tuple(disks)))
+            if kr is None:
+                continue
+            report = kr[1]
+            t2 = report.threshold ** 2
+            kept = tuple(i for i, p in enumerate(disks) if any(
+                sign_le(dist2(p, disks[c]), t2) for c in report.cover))
+            assert report.kept == kept
+
     @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
     def test_report_graph_is_the_kernel_graph(self, variant):
         # solve reads the kernel's graph off the report instead of building

@@ -6,7 +6,9 @@ solves the random-small and planted-triples inputs of ``perfbench`` at seeds
 1 and 7 with the default ``SolverConfig`` and prints, per workload and seed,
 the number of solves and a SHA-256 over each answer's verdict, reason,
 witness text and log lines.  A fifth line gives the SHA-256 of the Fig. 7
-grid-tiling instance text and of its witness text, and one more line
+grid-tiling instance text and of its witness text, with the results of
+validating the parsed texts and of validating the parsed instance against
+the empty witness, whose first overlapping pair it names; one more line
 digests 50 small seeded ``gen_random`` instances whose one coordinate is a
 radical or a ``~`` literal, so that their covers have a centre that is not
 rational.  The last line digests the three seeded ``gen_random`` instances
@@ -17,7 +19,8 @@ stderr, so a changed digest shows whether verdicts moved.  Every yes
 witness of a solve is also validated exactly, and the two Fig. 7 texts are
 parsed back: each must write back byte for byte, with every parsed
 coordinate a ``Fraction``.  The script exits 1, after its
-lines, when a witness is rejected or the Fig. 7 round trip fails.  The
+lines, when a witness is rejected, including the Fig. 7 witness, or the
+Fig. 7 round trip fails.  The
 benchmark inputs come from ``perfbench/workloads.py``, which is imported and
 never changed; the library is imported from this checkout's ``src/``.
 
@@ -86,9 +89,10 @@ def sha256(text: str) -> str:
 
 
 def fig7_line() -> tuple[str, list[str]]:
-    """The Fig. 7 line, and the faults of its text round trip: a text that
-    does not write back byte for byte, or a parsed coordinate that is not a
-    ``Fraction``."""
+    """The Fig. 7 line, and the faults of its text round trip and its
+    witness: a text that does not write back byte for byte, a parsed
+    coordinate that is not a ``Fraction``, or a parsed witness that
+    ``validate_witness`` does not accept."""
     spec = workloads.fig7_input(1).spec
     inst = dd.gen_gridtiling(spec)
     w = dd.gridtiling_witness(spec, inst, workloads.FIG7_ROWS,
@@ -103,8 +107,13 @@ def fig7_line() -> tuple[str, list[str]]:
     if any(type(v) is not Fraction
            for p in (*back.disks, *w_back.moves.values()) for v in (p.x, p.y)):
         faults.append("a parsed Fig. 7 coordinate is not a Fraction")
+    accepted = dd.validate_witness(back, w_back)
+    if not accepted.accepted:
+        faults.append("the Fig. 7 witness fails validation")
+    empty = dd.validate_witness(back, dd.Witness({}))
     line = (f"gridtiling-fig7: instance sha256 {sha256(inst_text)}, "
-            f"witness sha256 {sha256(witness_text)}")
+            f"witness sha256 {sha256(witness_text)}, "
+            f"witness {accepted}, empty witness {empty}")
     return line, faults
 
 
