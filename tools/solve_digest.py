@@ -4,8 +4,9 @@
 
 solves the random-small and planted-triples inputs of ``perfbench`` at seeds
 1 and 7 with the default ``SolverConfig`` and prints, per workload and seed,
-the number of solves and a SHA-256 over each answer's verdict, reason,
-witness text and log lines.  A fifth line gives the SHA-256 of the Fig. 7
+the number of solves and two SHA-256 digests: one of the answers, over each
+answer's verdict and witness text, and one of the logs, over each answer's
+reason and log lines.  A fifth line gives the SHA-256 of the Fig. 7
 grid-tiling instance text and of its witness text, with the results of
 validating the parsed texts and of validating the parsed instance against
 the empty witness, whose first overlapping pair it names; one more line
@@ -13,9 +14,11 @@ digests 50 small seeded ``gen_random`` instances whose one coordinate is a
 radical or a ``~`` literal, so that their covers have a centre that is not
 rational.  The last line digests the three seeded ``gen_random`` instances
 whose yes comes from a stage-3 grid witness, which no other line reaches.
-Two checkouts that print the same lines gave byte-identical answers.  Each
-solve line's tally of yes, no and unknown verdicts goes to
-stderr, so a changed digest shows whether verdicts moved.  Every yes
+Two checkouts that print the same lines gave byte-identical answers and
+logs; two that print the same answers digests gave the same verdicts and
+witness texts, whatever their logs say.  Each solve line's tally of yes,
+no and unknown verdicts goes to stderr, so a changed digest shows whether
+verdicts moved.  Every yes
 witness of a solve is also validated exactly, and the two Fig. 7 texts are
 parsed back: each must write back byte for byte, with every parsed
 coordinate a ``Fraction``.  The script exits 1, after its
@@ -60,14 +63,18 @@ GRID_WITNESS_CASES = (
 
 def answer_text(ans: dd.Answer) -> str:
     witness = dd.write_witness(ans.witness) if ans.witness else ""
-    return "\n".join([ans.verdict, str(ans.reason), witness, *ans.log])
+    return "\n".join([ans.verdict, witness])
+
+
+def log_text(ans: dd.Answer) -> str:
+    return "\n".join([str(ans.reason), *ans.log])
 
 
 def digest(label: str, instances) -> int:
-    """Print the number of solves and their SHA-256 under ``label``, and
-    their verdict tally to stderr; return the number of yes witnesses that
-    ``validate_witness`` rejects."""
-    h = hashlib.sha256()
+    """Print the number of solves and the SHA-256 of their answers and of
+    their logs under ``label``, and their verdict tally to stderr; return
+    the number of yes witnesses that ``validate_witness`` rejects."""
+    answers, logs = hashlib.sha256(), hashlib.sha256()
     rejected = 0
     tally = Counter()
     for inst in instances:
@@ -75,9 +82,11 @@ def digest(label: str, instances) -> int:
         tally[ans.verdict] += 1
         if ans.verdict == "yes":
             rejected += not dd.validate_witness(inst, ans.witness).accepted
-        h.update(answer_text(ans).encode())
-        h.update(b"\0")
-    print(f"{label}: {len(instances)} solves, sha256 {h.hexdigest()}")
+        for h, text in ((answers, answer_text(ans)), (logs, log_text(ans))):
+            h.update(text.encode())
+            h.update(b"\0")
+    print(f"{label}: {len(instances)} solves, answers sha256 "
+          f"{answers.hexdigest()}, log sha256 {logs.hexdigest()}")
     print(f"{label}: " + ", ".join(f"{tally[v]} {v}"
                                    for v in ("yes", "no", "unknown")),
           file=sys.stderr)
