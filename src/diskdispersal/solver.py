@@ -1,11 +1,12 @@
 """Decision procedure: enumerate candidate moved-sets, decide placements.
 
-The search enumerates every subset A (|A| <= k) whose removal leaves the
-remaining disks pairwise non-overlapping -- exactly the vertex covers of the
-intersection graph, non-minimal ones included -- and asks for each whether
-the disks of A admit new positions.  Placement feasibility runs through
-three stages of one rule each, all exact: apart from the clock of its time
-budget, the solver uses no floats.  ``feasibility`` gives a set whose
+The search enumerates subsets A (|A| <= k) whose removal leaves the
+remaining disks pairwise non-overlapping -- vertex covers of the
+intersection graph -- and asks for each whether the disks of A admit new
+positions.  It takes only the covers in which every near group holds a disk
+with a conflict edge (near-group lemma below), non-minimal ones included.
+Placement feasibility runs through three stages of one rule each, all
+exact: apart from the clock of its time budget, the solver uses no floats.  ``feasibility`` gives a set whose
 members' centres are all rational one ``_Frame``, which every stage reads:
 the origins and the rational fixed centres near each member, multiplied by
 one scale M with d2*M^2 an integer, and in ``frame.others[i]`` member i's
@@ -51,17 +52,16 @@ the one before it returned None, so one rule decides each set: the lemma,
 the walk or the grid.
 
 A member x whose centre o is not rational.  Its set A gets no frame and
-ends unknown ("non-rational centers"), and no yes is lost: as tangencies
-are built on rational centres only, a walk on A could only keep x at o,
-clear of the fixed disks and of the other targets.  Then the cover A minus
-x, which the enumeration yields first, has the same placement with o
-fixed, and by induction on such members its first subset with a frame
-finds one: its walk lists the same candidates and runs the same tests.
-That subset is never refuted, nor skipped by the far-member lemma below:
-every refutation is sound (the lone-member lemma on a member whose near
-fixed centres are all rational, a grid on a frame whose near centres all
-are, and the far-member lemma applied to a refuted subset), and the subset
-has a placement.
+ends unknown ("non-rational centers"), and no yes turns into a no: as
+tangencies are built on rational centres only, a walk on A could only keep
+x at o, clear of the fixed disks and of the other targets.  Then the cover
+A minus x, less its near groups with no conflict disk, is yielded before A
+and has the same placement with o fixed (near-group lemma below), so no
+sound refutation -- the lone-member lemma on a member whose near fixed
+centres are all rational, a grid on a frame whose near centres all are --
+applies to it.  When no group was taken out, its walk lists the same
+candidates and runs the same tests, and by induction on such members its
+first subset with a frame finds the placement.
 
 Lone-member lemma.  Let x be a member whose origin o is rational, with
 every fixed centre within derived_d(d2) + 2 of o rational, and let R be the
@@ -90,25 +90,23 @@ farther away is more than 2 from every point within d of o, so it changes
 neither R nor the list.  Stage 1 runs this test on each member whose
 ``others`` are empty and reports the first whose R is empty.
 
-Some covers are refuted without running the stages.  Far-member lemma:
-let A be a cover and x a member of A such that A minus x is a cover too
-and x's origin lies at least d+2 from the origin of every other member.
-If A minus x is infeasible, so is A.  Proof: take targets for A and put x back at its
-origin.  x at its origin clears every disk that A leaves fixed, since A
-minus x is a cover.  Every other member's target lies within d of its
-origin -- a rectilinear move is axis-parallel, so its Euclidean length is
-at most d as well -- and so at least 2 from x's origin.  The other
-constraints are those of A, so A minus x would be feasible.  ``solve``
-tests the distance exactly, on the integers of the two origins, against
-(derived_d(d2) + 2)^2, an upper bound on (d+2)^2; an origin that is not
-rational is never far.  It applies the lemma only to a subset that was
-refuted, by the lone-member lemma, a grid or this lemma itself, never to
-one left unknown.
-
-Yes answers always carry a witness that validates exactly; No answers are
-backed, for every candidate set, by the lone-member lemma, a grid
-refutation, or the far-member lemma from either; anything else is reported
-Unknown rather than guessed.
+Near-group lemma.  Join two members of a cover when their origins lie
+closer than derived_d(d2) + 2 >= d + 2, by an exact ``compare`` in which an
+undecided comparison counts as near; the connected groups are the near
+groups.  A feasible cover A of minimum size has a disk with a conflict edge
+in every near group G.  Otherwise no edge touches G, so A minus G is a
+cover, and a feasible one: take targets for A and put G back at its
+origins, which conflict with nothing and lie at least d + 2 from every
+other member's origin, so at least 2 from that member's target, within d
+of it (a rectilinear move is axis-parallel, so its length is at most d as
+well).  ``enumerate_candidate_sets`` yields every cover of at most k
+members with a conflict disk in each near group, grown one near disk at a
+time from the leaf of edge branching that takes each edge's end in the
+cover: that leaf holds an end of each group's conflict edge, and an end in
+the cover is within 2 of the other, in the same group.  So a no needs,
+for every enumerated set, the lone-member lemma or a grid refutation; a
+yes always carries a witness that validates exactly; anything else is
+reported Unknown rather than guessed.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
 lattice fill, which must be expanded first.  Comparisons between exact
@@ -131,7 +129,6 @@ lists, in the order it builds them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -224,51 +221,48 @@ class _Stop(Exception):
 # ---------------------------------------------------------------------------
 # candidate moved-set enumeration
 
-def enumerate_candidate_sets(g: IntersectionGraph, k: int,
+def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
                              deadline: Optional[float] = None
                              ) -> Iterator[list[int]]:
-    """All vertex covers of size <= k, by increasing size then lexicographic.
+    """The covers of ``g`` with at most ``inst.k`` members whose every near
+    group holds a disk with a conflict edge (module docstring), by
+    increasing size then lexicographic.  Level s holds the size-s leaves of
+    edge branching and each set of level s - 1 plus one disk near one of its
+    members; a level grows once the one before it is yielded.  Once
+    ``deadline`` has passed it yields nothing more, so the caller must check
+    the deadline before trusting the enumeration."""
+    disks = inst.disks
+    reach2 = (derived_d(inst.d2) + 2) ** 2
+    leaves: list[set[tuple[int, ...]]] = [set() for _ in range(inst.k + 1)]
+    near: dict[int, list[int]] = {}
 
-    Removal of such a set, and only such a set, leaves a packing.  A bounded
-    edge-branching pass first establishes the minimum cover size (pruning the
-    sweep); the lexicographic sweep then emits every cover, supersets of
-    minimal covers included.  Once ``deadline`` has passed it yields nothing
-    more, so the caller must check the deadline before trusting the sweep.
-    """
-    if k < 0:
-        return
-    min_size = _min_cover_size(g, k)
-    if min_size is None:
-        return
-    edge_pairs = g.edges
-    for size in range(min_size, k + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            if _expired(deadline):
-                return
-            chosen = set(combo)
-            if all(i in chosen or j in chosen for i, j in edge_pairs):
-                yield list(combo)
-
-
-def _min_cover_size(g: IntersectionGraph, k: int) -> Optional[int]:
-    best: list[Optional[int]] = [None]
-
-    def rec(chosen: set[int], depth: int):
-        if best[0] is not None and depth >= best[0]:
-            return
+    def branch(chosen: set[int]) -> None:
         for i, j in g.edges:
             if i not in chosen and j not in chosen:
-                if depth == k:
-                    return
-                for w in (i, j):
-                    chosen.add(w)
-                    rec(chosen, depth + 1)
-                    chosen.remove(w)
+                if len(chosen) < inst.k and not _expired(deadline):
+                    for w in (i, j):
+                        branch(chosen | {w})
                 return
-        best[0] = depth
+        leaves[len(chosen)].add(tuple(sorted(chosen)))
 
-    rec(set(), 0)
-    return best[0]
+    branch(set())
+    level: list[tuple[int, ...]] = []
+    for grown in leaves:
+        for cand in level:
+            if _expired(deadline):
+                return
+            for m in cand:
+                if m not in near:  # an undecided comparison counts as near
+                    near[m] = [j for j, q in enumerate(disks) if compare(
+                        dist2(disks[m], q), reach2) in (
+                            Ordering.LESS, Ordering.INDETERMINATE)]
+                grown.update(tuple(sorted(cand + (j,)))
+                             for j in near[m] if j not in cand)
+        level = sorted(grown)
+        for cand in level:
+            if _expired(deadline):
+                return
+            yield list(cand)
 
 
 # ---------------------------------------------------------------------------
@@ -713,33 +707,15 @@ def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
             or _stage_grid(frame, cfg, deadline))
 
 
-def _implied_refutation(cand: list[int], refuted: set[frozenset[int]],
-                        rats: Sequence[Optional[tuple]],
-                        reach: tuple[int, int]) -> Optional[list[int]]:
-    """A refuted ``cand`` minus x whose x lies at least sqrt(reach[0] /
-    reach[1]) from every other member, or None; by the module docstring's
-    far-member lemma it refutes ``cand``.  ``rats`` holds each disk's
-    :func:`ratio`; a disk that is not rational is never far."""
-    def far(i: int, j: int) -> bool:
-        return (rats[i] is not None and rats[j] is not None
-                and not ratio_below(rats[i], rats[j], *reach))
-
-    for x in cand:
-        rest = [i for i in cand if i != x]
-        if frozenset(rest) in refuted and all(far(x, i) for i in rest):
-            return rest
-    return None
-
-
 def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     """Full decision pipeline over an explicit-disk instance.
 
-    Candidate sets come from ``enumerate_candidate_sets``, smaller first.
-    A set that the module docstring's far-member lemma refutes through a
-    smaller refuted set is logged as "refuted, implied by" that set and
-    never reaches ``feasibility``; every other set does.  A set refuted by the
-    lone-member lemma is logged as "refuted, disk j has no place clear of
-    the fixed disks", j being the kernel index of that member.
+    Candidate sets come from ``enumerate_candidate_sets`` on the kernel
+    instance, smaller first, and every one goes to ``feasibility``: the
+    first feasible set gives the yes, and a no needs every set refuted.  A
+    set refuted by the lone-member lemma is logged as "refuted, disk j has
+    no place clear of the fixed disks", j being the kernel index of that
+    member, and one refuted by a grid as "refuted at delta" its resolution.
     """
     cfg = cfg or SolverConfig()
     if inst.blocks:
@@ -763,16 +739,7 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
-    reach2 = (derived_d(kinst.d2) + 2) ** 2
-    reach = reach2.numerator, reach2.denominator
-    rats = [ratio(p) for p in kinst.disks]
-    refuted: set[frozenset[int]] = set()
-    for cand in enumerate_candidate_sets(g, inst.k, deadline):
-        implied = _implied_refutation(cand, refuted, rats, reach)
-        if implied is not None:
-            refuted.add(frozenset(cand))
-            log.append(f"set {cand}: refuted, implied by {implied}")
-            continue
+    for cand in enumerate_candidate_sets(kinst, g, deadline):
         chosen = set(cand)
         fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
         movables = [kinst.disks[i] for i in cand]
@@ -787,7 +754,6 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
             return Answer("yes", Witness(moves),
                           log=tuple(log + [f"moved set {cand}"]))
         if res.status == "infeasible":
-            refuted.add(frozenset(cand))
             if res.delta is not None:
                 log.append(f"set {cand}: refuted at delta {res.delta}")
             else:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diskdispersal import solver
-from diskdispersal.geometry import FOUR, Point, dist2, ratio, within_move
+from diskdispersal.geometry import FOUR, Point, dist2, within_move
 from diskdispersal.instance_io import (
     Instance,
     Witness,
@@ -42,34 +42,93 @@ def fig1(k, d2, variant="euclidean"):
     return Instance(variant, k, F(d2), (P(0, 0), P(1, 0), P(2, 0)))
 
 
+def covers(disks, k, d2=F(1)):
+    """The enumerated covers of the Euclidean instance on ``disks``."""
+    inst = Instance("euclidean", k, d2, tuple(disks))
+    return list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
+
+
 class TestEnumerateCandidateSets:
-    def test_edgeless_all_small_subsets(self):
-        g = build_graph([P(0, 0), P(4, 0)])
-        assert list(enumerate_candidate_sets(g, 1)) == [[], [0], [1]]
+    def test_edgeless_yields_only_the_empty_set(self):
+        assert covers([P(0, 0), P(4, 0)], 1, F(4)) == [[]]
 
     def test_single_edge_covers(self):
-        g = build_graph([P(0, 0), P(1, 0)])
-        assert list(enumerate_candidate_sets(g, 1)) == [[0], [1]]
+        assert covers([P(0, 0), P(1, 0)], 1) == [[0], [1]]
 
     def test_triangle_needs_two(self):
-        g = build_graph([P(0, 0), P(1, 0), P(F(1, 2), F(1, 2))])
-        assert list(enumerate_candidate_sets(g, 1)) == []
-        two = list(enumerate_candidate_sets(g, 2))
-        assert two == [[0, 1], [0, 2], [1, 2]]
+        triangle = [P(0, 0), P(1, 0), P(F(1, 2), F(1, 2))]
+        assert covers(triangle, 1) == []
+        assert covers(triangle, 2) == [[0, 1], [0, 2], [1, 2]]
 
     def test_supersets_included_in_order(self):
-        g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
-        got = list(enumerate_candidate_sets(g, 2))
-        assert got == [[0], [1], [0, 1], [0, 2], [1, 2]]
+        # at d + 2 = 3 the disk at (5, 0) is near no member: no set holds it
+        got = covers([P(0, 0), P(1, 0), P(5, 0)], 2)
+        assert got == [[0], [1], [0, 1]]
+        # at d + 2 = 5 it is near disk 1, but not yet near disk 0
+        got = covers([P(0, 0), P(1, 0), P(5, 0)], 2, F(9))
+        assert got == [[0], [1], [0, 1], [1, 2]]
 
     def test_order_is_size_then_lex(self):
-        g = build_graph([P(0, 0), P(1, 0), P(2, 0), P(3, 0)])
-        got = list(enumerate_candidate_sets(g, 3))
+        got = covers([P(0, 0), P(1, 0), P(2, 0), P(3, 0)], 3)
         sizes = [len(s) for s in got]
         assert sizes == sorted(sizes)
         for a, b in zip(got, got[1:]):
             if len(a) == len(b):
                 assert a < b
+
+    def test_leaves_of_every_size_are_yielded(self):
+        # edges (0, 1), (2, 3), (3, 4): branching on 0, 2 and then 4 gives
+        # the leaf [0, 2, 4], whose near groups at d + 2 = 3 are {0} and
+        # {2, 4}; no disk near [0, 3] or [1, 3] grows into it
+        path = [P(0, 0), P(1, 0), P(10, 0), P(11, 0), P(12, 0)]
+        got = covers(path, 3)
+        assert got[:2] == [[0, 3], [1, 3]] and [0, 2, 4] in got
+
+    def test_matches_every_cover_with_a_conflict_disk_per_near_group(self):
+        # a brute-force reading of the contract on random instances
+        rng = random.Random(20261020)
+        for trial in range(60):
+            n = rng.randint(3, 8)
+            k = rng.randint(0, 4)
+            d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(4)])
+            inst = gen_random(n, rng.randint(2, 5) + n // 2,
+                              rng.randrange(10 ** 6), k, d2, "euclidean")
+            g = build_graph(inst.disks)
+            ends = {i for e in g.edges for i in e}
+            reach2 = (derived_d(d2) + 2) ** 2
+            want = []
+            for size in range(k + 1):
+                for combo in itertools.combinations(range(n), size):
+                    if not all(i in combo or j in combo for i, j in g.edges):
+                        continue
+                    # grow each member's near group inside the set
+                    groups = []
+                    for i in combo:
+                        joined = [grp for grp in groups if any(
+                            dist2(inst.disks[i], inst.disks[j]) < reach2
+                            for j in grp)]
+                        groups = [grp for grp in groups if grp not in joined]
+                        groups.append({i}.union(*joined))
+                    if all(grp & ends for grp in groups):
+                        want.append(list(combo))
+            got = list(enumerate_candidate_sets(inst, g))
+            assert got == want, trial
+
+    def test_undecided_distance_counts_as_near(self):
+        # disk 2's centre 4.000000000~ is within d + 2 = 3 of disk 1's
+        # only as far as its enclosure tells: [1, 2] is yielded
+        x = parse_scalar("4.000000000~")
+        got = covers([P(0, 0), P(1, 0), Point(x, F(0))], 2)
+        assert got == [[0], [1], [0, 1], [1, 2]]
+
+    def test_a_tilde_disk_near_a_member_is_a_yes(self):
+        # with disk 1 moved to (2, 0), the undecided disk 2 stays fixed
+        x = parse_scalar("4.000000000~")
+        inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0),
+                                               Point(x, F(0))))
+        ans = solve(inst)
+        assert str(ans) == "yes (1 moves)"
+        assert validate_witness(inst, ans.witness).accepted
 
 
 class TestFeasibility:
@@ -243,8 +302,8 @@ class TestOneFrame:
         # target for disk 0, tested against X as a fixed centre that is
         # not rational
         inst = Instance("euclidean", 2, F(4), (P(0, 0), P(1, 0), self.X))
-        covers = list(enumerate_candidate_sets(build_graph(inst.disks), 2))
-        assert covers.index([0]) < covers.index([0, 2])
+        sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
+        assert sets.index([0]) < sets.index([0, 2])
         ans = solve(inst)
         assert ans.verdict == "yes" and ans.log[-1] == "moved set [0]"
         assert ans.witness.moves == {0: P(0, 2)}
@@ -310,7 +369,8 @@ class TestLoneMember:
             inst = gen_random(n, rng.randint(2, 5) + n // 2,
                               rng.randrange(10 ** 6), k, d2, variant)
             trial += 1
-            for cand in enumerate_candidate_sets(build_graph(inst.disks), k):
+            for cand in enumerate_candidate_sets(inst,
+                                                 build_graph(inst.disks)):
                 if not cand:
                     continue
                 sets += 1
@@ -691,9 +751,24 @@ class TestDeadline:
         assert solver._stage_numeric(frame, 5.0) is None
 
     def test_enumeration_past_deadline_yields_nothing(self):
-        g = build_graph([P(0, 0), P(1, 0), P(5, 0)])
+        inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(5, 0)))
         assert list(enumerate_candidate_sets(
-            g, 2, deadline=time.monotonic() - 1)) == []
+            inst, build_graph(inst.disks),
+            deadline=time.monotonic() - 1)) == []
+
+    def test_enumeration_checks_the_deadline_while_a_level_grows(
+            self, monkeypatch):
+        # the clock passes the deadline once level 1 ([0], [1]) is out:
+        # growing level 2 stops before it tests a single distance
+        inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(2, 2)))
+        gen = enumerate_candidate_sets(inst, build_graph(inst.disks), 5.0)
+        monkeypatch.setattr(solver.time, "monotonic", lambda: 0)
+        assert [next(gen), next(gen)] == [[0], [1]]
+        tested = []
+        monkeypatch.setattr(solver, "compare",
+                            lambda *args: tested.append(args))
+        monkeypatch.setattr(solver.time, "monotonic", lambda: 10)
+        assert list(gen) == [] and tested == []
 
     @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
     def test_nan_or_negative_budget_rejected(self, budget):
@@ -817,7 +892,8 @@ class TestGridOnFrame:
             inst = gen_random(n, rng.randint(2, 4) + n // 2,
                               rng.randrange(10 ** 6), k, d2, variant)
             trial += 1
-            for cand in enumerate_candidate_sets(build_graph(inst.disks), k):
+            for cand in enumerate_candidate_sets(inst,
+                                                 build_graph(inst.disks)):
                 fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
                 movables = [inst.disks[i] for i in cand]
                 grids.clear()
@@ -1065,7 +1141,7 @@ class TestVariantOrdering:
 
 
 # ---------------------------------------------------------------------------
-# refuting a cover through a smaller refuted cover
+# covers implied by a smaller cover: a far member, or a far near group
 
 # six background disks around a tight triple centred on the origin, each at
 # least 4 from every triple disk and from the targets (+-2, 0)
@@ -1116,26 +1192,27 @@ def solve_recording(monkeypatch, inst):
 
 
 class TestImpliedRefutation:
+    """A cover with a near group that holds no conflict disk is implied by
+    the smaller cover without that group (the solver module docstring's
+    near-group lemma), and is never enumerated."""
+
     def test_every_enumerated_cover_is_refuted_in_the_log(self):
         inst = two_triples(3)
         assert len(kernelize(inst)[0].disks) == len(inst.disks)
         ans = solve(inst)
         assert ans.verdict == "no"
-        covers = list(enumerate_candidate_sets(build_graph(inst.disks), 3))
+        sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
         logged = logged_sets(ans)
-        assert [s for s, _ in logged] == covers
+        assert [s for s, _ in logged] == sets
         assert all(o.startswith("refuted") for _, o in logged)
-        # the middle disks {1, 10} are refuted by a grid; adding any ring
-        # disk (indices 3-8 and 12-17) is refuted through them
-        assert ([1, 3, 10], "refuted, implied by [1, 10]") in logged
-        assert sum(o.startswith("refuted, implied by") for _, o in logged) \
-            == 12
 
     def test_far_means_at_least_d_plus_two_exactly(self, monkeypatch):
         # fig1 at d2 = 1/4 (d + 2 = 5/2) with a disk just inside and one
         # exactly at 5/2 from the middle disk; every cover is refuted
         inst = Instance("euclidean", 2, F(1, 4), (
             P(0, 0), P(1, 0), P(2, 0), P(1, F(249, 100)), P(1, F(-5, 2))))
+        sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
+        assert [1, 3] in sets and [1, 4] not in sets
         ans, seen = solve_recording(monkeypatch, inst)
         assert ans.verdict == "no"
         logged = dict((str(s), o) for s, o in logged_sets(ans))
@@ -1143,19 +1220,7 @@ class TestImpliedRefutation:
         no_place = "refuted, disk 1 has no place clear of the fixed disks"
         assert logged["[1]"] == logged["[1, 3]"] == no_place
         assert {frozenset([1]), frozenset([1, 3])} <= set(seen)
-        assert logged["[1, 4]"] == "refuted, implied by [1]"
         assert frozenset([1, 4]) not in seen
-
-    def test_irrational_distance_or_unknown_subset_implies_nothing(self):
-        disks = [P(0, 0), P(10, 0), Point(quadext(10, 1, 2), F(0))]
-        rats = [ratio(p) for p in disks]
-        reach = FAR2.numerator, FAR2.denominator
-        refuted = {frozenset([0])}
-        implied = solver._implied_refutation
-        assert implied([0, 1], refuted, rats, reach) == [0]
-        assert implied([0, 2], refuted, rats, reach) is None
-        # a subset left unknown is not in the refuted set
-        assert implied([0, 1], set(), rats, reach) is None
 
     @pytest.mark.parametrize("k, seed, verdict", [
         (3, None, "no"), (4, None, "yes"), (4, 1, "yes"), (4, 2, "yes")])
@@ -1167,7 +1232,6 @@ class TestImpliedRefutation:
         if verdict == "yes":
             assert validate_witness(inst, ans.witness).accepted
         logged = logged_sets(ans)
-        assert any(o.startswith("refuted, implied by") for _, o in logged)
         # every smaller cover is enumerated, and logged, before a larger one
         refuted = {frozenset(s) for s, o in logged if o.startswith("refuted")}
         for moved in seen:
@@ -1179,34 +1243,42 @@ class TestImpliedRefutation:
 
 
 def reference_solve(inst, cfg):
-    """``solve`` without the implied refutation: every cover goes to
-    ``feasibility``."""
+    """``solve`` over every cover of at most k kernel disks, each through
+    ``feasibility``, in (size, lexicographic) order; and the number of
+    covers it tried."""
     kr = kernelize(inst)
     if kr is None:
-        return "no", None
+        return "no", None, 0
     kinst, report = kr
     g = build_graph(kinst.disks)
     if not g.edges:
-        return "yes", Witness({})
+        return "yes", Witness({}), 0
     unknown = False
-    for cand in enumerate_candidate_sets(g, inst.k):
-        fixed = [p for i, p in enumerate(kinst.disks) if i not in cand]
-        movables = [kinst.disks[i] for i in cand]
-        res = solver.feasibility(fixed, movables, kinst.d2, kinst.variant,
-                                 cfg)
-        if res.status == "feasible":
-            moves = {}
-            for slot, target in res.assignment.items():
-                orig = report.kept[cand[slot]]
-                if target != inst.disks[orig]:
-                    moves[orig] = target
-            return "yes", Witness(moves)
-        unknown = unknown or res.status == "unknown"
-    return ("unknown" if unknown else "no"), None
+    tried = 0
+    for size in range(inst.k + 1):
+        for cand in itertools.combinations(range(len(kinst.disks)), size):
+            if not all(i in cand or j in cand for i, j in g.edges):
+                continue
+            tried += 1
+            fixed = [p for i, p in enumerate(kinst.disks) if i not in cand]
+            movables = [kinst.disks[i] for i in cand]
+            res = solver.feasibility(fixed, movables, kinst.d2,
+                                     kinst.variant, cfg)
+            if res.status == "feasible":
+                moves = {}
+                for slot, target in res.assignment.items():
+                    orig = report.kept[cand[slot]]
+                    if target != inst.disks[orig]:
+                        moves[orig] = target
+                return "yes", Witness(moves), tried
+            unknown = unknown or res.status == "unknown"
+    return ("unknown" if unknown else "no"), None, tried
 
 
-class TestImpliedRefutationDifferential:
-    def test_pruned_and_unpruned_loops_agree(self, monkeypatch):
+class TestEnumerationDifferential:
+    @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
+    def test_near_group_covers_and_all_covers_agree(self, monkeypatch,
+                                                     variant):
         # feasibility is deterministic without a deadline, so both loops
         # share one memo: the reference pays only for the covers that solve
         # skipped
@@ -1221,19 +1293,66 @@ class TestImpliedRefutationDifferential:
 
         monkeypatch.setattr(solver, "feasibility", memoised)
         cfg = SolverConfig(delta=F(1, 16))
-        rng = random.Random(20261018)
-        implied = 0
+        rng = random.Random(20261020)
+        skipped = 0
         for trial in range(200):
             n = rng.randint(4, 12)
             k = rng.randint(1, 3)
             d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(4)])
-            variant = rng.choice(["euclidean", "rectilinear"])
             inst = gen_random(n, rng.randint(2, 5) + n // 2,
                               rng.randrange(10 ** 6), k, d2, variant)
             ans = solve(inst, cfg)
-            verdict, witness = reference_solve(inst, cfg)
+            verdict, witness, tried = reference_solve(inst, cfg)
             assert ans.verdict == verdict, trial
             if witness is not None:
                 assert write_witness(ans.witness) == write_witness(witness)
-            implied += sum("implied by" in line for line in ans.log)
-        assert implied > 0
+            skipped += tried - sum(line.startswith("set [")
+                                   for line in ans.log)
+        assert skipped > 0
+
+
+@pytest.fixture
+def shuffled_planted(monkeypatch):
+    """perfbench's planted instance at seed s, Euclidean with d2 = 9/4,
+    its disks shuffled by ``random.Random(s)``; and its answer."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from planted import planted
+
+    def build(seed, n_bg, t, k):
+        case = planted(seed, n_bg, t, k, F(9, 4), "euclidean")
+        disks = list(case.instance.disks)
+        random.Random(seed).shuffle(disks)
+        return Instance("euclidean", k, F(9, 4), tuple(disks)), case.answer
+    return build
+
+
+class TestLocality:
+    """Shuffled instances whose covers are spread over distant clusters:
+    only covers grown by near disks are tried."""
+
+    @pytest.mark.parametrize("n_bg, t, k", [(60, 3, 5), (60, 3, 6),
+                                            (80, 4, 8)])
+    def test_shuffled_planted_is_decided(self, shuffled_planted, n_bg, t, k):
+        inst, answer = shuffled_planted(1, n_bg, t, k)
+        ans = solve(inst, SolverConfig(time_budget=10))
+        assert ans.verdict == answer
+        if answer == "yes":
+            assert validate_witness(inst, ans.witness).accepted
+
+    def test_zero_budget_returns_at_once(self, shuffled_planted):
+        inst, _ = shuffled_planted(1, 120, 4, 8)
+        t0 = time.monotonic()
+        ans = solve(inst, SolverConfig(time_budget=0))
+        assert time.monotonic() - t0 < 0.5
+        assert str(ans) == "unknown (time budget)"
+
+    def test_one_component_lattice_is_no(self):
+        # an 8x8 lattice of pitch 5/2, one halo component at d + 2 = 7/2,
+        # with three disks on cell edges: each needs two moves
+        disks = [P(F(5 * i, 2), F(5 * j, 2)) for i in range(8)
+                 for j in range(8)]
+        disks += [P(F(5, 4), 0), P(F(35, 4), F(15, 2)), P(15, F(55, 4))]
+        inst = Instance("euclidean", 5, F(9, 4), tuple(disks))
+        ans = solve(inst, SolverConfig(time_budget=10))
+        assert ans.verdict == "no"
