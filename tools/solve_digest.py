@@ -12,8 +12,12 @@ validating the parsed texts and of validating the parsed instance against
 the empty witness, whose first overlapping pair it names; one more line
 digests 50 small seeded ``gen_random`` instances whose one coordinate is a
 radical or a ``~`` literal, so that their covers have a centre that is not
-rational.  The last line digests the three seeded ``gen_random`` instances
+rational.  The next line digests the three seeded ``gen_random`` instances
 whose yes comes from a stage-3 grid witness, which no other line reaches.
+The last, "off-scale rationals", digests 24 seeded ``gen_random`` instances
+whose every disk's x is shifted by 1/p for its own prime p above 2^21, so
+that the integer scales of the kernel and of each moved set leave most
+centres off, and their pairs go through the exact comparison.
 Two checkouts that print the same lines gave byte-identical answers and
 logs; two that print the same answers digests gave the same verdicts and
 witness texts, whatever their logs say.  Each solve line's tally of yes,
@@ -37,6 +41,8 @@ that file:
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -148,6 +154,25 @@ def non_rational_cases() -> list[dd.Instance]:
     return cases
 
 
+def off_scale_cases() -> list[dd.Instance]:
+    """4-9 disks in [0, 6]^2, k 1-3, both variants, d2 in {1/4, 1, 9/4},
+    each disk's x shifted by 1/p for the next prime p above 2^21."""
+    primes = (p for p in itertools.count(2 ** 21 + 1, 2)
+              if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+    cases = []
+    for seed in range(24):
+        rng = random.Random(seed)
+        variant = ("euclidean", "rectilinear")[seed % 2]
+        inst = dd.gen_random(rng.randint(4, 9), 6, seed, k=rng.randint(1, 3),
+                             d2=rng.choice([Fraction(1, 4), Fraction(1),
+                                            Fraction(9, 4)]),
+                             variant=variant)
+        disks = tuple(dd.Point(p.x + Fraction(1, next(primes)), p.y)
+                      for p in inst.disks)
+        cases.append(dd.Instance(variant, inst.k, inst.d2, disks))
+    return cases
+
+
 def main() -> int:
     rejected = 0
     for name, build in CASES.items():
@@ -159,6 +184,7 @@ def main() -> int:
     rejected += digest("non-rational random", non_rational_cases())
     rejected += digest("grid witnesses",
                        [dd.gen_random(*args) for args in GRID_WITNESS_CASES])
+    rejected += digest("off-scale rationals", off_scale_cases())
     if rejected:
         faults.append(f"{rejected} yes witnesses fail validation")
     for fault in faults:
