@@ -226,36 +226,6 @@ def scale_points(points: Sequence[Point]) -> ScaledPoints:
     return D, scaled[:n], scaled[n:]
 
 
-def ratio(p: Point) -> Optional[tuple[int, int, int, int]]:
-    """(x numerator, x denominator, y numerator, y denominator) of a
-    rational point, ``int`` coordinates included; None for any other."""
-    x, y = p.x, p.y
-    if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
-        return x.numerator, x.denominator, y.numerator, y.denominator
-    return None
-
-
-def ratio_below(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
-                tn: int, td: int, closed: bool = False) -> bool:
-    """Whether dist2 of the rational points a and b, given as (x numerator,
-    x denominator, y numerator, y denominator) with positive denominators,
-    is below tn/td (at most it when closed).
-
-    With differences dx/ex and dy/ey, dist2 < t/s iff ((dx*ey)^2 +
-    (dy*ex)^2)*s < t*(ex*ey)^2.  Each pair uses its own denominators.  A
-    whole point set goes on one common denominator with
-    :func:`scale_points` instead, which bounds it at SCALE_BITS bits
-    because it grows with the set.
-    """
-    xn, xd, yn, yd = a
-    un, ud, vn, vd = b
-    ex, ey = xd * ud, yd * vd
-    lhs = (((xn * ud - un * xd) * ey) ** 2
-           + ((yn * vd - vn * yd) * ex) ** 2) * td
-    rhs = tn * (ex * ey) ** 2
-    return lhs < rhs or (closed and lhs == rhs)
-
-
 def _cells(p: Point, width: int) -> Optional[list[tuple[int, int]]]:
     """Grid cells touched by an exact enclosure of a point off the scale,
     one for a rational point; None when more than four."""

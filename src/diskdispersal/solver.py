@@ -32,10 +32,11 @@ near fixed centres that are not rational, as exact ``Point`` values.
    ``frame.point`` builds the witness, as in stage 2.
 
 Near fixed centres.  Stages test each member against its near fixed
-centres only.  Of the rational ones, the closed test picks those within
-derived_d(d2) + 2 of the member's origin.  Of the others, an exact
-``compare`` of the squared distance with (derived_d(d2) + 2)^2 leaves out
-only those it proves farther; an undecided comparison counts as near.  So
+centres only.  One rule, ``_near``, answers every "within derived_d(d2) +
+2" question of the solver, closed for a frame and strict for the near
+groups below: a pair on the ``scale_points`` array of its point list is
+decided on integers, as ``close_pairs`` decides it, and any other pair by
+an exact ``compare``, in which an undecided comparison counts as near.  So
 each centre left out lies farther than d + 2 from the origin, whether it is
 rational or not.  Every exact test asks for a point within d of the
 origin, which is then more than 2 from such a centre.  Stage 3's relaxed
@@ -91,10 +92,10 @@ neither R nor the list.  Stage 1 runs this test on each member whose
 ``others`` are empty and reports the first whose R is empty.
 
 Near-group lemma.  Join two members of a cover when their origins lie
-closer than derived_d(d2) + 2 >= d + 2, by an exact ``compare`` in which an
-undecided comparison counts as near; the connected groups are the near
-groups.  A feasible cover A of minimum size has a disk with a conflict edge
-in every near group G.  Otherwise no edge touches G, so A minus G is a
+closer than derived_d(d2) + 2 >= d + 2, by the strict ``_near`` test; the
+connected groups are the near groups.  A feasible cover A of minimum size
+has a disk with a conflict edge in every near group G.  Otherwise no edge
+touches G, so A minus G is a
 cover, and a feasible one: take targets for A and put G back at its
 origins, which conflict with nothing and lie at least d + 2 from every
 other member's origin, so at least 2 from that member's target, within d
@@ -138,9 +139,9 @@ from typing import Iterator, Optional, Sequence
 from .geometry import (
     FOUR,
     Point,
+    ScaledPoints,
     dist2,
-    ratio,
-    ratio_below,
+    scale_points,
 )
 from .instance_io import Instance, Witness
 from .kernel import derived_d, kernelize
@@ -232,7 +233,8 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
     ``deadline`` has passed it yields nothing more, so the caller must check
     the deadline before trusting the enumeration."""
     disks = inst.disks
-    reach2 = (derived_d(inst.d2) + 2) ** 2
+    scaled = scale_points(disks)
+    reach2 = _reach2(inst.d2)
     leaves: list[set[tuple[int, ...]]] = [set() for _ in range(inst.k + 1)]
     near: dict[int, list[int]] = {}
 
@@ -252,10 +254,8 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
             if _expired(deadline):
                 return
             for m in cand:
-                if m not in near:  # an undecided comparison counts as near
-                    near[m] = [j for j, q in enumerate(disks) if compare(
-                        dist2(disks[m], q), reach2) in (
-                            Ordering.LESS, Ordering.INDETERMINATE)]
+                if m not in near:
+                    near[m] = _near(disks, scaled, m, reach2, False)
                 grown.update(tuple(sorted(cand + (j,)))
                              for j in near[m] if j not in cand)
         level = sorted(grown)
@@ -263,6 +263,30 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
             if _expired(deadline):
                 return
             yield list(cand)
+
+
+def _reach2(d2: Fraction) -> Fraction:
+    """(derived_d(d2) + 2)^2, the squared reach of every nearness test."""
+    return (derived_d(d2) + 2) ** 2
+
+
+def _near(points: Sequence[Point], scaled: ScaledPoints, i: int,
+          reach2: Fraction, closed: bool) -> list[int]:
+    """The indices, in order, of the points whose squared distance from
+    point i is below reach2, or at most it when closed; ``scaled`` is
+    :func:`scale_points` of ``points``.  A pair on the scale is decided on
+    integers, as :func:`close_pairs` decides it.  Any other pair goes
+    through ``compare``, where an undecided comparison counts as near; only
+    such a pair reads ``points``."""
+    D, X, Y = scaled
+    x, y = X[i], Y[i]
+    td, limit = reach2.denominator, reach2.numerator * D * D + closed
+    far = (Ordering.GREATER,) if closed else (Ordering.GREATER,
+                                              Ordering.EQUAL)
+    return [j for j, (u, v) in enumerate(zip(X, Y))
+            if (((u - x) ** 2 + (v - y) ** 2) * td < limit
+                if x is not None and u is not None else
+                compare(dist2(points[i], points[j]), reach2) not in far)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,51 +332,50 @@ def _apart(t: tuple, p: tuple, four: int) -> bool:
 class _Frame:
     """One moved set on integers, for every stage.
 
-    Coordinates are multiplied by one scale M: the least common multiple of
-    the denominators of d2, of the origins, which must be rational, and of
-    the near fixed centres, the rational ones within derived_d(d2) + 2 of
-    some origin.  These centres become integer points, ``fixed[i]`` holding
-    member i's, and d2*M^2 an integer D2; member i's near fixed centres that
-    are not rational (module docstring) stay ``Point`` values in
-    ``others[i]``.  A candidate is a tuple (X, Y, U, V, E, c), built by
-    :func:`_pt`, for the scaled point
-    ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand ``quadext``
-    stores, so two candidates are equal exactly when their ``Point`` views
-    are.  An anchor is a rational scaled point (X, Y, E).  Moves and
-    separations are signs of integer radical expressions (:func:`sign_sqrt`
-    and :func:`sign_sqrt2`), and a member is tested against its near fixed
-    centres only, rational or not.  The frame holds only values fixed at
-    construction: every call builds its candidates and runs its tests
-    afresh.
+    Member i's near fixed centres are those that the closed ``_near`` test,
+    on the origins and the fixed centres, finds within derived_d(d2) + 2 of
+    its origin.  Coordinates are multiplied by one scale M: the least common
+    multiple of the denominators of d2, of the origins, which must be
+    rational, and of the rational near fixed centres, so far centres never
+    make M larger.  These centres become integer points, ``fixed[i]``
+    holding member i's, and d2*M^2 an integer D2; member i's near fixed
+    centres that are not rational stay ``Point`` values in ``others[i]``.
+    A candidate is a tuple (X, Y, U, V, E, c), built by :func:`_pt`, for the
+    scaled point ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand
+    ``quadext`` stores, so two candidates are equal exactly when their
+    ``Point`` views are.  An anchor is a rational scaled point (X, Y, E).
+    Moves and separations are signs of integer radical expressions
+    (:func:`sign_sqrt` and :func:`sign_sqrt2`), and a member is tested
+    against its near fixed centres only, rational or not.  The frame holds
+    only values fixed at construction: every call builds its candidates and
+    runs its tests afresh.
     """
 
     def __init__(self, fixed: Sequence[Point], origins: Sequence[Point],
                  d2: Fraction, variant: str):
-        reach2 = (derived_d(d2) + 2) ** 2
-        self.reach = reach2.numerator, reach2.denominator
+        self.reach2 = reach2 = _reach2(d2)
         self.variant = variant
-        rats = [ratio(f) for f in fixed]
-        frats = [r for r in rats if r is not None]
-        # a centre that is not rational is near unless proven farther
-        loose = [f for f, r in zip(fixed, rats) if r is None]
-        self.others = [[f for f in loose if compare(
-            dist2(o, f), reach2) is not Ordering.GREATER] for o in origins]
-        self.orats = [ratio(o) for o in origins]
-        near = [[j for j, r in enumerate(frats)
-                 if ratio_below(o, r, *self.reach, True)]
-                for o in self.orats]
+        n = len(origins)
+        points = [*origins, *fixed]
+        scaled = scale_points(points)
+        near = [[points[j] for j in _near(points, scaled, i, reach2, True)
+                 if j >= n] for i in range(n)]
+        self.others = [[f for f in fs if not f.is_rational()] for fs in near]
+        rats = [[f for f in fs if f.is_rational()] for fs in near]
         M = self.M = math.lcm(d2.denominator, *(
-            r[k] for r in self.orats + [frats[j] for js in near for j in js]
-            for k in (1, 3)))
+            v.denominator for p in [*origins, *(f for fs in rats for f in fs)]
+            for v in (p.x, p.y)))
         self.four = 4 * M * M
         self.D2 = d2.numerator * M * M // d2.denominator
         s, f, e = split_sqrt(d2.numerator, d2.denominator)
         self.axis = s * M // e, f
-        self.origins = [(xn * (M // xd), yn * (M // yd))
-                        for xn, xd, yn, yd in self.orats]
-        self.fixed = [[(frats[j][0] * (M // frats[j][1]),
-                        frats[j][2] * (M // frats[j][3])) for j in js]
-                      for js in near]
+
+        def on_frame(p: Point) -> tuple[int, int]:
+            return (p.x.numerator * (M // p.x.denominator),
+                    p.y.numerator * (M // p.y.denominator))
+
+        self.origins = [on_frame(o) for o in origins]
+        self.fixed = [[on_frame(f) for f in fs] for fs in rats]
 
     def point(self, t: tuple) -> Point:
         X, Y, U, V, E, c = t
@@ -363,8 +386,9 @@ class _Frame:
     def candidates(self, i: int, placed: Sequence[tuple]) -> list[tuple]:
         """Member i's candidates in build order, repeats dropped: the
         origin, the four axis extremes, then the points of each anchor, the
-        near fixed centres in order and then the rational placed points
-        within derived_d(d2) + 2 of the origin.  A Euclidean anchor gives
+        near fixed centres in order and then the rational placed points that
+        the closed ``_near`` test, on the frame's integers, finds within
+        derived_d(d2) + 2 of the origin.  A Euclidean anchor gives
         its tangency toward the origin and its points on the move circle,
         then its points on the circles of the later anchors that lie within
         4 of it; a rectilinear one gives the ends of its clearance on the
@@ -375,10 +399,11 @@ class _Frame:
                _pt(ox, oy, -R, 0, 1, f), _pt(ox, oy, 0, R, 1, f),
                _pt(ox, oy, 0, -R, 1, f)]
         M = self.M
+        # a rational placed point (X, Y, E) and the origin, on the scale E*M
         anchors = [(x, y, 1) for x, y in self.fixed[i]] + [
             (X, Y, E) for X, Y, U, V, E, _ in placed if not (U or V)
-            and ratio_below((X, E * M, Y, E * M), self.orats[i], *self.reach,
-                            True)]
+            and 1 in _near((), (E * M, [X, E * ox], [Y, E * oy]), 0,
+                           self.reach2, True)]
         for n, a in enumerate(anchors):
             out += self._own(O, a)
             if self.variant == "euclidean":
@@ -527,7 +552,7 @@ def _stage_numeric(frame: Optional[_Frame], deadline: Optional[float]
     """Stage 2: the walk's first placement on any frame, or None.  The
     name is left from the float descent this stage once ran: the stage
     wrappers of ``perfbench/layers.py`` bind it, so its rename to
-    ``_stage_walk`` waits for ROADMAP item 1(a)."""
+    ``_stage_walk`` waits for ROADMAP item 2(a)."""
     return None if frame is None else _walk(frame, deadline)
 
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diskdispersal import solver
-from diskdispersal.geometry import FOUR, Point, dist2, within_move
+from diskdispersal.geometry import (
+    FOUR, Point, dist2, scale_points, within_move)
 from diskdispersal.instance_io import (
     Instance,
     Witness,
@@ -85,14 +86,22 @@ class TestEnumerateCandidateSets:
         assert got[:2] == [[0, 3], [1, 3]] and [0, 2, 4] in got
 
     def test_matches_every_cover_with_a_conflict_disk_per_near_group(self):
-        # a brute-force reading of the contract on random instances
+        # a brute-force reading of the contract on random instances; from
+        # trial 60 on, each disk's x is shifted by 1/p for its own prime p
+        # above 2^21, so that the enumeration's scale leaves most disks off
         rng = random.Random(20261020)
-        for trial in range(60):
+        primes = (p for p in itertools.count(2 ** 21 + 1, 2)
+                  if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+        for trial in range(90):
             n = rng.randint(3, 8)
             k = rng.randint(0, 4)
             d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(4)])
             inst = gen_random(n, rng.randint(2, 5) + n // 2,
                               rng.randrange(10 ** 6), k, d2, "euclidean")
+            if trial >= 60:
+                inst = Instance("euclidean", k, d2, tuple(
+                    Point(p.x + F(1, next(primes)), p.y) for p in inst.disks))
+                assert None in scale_points(inst.disks)[1]
             g = build_graph(inst.disks)
             ends = {i for e in g.edges for i in e}
             reach2 = (derived_d(d2) + 2) ** 2
@@ -250,6 +259,17 @@ class TestSearchStages:
         beyond = Point(anchor.x + F(1, 100), anchor.y)
         got = candidate_points([beyond], P(0, 0), d * d, "euclidean")
         assert len(got) == 5 and set(got) == base
+        # far centres whose x denominators are primes above 2^21 fill the
+        # frame's 64-bit scale before the anchor, which is left off it: the
+        # anchor is still a rational near centre on the frame's integers
+        far = [P(10 + F(1, q), 0) for q in (2097169, 2097211, 2097223)]
+        assert scale_points([P(0, 0), *far, anchor])[1][-1] is None
+        frame = solver._Frame([*far, anchor], [P(0, 0)], d * d, "euclidean")
+        M = frame.M
+        assert frame.others == [[]]
+        assert frame.fixed == [[(anchor.x * M, anchor.y * M)]]
+        got = [frame.point(t) for t in frame.candidates(0, ())]
+        assert len(got) == 6 and set(got) == base | {touch}
 
 
 class TestOneFrame:
