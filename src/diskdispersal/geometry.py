@@ -9,11 +9,11 @@ so that rational inputs stay rational.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .numerics import (
     DomainError,
@@ -92,80 +92,105 @@ def close_pairs(points: Sequence[Point], threshold, closed: bool = False,
                 scaled: Optional[ScaledPoints] = None
                 ) -> Iterator[tuple[int, int]]:
     """Pairs (i, j), i < j, with dist2 below threshold (at most it when
-    closed), in lexicographic order.
-
+    closed), in lexicographic order: :func:`pair_pass`, then
+    :func:`merge_pairs`, so a pair that the exact comparison cannot decide
+    raises IndeterminateError once every close pair before it is yielded.
     ``scaled`` is :func:`scale_points` of ``points``, built here when not
-    given.  Candidates come from a square grid of integer width w >=
-    sqrt(threshold): the cells holding the true coordinates of a close pair
-    are equal or adjacent.  A point (X/D, Y/D) on the scale is filed once,
-    under the cell (X // (w*D), Y // (w*D)).  A point off the scale is
-    filed under every cell that its exact enclosure touches, which is one
-    cell for a rational point; one that touches more than four is paired
-    with every other point instead.  Points leave the grid in index order,
-    so the 3x3 block around a cell of point i holds only partners j > i,
-    and only the close ones are sorted.
-
-    A pair of points on the scale is decided on plain integers: dist2 <
-    tn/td iff (dX^2 + dY^2)*td < tn*D^2, and dist2 <= tn/td iff the left
-    side is below tn*D^2 + 1.  Any other pair goes through the exact
-    comparison, in the order of j, which decides every rational pair and
-    raises IndeterminateError when interval operands straddle the
-    threshold.
-    """
+    given."""
     threshold = frac(threshold)
-    tn, td = threshold.numerator, threshold.denominator
+    _, decided, candidates = pair_pass(points, threshold, closed,
+                                       scaled or scale_points(points))
+    yield from merge_pairs(points, threshold, closed, decided, candidates)
+
+
+def pair_pass(points: Sequence[Point], threshold: Fraction, closed: bool,
+              scaled: ScaledPoints) -> tuple[tuple, list, list]:
+    """(grid, decided, candidates): the points, whose scale_points is
+    ``scaled``, filed on a square grid of integer width w >= sqrt(threshold),
+    where a close pair lies in equal or adjacent cells, and two sorted lists
+    of pairs (i, j), i < j.
+
+    The grid is (w, span, cells, loose, wide).  Cell (cx, cy) has the key
+    cx*span + cy, distinct over every 3x3 block around a filed cell.
+    ``cells`` maps a key to the points (X/D, Y/D) on the scale in the cell
+    (X // (w*D), Y // (w*D)), in index order; ``loose`` to the points off
+    the scale whose exact enclosure touches it; ``wide`` lists those whose
+    enclosure touches more than four cells.  ``decided`` holds the close
+    pairs on the scale, each cell tested against itself and its four
+    forward neighbours on integers: dist2 < tn/td iff (dX^2 + dY^2)*td <
+    tn*D^2, and dist2 <= tn/td iff it is below tn*D^2 + 1.  ``candidates``
+    holds, untested, the pairs with a point off the scale in equal or
+    adjacent cells, and those with a wide point.
+    """
     width = max(ceil_sqrt(threshold), 1)
-    D, X, Y = scaled or scale_points(points)
+    D, X, Y = scaled
     wD = width * D
-    # the cells of each point off the scale; None when more than four
-    loose = {i: _cells(points[i], width) for i, x in enumerate(X) if x is None}
-    # cell (cx, cy) has key cx*span + cy, distinct over every 3x3 block
-    # around a filed cell
-    ys = [cy for cells in loose.values() if cells for _, cy in cells]
-    on = [y for y in Y if y is not None] if loose else Y
+    offs = {i: _cells(points[i], width) for i, x in enumerate(X) if x is None}
+    ys = [cy for cs in offs.values() if cs for _, cy in cs]
+    on = [y for y in Y if y is not None] if offs else Y
     if on:
         ys += [min(on) // wD, max(on) // wD]
     span = max(ys, default=0) - min(ys, default=0) + 3
+    # tuples, which the garbage collector stops tracking, not a list per cell
+    cells: dict[int, tuple[int, ...]] = {}
+    loose: dict[int, tuple[int, ...]] = {}
+    for i, (x, y) in enumerate(zip(X, Y)):
+        if x is not None:
+            key = x // wD * span + y // wD
+            cells[key] = cells.get(key, ()) + (i,)
+    for i, cs in offs.items():
+        for cx, cy in cs or ():
+            loose[cx * span + cy] = loose.get(cx * span + cy, ()) + (i,)
+    wide = [i for i, cs in offs.items() if cs is None]
+    td, limit = threshold.denominator, threshold.numerator * D * D + closed
+    get = cells.get
+    decided = [(a, b) for cell in cells.values() if len(cell) > 1
+               for s, a in enumerate(cell) for b in cell[s + 1:]
+               if ((X[b] - X[a]) ** 2 + (Y[b] - Y[a]) ** 2) * td < limit]
+    for off in (1, span - 1, span, span + 1):
+        decided += [(a, b) if a < b else (b, a)
+                    for key, cell in cells.items() if (other := get(key + off))
+                    for a in cell for xa, ya in ((X[a], Y[a]),)
+                    for b in other
+                    if ((dx := X[b] - xa) * dx + (dy := Y[b] - ya) * dy) * td
+                    < limit]
     around = [dx * span + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    keys = [[(x // wD) * span + y // wD] if x is not None
-            else None if (cells := loose[i]) is None
-            else [cx * span + cy for cx, cy in cells]
-            for i, (x, y) in enumerate(zip(X, Y))]
-    grid: dict[int, list[int]] = {}
-    for i, cell in enumerate(keys):
-        for key in cell or ():
-            grid.setdefault(key, []).append(i)
-    get = grid.get
-    wide = [i for i, cell in enumerate(keys) if cell is None]
-    limit = tn * D * D + closed
-    for i, cell in enumerate(keys):
-        xi = X[i]
-        if cell is None:
-            hits = range(i + 1, len(points))
-        else:
-            for key in cell:
-                del grid[key][0]
-            if xi is None:
-                hits = [j for key in cell for off in around
-                        for j in get(key + off, ())]
-            else:
-                # j is a hit when close, or when it is off the scale
-                yi, (key,) = Y[i], cell
-                hits = [j for off in around for j in get(key + off, ())
-                        if (xj := X[j]) is None
-                        or ((xj - xi) ** 2 + (Y[j] - yi) ** 2) * td < limit]
-            if wide:
-                hits += wide[bisect.bisect(wide, i):]
-        for j in sorted(set(hits)) if hits else ():
-            if xi is None or X[j] is None:
-                o = compare(dist2(points[i], points[j]), threshold)
-                if o is Ordering.INDETERMINATE:
-                    raise IndeterminateError(
-                        f"distance of {points[i]} and {points[j]}")
-                if not (o is Ordering.LESS
-                        or (closed and o is Ordering.EQUAL)):
-                    continue
-            yield i, j
+    pairs = {(i, j) if i < j else (j, i)
+             for key, group in loose.items() for off in around
+             for j in (*get(key + off, ()), *loose.get(key + off, ()))
+             for i in group if i != j}
+    pairs.update((i, j) if i < j else (j, i)
+                 for i in wide for j in range(len(X)) if j != i)
+    return (width, span, cells, loose, wide), sorted(decided), sorted(pairs)
+
+
+def near_filed(grid: tuple, p: Point) -> set[int]:
+    """The points of a :func:`pair_pass` grid in the cells around those of
+    p's enclosure, and the wide ones; every point when p is wide."""
+    width, span, cells, loose, wide = grid
+    cs = _cells(p, width)
+    return set(wide).union(*cells.values(), *loose.values()) if cs is None \
+        else set(wide).union(*(m.get((cx + dx) * span + cy + dy, ())
+                               for cx, cy in cs for dx in (-1, 0, 1)
+                               for dy in (-1, 0, 1) for m in (cells, loose)))
+
+
+def merge_pairs(points: Sequence[Point], threshold: Fraction, closed: bool,
+                decided: Iterable, candidates: Iterable
+                ) -> Iterator[tuple[int, int]]:
+    """The pairs of decided and the close ones of candidates, two disjoint
+    sorted streams, in lexicographic order; a candidate is decided by the
+    exact comparison when it comes up."""
+    for (i, j), check in heapq.merge(((p, False) for p in decided),
+                                     ((p, True) for p in candidates)):
+        if check:
+            o = compare(dist2(points[i], points[j]), threshold)
+            if o is Ordering.INDETERMINATE:
+                raise IndeterminateError(
+                    f"distance of {points[i]} and {points[j]}")
+            if not (o is Ordering.LESS or (closed and o is Ordering.EQUAL)):
+                continue
+        yield i, j
 
 
 # Bits of the largest common denominator of a scale.  A set with many

@@ -9,6 +9,7 @@ queries instead of materialising millions of circles.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .geometry import (Disk, Point, ScaledPoints, close_pairs, dist2,
-                       scale_points, within_move)
+                       merge_pairs, near_filed, pair_pass, scale_points,
+                       within_move)
 from .numerics import (
     IndeterminateError,
     Ordering,
@@ -251,6 +253,16 @@ class Instance:
         if self.d2 < 0:
             raise ValueError("d2 must be nonnegative")
 
+    def _conflicts(self, sep: Fraction) -> tuple:
+        """(scaled, grid, decided, candidates): the disks' scale_points and
+        their pair_pass at sep, kept for the last sep asked."""
+        memo = self.__dict__.get("_conflicts_at")
+        if memo is None or memo[0] != sep:
+            scaled = memo[1] if memo else scale_points(self.disks)
+            memo = self.__dict__["_conflicts_at"] = (
+                sep, scaled, *pair_pass(self.disks, sep, False, scaled))
+        return memo[1:]
+
 
 @dataclass
 class Witness:
@@ -477,9 +489,13 @@ def validate_witness(inst: Instance, w: Witness,
     eps=None is exact mode.  In tolerant mode separation thresholds drop to
     4 - eps and the move budget grows to d2 + eps; acceptance is then
     reported together with the eps used.  A move of a disk the instance
-    does not have raises ValueError.
+    does not have, or a negative eps, raises ValueError.  A witness moving
+    under a ninth of the disks, whose targets' 3x3 cells then hold few of
+    them, reuses the pairs kept by :meth:`Instance._conflicts`.
     """
     check_witness_indices(inst, w)
+    if eps is not None and eps < 0:
+        raise ValueError("eps must be nonnegative")
     if len(w.moves) > inst.k:
         return ValidationResult("reject", "budget", len(w.moves), eps)
 
@@ -494,15 +510,34 @@ def validate_witness(inst: Instance, w: Witness,
         final = list(inst.disks)
         for idx, target in w.moves.items():
             final[idx] = target
-        scaled = scale_points(final)
-        bad = next(close_pairs(final, sep, scaled=scaled), None)
+        if 9 * len(w.moves) < len(final):
+            # the kept pairs less those with a moved endpoint, and a pass
+            # over the targets and the unmoved disks near them
+            (D, X, Y), grid, *own = inst._conflicts(sep)
+            local = sorted(set(w.moves).union(*(
+                near_filed(grid, t) for t in w.moves.values())))
+            points = [final[i] for i in local]
+            new = [[(local[a], local[b]) for a, b in pairs
+                    if local[a] in w.moves or local[b] in w.moves]
+                   for pairs in pair_pass(points, sep, False,
+                                          scale_points(points))[1:]]
+            own = [(p for p in pairs if p[0] not in w.moves
+                    and p[1] not in w.moves) for pairs in own]
+            pairs = merge_pairs(final, sep, False, *map(heapq.merge, own, new))
+            X, Y = list(X), list(Y)
+            for idx in w.moves:  # first_close decides the targets exactly
+                X[idx] = Y[idx] = None
+        else:
+            D, X, Y = scale_points(final)
+            pairs = close_pairs(final, sep, scaled=(D, X, Y))
+        bad = next(pairs, None)
         if bad is not None:
             return ValidationResult("reject", "packing", bad, eps)
 
         for block in inst.blocks:
             if block.step < 2:
                 return ValidationResult("reject", "block-step", block.step, eps)
-            hit = block.first_close(final, sep, scaled)
+            hit = block.first_close(final, sep, (D, X, Y))
             if hit is not None:
                 return ValidationResult("reject", "block", hit[0], eps)
         for bi in range(len(inst.blocks)):

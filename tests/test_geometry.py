@@ -236,16 +236,26 @@ class TestClosePairs:
         assert not undecided
         assert list(close_pairs(pts, threshold, closed)) == close
 
-    @pytest.mark.parametrize("kind", ["integer", "mixed", "interleaved"])
+    @pytest.mark.parametrize("kind", ["integer", "mixed", "interleaved",
+                                      "crowded"])
     def test_seeded_sets_match_brute_force(self, kind):
         # dense sets with many close pairs and exact tangencies; in the
         # interleaved sets one radical or approximate point goes through the
-        # exact comparison and must merge into lexicographic order
+        # exact comparison and must merge into lexicographic order; the
+        # crowded sets put 20-60 points on quarters in a box of side 3 at a
+        # negative offset, a quarter of the coordinates on cell boundaries,
+        # so that cells hold many points and cells are found by floor
+        # division of negative integers
         rng = random.Random(f"close-pairs-{kind}")
         for trial in range(40):
             n = rng.randint(2, 40)
             side = rng.randint(2, 12)
-            if kind == "integer":
+            if kind == "crowded":
+                n = rng.randint(20, 60)
+                ox, oy = rng.randint(-9, -3), rng.randint(-9, -3)
+                pts = [P(ox + F(rng.randint(0, 12), 4),
+                         oy + F(rng.randint(0, 12), 4)) for _ in range(n)]
+            elif kind == "integer":
                 pts = [P(rng.randint(0, side), rng.randint(0, side))
                        for _ in range(n)]
             else:
@@ -261,7 +271,7 @@ class TestClosePairs:
                     # an enclosure over more than four cells, far above
                     Point(Interval(x - 6, x + 6), y + 50),
                 ][trial % 3]
-            for threshold in (F(4), F(4) - F(1, 10 ** 9), F(9, 4)):
+            for threshold in (F(4), F(4) - F(1, 10 ** 9), F(9, 4), F(1, 4)):
                 for closed in (False, True):
                     close, undecided = brute_close_pairs(pts, threshold,
                                                          closed)

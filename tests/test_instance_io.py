@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diskdispersal.geometry import Point, dist2, scale_points
+from diskdispersal.geometry import (Point, close_pairs, dist2, scale_points,
+                                    within_move)
 from diskdispersal.instance_io import (
     Instance,
     LatticeBlock,
     ParseError,
     Rect,
+    ValidationResult,
     Witness,
     apply_witness,
     expand_blocks,
@@ -19,7 +21,8 @@ from diskdispersal.instance_io import (
     write_instance,
     write_witness,
 )
-from diskdispersal.numerics import Ordering, compare, parse_scalar, quadext
+from diskdispersal.numerics import (IndeterminateError, Interval, Ordering,
+                                    compare, parse_scalar, quadext)
 
 
 def P(x, y):
@@ -250,6 +253,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_witness(FIG1, Witness({9: P(0, 0)}))
 
+    @pytest.mark.parametrize("eps", [F(-2), F(-1, 2)])
+    def test_negative_eps_is_error(self, eps):
+        # -2 once made the move budget negative, and -1/2 was accepted as a
+        # tolerance stricter than exact mode
+        inst = Instance("euclidean", 1, F(1), FIG1.disks)
+        with pytest.raises(ValueError) as info:
+            validate_witness(inst, Witness({1: P(1, 1)}), eps)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "eps must be nonnegative"
+
     @pytest.mark.parametrize("idx", [5, -1])
     def test_apply_index_out_of_range_is_error(self, idx):
         w = Witness({idx: P(9, 9)})
@@ -261,6 +274,157 @@ class TestValidation:
         w = Witness({1: Point(F(1), quadext(0, 1, 3))})
         after = apply_witness(FIG1, w)
         assert validate_witness(after, Witness({})).status == "accept"
+
+
+def reference_validate(inst, w, eps=None):
+    """validate_witness on the final list as a whole: the moves by
+    within_move, close_pairs over the final list on its own scale_points,
+    first_close of each block, then each pair of blocks on all the lattice
+    points of the first."""
+    if len(w.moves) > inst.k:
+        return ValidationResult("reject", "budget", len(w.moves), eps)
+    sep = F(4) if eps is None else F(4) - eps
+    budget = inst.d2 if eps is None else inst.d2 + eps
+    try:
+        for idx, target in sorted(w.moves.items()):
+            if not within_move(inst.disks[idx], target, budget, inst.variant):
+                return ValidationResult("reject", "move", idx, eps)
+        final = [w.moves.get(i, d) for i, d in enumerate(inst.disks)]
+        bad = next(close_pairs(final, sep, scaled=scale_points(final)), None)
+        if bad is not None:
+            return ValidationResult("reject", "packing", bad, eps)
+        for b in inst.blocks:
+            if b.step < 2:
+                return ValidationResult("reject", "block-step", b.step, eps)
+            hit = b.first_close(final, sep)
+            if hit is not None:
+                return ValidationResult("reject", "block", hit[0], eps)
+        for bi, a in enumerate(inst.blocks):
+            for bj in range(bi + 1, len(inst.blocks)):
+                if inst.blocks[bj].first_close(list(a.iter_disks()), sep):
+                    return ValidationResult("reject", "block", (bi, bj), eps)
+    except IndeterminateError as e:
+        return ValidationResult("indeterminate", str(e), None, eps)
+    return ValidationResult("accept", None, None, eps)
+
+
+# primes above 2^21, one per shifted disk
+BIG_PRIMES = [p for p in range(2 ** 21 + 1, 2 ** 21 + 2000, 2)
+              if all(p % q for q in range(3, 1449, 2))][:40]
+
+
+def tilde(v):
+    """A ``~`` literal enclosing v, nine decimals wide."""
+    return parse_scalar(f"{float(v):.9f}~")
+
+
+def differential_case(seed):
+    """An instance and five (witness, eps) pairs to validate in sequence.
+
+    10-36 disks, one to a cell of a 7x7 grid of pitch 4, are clear of each
+    other.  One or two more are planted within 2 of a disk, some at squared
+    distance 3.61, close at eps None or 1/100 but not at 1/2.  A ``~`` disk
+    u lies sqrt(2) right of and above a rational disk a: exactly 2 apart
+    within the enclosure, an undecidable pair in exact mode.  By seed:
+    integer coordinates, x shifted by 1/p for a prime p > 2^21, or radical
+    or ``~`` coordinates on a quarter of the disks and on the targets; both
+    variants; no block, one, or two.  The witnesses: the empty one; one
+    moving a disk of the undecidable pair below the grid; one moving the
+    planted disks and that disk below the grid, in the ``~`` kind at times
+    the first of them onto an enclosure that touches more than four cells;
+    one moving up to three disks a short way; the empty one again.  A ``~``
+    instance holds such a wide disk at times, too.
+    """
+    rng = random.Random(f"validate-{seed}")
+    kind = ("integer", "off-scale", "radical", "tilde")[seed % 4]
+    variant = ("euclidean", "rectilinear")[seed // 4 % 2]
+    n = rng.randint(10, 36)
+    cells = rng.sample([(i, j) for i in range(7) for j in range(7)], n)
+    jitter = 0 if kind == "integer" else 4
+    disks = [P(4 * i + F(rng.randint(0, jitter), 8),
+               4 * j + F(rng.randint(0, jitter), 8)) for i, j in cells]
+    if kind == "off-scale":
+        disks = [Point(d.x + F(1, p), d.y) for d, p in zip(disks, BIG_PRIMES)]
+    elif kind != "integer":
+        for i in rng.sample(range(n), n // 4):
+            x = disks[i].x + F(1, 16)
+            disks[i] = Point(quadext(x, F(1, 16), 2) if kind == "radical"
+                             else tilde(x), disks[i].y)
+    a = rng.choice([d for d in disks if d.is_rational()])
+    u = Point(tilde(a.x + 2 ** 0.5), tilde(a.y + 2 ** 0.5))
+    disks.insert(rng.randrange(len(disks) + 1), u)
+    planted = []
+    for _ in range(rng.randint(1, 2)):
+        b = rng.choice(disks)
+        dx, dy = rng.choice([(1, 1), (F(19, 10), 0), (0, F(-3, 2)),
+                             (F(6, 5), F(6, 5)), (0, F(19, 10))])
+        planted.append(Point(b.x + dx, b.y + dy))
+        disks.insert(rng.randrange(len(disks) + 1), planted[-1])
+    if kind == "tilde" and rng.random() < 0.3:
+        # far from every disk, but its squared distance to those within 4
+        # below, in interval arithmetic, reaches below 4
+        disks.insert(rng.randrange(len(disks) + 1),
+                     Point(Interval(F(-8), F(4)), F(-21, 5)))
+    blocks = []
+    for y0 in rng.choice([(), (F(0),), (F(0), F(30)), (F(0), F(57, 2))]):
+        step = rng.choice([F(2), F(3), F(3), F(1)] if y0 else [F(2), F(3)])
+        blocks.append(LatticeBlock(F(-12), y0, F(-4), y0 + 27, step,
+                                   (Rect(F(-9), y0 + 10, F(-6), y0 + 16),)))
+    inst = Instance(variant, 3, rng.choice([F(9), F(2500), F(2500)]),
+                    tuple(disks), tuple(blocks))
+    index = {id(d): i for i, d in enumerate(inst.disks)}
+
+    def target(i, dx, dy):
+        """Disk i moved by (dx, dy), by y alone in the rectilinear variant;
+        a moved rational coordinate is made radical or ``~`` by kind, and
+        at random in the off-scale kind."""
+        p = inst.disks[i]
+        if variant == "rectilinear" and dy:
+            dx = 0
+        style = kind if kind in ("radical", "tilde") else "rational" \
+            if kind == "integer" else rng.choice(["rational", "radical",
+                                                  "tilde"])
+
+        def moved(v, dv):
+            if not dv or not isinstance(v + dv, F) or style == "rational":
+                return v + dv
+            return quadext(v + dv, F(1, 32), 3) if style == "radical" \
+                else tilde(v + dv)
+        return Point(moved(p.x, dx), moved(p.y, dy))
+
+    def below(i, t):
+        return target(i, F(1, 4), -8 - 4 * t - inst.disks[i].y)
+
+    pair = index[id(a)] if variant == "rectilinear" or rng.random() < 0.5 \
+        else index[id(u)]
+    away = {i: below(i, t) for t, i in enumerate(
+        sorted({pair, *(index[id(d)] for d in planted)}))}
+    if kind == "tilde" and rng.random() < 0.4:
+        i = min(away)
+        away[i] = Point(Interval(F(-4), F(8)), F(-21, 5)) \
+            if variant == "euclidean" else \
+            Point(inst.disks[i].x, Interval(F(-14), F(-3)))
+    short = {i: target(i, *rng.choice([(1, 0), (0, 2), (F(-5, 2), 0),
+                                       (-3, F(1, 2)), (0, F(-7, 4))]))
+             for i in rng.sample(range(len(disks)), rng.randint(1, 3))}
+    witnesses = [{}, {pair: below(pair, 0)}, away, short, {}]
+    return inst, [(Witness(w), rng.choice([None, None, F(1, 100), F(1, 2)]))
+                  for w in witnesses]
+
+
+class TestValidationDifferential:
+    @pytest.mark.parametrize("part", range(4))
+    def test_matches_whole_list_reference(self, part):
+        # the instance keeps its pairs between the validations; each result
+        # must equal the reference's and that of a fresh copy
+        for seed in range(part, 240, 4):
+            inst, checks = differential_case(seed)
+            for w, eps in checks:
+                got = validate_witness(inst, w, eps)
+                fresh = Instance(inst.variant, inst.k, inst.d2, inst.disks,
+                                 inst.blocks)
+                assert got == reference_validate(inst, w, eps), (seed, w, eps)
+                assert got == validate_witness(fresh, w, eps), (seed, w, eps)
 
 
 class TestBlocks:

@@ -25,9 +25,12 @@ no and unknown verdicts goes to stderr, so a changed digest shows whether
 verdicts moved.  Every yes
 witness of a solve is also validated exactly, and the two Fig. 7 texts are
 parsed back: each must write back byte for byte, with every parsed
-coordinate a ``Fraction``.  The script exits 1, after its
-lines, when a witness is rejected, including the Fig. 7 witness, or the
-Fig. 7 round trip fails.  The
+coordinate a ``Fraction``.  The instance text is parsed once more and
+validated in the other order, the empty witness first: an instance keeps
+its pairs between validations, and each result must equal that of the
+first parse.  The script exits 1, after its lines, when a witness is
+rejected, including the Fig. 7 witness, the Fig. 7 round trip fails, or
+the second parse gives another result.  The
 benchmark inputs come from ``perfbench/workloads.py``, which is imported and
 never changed; the library is imported from this checkout's ``src/``.
 
@@ -106,8 +109,10 @@ def sha256(text: str) -> str:
 def fig7_line() -> tuple[str, list[str]]:
     """The Fig. 7 line, and the faults of its text round trip and its
     witness: a text that does not write back byte for byte, a parsed
-    coordinate that is not a ``Fraction``, or a parsed witness that
-    ``validate_witness`` does not accept."""
+    coordinate that is not a ``Fraction``, a parsed witness that
+    ``validate_witness`` does not accept, or a second parse of the instance
+    text whose validations, the empty witness first, differ from those of
+    the first parse."""
     spec = workloads.fig7_input(1).spec
     inst = dd.gen_gridtiling(spec)
     w = dd.gridtiling_witness(spec, inst, workloads.FIG7_ROWS,
@@ -126,6 +131,12 @@ def fig7_line() -> tuple[str, list[str]]:
     if not accepted.accepted:
         faults.append("the Fig. 7 witness fails validation")
     empty = dd.validate_witness(back, dd.Witness({}))
+    # a second parse validates in the other order: each call must give what
+    # it gave first, whatever the instance kept from the call before
+    again = dd.parse_instance(inst_text)
+    if (dd.validate_witness(again, dd.Witness({})),
+            dd.validate_witness(again, w_back)) != (empty, accepted):
+        faults.append("the Fig. 7 results depend on the order of validation")
     line = (f"gridtiling-fig7: instance sha256 {sha256(inst_text)}, "
             f"witness sha256 {sha256(witness_text)}, "
             f"witness {accepted}, empty witness {empty}")
