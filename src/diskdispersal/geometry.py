@@ -47,8 +47,12 @@ __all__ = [
 FOUR = Fraction(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
+    """A point, and the center of a unit disk.  Slotted: a bulk instance
+    holds one per disk, and without a ``__dict__`` each is one object for
+    the cyclic collector to track instead of two."""
+
     x: Scalar
     y: Scalar
 

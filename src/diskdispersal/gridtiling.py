@@ -352,7 +352,8 @@ def gridtiling_witness(gt: GridTilingInstance, inst: Instance,
             if pair not in gt.sets[(i, j)]:
                 raise GeneratorError(
                     f"({pair[0]}, {pair[1]}) not allowed in cell ({i}, {j})")
-    if [(p.x, p.y) for p in inst.disks] != lay.disks:
+    if len(inst.disks) != len(lay.disks) or not all(
+            p.x == x and p.y == y for p, (x, y) in zip(inst.disks, lay.disks)):
         raise GeneratorError("instance does not match this grid-tiling input")
 
     moves: dict[int, Point] = {}

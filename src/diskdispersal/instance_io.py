@@ -272,30 +272,35 @@ class Witness:
 # ---------------------------------------------------------------------------
 # parsing / writing
 
-def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
+def _logical_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line with content, lazily: a parse
+    holds one line's tokens at a time, not a list over the whole text."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((no, body.split()))
-    return out
+        toks = raw.partition("#")[0].split()
+        if toks:
+            yield no, toks
 
 
 class _Cursor:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
+    """The logical lines of a text, read one ahead so that :meth:`done`
+    knows whether any is left."""
+
+    def __init__(self, text: str):
+        self.lines = _logical_lines(text)
+        self.ahead = next(self.lines, None)
+        self.last = 0  # the line number of the last line returned
 
     def next(self, what: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.lines):
-            last = self.lines[-1][0] if self.lines else 0
-            raise ParseError(last + 1, f"unexpected end of file, expected {what}")
-        item = self.lines[self.pos]
-        self.pos += 1
+        item = self.ahead
+        if item is None:
+            raise ParseError(self.last + 1,
+                             f"unexpected end of file, expected {what}")
+        self.ahead = next(self.lines, None)
+        self.last = item[0]
         return item
 
     def done(self) -> bool:
-        return self.pos >= len(self.lines)
+        return self.ahead is None
 
 
 def _expect_kv(cursor: _Cursor, key: str) -> tuple[int, str]:
@@ -320,7 +325,7 @@ def _int(no: int, tok: str) -> int:
 
 
 def parse_instance(text: str) -> Instance:
-    cur = _Cursor(_logical_lines(text))
+    cur = _Cursor(text)
     no, toks = cur.next("header")
     if " ".join(toks) != INSTANCE_HEADER:
         raise ParseError(no, f"expected header {INSTANCE_HEADER!r}")
@@ -420,7 +425,7 @@ def write_instance(inst: Instance) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    cur = _Cursor(_logical_lines(text))
+    cur = _Cursor(text)
     no, toks = cur.next("header")
     if " ".join(toks) != WITNESS_HEADER:
         raise ParseError(no, f"expected header {WITNESS_HEADER!r}")

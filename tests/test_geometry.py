@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -17,6 +20,7 @@ from diskdispersal.geometry import (
     translate,
     within_move,
 )
+from diskdispersal.instance_io import Instance, Witness, validate_witness
 from diskdispersal.numerics import (
     IndeterminateError,
     Interval,
@@ -123,6 +127,55 @@ def boxes_apart(a, b, threshold):
         gap = max(iv.lo - iu.hi, iu.lo - iv.hi, 0)
         gap2 += gap * gap
     return gap2 > threshold
+
+
+class TestPoint:
+    """A point is a frozen value with slots: one object per disk for the
+    cyclic collector to track, and no per-point __dict__."""
+
+    def test_has_no_dict(self):
+        p = P(1, 2)
+        assert not hasattr(p, "__dict__")
+        assert Point.__slots__ == ("x", "y")
+
+    def test_is_frozen(self):
+        p = P(1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = F(3)
+        assert p == P(1, 2)
+
+    def test_equality_and_hash_across_int_and_fraction(self):
+        a, b = Point(1, 2), Point(F(1), F(2))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 0}[b] == 0
+        assert Point(1, 2) != Point(2, 1)
+
+    def test_repr_and_is_rational(self):
+        assert repr(Point(F(-7, 2), 0)) == "(-7/2, 0)"
+        assert Point(1, F(1, 3)).is_rational()
+        assert not Point(1, quadext(0, 1, 2)).is_rational()
+        assert repr(Point(1, quadext(0, 1, 2))) == "(1, 0+1*sqrt(2))"
+
+    @pytest.mark.parametrize("p", [
+        Point(F(1, 3), F(-2)), Point(1, 2), Point(F(1), quadext(1, 1, 3)),
+        Point(Interval(F(1), F(2)), F(0))])
+    def test_pickle_and_deepcopy_round_trip(self, p):
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p),
+                  copy.copy(p)):
+            assert type(q) is Point and q == p and hash(q) == hash(p)
+            assert repr(q) == repr(p)
+
+    def test_validation_reuses_the_instance_memo(self):
+        inst = Instance("euclidean", 1, F(4),
+                        tuple(P(3 * i, 0) for i in range(12)))
+        w = Witness({0: P(-1, 0)})
+        assert validate_witness(inst, w).accepted
+        memo = inst.__dict__["_conflicts_at"]
+        assert validate_witness(inst, w).accepted
+        assert inst.__dict__["_conflicts_at"] is memo
+        clash = Witness({0: P(2, 0)})
+        assert validate_witness(inst, clash).reason == "packing"
+        assert inst.__dict__["_conflicts_at"] is memo
 
 
 class TestDist2:

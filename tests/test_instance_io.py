@@ -193,6 +193,62 @@ class TestWitnessFormat:
             write_witness(w)
 
 
+class TestReaderLines:
+    """Blank and comment-only lines count for line numbers but hold no
+    content: the end of a text is reported one past its last line with
+    content, and trailing content at its own line."""
+
+    HEAD = "DISKDISPERSAL v1\nvariant: euclidean\nk: 1\nd2: 1\n"
+    TAIL = "\n   \n# a comment\n\t# another\n\n"
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("", 1, "header"),
+        ("\n  \n# only a comment\n", 1, "header"),
+        (HEAD + "disks: 2\n0 0  # the first\n" + TAIL, 7, "disk coordinates"),
+        (HEAD + "\n# disks next\n" + TAIL, 5, "'disks:'"),
+        (HEAD + "disks: 0\nblocks: 1\n" + TAIL, 7, "block definition"),
+        (HEAD + "disks: 0\nblocks: 1\n\n0 0 9 9 step 2 holes 1\n" + TAIL,
+         9, "hole rectangle"),
+        ("DISPERSALMOVES v1\n# none yet\n" + TAIL, 2, "'moves:'"),
+        ("DISPERSALMOVES v1\nmoves: 2\n\n0 -> 1 1\n" + TAIL, 5, "move line"),
+        ("DISPERSALMOVES v1\r\nmoves: 2\r\n0 -> 1 1\r\n\r\n# c\r\n", 4,
+         "move line"),
+    ])
+    def test_end_of_file_is_one_past_last_content(self, text, line, what):
+        parse = parse_witness if text.startswith("DISPERSAL") \
+            else parse_instance
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert ei.value.line == line
+        assert ei.value.msg == f"unexpected end of file, expected {what}"
+
+    @pytest.mark.parametrize("text, line, content", [
+        (HEAD + "disks: 1\n0 0\nblocks: 0\n" + TAIL + "7 7 # late\n" + TAIL,
+         13, "7 7"),
+        (HEAD + "disks: 0\nblocks: 1\n0 0 9 9 step 2 holes 0\n" + TAIL
+         + "  extra  tokens \n", 13, "extra tokens"),
+        ("DISPERSALMOVES v1\nmoves: 1\n0 -> 1 1\n" + TAIL
+         + "1 -> 2 2  # late\n" + TAIL, 9, "1 -> 2 2"),
+        ("DISPERSALMOVES v1\nmoves: 0\n# none\n\nmoves: 0\n", 5,
+         "moves: 0"),
+    ])
+    def test_trailing_content_reports_its_line(self, text, line, content):
+        parse = parse_witness if text.startswith("DISPERSAL") \
+            else parse_instance
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert ei.value.line == line
+        assert ei.value.msg == f"unexpected trailing content {content!r}"
+
+    def test_blank_and_comment_tails_parse(self):
+        inst = parse_instance(self.HEAD + "disks: 1\n3 4\n" + self.TAIL)
+        assert inst.disks == (P(3, 4),) and inst.blocks == ()
+        inst = parse_instance(self.HEAD + "disks: 0\nblocks: 0" + self.TAIL)
+        assert inst.disks == () and inst.blocks == ()
+        w = parse_witness("DISPERSALMOVES v1\nmoves: 1\n0 -> 3 4" + self.TAIL)
+        assert w.moves == {0: P(3, 4)}
+
+
 class TestValidation:
     def test_tangency_witness_exact_accept(self):
         w = Witness({1: Point(F(1), quadext(0, 1, 3))})
