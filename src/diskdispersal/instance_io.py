@@ -253,14 +253,19 @@ class Instance:
         if self.d2 < 0:
             raise ValueError("d2 must be nonnegative")
 
+    @cached_property
+    def scaled(self) -> ScaledPoints:
+        """The disks' :func:`scale_points` array, built once and kept
+        outside the dataclass fields."""
+        return scale_points(self.disks)
+
     def _conflicts(self, sep: Fraction) -> tuple:
-        """(scaled, grid, decided, candidates): the disks' scale_points and
-        their pair_pass at sep, kept for the last sep asked."""
+        """(grid, decided, candidates): the disks' pair_pass at sep, kept
+        for the last sep asked."""
         memo = self.__dict__.get("_conflicts_at")
         if memo is None or memo[0] != sep:
-            scaled = memo[1] if memo else scale_points(self.disks)
             memo = self.__dict__["_conflicts_at"] = (
-                sep, scaled, *pair_pass(self.disks, sep, False, scaled))
+                sep, *pair_pass(self.disks, sep, False, self.scaled))
         return memo[1:]
 
 
@@ -518,7 +523,8 @@ def validate_witness(inst: Instance, w: Witness,
         if 9 * len(w.moves) < len(final):
             # the kept pairs less those with a moved endpoint, and a pass
             # over the targets and the unmoved disks near them
-            (D, X, Y), grid, *own = inst._conflicts(sep)
+            grid, *own = inst._conflicts(sep)
+            D, X, Y = inst.scaled
             local = sorted(set(w.moves).union(*(
                 near_filed(grid, t) for t in w.moves.values())))
             points = [final[i] for i in local]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, Point, dist2, scale_points
+from .geometry import Disk, Point, dist2
 from .instance_io import Instance
 from .numerics import frac, sign_le, sqrt_lower_upper
 from .udg import IntersectionGraph, build_graph, approx_vc, components
@@ -101,15 +101,14 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
     """
     if inst.blocks:
         raise ValueError("kernelize requires explicit disks; expand blocks first")
-    scaled = scale_points(inst.disks)
-    g = build_graph(inst.disks, scaled=scaled)
+    g = build_graph(inst.disks, scaled=inst.scaled)
     cover = approx_vc(g, inst.k)
     if cover is None:
         return None
     d = derived_d(inst.d2)
     threshold = (d + 2) * (inst.k + 1)
     t2 = threshold * threshold
-    D, X, Y = scaled
+    D, X, Y = inst.scaled
     limit = t2.numerator * D * D + 1  # closed: lhs <= t iff lhs < t + 1
     td = t2.denominator
     kept: list[int] = []
@@ -189,7 +188,8 @@ def halo_partition(inst: Instance, d=None) -> list[list[int]]:
     if inst.blocks:
         raise ValueError("halo partition requires explicit disks")
     dd = derived_d(inst.d2) if d is None else frac(d)
-    g = build_graph(inst.disks, radius=dd + 1, include_touching=True)
+    g = build_graph(inst.disks, radius=dd + 1, include_touching=True,
+                    scaled=inst.scaled)
     return components(g)
 
 

@@ -5,12 +5,14 @@ remaining disks pairwise non-overlapping -- vertex covers of the
 intersection graph -- and asks for each whether the disks of A admit new
 positions.  It takes only the covers in which every near group holds a disk
 with a conflict edge (near-group lemma below), non-minimal ones included.
-Placement feasibility runs through three stages of one rule each, all
-exact: apart from the clock of its time budget, the solver uses no floats.  ``feasibility`` gives a set whose
-members' centres are all rational one ``_Frame``, which every stage reads:
-the origins and the rational fixed centres near each member, multiplied by
-one scale M with d2*M^2 an integer, and in ``frame.others[i]`` member i's
-near fixed centres that are not rational, as exact ``Point`` values.
+A moved set is a list of indices into one kernel instance.  Placement
+feasibility runs through three stages of one rule each, all exact: apart
+from the clock of its time budget, the solver uses no floats.
+``feasibility`` gives a set whose members' centres are all rational one
+``_Frame``, which every stage reads: the origins and the rational fixed
+centres near each member, multiplied by one scale M with d2*M^2 an
+integer, and in ``frame.others[i]`` member i's near fixed centres that are
+not rational, as exact ``Point`` values.
 
 1. the lone-member lemma below: the set is refuted when one member whose
    ``others`` are empty alone has no place clear of the fixed disks.  A
@@ -31,17 +33,17 @@ near fixed centres that are not rational, as exact ``Point`` values.
    grid point is a frame candidate: ``frame.fits`` is its exact test and
    ``frame.point`` builds the witness, as in stage 2.
 
-Near fixed centres.  Stages test each member against its near fixed
-centres only.  One rule, ``_near``, answers every "within derived_d(d2) +
-2" question of the solver, closed for a frame and strict for the near
-groups below: a pair on the ``scale_points`` array of its point list is
-decided on integers, as ``close_pairs`` decides it, and any other pair by
-an exact ``compare``, in which an undecided comparison counts as near.  So
-each centre left out lies farther than d + 2 from the origin, whether it is
-rational or not.  Every exact test asks for a point within d of the
-origin, which is then more than 2 from such a centre.  Stage 3's relaxed
-move test asks for a grid point within d + sqrt(2)*delta, which is then
-more than 2 - sqrt(2)*delta from it and passes the relaxed separation
+Near fixed centres.  Stages test each member against its near fixed centres
+only.  One rule, ``_near``, answers every "within derived_d(d2) + 2"
+question of the solver, closed for a frame and strict for the near groups
+below: a pair on the instance's ``Instance.scaled`` array, built once per
+instance, is decided on integers, as ``close_pairs`` decides it, and any
+other pair by an exact ``compare``, in which an undecided comparison counts
+as near.  So each centre left out lies farther than d + 2 from the origin,
+whether it is rational or not.  Every exact test asks for a point within d
+of the origin, which is then more than 2 from such a centre.  Stage 3's
+relaxed move test asks for a grid point within d + sqrt(2)*delta, which is
+then more than 2 - sqrt(2)*delta from it and passes the relaxed separation
 test.  For delta >= sqrt(2) that test is vacuous (2 - sqrt(2)*delta <= 0)
 and every point passes it.
 
@@ -68,28 +70,28 @@ Lone-member lemma.  Let x be a member whose origin o is rational, with
 every fixed centre within derived_d(d2) + 2 of o rational, and let R be the
 free region of x: the points within x's move budget (Euclidean: the closed
 disk of radius d around o; rectilinear: the two closed axis segments of
-half-length d through o) at distance at least 2 from every fixed centre.  A placement of the whole set
-puts x in R, so if R is empty the set is infeasible.  If R is not empty,
-its lowest point p (least y, then least x) is one of the points that
-``_Frame.candidates(i, ())`` lists for x, so when no point of that
-list fits, R is empty.  Proof, Euclidean: R is the closed move disk minus
-finitely many open disks, so it is compact and p lies on its boundary.  If
-p lies on two distinct circles among the move circle and the fixed circles,
-it is a move-fixed or a fixed-fixed intersection point (a tangency point
-included).  Otherwise every other constraint holds strictly at p, so near
-p, R is one circle's closed side.  On the move circle that side is the
-inside, and p must be the circle's bottom, an axis extreme.  On a fixed
-circle it is the outside: below the circle's bottom lie points of R, and
-from any other point of the circle, its top included, sliding along the
-circle toward the equator lowers y; so p is never there.  Rectilinear: on
-each segment the fixed disks remove open intervals, leaving a finite union
-of closed intervals whose lowest end is a segment end (an axis extreme) or
-a tangency end.  Each of these points that is not an axis extreme lies
-within d of o and at distance 2 from one or two fixed centres, which
-therefore lie within d+2 of o, are rational and seed it.  A fixed centre
-farther away is more than 2 from every point within d of o, so it changes
-neither R nor the list.  Stage 1 runs this test on each member whose
-``others`` are empty and reports the first whose R is empty.
+half-length d through o) at distance at least 2 from every fixed centre.  A
+placement of the whole set puts x in R, so if R is empty the set is
+infeasible.  If R is not empty, its lowest point p (least y, then least x)
+is one of the points that ``_Frame.candidates(i, ())`` lists for x, so when
+no point of that list fits, R is empty.  Proof, Euclidean: R is the closed
+move disk minus finitely many open disks, so it is compact and p lies on
+its boundary.  If p lies on two distinct circles among the move circle and
+the fixed circles, it is a move-fixed or a fixed-fixed intersection point
+(a tangency point included).  Otherwise every other constraint holds
+strictly at p, so near p, R is one circle's closed side.  On the move
+circle that side is the inside, and p must be the circle's bottom, an axis
+extreme.  On a fixed circle it is the outside: below the circle's bottom
+lie points of R, and from any other point of the circle, its top included,
+sliding along the circle toward the equator lowers y; so p is never there.
+Rectilinear: on each segment the fixed disks remove open intervals, leaving
+a finite union of closed intervals whose lowest end is a segment end (an
+axis extreme) or a tangency end.  Each of these points that is not an axis
+extreme lies within d of o and at distance 2 from one or two fixed centres,
+which therefore lie within d+2 of o, are rational and seed it.  A fixed
+centre farther away is more than 2 from every point within d of o, so it
+changes neither R nor the list.  Stage 1 runs this test on each member
+whose ``others`` are empty and reports the first whose R is empty.
 
 Near-group lemma.  Join two members of a cover when their origins lie
 closer than derived_d(d2) + 2 >= d + 2, by the strict ``_near`` test; the
@@ -136,13 +138,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .geometry import (
-    FOUR,
-    Point,
-    ScaledPoints,
-    dist2,
-    scale_points,
-)
+from .geometry import FOUR, Point, ScaledPoints, dist2
 from .instance_io import Instance, Witness
 from .kernel import derived_d, kernelize
 from .numerics import (
@@ -233,7 +229,6 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
     ``deadline`` has passed it yields nothing more, so the caller must check
     the deadline before trusting the enumeration."""
     disks = inst.disks
-    scaled = scale_points(disks)
     reach2 = _reach2(inst.d2)
     leaves: list[set[tuple[int, ...]]] = [set() for _ in range(inst.k + 1)]
     near: dict[int, list[int]] = {}
@@ -255,7 +250,7 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
                 return
             for m in cand:
                 if m not in near:
-                    near[m] = _near(disks, scaled, m, reach2, False)
+                    near[m] = _near(disks, inst.scaled, m, reach2, False)
                 grown.update(tuple(sorted(cand + (j,)))
                              for j in near[m] if j not in cand)
         level = sorted(grown)
@@ -274,10 +269,10 @@ def _near(points: Sequence[Point], scaled: ScaledPoints, i: int,
           reach2: Fraction, closed: bool) -> list[int]:
     """The indices, in order, of the points whose squared distance from
     point i is below reach2, or at most it when closed; ``scaled`` is
-    :func:`scale_points` of ``points``.  A pair on the scale is decided on
-    integers, as :func:`close_pairs` decides it.  Any other pair goes
-    through ``compare``, where an undecided comparison counts as near; only
-    such a pair reads ``points``."""
+    ``points`` on one integer scale, as ``Instance.scaled``.  A pair on the
+    scale is decided on integers, as :func:`close_pairs` decides it.  Any
+    other pair goes through ``compare``, where an undecided comparison
+    counts as near; only such a pair reads ``points``."""
     D, X, Y = scaled
     x, y = X[i], Y[i]
     td, limit = reach2.denominator, reach2.numerator * D * D + closed
@@ -332,15 +327,16 @@ def _apart(t: tuple, p: tuple, four: int) -> bool:
 class _Frame:
     """One moved set on integers, for every stage.
 
-    Member i's near fixed centres are those that the closed ``_near`` test,
-    on the origins and the fixed centres, finds within derived_d(d2) + 2 of
-    its origin.  Coordinates are multiplied by one scale M: the least common
-    multiple of the denominators of d2, of the origins, which must be
+    Member i is the disk ``inst.disks[members[i]]``, and its near fixed
+    centres are the other disks, members excluded, that the closed ``_near``
+    test on ``inst.scaled`` finds within derived_d(d2) + 2 of its origin, in
+    instance order.  Coordinates are multiplied by one scale M: the least
+    common multiple of the denominators of d2, of the origins, which must be
     rational, and of the rational near fixed centres, so far centres never
     make M larger.  These centres become integer points, ``fixed[i]``
     holding member i's, and d2*M^2 an integer D2; member i's near fixed
-    centres that are not rational stay ``Point`` values in ``others[i]``.
-    A candidate is a tuple (X, Y, U, V, E, c), built by :func:`_pt`, for the
+    centres that are not rational stay ``Point`` values in ``others[i]``.  A
+    candidate is a tuple (X, Y, U, V, E, c), built by :func:`_pt`, for the
     scaled point ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand
     ``quadext`` stores, so two candidates are equal exactly when their
     ``Point`` views are.  An anchor is a rational scaled point (X, Y, E).
@@ -351,15 +347,14 @@ class _Frame:
     runs its tests afresh.
     """
 
-    def __init__(self, fixed: Sequence[Point], origins: Sequence[Point],
-                 d2: Fraction, variant: str):
+    def __init__(self, inst: Instance, members: Sequence[int]):
+        d2 = inst.d2
         self.reach2 = reach2 = _reach2(d2)
-        self.variant = variant
-        n = len(origins)
-        points = [*origins, *fixed]
-        scaled = scale_points(points)
-        near = [[points[j] for j in _near(points, scaled, i, reach2, True)
-                 if j >= n] for i in range(n)]
+        self.variant = inst.variant
+        disks = inst.disks
+        origins = [disks[m] for m in members]
+        near = [[disks[j] for j in _near(disks, inst.scaled, m, reach2, True)
+                 if j not in members] for m in members]
         self.others = [[f for f in fs if not f.is_rational()] for fs in near]
         rats = [[f for f in fs if f.is_rational()] for fs in near]
         M = self.M = math.lcm(d2.denominator, *(
@@ -552,7 +547,7 @@ def _stage_numeric(frame: Optional[_Frame], deadline: Optional[float]
     """Stage 2: the walk's first placement on any frame, or None.  The
     name is left from the float descent this stage once ran: the stage
     wrappers of ``perfbench/layers.py`` bind it, so its rename to
-    ``_stage_walk`` waits for ROADMAP item 2(a)."""
+    ``_stage_walk`` waits for ROADMAP item 2."""
     return None if frame is None else _walk(frame, deadline)
 
 
@@ -708,25 +703,26 @@ def _grid_pass(frame: _Frame, delta: Fraction,
 # ---------------------------------------------------------------------------
 # feasibility pipeline and the top-level solve
 
-def feasibility(fixed: Sequence[Point], movables: Sequence[Point], d2,
-                variant: str, cfg: Optional[SolverConfig] = None,
+def feasibility(inst: Instance, members: Sequence[int],
+                cfg: Optional[SolverConfig] = None,
                 deadline: Optional[float] = None) -> Feasibility:
-    """Decide whether the movable disks admit new positions.
+    """Decide whether the disks of ``inst`` at the indices ``members``
+    admit new positions; slot i of an assignment is ``members[i]``.
 
-    ``fixed`` must already be a packing, and all disks are explicit (no
-    lattice fill).  The set gets one :class:`_Frame` when every movable's
-    centre is rational, and none otherwise; every stage reads it.  See the
-    module docstring for the rule of each stage and its guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
+    The disks outside ``members`` must form a packing, and all disks are
+    explicit (no lattice fill).  The set gets one :class:`_Frame` when
+    every member's centre is rational, and none otherwise; every stage
+    reads it.  See the module docstring for the rule of each stage and its
+    guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
     limit); once it has passed, every stage gives up and the answer is
     unknown with reason "time budget", or "non-rational centers" for a set
     that stage 3 does not take.
     """
     cfg = cfg or SolverConfig()
-    d2 = frac(d2)
-    if not movables:
+    if not members:
         return Feasibility("feasible", {})
-    frame = (_Frame(fixed, movables, d2, variant)
-             if all(p.is_rational() for p in movables) else None)
+    frame = (_Frame(inst, members)
+             if all(inst.disks[m].is_rational() for m in members) else None)
     return (_stage_candidates(frame, deadline)
             or _stage_numeric(frame, deadline)
             or _stage_grid(frame, cfg, deadline))
@@ -765,11 +761,7 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
     for cand in enumerate_candidate_sets(kinst, g, deadline):
-        chosen = set(cand)
-        fixed = [d for i, d in enumerate(kinst.disks) if i not in chosen]
-        movables = [kinst.disks[i] for i in cand]
-        res = feasibility(fixed, movables, kinst.d2, kinst.variant, cfg,
-                          deadline=deadline)
+        res = feasibility(kinst, cand, cfg, deadline=deadline)
         if res.status == "feasible":
             moves = {}
             for slot, target in res.assignment.items():

@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diskdispersal import solver
+from diskdispersal import geometry, solver
 from diskdispersal.geometry import (
     FOUR, Point, dist2, scale_points, within_move)
 from diskdispersal.instance_io import (
     Instance,
     Witness,
     validate_witness,
+    write_instance,
     write_witness,
 )
 from diskdispersal.kernel import derived_d, kernelize
@@ -37,6 +38,13 @@ from diskdispersal.generators import gen_colocated, gen_random
 
 def P(x, y):
     return Point(F(x), F(y))
+
+
+def moved_set(fixed, movables, d2, variant):
+    """``feasibility``'s instance and members for a set given as its fixed
+    disks and its movables: the fixed disks first, then the movables."""
+    inst = Instance(variant, len(movables), d2, (*fixed, *movables))
+    return inst, list(range(len(fixed), len(inst.disks)))
 
 
 def fig1(k, d2, variant="euclidean"):
@@ -142,7 +150,8 @@ class TestEnumerateCandidateSets:
 
 class TestFeasibility:
     def test_tangency_candidate_found(self):
-        res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean")
+        res = feasibility(*moved_set([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
+                                     "euclidean"))
         assert res.status == "feasible"
         target = res.assignment[0]
         assert target.x == F(1)
@@ -150,20 +159,99 @@ class TestFeasibility:
 
     def test_no_motion_possible(self):
         # refuted by stage 1's lone-member test, not by a grid
-        res = feasibility([P(0, 0)], [P(1, 0)], F(0), "euclidean")
+        res = feasibility(*moved_set([P(0, 0)], [P(1, 0)], F(0), "euclidean"))
         assert res.status == "infeasible"
         assert res.member == 0 and res.reason == solver.NO_PLACE
         assert res.delta is None
 
     def test_empty_movables(self):
-        res = feasibility([P(0, 0), P(2, 0)], [], F(1), "euclidean")
+        res = feasibility(*moved_set([P(0, 0), P(2, 0)], [], F(1),
+                                     "euclidean"))
         assert res.status == "feasible" and res.assignment == {}
 
     def test_rectilinear_axis_solution(self):
-        res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "rectilinear")
+        res = feasibility(*moved_set([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
+                                     "rectilinear"))
         assert res.status == "feasible"
         t = res.assignment[0]
         assert t.x == F(1)  # vertical slide
+
+    # disks [m1, f1, m0, f2]: both members move, a lone-member refutation
+    # of slot 1, and a grid refutation
+    @pytest.mark.parametrize("variant, d2, disks", [
+        ("euclidean", F(4), [P(F(1, 2), 1), P(F(1, 4), F(5, 4)),
+                             P(1, F(9, 4)), P(F(9, 4), 0)]),
+        ("rectilinear", F(1), [P(0, F(11, 4)), P(F(3, 4), F(3, 2)),
+                               P(1, F(1, 2)), P(3, F(3, 2))]),
+        ("euclidean", F(9, 4), [P(2, 0), P(1, F(5, 2)), P(3, F(1, 2)),
+                                P(F(9, 4), 0)]),
+        ("rectilinear", F(9, 4), [P(1, F(1, 4)), P(3, F(1, 4)),
+                                  P(F(5, 2), 0), P(F(5, 4), F(11, 4))]),
+    ])
+    def test_members_in_any_order_and_place(self, variant, d2, disks):
+        m1, f1, m0, f2 = disks
+        inst = Instance(variant, 2, d2, tuple(disks))
+        res = feasibility(inst, [2, 0])
+        assert res == feasibility(*moved_set([f1, f2], [m0, m1], d2,
+                                             variant))
+        if res.status == "feasible":
+            moves = {m: res.assignment[i] for i, m in enumerate([2, 0])}
+            assert validate_witness(inst, Witness(moves)).accepted
+
+
+class TestOneArrayPerInstance:
+    """Every pass over an instance's disks reads ``Instance.scaled``."""
+
+    @staticmethod
+    def count_scales(monkeypatch):
+        """The point lists given to ``geometry.scale_points`` through any
+        module's binding, in call order."""
+        calls = []
+        real = geometry.scale_points
+
+        def counting(points):
+            calls.append(points)
+            return real(points)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("diskdispersal")
+                    and getattr(mod, "scale_points", None) is real):
+                monkeypatch.setattr(mod, "scale_points", counting)
+        return calls
+
+    def test_a_solve_scales_the_input_and_the_kernel(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        from planted import planted
+
+        inst = planted(1, 60, 2, 4, F(9, 4), "euclidean").instance
+        sets = []
+        real = solver.feasibility
+
+        def recording(kinst, members, *args, **kwargs):
+            sets.append(members)
+            return real(kinst, members, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "feasibility", recording)
+        calls = self.count_scales(monkeypatch)
+        ans = solve(inst)
+        assert ans.verdict == "yes" and len(sets) >= 3
+        assert len(calls) == 2
+        # the witness moves under a ninth of the disks: the local path
+        # scales its targets and their neighbours only
+        assert 9 * len(ans.witness.moves) < len(inst.disks)
+        calls.clear()
+        assert validate_witness(inst, ans.witness).accepted
+        assert calls and all(len(pts) < len(inst.disks) for pts in calls)
+
+    def test_the_array_is_not_a_field(self):
+        disks = (P(0, 0), P(1, F(1, 3)), P(4, F(5, 2)))
+        built = Instance("euclidean", 1, F(1), disks)
+        assert built.scaled == scale_points(disks)
+        fresh = Instance("euclidean", 1, F(1), disks)
+        assert "scaled" in vars(built) and "scaled" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert write_instance(built) == write_instance(fresh)
 
 
 def refuse(*args):
@@ -172,7 +260,7 @@ def refuse(*args):
 
 def candidate_points(fixed, origin, d2, variant):
     """The candidates of a lone member at ``origin``, as ``Point`` values."""
-    frame = solver._Frame(fixed, [origin], d2, variant)
+    frame = solver._Frame(*moved_set(fixed, [origin], d2, variant))
     return [frame.point(t) for t in frame.candidates(0, ())]
 
 
@@ -180,8 +268,8 @@ class TestSearchStages:
     def test_stage_two_walks_a_rational_frame(self, monkeypatch):
         # stage 1 cannot refute the set and never walks; stage 2 walks the
         # frame to (1, +-sqrt(3))
-        frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
-                              "euclidean")
+        frame = solver._Frame(*moved_set([P(0, 0), P(2, 0)], [P(1, 0)],
+                                         F(3), "euclidean"))
         with monkeypatch.context() as m:
             m.setattr(solver, "_walk", refuse)
             assert solver._stage_candidates(frame, None) is None
@@ -198,7 +286,8 @@ class TestSearchStages:
         # a fixed centre that is not rational, within d+2 = 3 of the member,
         # goes to the member's others; a member that is not rational gets
         # no frame
-        frame = (solver._Frame(fixed, movables, F(1), "euclidean")
+        frame = (solver._Frame(*moved_set(fixed, movables, F(1),
+                                          "euclidean"))
                  if movables[0].is_rational() else None)
         monkeypatch.setattr(solver._Frame, "fits", refuse)
         monkeypatch.setattr(solver, "_walk", refuse)
@@ -264,7 +353,8 @@ class TestSearchStages:
         # anchor is still a rational near centre on the frame's integers
         far = [P(10 + F(1, q), 0) for q in (2097169, 2097211, 2097223)]
         assert scale_points([P(0, 0), *far, anchor])[1][-1] is None
-        frame = solver._Frame([*far, anchor], [P(0, 0)], d * d, "euclidean")
+        frame = solver._Frame(*moved_set([*far, anchor], [P(0, 0)], d * d,
+                                         "euclidean"))
         M = frame.M
         assert frame.others == [[]]
         assert frame.fixed == [[(anchor.x * M, anchor.y * M)]]
@@ -304,15 +394,16 @@ class TestOneFrame:
             return real(frame, *args)
 
         monkeypatch.setattr(solver, "_stage_grid", recording)
-        res = feasibility([P(F(3, 2), F(7, 4))],
-                          [P(F(1, 2), 0), P(F(1, 2), F(1, 2))], F(1, 4),
-                          "euclidean")
+        res = feasibility(*moved_set([P(F(3, 2), F(7, 4))],
+                                     [P(F(1, 2), 0), P(F(1, 2), F(1, 2))],
+                                     F(1, 4), "euclidean"))
         assert res.status == "infeasible" and res.delta == F(1, 8)
         assert len(built) == 1 and grids == built
 
     def test_non_rational_member_builds_no_frame(self, monkeypatch):
         built = self.spy(monkeypatch)
-        res = feasibility([P(1, 0)], [P(0, 0), self.X], F(4), "euclidean")
+        res = feasibility(*moved_set([P(1, 0)], [P(0, 0), self.X], F(4),
+                                     "euclidean"))
         assert (res.status, res.reason) == ("unknown", "non-rational centers")
         assert built == []
 
@@ -367,7 +458,7 @@ class TestLoneMember:
     def test_guard_cases_are_found_feasible(self, fixed, origin, d2,
                                             variant, targets):
         # the lemma keeps the set, and stage 2's walk places the member
-        frame = solver._Frame(fixed, [origin], d2, variant)
+        frame = solver._Frame(*moved_set(fixed, [origin], d2, variant))
         assert solver._stage_candidates(frame, None) is None
         res = solver._stage_numeric(frame, None)
         assert res is not None and res.status == "feasible"
@@ -394,9 +485,7 @@ class TestLoneMember:
                 if not cand:
                     continue
                 sets += 1
-                fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
-                movables = [inst.disks[i] for i in cand]
-                frame = solver._Frame(fixed, movables, d2, variant)
+                frame = solver._Frame(inst, cand)
                 res = solver._stage_candidates(frame, None)
                 if res is None or res.status != "infeasible":
                     continue
@@ -436,7 +525,8 @@ class TestCandidateList:
 
     def test_lone_member_lemma_holds_on_a_long_list(self):
         fixed = self.lattice()
-        frame = solver._Frame(fixed, [self.ORIGIN], self.D2, "euclidean")
+        frame = solver._Frame(*moved_set(fixed, [self.ORIGIN], self.D2,
+                                         "euclidean"))
         assert len(frame.candidates(0, ())) == 654
         res = solver._stage_candidates(frame, None)
         assert res is not None and res.status == "infeasible"
@@ -495,7 +585,8 @@ class TestIntegerStageOne:
             # 0.1767767), and the ~ literal is one unit wide on each side
             xs = [(q.x + F(17677669, 10 ** 8), q.x + F(1767767, 10 ** 7)),
                   (F(tilde) - F(1, 10 ** 5), F(tilde) + F(1, 10 ** 5))]
-            frame = solver._Frame(fixed + others, [origin], d2, variant)
+            frame = solver._Frame(*moved_set(fixed + others, [origin], d2,
+                                             variant))
             # member 0's others: a centre whose whole x range lies within
             # derived_d(d2) + 2 of the origin must be there, and one whose
             # whole range lies farther must not
@@ -567,7 +658,7 @@ class TestIntegerStageOne:
                  P(F(1, 2), F(-7, 2)), P(-1, F(7, 2)), P(7, F(7, 2)),
                  P(F(11, 4), 8)]
         movables = [P(0, 0), P(F(9, 4), 4)]
-        frame = solver._Frame(fixed, movables, F(9), "euclidean")
+        frame = solver._Frame(*moved_set(fixed, movables, F(9), "euclidean"))
         res = solver._stage_numeric(frame, None)
         target = Point(quadext(F(12, 5), F(4, 5), 3),
                        quadext(F(16, 5), F(-3, 5), 3))
@@ -595,7 +686,7 @@ class TestFrameMeet:
     ], ids=["symmetric_pair", "disjoint", "tangent", "coincident",
             "squared_radius"])
     def test_examples(self, a, b, rb, want):
-        frame = solver._Frame([], [P(0, 0)], F(1), "euclidean")
+        frame = solver._Frame(*moved_set([], [P(0, 0)], F(1), "euclidean"))
         assert [frame.point(t) for t in frame._meet(a, b, rb)] == want
 
     @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 3),
@@ -603,7 +694,7 @@ class TestFrameMeet:
            st.integers(1, 4), st.none() | st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_points_lie_on_both_circles(self, ax, ay, ea, bx, by, eb, m, rb):
-        frame = solver._Frame([], [P(0, 0)], F(1, m), "euclidean")
+        frame = solver._Frame(*moved_set([], [P(0, 0)], F(1, m), "euclidean"))
         assert frame.M == m
         A = P(F(ax, ea * m), F(ay, ea * m))
         B = P(F(bx, eb * m), F(by, eb * m))
@@ -754,15 +845,16 @@ class TestDeadline:
 
     def test_feasibility_past_deadline_is_unknown(self):
         # stage 2 would find (1, +-sqrt(3)) at once without the deadline
-        res = feasibility([P(0, 0), P(2, 0)], [P(1, 0)], F(3), "euclidean",
+        res = feasibility(*moved_set([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
+                                     "euclidean"),
                           deadline=time.monotonic() - 1)
         assert res.status == "unknown" and res.reason == "time budget"
 
     def test_stage_two_walk_checks_the_deadline(self, monkeypatch):
         # the walk reads the clock at its root, at 0, and then at each
         # node below it, at 10, past the deadline of 5
-        frame = solver._Frame([P(0, 0), P(2, 0)], [P(1, 0)], F(3),
-                              "euclidean")
+        frame = solver._Frame(*moved_set([P(0, 0), P(2, 0)], [P(1, 0)],
+                                         F(3), "euclidean"))
         res = solver._stage_numeric(frame, None)
         assert res.status == "feasible"
         assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
@@ -856,8 +948,8 @@ class TestGridOnFrame:
         # the third disk lies farther than d+2 = 5/2 from both members, so
         # it takes no part in their tests, rational or not
         inst = Instance("euclidean", 1, F(1, 4), (P(0, 0), P(1, 0), third))
-        frame = solver._Frame([P(1, 0), third], [P(0, 0)], F(1, 4),
-                              "euclidean")
+        frame = solver._Frame(*moved_set([P(1, 0), third], [P(0, 0)],
+                                         F(1, 4), "euclidean"))
         assert frame.others == [[]]
         assert solve(inst).verdict == "no"
 
@@ -867,7 +959,7 @@ class TestGridOnFrame:
         # (2 - s*sqrt(2))^2 refuted this feasible set
         fixed = [P(F(5, 2), F(3, 2)), P(F(1, 2), 3)]
         movables = [P(F(-1, 2), 0), P(F(1, 2), 1)]
-        frame = solver._Frame(fixed, movables, F(1), "rectilinear")
+        frame = solver._Frame(*moved_set(fixed, movables, F(1), "rectilinear"))
         res = solver._stage_numeric(frame, None)
         assert res.assignment == {0: P(F(-3, 2), 0), 1: P(F(1, 2), 1)}
         res = solver._stage_grid(frame, SolverConfig(delta=F(2)), None)
@@ -917,13 +1009,14 @@ class TestGridOnFrame:
                 fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
                 movables = [inst.disks[i] for i in cand]
                 grids.clear()
-                feasibility(fixed, movables, d2, variant)
+                feasibility(*moved_set(fixed, movables, d2, variant))
                 if grids:
                     reached.append((fixed, movables, d2, variant, grids[0]))
         for fixed, movables, d2, variant, want in reached:
             far = self.far_disks(fixed + movables, movables, d2, 150)
             assert len(far) == 150
-            got = real(solver._Frame(fixed + far, movables, d2, variant),
+            got = real(solver._Frame(*moved_set(fixed + far, movables, d2,
+                                                variant)),
                        SolverConfig(), None)
             assert (got.status, got.delta, got.assignment, got.reason) == \
                 (want.status, want.delta, want.assignment, want.reason)
@@ -934,7 +1027,7 @@ class TestGridOnFrame:
         # 3 and 4) to put the grid on integers
         fixed = [P(0, 0), P(F(13, 3), F(2, 3))]
         movables = [P(F(1, 3), F(2, 3)), P(F(7, 3), F(1, 3))]
-        frame = solver._Frame(fixed, movables, F(4), "euclidean")
+        frame = solver._Frame(*moved_set(fixed, movables, F(4), "euclidean"))
         assert frame.M == 3
         res = solver._grid_pass(frame, delta, None)
         assert res.status == "feasible"
@@ -986,8 +1079,9 @@ class TestGridOnFrame:
             d2 = rng.choice([F(1, 4), F(1, 2), F(1), F(2), F(9, 4), F(4)])
             delta = rng.choice([F(1, 4), F(1, 6), F(1, 8), F(2, 9), F(1)])
             movables = [pt() for _ in range(rng.randint(1, 3))]
-            frame = solver._Frame([pt() for _ in range(rng.randint(0, 6))],
-                                  movables, d2, variant)
+            frame = solver._Frame(*moved_set(
+                [pt() for _ in range(rng.randint(0, 6))], movables, d2,
+                variant))
             r = delta.denominator // math.gcd(frame.M, delta.denominator)
             M = frame.M * r
             step = delta.numerator * M // delta.denominator
@@ -1058,7 +1152,7 @@ class TestRefutationMonotonicity:
         for fixed, movs, d2 in cases:
             deltas = [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
             refuted_from = None
-            frame = solver._Frame(fixed, movs, d2, "euclidean")
+            frame = solver._Frame(*moved_set(fixed, movs, d2, "euclidean"))
             for i, dl in enumerate(deltas):
                 res = solver._grid_pass(frame, dl, None)
                 if res.status == "infeasible" and refuted_from is None:
@@ -1203,9 +1297,9 @@ def solve_recording(monkeypatch, inst):
     seen = []
     real = solver.feasibility
 
-    def recording(fixed, movables, *args, **kwargs):
-        seen.append(frozenset(index[p] for p in movables))
-        return real(fixed, movables, *args, **kwargs)
+    def recording(kinst, members, *args, **kwargs):
+        seen.append(frozenset(index[kinst.disks[m]] for m in members))
+        return real(kinst, members, *args, **kwargs)
 
     monkeypatch.setattr(solver, "feasibility", recording)
     return solve(inst), seen
@@ -1280,10 +1374,7 @@ def reference_solve(inst, cfg):
             if not all(i in cand or j in cand for i, j in g.edges):
                 continue
             tried += 1
-            fixed = [p for i, p in enumerate(kinst.disks) if i not in cand]
-            movables = [kinst.disks[i] for i in cand]
-            res = solver.feasibility(fixed, movables, kinst.d2,
-                                     kinst.variant, cfg)
+            res = solver.feasibility(kinst, list(cand), cfg)
             if res.status == "feasible":
                 moves = {}
                 for slot, target in res.assignment.items():
@@ -1305,10 +1396,10 @@ class TestEnumerationDifferential:
         memo = {}
         real = solver.feasibility
 
-        def memoised(fixed, movables, *args, **kwargs):
-            key = (tuple(fixed), tuple(movables))
+        def memoised(kinst, members, *args, **kwargs):
+            key = (kinst, tuple(members))
             if key not in memo:
-                memo[key] = real(fixed, movables, *args, **kwargs)
+                memo[key] = real(kinst, members, *args, **kwargs)
             return memo[key]
 
         monkeypatch.setattr(solver, "feasibility", memoised)
