@@ -40,6 +40,7 @@ __all__ = [
     "close_pairs",
     "ScaledPoints",
     "scale_points",
+    "near",
     "within_move",
     "translate",
 ]
@@ -253,6 +254,25 @@ def scale_points(points: Sequence[Point]) -> ScaledPoints:
         for i in [i % n for i, v in enumerate(scaled) if v is None]:
             scaled[i] = scaled[n + i] = None
     return D, scaled[:n], scaled[n:]
+
+
+def near(points: Sequence[Point], scaled: ScaledPoints, i: int,
+         threshold: Fraction, closed: bool) -> list[int]:
+    """The indices, in order, of the points whose squared distance from
+    point i is below threshold, or at most it when closed; ``scaled`` is
+    :func:`scale_points` of ``points``.  A pair on the scale is decided on
+    integers, as :func:`pair_pass` decides it.  Any other pair goes through
+    ``compare``, and an undecided comparison counts as near, where
+    :func:`merge_pairs` would raise; only such a pair reads ``points``."""
+    D, X, Y = scaled
+    x, y = X[i], Y[i]
+    td, limit = threshold.denominator, threshold.numerator * D * D + closed
+    far = (Ordering.GREATER,) if closed else (Ordering.GREATER,
+                                              Ordering.EQUAL)
+    return [j for j, (u, v) in enumerate(zip(X, Y))
+            if (((u - x) ** 2 + (v - y) ** 2) * td < limit
+                if x is not None and u is not None else
+                compare(dist2(points[i], points[j]), threshold) not in far)]
 
 
 def _cells(p: Point, width: int) -> Optional[list[tuple[int, int]]]:

@@ -2,7 +2,7 @@
 
 Two reductions are provided:
 
-* :func:`kernelize` keeps only disks whose center lies within
+* :func:`kernelize` keeps only disks whose center lies, or may lie, within
   (d+2)*(k+1) of some disk of a greedy conflict cover; everything farther
   can neither be forced to move nor be hit by anything that moves.  The
   surviving disk count is bounded by :func:`size_bound`.
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, Point, dist2
+from .geometry import Disk, Point, dist2, near
 from .instance_io import Instance
-from .numerics import frac, sign_le, sqrt_lower_upper
+from .numerics import frac, sqrt_lower_upper
 from .udg import IntersectionGraph, build_graph, approx_vc, components
 
 __all__ = [
@@ -92,7 +92,13 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
     Returns None when the conflict matching already certifies a no-instance
     (more than k vertex-disjoint overlapping pairs).  Otherwise returns the
     reduced instance (a subsequence of the input disks, order preserved)
-    plus a report.  Disks exactly at the threshold distance are kept.
+    plus a report.  A disk is kept when ``geometry.near`` finds it within
+    the threshold of a cover disk, closed: disks exactly at the threshold
+    distance are kept, and so is a ``~`` disk whose distance cannot be
+    decided.  Keeping such a disk is sound: it has no edge, as an edge
+    joins a cover disk to one decided within 2 <= threshold of it, so the
+    graph and the cover are unchanged, and dropping any set of far disks
+    keeps the answer.
 
     Every edge of the input's intersection graph survives: the greedy cover
     holds one endpoint, and the other lies within 2 of it, which is at most
@@ -108,19 +114,9 @@ def kernelize(inst: Instance) -> Optional[tuple[Instance, KernelReport]]:
     d = derived_d(inst.d2)
     threshold = (d + 2) * (inst.k + 1)
     t2 = threshold * threshold
-    D, X, Y = inst.scaled
-    limit = t2.numerator * D * D + 1  # closed: lhs <= t iff lhs < t + 1
-    td = t2.denominator
-    kept: list[int] = []
-    removed: list[int] = []
-    for i, (x, y) in enumerate(zip(X, Y)):
-        keep = any(
-            ((x - X[c]) ** 2 + (y - Y[c]) ** 2) * td < limit
-            if x is not None and X[c] is not None else
-            sign_le(dist2(inst.disks[i], inst.disks[c]), t2,
-                    "kernel distance filter")
-            for c in cover)
-        (kept if keep else removed).append(i)
+    kept = sorted(set().union(*(near(inst.disks, inst.scaled, c, t2, True)
+                                for c in cover)))
+    removed = sorted(set(range(len(inst.disks))).difference(kept))
     out = Instance(inst.variant, inst.k, inst.d2,
                    tuple(inst.disks[i] for i in kept), ())
     slot = {v: n for n, v in enumerate(kept)}

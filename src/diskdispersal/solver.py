@@ -21,9 +21,11 @@ not rational, as exact ``Point`` values.
    (tangency intersections, budget-tight points, axis extremes): every
    candidate is a tuple of integers over one radicand and every test the
    sign of an integer radical expression, and member i's candidates are
-   also tested exactly against ``others[i]``.  Only anchors within d+2 of
-   a movable's origin seed tangencies: a target within d of the origin at
-   distance 2 from an anchor puts that anchor within d+2;
+   also tested exactly against ``others[i]``.  Member i's near fixed
+   centres and every rational placed point seed tangencies.  A placed
+   anchor farther than derived_d(d2) + 2 from the origin gives only
+   candidates 2 from it, so farther than d from the origin, which the move
+   test rejects: the walk places the same targets as without it;
 3. on a frame where no member has ``others``, an exhaustive grid sweep
    over each movable's reachable region that either finds an exact grid
    witness or *proves* infeasibility: if no grid assignment survives with
@@ -34,18 +36,18 @@ not rational, as exact ``Point`` values.
    ``frame.point`` builds the witness, as in stage 2.
 
 Near fixed centres.  Stages test each member against its near fixed centres
-only.  One rule, ``_near``, answers every "within derived_d(d2) + 2"
-question of the solver, closed for a frame and strict for the near groups
-below: a pair on the instance's ``Instance.scaled`` array, built once per
-instance, is decided on integers, as ``close_pairs`` decides it, and any
-other pair by an exact ``compare``, in which an undecided comparison counts
-as near.  So each centre left out lies farther than d + 2 from the origin,
-whether it is rational or not.  Every exact test asks for a point within d
-of the origin, which is then more than 2 from such a centre.  Stage 3's
-relaxed move test asks for a grid point within d + sqrt(2)*delta, which is
-then more than 2 - sqrt(2)*delta from it and passes the relaxed separation
-test.  For delta >= sqrt(2) that test is vacuous (2 - sqrt(2)*delta <= 0)
-and every point passes it.
+only.  One routine, ``geometry.near``, answers every "within
+derived_d(d2) + 2" question of the solver, closed for a frame and strict
+for the near groups below: a pair on the instance's ``Instance.scaled``
+array, built once per instance, is decided on integers, as ``close_pairs``
+decides it, and any other pair by an exact ``compare``, in which an
+undecided comparison counts as near.  So each centre left out lies farther
+than d + 2 from the origin, whether it is rational or not.  Every exact
+test asks for a point within d of the origin, which is then more than 2
+from such a centre.  Stage 3's relaxed move test asks for a grid point
+within d + sqrt(2)*delta, which is then more than 2 - sqrt(2)*delta from
+it and passes the relaxed separation test.  For delta >= sqrt(2) that test
+is vacuous (2 - sqrt(2)*delta <= 0) and every point passes it.
 
 Stage 1 returns a refutation by the lone-member lemma or None, never a
 placement; stage 2 a feasible ``Feasibility`` or None; stage 3 always a
@@ -94,22 +96,22 @@ changes neither R nor the list.  Stage 1 runs this test on each member
 whose ``others`` are empty and reports the first whose R is empty.
 
 Near-group lemma.  Join two members of a cover when their origins lie
-closer than derived_d(d2) + 2 >= d + 2, by the strict ``_near`` test; the
-connected groups are the near groups.  A feasible cover A of minimum size
-has a disk with a conflict edge in every near group G.  Otherwise no edge
-touches G, so A minus G is a
-cover, and a feasible one: take targets for A and put G back at its
-origins, which conflict with nothing and lie at least d + 2 from every
-other member's origin, so at least 2 from that member's target, within d
-of it (a rectilinear move is axis-parallel, so its length is at most d as
-well).  ``enumerate_candidate_sets`` yields every cover of at most k
-members with a conflict disk in each near group, grown one near disk at a
-time from the leaf of edge branching that takes each edge's end in the
-cover: that leaf holds an end of each group's conflict edge, and an end in
-the cover is within 2 of the other, in the same group.  So a no needs,
-for every enumerated set, the lone-member lemma or a grid refutation; a
-yes always carries a witness that validates exactly; anything else is
-reported Unknown rather than guessed.
+closer than derived_d(d2) + 2 >= d + 2, by the strict ``geometry.near``
+test; the connected groups are the near groups.  A feasible cover A of
+minimum size has a disk with a conflict edge in every near group G.
+Otherwise no edge touches G, so A minus G is a cover, and a feasible one:
+take targets for A and put G back at its origins, which conflict with
+nothing and lie at least d + 2 from every other member's origin, so at
+least 2 from that member's target, within d of it (a rectilinear move is
+axis-parallel, so its length is at most d as well).
+``enumerate_candidate_sets`` yields every cover of at most k members with a
+conflict disk in each near group, grown one near disk at a time from the
+leaf of edge branching that takes each edge's end in the cover: that leaf
+holds an end of each group's conflict edge, and an end in the cover is
+within 2 of the other, in the same group.  So a no needs, for every
+enumerated set, the lone-member lemma or a grid refutation; a yes always
+carries a witness that validates exactly; anything else is reported Unknown
+rather than guessed.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
 lattice fill, which must be expanded first.  Comparisons between exact
@@ -138,7 +140,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .geometry import FOUR, Point, ScaledPoints, dist2
+from . import geometry
+from .geometry import FOUR, Point, dist2
 from .instance_io import Instance, Witness
 from .kernel import derived_d, kernelize
 from .numerics import (
@@ -229,7 +232,7 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
     ``deadline`` has passed it yields nothing more, so the caller must check
     the deadline before trusting the enumeration."""
     disks = inst.disks
-    reach2 = _reach2(inst.d2)
+    reach2 = (derived_d(inst.d2) + 2) ** 2
     leaves: list[set[tuple[int, ...]]] = [set() for _ in range(inst.k + 1)]
     near: dict[int, list[int]] = {}
 
@@ -250,7 +253,8 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
                 return
             for m in cand:
                 if m not in near:
-                    near[m] = _near(disks, inst.scaled, m, reach2, False)
+                    near[m] = geometry.near(disks, inst.scaled, m, reach2,
+                                            False)
                 grown.update(tuple(sorted(cand + (j,)))
                              for j in near[m] if j not in cand)
         level = sorted(grown)
@@ -258,30 +262,6 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
             if _expired(deadline):
                 return
             yield list(cand)
-
-
-def _reach2(d2: Fraction) -> Fraction:
-    """(derived_d(d2) + 2)^2, the squared reach of every nearness test."""
-    return (derived_d(d2) + 2) ** 2
-
-
-def _near(points: Sequence[Point], scaled: ScaledPoints, i: int,
-          reach2: Fraction, closed: bool) -> list[int]:
-    """The indices, in order, of the points whose squared distance from
-    point i is below reach2, or at most it when closed; ``scaled`` is
-    ``points`` on one integer scale, as ``Instance.scaled``.  A pair on the
-    scale is decided on integers, as :func:`close_pairs` decides it.  Any
-    other pair goes through ``compare``, where an undecided comparison
-    counts as near; only such a pair reads ``points``."""
-    D, X, Y = scaled
-    x, y = X[i], Y[i]
-    td, limit = reach2.denominator, reach2.numerator * D * D + closed
-    far = (Ordering.GREATER,) if closed else (Ordering.GREATER,
-                                              Ordering.EQUAL)
-    return [j for j, (u, v) in enumerate(zip(X, Y))
-            if (((u - x) ** 2 + (v - y) ** 2) * td < limit
-                if x is not None and u is not None else
-                compare(dist2(points[i], points[j]), reach2) not in far)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,32 +308,34 @@ class _Frame:
     """One moved set on integers, for every stage.
 
     Member i is the disk ``inst.disks[members[i]]``, and its near fixed
-    centres are the other disks, members excluded, that the closed ``_near``
-    test on ``inst.scaled`` finds within derived_d(d2) + 2 of its origin, in
-    instance order.  Coordinates are multiplied by one scale M: the least
-    common multiple of the denominators of d2, of the origins, which must be
-    rational, and of the rational near fixed centres, so far centres never
-    make M larger.  These centres become integer points, ``fixed[i]``
-    holding member i's, and d2*M^2 an integer D2; member i's near fixed
-    centres that are not rational stay ``Point`` values in ``others[i]``.  A
-    candidate is a tuple (X, Y, U, V, E, c), built by :func:`_pt`, for the
-    scaled point ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand
-    ``quadext`` stores, so two candidates are equal exactly when their
-    ``Point`` views are.  An anchor is a rational scaled point (X, Y, E).
-    Moves and separations are signs of integer radical expressions
-    (:func:`sign_sqrt` and :func:`sign_sqrt2`), and a member is tested
-    against its near fixed centres only, rational or not.  The frame holds
-    only values fixed at construction: every call builds its candidates and
-    runs its tests afresh.
+    centres are the other disks, members excluded, that the closed
+    ``geometry.near`` test on ``inst.scaled`` finds within derived_d(d2) + 2
+    of its origin, in instance order.  Coordinates are multiplied by one
+    scale M: the least common multiple of the denominators of d2, of the
+    origins, which must be rational, and of the rational near fixed centres,
+    so far centres never make M larger.  These centres become integer
+    points, ``fixed[i]`` holding member i's, and d2*M^2 an integer D2;
+    member i's near fixed centres that are not rational stay ``Point``
+    values in ``others[i]``.  A candidate is a tuple (X, Y, U, V, E, c),
+    built by :func:`_pt`, for the scaled point
+    ((X + U*sqrt(c))/E, (Y + V*sqrt(c))/E); c is the radicand ``quadext``
+    stores, so two candidates are equal exactly when their ``Point`` views
+    are.  An anchor is a rational scaled point (X, Y, E).  Moves and
+    separations are signs of integer radical expressions (:func:`sign_sqrt`
+    and :func:`sign_sqrt2`), and a member is tested against its near fixed
+    centres only, rational or not.  The frame holds only values fixed at
+    construction: every call builds its candidates and runs its tests
+    afresh.
     """
 
     def __init__(self, inst: Instance, members: Sequence[int]):
         d2 = inst.d2
-        self.reach2 = reach2 = _reach2(d2)
         self.variant = inst.variant
         disks = inst.disks
         origins = [disks[m] for m in members]
-        near = [[disks[j] for j in _near(disks, inst.scaled, m, reach2, True)
+        reach2 = (derived_d(d2) + 2) ** 2
+        near = [[disks[j] for j in geometry.near(disks, inst.scaled, m,
+                                                 reach2, True)
                  if j not in members] for m in members]
         self.others = [[f for f in fs if not f.is_rational()] for fs in near]
         rats = [[f for f in fs if f.is_rational()] for fs in near]
@@ -379,26 +361,22 @@ class _Frame:
                      quadext(Fraction(Y, m), Fraction(V, m), c))
 
     def candidates(self, i: int, placed: Sequence[tuple]) -> list[tuple]:
-        """Member i's candidates in build order, repeats dropped: the
-        origin, the four axis extremes, then the points of each anchor, the
-        near fixed centres in order and then the rational placed points that
-        the closed ``_near`` test, on the frame's integers, finds within
-        derived_d(d2) + 2 of the origin.  A Euclidean anchor gives
-        its tangency toward the origin and its points on the move circle,
-        then its points on the circles of the later anchors that lie within
-        4 of it; a rectilinear one gives the ends of its clearance on the
-        two axis segments."""
+        """Member i's candidates in build order, repeats dropped: the origin,
+        the four axis extremes, then the points of each anchor, the near
+        fixed centres in order and then every rational placed point; the
+        points of a placed anchor farther than derived_d(d2) + 2 from the
+        origin are farther than d from it, so ``fits`` rejects them (module
+        docstring).  A Euclidean anchor gives its tangency toward the origin
+        and its points on the move circle, then its points on the circles of
+        the later anchors that lie within 4 of it; a rectilinear one gives
+        the ends of its clearance on the two axis segments."""
         ox, oy = O = self.origins[i]
         R, f = self.axis
         out = [_pt(ox, oy, 0, 0, 1, 0), _pt(ox, oy, R, 0, 1, f),
                _pt(ox, oy, -R, 0, 1, f), _pt(ox, oy, 0, R, 1, f),
                _pt(ox, oy, 0, -R, 1, f)]
-        M = self.M
-        # a rational placed point (X, Y, E) and the origin, on the scale E*M
         anchors = [(x, y, 1) for x, y in self.fixed[i]] + [
-            (X, Y, E) for X, Y, U, V, E, _ in placed if not (U or V)
-            and 1 in _near((), (E * M, [X, E * ox], [Y, E * oy]), 0,
-                           self.reach2, True)]
+            (X, Y, E) for X, Y, U, V, E, _ in placed if not (U or V)]
         for n, a in enumerate(anchors):
             out += self._own(O, a)
             if self.variant == "euclidean":

@@ -15,6 +15,7 @@ from diskdispersal.geometry import (
     close_pairs,
     dist2,
     is_packing,
+    near,
     overlap,
     scale_points,
     translate,
@@ -69,6 +70,18 @@ def brute_close_pairs(pts, threshold, closed):
             elif o is Ordering.LESS or (closed and o is Ordering.EQUAL):
                 close.append((i, j))
     return close, undecided
+
+
+def brute_near(pts, i, threshold, closed):
+    """Reference for near: every point through the exact comparison, an
+    undecided one counting as near."""
+    out = []
+    for j, q in enumerate(pts):
+        o = compare(dist2(pts[i], q), threshold)
+        if o in (Ordering.LESS, Ordering.INDETERMINATE) or (
+                closed and o is Ordering.EQUAL):
+            out.append(j)
+    return out
 
 
 def large_primes(start, count):
@@ -426,6 +439,60 @@ class TestScaledPoints:
                 assert got == before
                 a, b = first
                 assert str(err.value) == f"distance of {pts[a]} and {pts[b]}"
+
+
+class TestNear:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_sets_match_brute_force(self, seed):
+        # quarter-grid points in a box of side 6, and pairs planted to meet
+        # a threshold with equality, each moved in x by its own 1/p, p a
+        # prime above 2^21, which leaves all but two pairs off the 64-bit
+        # scale; one point gets a radical or a ``~`` coordinate, with a
+        # partner 2 to its right
+        rng = random.Random(f"near-{seed}")
+        primes = iter(large_primes(2 ** 21, 60))
+        ties = undecided = 0
+        for trial in range(8):
+            pts = [P(F(rng.randint(0, 24), 4), F(rng.randint(0, 24), 4))
+                   for _ in range(rng.randint(4, 16))]
+            for _ in range(rng.randint(3, 6)):
+                q = Point(F(rng.randint(0, 24), 4) + F(1, next(primes)),
+                          F(rng.randint(0, 24), 4))
+                vx, vy = rng.choice([(2, 0), (0, F(3, 2)), (F(3, 4), 1),
+                                     (0, 3)])
+                for r in (q, Point(q.x + vx, q.y + vy)):
+                    pts.insert(rng.randrange(len(pts) + 1), r)
+            i = rng.randrange(len(pts))
+            x, y = pts[i].x, pts[i].y
+            pts.append(Point(x + 2, y))
+            pts[i] = (Point(quadext(x, 1, 3), y) if trial % 2 else
+                      Point(parse_scalar(f"{float(x):.7f}~"), y))
+            n = len(pts)
+            scaled = scale_points(pts)
+            assert None in scaled[1] and any(
+                x is not None and pts[j].x.denominator > 4
+                for j, x in enumerate(scaled[1]))
+            for threshold in (F(4), F(9, 4), F(25, 16), F(9)):
+                for i in range(n):
+                    for j in range(n):
+                        o = compare(dist2(pts[i], pts[j]), threshold)
+                        ties += o is Ordering.EQUAL
+                        undecided += o is Ordering.INDETERMINATE
+                    for closed in (False, True):
+                        assert (near(pts, scaled, i, threshold, closed)
+                                == brute_near(pts, i, threshold, closed))
+        assert ties and undecided
+
+    def test_undecided_pair_is_near(self):
+        # 2.000000000~ cannot be told from 2 at threshold 4, where
+        # close_pairs raises
+        pts = [P(0, 0), Point(parse_scalar("2.000000000~"), F(0)), P(5, 0)]
+        assert compare(dist2(pts[0], pts[1]), F(4)) is Ordering.INDETERMINATE
+        for closed in (False, True):
+            for i in (0, 1):
+                assert near(pts, scale_points(pts), i, F(4), closed) == [0, 1]
+        with pytest.raises(IndeterminateError):
+            list(close_pairs(pts, F(4)))
 
 
 class TestWithinMove:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from diskdispersal.geometry import Point, dist2
-from diskdispersal.instance_io import Instance
+from diskdispersal.instance_io import Instance, validate_witness
 from diskdispersal.kernel import (
     derived_d,
     full_kernel,
@@ -19,6 +19,7 @@ from diskdispersal.numerics import (
     quadext,
     sign_le,
 )
+from diskdispersal.solver import solve
 from diskdispersal.udg import build_graph
 
 
@@ -61,6 +62,19 @@ class TestKernelize:
         inst = Instance("euclidean", 1, F(1), (P(0, 0), P(1, 0), P(7, 0)))
         out, report = kernelize(inst)
         assert 2 in report.kept
+
+    def test_undecided_disk_at_the_threshold_is_kept(self):
+        # disk 2 at 7.000000000~ lies 6~ from cover disk 1, which the exact
+        # comparison cannot tell from the threshold 6: it is kept, and as it
+        # has no edge the solve goes on to a yes
+        inst = Instance("euclidean", 1, F(1), (
+            P(0, 0), P(1, 0), Point(parse_scalar("7.000000000~"), F(0))))
+        out, report = kernelize(inst)
+        assert report.kept == (0, 1, 2) and out.disks == inst.disks
+        assert report.graph.edges == ((0, 1),)
+        ans = solve(inst)
+        assert str(ans) == "yes (1 moves)"
+        assert str(validate_witness(inst, ans.witness)) == "accept"
 
     def test_size_bound_holds(self):
         rng = random.Random(2)

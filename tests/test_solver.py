@@ -47,6 +47,13 @@ def moved_set(fixed, movables, d2, variant):
     return inst, list(range(len(fixed), len(inst.disks)))
 
 
+def on_frame(frame, p):
+    """The rational point p as a candidate tuple of ``frame``."""
+    x, y = p.x * frame.M, p.y * frame.M
+    e = math.lcm(x.denominator, y.denominator)
+    return solver._pt(int(x * e), int(y * e), 0, 0, e, 0)
+
+
 def fig1(k, d2, variant="euclidean"):
     return Instance(variant, k, F(d2), (P(0, 0), P(1, 0), P(2, 0)))
 
@@ -360,6 +367,43 @@ class TestSearchStages:
         assert frame.fixed == [[(anchor.x * M, anchor.y * M)]]
         got = [frame.point(t) for t in frame.candidates(0, ())]
         assert len(got) == 6 and set(got) == base | {touch}
+
+    def test_placed_anchors_beyond_reach_change_nothing(self):
+        # every rational placed point seeds tangencies; those farther than
+        # derived_d(d2) + 2 from the origin add only candidates that do not
+        # fit, so the fitting ones come out as without them, in order.  Each
+        # placed list holds quarter-grid points in a box reaching 2 past
+        # the reach, a point exactly at the reach and one just beyond it
+        rng = random.Random(20261020)
+        extra = 0
+        for trial in range(40):
+            n = rng.randint(2, 8)
+            d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(3), F(4)])
+            variant = ("euclidean", "rectilinear")[trial % 2]
+            inst = gen_random(n, rng.randint(2, 5) + n // 2,
+                              rng.randrange(10 ** 6), 2, d2, variant)
+            members = sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
+            frame = solver._Frame(inst, members)
+            reach = derived_d(d2) + 2
+            for i, m in enumerate(members):
+                o = inst.disks[m]
+                box = 4 * math.ceil(reach + 2)
+                pts = [Point(o.x + F(rng.randint(-box, box), 4),
+                             o.y + F(rng.randint(-box, box), 4))
+                       for _ in range(rng.randint(2, 7))]
+                pts += [Point(o.x + reach, o.y),
+                        Point(o.x, o.y - reach - F(1, 8))]
+                rng.shuffle(pts)
+                near = [p for p in pts if dist2(o, p) <= reach * reach]
+                assert len(near) < len(pts)
+                placed = [on_frame(frame, p) for p in pts]
+                near_placed = [on_frame(frame, p) for p in near]
+                got = frame.candidates(i, placed)
+                want = frame.candidates(i, near_placed)
+                extra += len(got) > len(want)
+                assert ([t for t in got if frame.fits(i, t, placed)]
+                        == [t for t in want if frame.fits(i, t, placed)])
+        assert extra >= 40
 
 
 class TestOneFrame:
