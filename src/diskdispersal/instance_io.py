@@ -172,12 +172,17 @@ class LatticeBlock:
         built here when not given.
 
         A point whose window of lattice points within reach lies in one hole
-        needs no test.  A point on the scale is decided on plain integers,
+        needs no test.  For points on the scale each hole's index box
+        becomes, once per call, an open rectangle of their scaled
+        coordinates (:func:`_clear_range`): a point inside it has its window
+        in the box, so it is cleared by four integer comparisons, against
+        the rectangle that cleared the point before it first.  A point on
+        the scale that no rectangle clears is decided on plain integers,
         window and distances alike, on M, the least common multiple of its
-        scale and the block's.  Any other point goes through the exact
-        comparison, which decides every rational point and raises
-        IndeterminateError when it cannot decide a lattice point before the
-        first close one.
+        scale and the block's.  Any other point has its window checked
+        against the hole boxes and goes through the exact comparison, which
+        decides every rational point and raises IndeterminateError when it
+        cannot decide a lattice point before the first close one.
         """
         if scaled is None:
             points = list(points)
@@ -190,33 +195,36 @@ class LatticeBlock:
         tn, td = threshold.numerator, threshold.denominator
         reach = ceil_sqrt(threshold)
         RM, limit = reach * M, tn * M * M
-        h0, h1, g0, g1 = 1, 0, 1, 0  # the hole box tried first; none yet
-        for k, p in enumerate(points):
-            x = X[k]
+        nx, ny, boxes = self.nx, self.ny, self._hole_boxes
+        clear = [(*_clear_range(h0, h1, nx, X0, S, RM, mp),
+                  *_clear_range(g0, g1, ny, Y0, S, RM, mp))
+                 for h0, h1, g0, g1 in boxes]
+        xlo = xhi = ylo = yhi = 0  # the rectangle tried first; none yet
+        for k, (p, x, y) in enumerate(zip(points, X, Y)):
             if x is None:
                 i0, i1, j0, j1 = self._point_window(p, reach)
-            else:
-                x, y = x * mp, Y[k] * mp
-                i0 = max(0, -((X0 - x + RM) // S))
-                i1 = min(self.nx, (x + RM - X0) // S)
-                j0 = max(0, -((Y0 - y + RM) // S))
-                j1 = min(self.ny, (y + RM - Y0) // S)
-            if i0 > i1 or j0 > j1 or (h0 <= i0 and i1 <= h1 and g0 <= j0
-                                      and j1 <= g1):
-                continue  # no lattice point, or the last hole covers them
-            for h0, h1, g0, g1 in self._hole_boxes:
-                if h0 <= i0 and i1 <= h1 and g0 <= j0 and j1 <= g1:
+                if i0 > i1 or j0 > j1 or any(
+                        h0 <= i0 and i1 <= h1 and g0 <= j0 and j1 <= g1
+                        for h0, h1, g0, g1 in boxes):
+                    continue  # no lattice point, or a hole covers them
+                for q in self._points((i0, i1, j0, j1)):
+                    o = compare(dist2(p, q), threshold)
+                    if o is Ordering.INDETERMINATE:
+                        raise IndeterminateError(f"separation of {p} and {q}")
+                    if o is Ordering.LESS:
+                        return k, q
+                continue
+            if xlo < x < xhi and ylo < y < yhi:
+                continue  # the last hole covers its window
+            for xlo, xhi, ylo, yhi in clear:
+                if xlo < x < xhi and ylo < y < yhi:
                     break
             else:
-                if x is None:
-                    for q in self._points((i0, i1, j0, j1)):
-                        o = compare(dist2(p, q), threshold)
-                        if o is Ordering.INDETERMINATE:
-                            raise IndeterminateError(
-                                f"separation of {p} and {q}")
-                        if o is Ordering.LESS:
-                            return k, q
-                    continue
+                x, y = x * mp, y * mp
+                i0 = max(0, -((X0 - x + RM) // S))
+                i1 = min(nx, (x + RM - X0) // S)
+                j0 = max(0, -((Y0 - y + RM) // S))
+                j1 = min(ny, (y + RM - Y0) // S)
                 for i in range(i0, i1 + 1):
                     dx = X0 + i * S - x
                     for j in range(j0, j1 + 1):
@@ -226,6 +234,22 @@ class LatticeBlock:
                             return k, Point(self.x0 + i * self.step,
                                             self.y0 + j * self.step)
         return None
+
+
+def _clear_range(k0: int, k1: int, n: int, origin: int, step: int,
+                 reach: int, m: int) -> tuple[int | float, int | float]:
+    """Open bounds (lo, hi) on an integer c for one axis of a hole's index
+    box k0..k1: the indices of 0..n within reach of c*m on the scale of
+    origin and step, clamped to 0..n as :meth:`LatticeBlock._window` clamps
+    them, have both ends in k0..k1 exactly when lo < c < hi.  The low end
+    is at least k0 > 0 exactly when c*m exceeds origin + (k0-1)*step +
+    reach, and the high end at most k1 < n exactly when c*m is below
+    origin + (k1+1)*step - reach; the side of k0 = 0 or of k1 = n is
+    unbounded, an infinity."""
+    lo = -math.inf if k0 <= 0 else (origin + (k0 - 1) * step + reach) // m
+    hi = (math.inf if k1 >= n
+          else -((reach - origin - (k1 + 1) * step) // m))
+    return lo, hi
 
 
 def _index_range(ln: int, ld: int, hn: int, hd: int, origin: int, step: int,
@@ -329,6 +353,15 @@ def _int(no: int, tok: str) -> int:
         raise ParseError(no, f"bad integer {tok!r}") from None
 
 
+def _count(no: int, tok: str, what: str) -> int:
+    """The number of ``what`` items that follow, which may not be
+    negative: a negative count would read as none and not write back."""
+    n = _int(no, tok)
+    if n < 0:
+        raise ParseError(no, f"{what} count must be nonnegative")
+    return n
+
+
 def parse_instance(text: str) -> Instance:
     cur = _Cursor(text)
     no, toks = cur.next("header")
@@ -350,9 +383,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(no, "d2 must be nonnegative")
 
     no, ntok = _expect_kv(cur, "disks")
-    n = _int(no, ntok)
-    if n < 0:
-        raise ParseError(no, "disk count must be nonnegative")
+    n = _count(no, ntok, "disk")
 
     scalars: dict[str, Scalar] = {}
     disks = []
@@ -365,14 +396,14 @@ def parse_instance(text: str) -> Instance:
     blocks: list[LatticeBlock] = []
     if not cur.done():
         no, btok = _expect_kv(cur, "blocks")
-        for _ in range(_int(no, btok)):
+        for _ in range(_count(no, btok, "block")):
             no, toks = cur.next("block definition")
             if len(toks) != 8 or toks[4] != "step" or toks[6] != "holes":
                 raise ParseError(
                     no, "expected 'x0 y0 x1 y1 step <s> holes <h>'")
             x0, y0, x1, y1 = (_rat(no, t) for t in toks[:4])
             step = _rat(no, toks[5])
-            nh = _int(no, toks[7])
+            nh = _count(no, toks[7], "hole")
             if step <= 0:
                 raise ParseError(no, "block step must be positive")
             if x0 > x1 or y0 > y1:
@@ -437,7 +468,7 @@ def parse_witness(text: str) -> Witness:
     no, mtok = _expect_kv(cur, "moves")
     scalars: dict[str, Scalar] = {}
     moves: dict[int, Point] = {}
-    for _ in range(_int(no, mtok)):
+    for _ in range(_count(no, mtok, "move")):
         no, toks = cur.next("move line")
         if len(toks) != 4 or toks[1] != "->":
             raise ParseError(no, "expected '<index> -> <x> <y>'")

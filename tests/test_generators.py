@@ -24,6 +24,7 @@ from diskdispersal.gridtiling import (
     write_gridtiling,
 )
 from diskdispersal.instance_io import (
+    Instance,
     parse_instance,
     validate_witness,
     write_instance,
@@ -208,6 +209,36 @@ class TestGridTiling:
         for p in inst.disks:
             for q in block.near_points(p, F(2)):
                 assert dist2(p, q) >= 4
+
+    def test_wall_disk_moved_into_the_fill_hits_the_block(self):
+        # the solution plus one move: the rightmost unmoved disk of the
+        # first cell's hole, two units right, towards the fill; it clears
+        # every disk, so the packing check passes and the block check
+        # decides
+        gt = GridTilingInstance(2, 1, {(1, 1): frozenset({(1, 2), (2, 1)})})
+        inst = gen_gridtiling(gt)
+        w = gridtiling_witness(gt, inst, [1], [2])
+        block = inst.blocks[0]
+        hole = block.holes[0]
+        idx = max((i for i, p in enumerate(inst.disks) if i not in w.moves
+                   and hole.x0 <= p.x <= hole.x1
+                   and hole.y0 <= p.y <= hole.y1),
+                  key=lambda i: (inst.disks[i].x, -i))
+        p = inst.disks[idx]
+        moves = {**w.moves, idx: Point(p.x + 2, p.y)}
+        final = [moves.get(i, q) for i, q in enumerate(inst.disks)]
+        assert all(dist2(final[idx], q) >= 4
+                   for i, q in enumerate(final) if i != idx)
+        wider = Instance(inst.variant, inst.k + 1, inst.d2, inst.disks,
+                         inst.blocks)
+        res = validate_witness(wider, Witness(moves))
+        assert (res.status, res.reason, res.detail) == ("reject", "block", idx)
+        brute = [(i, r) for i, q in enumerate(final)
+                 for r in block.near_points(q, F(2)) if dist2(q, r) < 4]
+        assert brute and {i for i, _ in brute} == {idx}
+        # validate_witness decides moved disks exactly; on the integer
+        # scale, the same hit
+        assert block.first_close(final, F(4)) == brute[0]
 
     def test_adjacent_columns_offset_by_one(self):
         lay = build_layout(FIG7)

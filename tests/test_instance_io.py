@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from diskdispersal.instance_io import (
     Rect,
     ValidationResult,
     Witness,
+    _clear_range,
     apply_witness,
     expand_blocks,
     parse_instance,
@@ -22,7 +24,7 @@ from diskdispersal.instance_io import (
     write_witness,
 )
 from diskdispersal.numerics import (IndeterminateError, Interval, Ordering,
-                                    compare, parse_scalar, quadext)
+                                    ceil_sqrt, compare, parse_scalar, quadext)
 
 
 def P(x, y):
@@ -66,6 +68,18 @@ class TestParsing:
         with pytest.raises(ParseError) as ei:
             parse_instance(bad)
         assert ei.value.line == 3
+
+    def test_negative_block_count_reports_line(self):
+        bad = SPEC_FILE.replace("blocks: 1", "blocks: -2")
+        with pytest.raises(ParseError) as ei:
+            parse_instance(bad)
+        assert ei.value.line == 9 and "block count" in ei.value.msg
+
+    def test_negative_hole_count_reports_line(self):
+        bad = SPEC_FILE.replace("holes 1", "holes -3")
+        with pytest.raises(ParseError) as ei:
+            parse_instance(bad)
+        assert ei.value.line == 10 and "hole count" in ei.value.msg
 
     def test_bad_rational_reports_line(self):
         bad = SPEC_FILE.replace("1 0", "1 zz", 1)
@@ -181,6 +195,11 @@ class TestWitnessFormat:
         text = write_witness(Witness({}))
         assert "moves: 0" in text
         assert parse_witness(text).moves == {}
+
+    def test_negative_move_count_reports_line(self):
+        with pytest.raises(ParseError) as ei:
+            parse_witness("DISPERSALMOVES v1\nmoves: -1\n")
+        assert ei.value.line == 2 and "move count" in ei.value.msg
 
     def test_duplicate_index_rejected(self):
         bad = "DISPERSALMOVES v1\nmoves: 2\n1 -> 5 0\n1 -> 7 0\n"
@@ -694,6 +713,132 @@ class TestBlocks:
         else:
             assert (implicit.reason, implicit.detail) == \
                 (explicit.reason, explicit.detail)
+
+
+# every reach ceil_sqrt gives from 0 to 3, with thresholds at and just below
+# a square, and 0, the tolerant threshold 4 - eps of eps = 4
+CLEAR_THRESHOLDS = (F(4), F(4) - F(1, 10 ** 9), F(25, 4), F(9, 4), F(1),
+                    F(1, 4), F(0))
+
+
+class TestClearRectangles:
+    """first_close clears a point on the scale when it lies inside one
+    hole's rectangle of scaled coordinates; each case meets an edge of
+    those rectangles, against brute_lattice."""
+
+    @staticmethod
+    def check(b, pts):
+        """first_close of every suffix of pts, so that each point comes
+        first once, equals the brute-force first close pair."""
+        lattice = brute_lattice(b)
+        for threshold in CLEAR_THRESHOLDS:
+            close = [next((q for q in lattice if compare(
+                dist2(p, q), threshold) is Ordering.LESS), None)
+                for p in pts]
+            for start in range(len(pts)):
+                want = next(((k - start, close[k])
+                             for k in range(start, len(pts))
+                             if close[k] is not None), None)
+                assert b.first_close(pts[start:], threshold) == want, \
+                    (threshold, start)
+
+    @staticmethod
+    def edge_points(b, unit):
+        """Points on the grid of unit at and around each bound of each
+        hole's rectangle, for every reach: the last lattice line outside the
+        hole moved a reach towards it, one unit either side, and the grid
+        points on both sides of a bound off the grid.  Each bound's points
+        run from inside the hole out, so that the rectangle that cleared
+        the point before is tried first at the bound.  They lie on the grid
+        line nearest the lattice line nearest the middle of the hole, so
+        that a point just inside a bound is close to a lattice point when
+        the threshold is the reach's square."""
+        xs = [b.x0 + i * b.step for i in range(b.nx + 1)]
+        ys = [b.y0 + j * b.step for j in range(b.ny + 1)]
+
+        def grid(v, up):
+            cs = range(math.floor(v / unit) - 1, math.ceil(v / unit) + 2)
+            return [c * unit for c in (cs if up else reversed(cs))]
+
+        pts = []
+        for h in b.holes:
+            xm, ym = (round(min(vs, key=lambda v: abs(2 * v - lo - hi))
+                            / unit) * unit
+                      for vs, lo, hi in ((xs, h.x0, h.x1), (ys, h.y0, h.y1)))
+            for r in sorted({ceil_sqrt(t) for t in CLEAR_THRESHOLDS}):
+                for vs, lo, hi, at in ((xs, h.x0, h.x1, lambda v: (v, ym)),
+                                       (ys, h.y0, h.y1, lambda v: (xm, v))):
+                    for v in [v for v in vs if v < lo][-1:]:
+                        pts += [Point(*at(c)) for c in grid(v + r, False)]
+                    for v in [v for v in vs if v > hi][:1]:
+                        pts += [Point(*at(c)) for c in grid(v - r, True)]
+        return pts
+
+    def test_clear_range_matches_the_clamped_window(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            n, step, m = rng.randint(0, 9), rng.randint(1, 7), \
+                rng.randint(1, 5)
+            origin, reach = rng.randint(-20, 20), rng.randint(0, 12)
+            k0 = rng.randint(0, n + 1)
+            k1 = rng.randint(k0 - 2, n)
+            lo, hi = _clear_range(k0, k1, n, origin, step, reach, m)
+            for c in range(-80, 80):
+                i0 = max(0, math.ceil(F(c * m - reach - origin, step)))
+                i1 = min(n, math.floor(F(c * m + reach - origin, step)))
+                assert (lo < c < hi) == (k0 <= i0 and i1 <= k1), \
+                    (n, step, m, origin, reach, k0, k1, c)
+
+    def test_holes_past_the_sides(self):
+        # h0 = 0 and g0 = 0, h1 = nx and g1 = ny, and a hole across the
+        # whole block
+        b = LatticeBlock(F(0), F(0), F(20), F(16), F(2), (
+            Rect(F(-3), F(-3), F(5), F(7)), Rect(F(13), F(9), F(25), F(21)),
+            Rect(F(-1), F(11), F(9), F(99)),
+            Rect(F(-9), F(-9), F(29), F(-1, 2))))
+        pts = self.edge_points(b, F(1, 4))
+        pts += [P(-10, 3), P(30, 12), P(2, -6), P(17, 40)]  # off the block
+        self.check(b, pts)
+
+    def test_hole_without_a_lattice_point(self):
+        for b in (LatticeBlock(F(0), F(0), F(12), F(12), F(2),
+                               (Rect(F(13, 2), F(13, 2), F(15, 2),
+                                     F(15, 2)),)),
+                  LatticeBlock(F(0), F(0), F(30), F(30), F(5),
+                               (Rect(F(11, 2), F(-3), F(19, 2), F(40)),))):
+            assert b._hole_boxes[0][0] > b._hole_boxes[0][1]
+            self.check(b, self.edge_points(b, F(1, 3)))
+
+    def test_consecutive_points_in_different_holes(self):
+        holes = (Rect(F(3), F(3), F(9), F(9)), Rect(F(13), F(3), F(19), F(9)),
+                 Rect(F(3), F(13), F(19), F(19)))
+        b = LatticeBlock(F(0), F(0), F(24), F(24), F(2), holes)
+        a, c, e = (Point((h.x0 + h.x1) / 2, (h.y0 + h.y1) / 2)
+                   for h in holes)
+        pts = [a, c, a, e, c, e, e, a, P(F(23, 2), 6), c]
+        self.check(b, pts + self.edge_points(b, F(1, 2)))
+
+    def test_block_scale_finer_than_the_points(self):
+        # the block's denominator 3 does not divide the points' 2, so M = 6
+        # and one unit of the points is three of M
+        b = LatticeBlock(F(1, 3), F(-2, 3), F(61, 3), F(46, 3), F(7, 3), (
+            Rect(F(3), F(2), F(9), F(7)), Rect(F(-5), F(11), F(8), F(20))))
+        pts = self.edge_points(b, F(1, 2))
+        pts += [Point(F(x, 2), F(y, 2))
+                for x in range(-2, 44, 7) for y in range(-4, 34, 5)]
+        D, X, _ = scale_points(pts)
+        assert D == 2 and None not in X
+        self.check(b, pts)
+
+    def test_tolerant_eps_of_four_clears_every_point(self):
+        # at eps = 4 the threshold is 0: a disk on a lattice point passes
+        b = LatticeBlock(F(0), F(0), F(12), F(12), F(2),
+                         (Rect(F(3), F(3), F(9), F(9)),))
+        inst = Instance("euclidean", 0, F(0), (P(2, 2), P(6, 6), P(13, 1)),
+                        (b,))
+        assert b.first_close(list(inst.disks), F(0)) is None
+        assert validate_witness(inst, Witness({})).reason == "block"
+        assert validate_witness(inst, Witness({}), F(4)).accepted
 
 
 # disk 0 moves; disk 1 is tangent to it and to the lattice point (6, 10);

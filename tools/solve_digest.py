@@ -8,11 +8,13 @@ the number of solves and two SHA-256 digests: one of the answers, over each
 answer's verdict and witness text, and one of the logs, over each answer's
 reason and log lines.  A fifth line gives the SHA-256 of the Fig. 7
 grid-tiling instance text and of its witness text, with the results of
-validating the parsed texts and of validating the parsed instance against
-the empty witness, whose first overlapping pair it names; one more line
-digests 50 small seeded ``gen_random`` instances whose one coordinate is a
-radical or a ``~`` literal, so that their covers have a centre that is not
-rational.  The next line digests the three seeded ``gen_random`` instances
+validating the parsed texts, of validating the parsed instance against the
+empty witness, whose first overlapping pair it names, and of validating it,
+with a budget one larger, against the witness with one more move, a wall
+disk two units out into the lattice fill, which the block check names.  One
+more line digests 50 small seeded ``gen_random`` instances whose one
+coordinate is a radical or a ``~`` literal, so that their covers have a
+centre that is not rational.  The next line digests the three seeded ``gen_random`` instances
 whose yes comes from a stage-3 grid witness, which no other line reaches.
 The last, "off-scale rationals", digests 24 seeded ``gen_random`` instances
 whose every disk's x is shifted by 1/p for its own prime p above 2^21, so
@@ -29,10 +31,11 @@ coordinate a ``Fraction``.  The instance text is parsed once more and
 validated in the other order, the empty witness first: an instance keeps
 its pairs between validations, and each result must equal that of the
 first parse.  The script exits 1, after its lines, when a witness is
-rejected, including the Fig. 7 witness, the Fig. 7 round trip fails, or
-the second parse gives another result.  The
-benchmark inputs come from ``perfbench/workloads.py``, which is imported and
-never changed; the library is imported from this checkout's ``src/``.
+rejected, including the Fig. 7 witness, the Fig. 7 round trip fails, the
+second parse gives another result, or the block check passes the move into
+the fill.  The benchmark inputs come from ``perfbench/workloads.py``, which
+is imported and never changed; the library is imported from this checkout's
+``src/``.
 
 ``tools/solve_digest.txt`` holds the expected output, and CI diffs a fresh
 run against it.  A change that alters these outputs on purpose rewrites
@@ -110,9 +113,10 @@ def fig7_line() -> tuple[str, list[str]]:
     """The Fig. 7 line, and the faults of its text round trip and its
     witness: a text that does not write back byte for byte, a parsed
     coordinate that is not a ``Fraction``, a parsed witness that
-    ``validate_witness`` does not accept, or a second parse of the instance
+    ``validate_witness`` does not accept, a second parse of the instance
     text whose validations, the empty witness first, differ from those of
-    the first parse."""
+    the first parse, or a move into the fill that the block check
+    passes."""
     spec = workloads.fig7_input(1).spec
     inst = dd.gen_gridtiling(spec)
     w = dd.gridtiling_witness(spec, inst, workloads.FIG7_ROWS,
@@ -131,6 +135,10 @@ def fig7_line() -> tuple[str, list[str]]:
     if not accepted.accepted:
         faults.append("the Fig. 7 witness fails validation")
     empty = dd.validate_witness(back, dd.Witness({}))
+    wider, into = fill_move(back, w_back)
+    fill = dd.validate_witness(wider, into)
+    if fill.reason != "block":
+        faults.append("the Fig. 7 move into the fill passes the block check")
     # a second parse validates in the other order: each call must give what
     # it gave first, whatever the instance kept from the call before
     again = dd.parse_instance(inst_text)
@@ -139,8 +147,25 @@ def fig7_line() -> tuple[str, list[str]]:
         faults.append("the Fig. 7 results depend on the order of validation")
     line = (f"gridtiling-fig7: instance sha256 {sha256(inst_text)}, "
             f"witness sha256 {sha256(witness_text)}, "
-            f"witness {accepted}, empty witness {empty}")
+            f"witness {accepted}, empty witness {empty}, "
+            f"one more move into the fill {fill}")
     return line, faults
+
+
+def fill_move(inst: dd.Instance,
+              w: dd.Witness) -> tuple[dd.Instance, dd.Witness]:
+    """The instance with a budget one larger, and w with one more move: the
+    unmoved disk inside the first hole of the first block with the greatest
+    x, the first such, two units right, out of the hole towards the
+    fill."""
+    hole = inst.blocks[0].holes[0]
+    idx = max((i for i, p in enumerate(inst.disks) if i not in w.moves
+               and hole.x0 <= p.x <= hole.x1 and hole.y0 <= p.y <= hole.y1),
+              key=lambda i: (inst.disks[i].x, -i))
+    p = inst.disks[idx]
+    return (dd.Instance(inst.variant, inst.k + 1, inst.d2, inst.disks,
+                        inst.blocks),
+            dd.Witness({**w.moves, idx: dd.Point(p.x + 2, p.y)}))
 
 
 def non_rational_cases() -> list[dd.Instance]:
