@@ -42,7 +42,6 @@ __all__ = [
     "scale_points",
     "near",
     "within_move",
-    "translate",
 ]
 
 FOUR = Fraction(4)
@@ -305,8 +304,4 @@ def within_move(origin: Point, target: Point, d2, variant: str) -> bool:
             return sign_le(dx * dx, d2, "move bound")
         return False
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def translate(p: Point, vx, vy) -> Point:
-    return Point(p.x + frac(vx), p.y + frac(vy))
 

@@ -175,17 +175,17 @@ def shrink_parts(disks: Sequence[Disk], parts: Sequence[Sequence[int]],
     return [p for p in out if p is not None]
 
 
-def halo_partition(inst: Instance, d=None) -> list[list[int]]:
-    """Group disks by connectivity of their radius-(d+1) enlargements.
+def halo_partition(inst: Instance) -> list[list[int]]:
+    """Group disks by connectivity of their radius-(d+1) enlargements, d
+    being ``derived_d(inst.d2)``.
 
     Disks whose halos touch or overlap land in one part; different parts
     are separated by strictly more than 2d+2 between centers.
     """
     if inst.blocks:
         raise ValueError("halo partition requires explicit disks")
-    dd = derived_d(inst.d2) if d is None else frac(d)
-    g = build_graph(inst.disks, radius=dd + 1, include_touching=True,
-                    scaled=inst.scaled)
+    g = build_graph(inst.disks, radius=derived_d(inst.d2) + 1,
+                    include_touching=True, scaled=inst.scaled)
     return components(g)
 
 
@@ -207,6 +207,6 @@ def shrink_kernel(kinst: Instance) -> Instance:
     if not kinst.disks:
         return kinst
     d = derived_d(kinst.d2)
-    parts = halo_partition(kinst, d)
+    parts = halo_partition(kinst)
     shrunk = shrink_parts(kinst.disks, parts, 2 * d + 2)
     return Instance(kinst.variant, kinst.k, kinst.d2, tuple(shrunk), ())

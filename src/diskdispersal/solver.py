@@ -51,22 +51,24 @@ is vacuous (2 - sqrt(2)*delta <= 0) and every point passes it.
 
 Stage 1 returns a refutation by the lone-member lemma or None, never a
 placement; stage 2 a feasible ``Feasibility`` or None; stage 3 always a
-``Feasibility``, unknown ("non-rational centers") without a frame or on one
-where some member has ``others``.  ``feasibility`` runs a stage only when
-the one before it returned None, so one rule decides each set: the lemma,
-the walk or the grid.
+``Feasibility``, unknown ("non-rational centers") on a frame where some
+member has ``others``.  No stage returns because the clock ran out: each
+raises TimeoutError (below).  ``feasibility`` runs a stage only when the
+one before it returned None, so one rule decides each set: the lemma, the
+walk or the grid.
 
-A member x whose centre o is not rational.  Its set A gets no frame and
-ends unknown ("non-rational centers"), and no yes turns into a no: as
-tangencies are built on rational centres only, a walk on A could only keep
-x at o, clear of the fixed disks and of the other targets.  Then the cover
-A minus x, less its near groups with no conflict disk, is yielded before A
-and has the same placement with o fixed (near-group lemma below), so no
-sound refutation -- the lone-member lemma on a member whose near fixed
-centres are all rational, a grid on a frame whose near centres all are --
-applies to it.  When no group was taken out, its walk lists the same
-candidates and runs the same tests, and by induction on such members its
-first subset with a frame finds the placement.
+A member x whose centre o is not rational.  ``feasibility`` answers its set
+A unknown ("non-rational centers") with no frame and no stage, and no yes
+turns into a no: as tangencies are built on rational centres only, a walk
+on A could only keep x at o, clear of the fixed disks and of the other
+targets.  Then the cover A minus x, less its near groups with no conflict
+disk, is yielded before A and has the same placement with o fixed
+(near-group lemma below), so no sound refutation -- the lone-member lemma
+on a member whose near fixed centres are all rational, a grid on a frame
+whose near centres all are -- applies to it.  When no group was taken out,
+its walk lists the same candidates and runs the same tests, and by
+induction on such members its first subset with a frame finds the
+placement.
 
 Lone-member lemma.  Let x be a member whose origin o is rational, with
 every fixed centre within derived_d(d2) + 2 of o rational, and let R be the
@@ -121,11 +123,14 @@ and that answer is unknown.
 ``SolverConfig`` has two fields: ``delta`` (stage 3's finest grid) and
 ``time_budget`` (None, or seconds at least 0), which bounds the whole
 solve: ``solve`` turns it into one ``time.monotonic()`` deadline before
-kernelization and hands it to the enumeration, to every stage and to every
-DFS node of every grid pass, so an expired budget ends the solve within
-one step of any of them and reports unknown ("time budget").  The fixed
-search limits are module constants: ``DELTA_START`` (stage 3's first,
-coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
+kernelization and hands it to the enumeration, to stages 1 and 2 and to
+every DFS node of every grid pass.  Each reads the clock through one
+helper that raises TimeoutError("time budget") once the deadline has
+passed, so an expired budget ends the solve within one step of any of
+them, and no cut-short sweep passes for a finished one; only
+``feasibility`` and ``solve`` catch it, into unknown ("time budget").  The
+fixed search limits are module constants: ``DELTA_START`` (stage 3's
+first, coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
 That budget counts DFS nodes, and menu cells times (near fixed centres +
 1), not the tests at a node, so only ``time_budget`` bounds a pass.
 Stages 1 and 2 have no limit of their own: each tries every candidate it
@@ -209,13 +214,15 @@ class Feasibility:
     member: Optional[int] = None      # movable that alone has no place
 
 
-def _expired(deadline: Optional[float]) -> bool:
-    """Whether a ``time.monotonic()`` deadline has passed; None never does."""
-    return deadline is not None and time.monotonic() > deadline
+def _check_clock(deadline: Optional[float]) -> None:
+    """Raise TimeoutError("time budget") once a ``time.monotonic()``
+    deadline has passed; None never does."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("time budget")
 
 
 class _Stop(Exception):
-    """Leaves a grid pass early; its argument is the reason for unknown."""
+    """Leaves a grid pass whose work passes GRID_NODE_BUDGET."""
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +235,9 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
     group holds a disk with a conflict edge (module docstring), by
     increasing size then lexicographic.  Level s holds the size-s leaves of
     edge branching and each set of level s - 1 plus one disk near one of its
-    members; a level grows once the one before it is yielded.  Once
-    ``deadline`` has passed it yields nothing more, so the caller must check
-    the deadline before trusting the enumeration."""
+    members; a level grows once the one before it is yielded.  It raises
+    TimeoutError once ``deadline`` has passed, so an enumeration that ends
+    without one is complete."""
     disks = inst.disks
     reach2 = (derived_d(inst.d2) + 2) ** 2
     leaves: list[set[tuple[int, ...]]] = [set() for _ in range(inst.k + 1)]
@@ -239,7 +246,8 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
     def branch(chosen: set[int]) -> None:
         for i, j in g.edges:
             if i not in chosen and j not in chosen:
-                if len(chosen) < inst.k and not _expired(deadline):
+                if len(chosen) < inst.k:
+                    _check_clock(deadline)
                     for w in (i, j):
                         branch(chosen | {w})
                 return
@@ -249,8 +257,7 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
     level: list[tuple[int, ...]] = []
     for grown in leaves:
         for cand in level:
-            if _expired(deadline):
-                return
+            _check_clock(deadline)
             for m in cand:
                 if m not in near:
                     near[m] = geometry.near(disks, inst.scaled, m, reach2,
@@ -259,8 +266,7 @@ def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
                              for j in near[m] if j not in cand)
         level = sorted(grown)
         for cand in level:
-            if _expired(deadline):
-                return
+            _check_clock(deadline)
             yield list(cand)
 
 
@@ -476,88 +482,68 @@ class _Frame:
         return True
 
 
-def _walk(frame: _Frame, deadline: Optional[float]
-          ) -> Optional[Feasibility]:
-    """The first placement of the frame's members, depth first: member i
-    tries ``frame.candidates(i, placed)`` in order and keeps a candidate t
-    when ``frame.fits(i, t, placed)``.  None when there is none or the
-    deadline passes."""
-    placed: list = []
-
-    def rec(idx: int) -> bool:
-        if _expired(deadline):
-            return False
-        if idx == len(frame.origins):
-            return True
-        for t in frame.candidates(idx, placed):
-            if not frame.fits(idx, t, placed):
-                continue
-            placed.append(t)
-            if rec(idx + 1):
-                return True
-            placed.pop()
-        return False
-
-    if not rec(0):
-        return None
-    return Feasibility("feasible",
-                       {i: frame.point(t) for i, t in enumerate(placed)})
-
-
-def _stage_candidates(frame: Optional[_Frame], deadline: Optional[float]
+def _stage_candidates(frame: _Frame, deadline: Optional[float]
                       ) -> Optional[Feasibility]:
     """Stage 1: a refutation when some member without ``others`` alone has
     no place clear of the fixed disks (the module docstring's lone-member
     lemma), else None."""
-    if frame is None:
-        return None
     for i, others in enumerate(frame.others):
-        if _expired(deadline):
-            return None
+        _check_clock(deadline)
         if not (others or any(frame.fits(i, t, ())
                               for t in frame.candidates(i, ()))):
             return Feasibility("infeasible", member=i, reason=NO_PLACE)
     return None
 
 
-def _stage_numeric(frame: Optional[_Frame], deadline: Optional[float]
+def _stage_numeric(frame: _Frame, deadline: Optional[float]
                    ) -> Optional[Feasibility]:
-    """Stage 2: the walk's first placement on any frame, or None.  The
-    name is left from the float descent this stage once ran: the stage
-    wrappers of ``perfbench/layers.py`` bind it, so its rename to
-    ``_stage_walk`` waits for ROADMAP item 2."""
-    return None if frame is None else _walk(frame, deadline)
+    """Stage 2: the first placement of the frame's members, depth first,
+    or None: member i tries ``frame.candidates(i, placed)`` in order and
+    keeps a candidate t when ``frame.fits(i, t, placed)``.  The name is
+    left from the float descent this stage once ran: the stage wrappers of
+    ``perfbench/layers.py`` bind it, so its rename to ``_stage_walk`` waits
+    for ROADMAP item 2."""
+    placed: list = []
+
+    def rec(idx: int) -> bool:
+        _check_clock(deadline)
+        if idx == len(frame.origins):
+            return True
+        for t in frame.candidates(idx, placed):
+            if frame.fits(idx, t, placed):
+                placed.append(t)
+                if rec(idx + 1):
+                    return True
+                placed.pop()
+        return False
+
+    return (Feasibility("feasible",
+                        {i: frame.point(t) for i, t in enumerate(placed)})
+            if rec(0) else None)
 
 
 # ---------------------------------------------------------------------------
 # stage 3: grid sweep with Lipschitz slack (proof-grade refutation)
 
-def _stage_grid(frame: Optional[_Frame], cfg: SolverConfig,
+def _stage_grid(frame: _Frame, cfg: SolverConfig,
                 deadline: Optional[float]) -> Feasibility:
     """Stage 3, on a frame where no member has ``others`` (unknown,
-    "non-rational centers", otherwise): sweep delta grids coarse to fine on
-    the frame.
-    Outcomes: an exact grid witness (feasible); a completed sweep with no
-    assignment surviving the relaxed constraints (infeasible, certificate
-    delta); or the finest pass's unknown, when relaxed assignments remain
-    or a budget runs out.
+    "non-rational centers", otherwise): grid passes from DELTA_START,
+    halving down to ``cfg.delta``, coarse to fine.
+    Outcomes: an exact grid witness (feasible); a pass with no assignment
+    surviving the relaxed constraints (infeasible, certificate delta); or
+    the finest pass's unknown, when relaxed assignments remain or its node
+    budget runs out.
     """
-    if frame is None or any(frame.others):
+    if any(frame.others):
         return Feasibility("unknown", reason="non-rational centers")
-    deltas: list[Fraction] = []
-    dlt = DELTA_START
-    while dlt > cfg.delta:
-        deltas.append(dlt)
-        dlt = dlt / 2
-    deltas.append(cfg.delta)
-
-    for delta in deltas:
-        if _expired(deadline):
-            return Feasibility("unknown", reason="time budget")
+    delta = DELTA_START
+    while True:
+        delta = max(delta, cfg.delta)
         res = _grid_pass(frame, delta, deadline)
-        if res.status != "unknown":
+        if res.status != "unknown" or delta == cfg.delta:
             return res
-    return res
+        delta /= 2
 
 
 def _grid_pass(frame: _Frame, delta: Fraction,
@@ -573,8 +559,9 @@ def _grid_pass(frame: _Frame, delta: Fraction,
     A - B*sqrt(2), A = 4 + 2s^2 and B = 4s, with s = delta for moved-fixed
     pairs and s = 2*delta for moved-moved pairs; A = 0 makes one vacuous
     once s*sqrt(2) >= 2.  The pass gives up with unknown when its work
-    passes GRID_NODE_BUDGET or the deadline passes; both checks run once
-    per movable while the menus are built and at every DFS node.
+    passes GRID_NODE_BUDGET, and raises TimeoutError when the deadline
+    passes; both checks run once per movable while the menus are built and
+    at every DFS node.
     """
     r = delta.denominator // math.gcd(frame.M, delta.denominator)
     M = frame.M * r
@@ -609,9 +596,8 @@ def _grid_pass(frame: _Frame, delta: Fraction,
 
     def spend(work: int) -> None:
         if work > GRID_NODE_BUDGET:
-            raise _Stop("grid node budget")
-        if _expired(deadline):
-            raise _Stop("time budget")
+            raise _Stop
+        _check_clock(deadline)
 
     def menu(i: int) -> list[tuple]:
         """Member i's displaced positions that pass the relaxed tests
@@ -667,8 +653,8 @@ def _grid_pass(frame: _Frame, delta: Fraction,
         # back through the permutation
         order = sorted(range(len(menus)), key=lambda i: (len(menus[i]), i))
         relaxed, exact = rec(0, True, False)
-    except _Stop as e:
-        return Feasibility("unknown", reason=str(e))
+    except _Stop:
+        return Feasibility("unknown", reason="grid node budget")
     if exact:
         return Feasibility("feasible", {i: frame.point(t)
                                         for i, t in zip(order, chosen)})
@@ -688,22 +674,26 @@ def feasibility(inst: Instance, members: Sequence[int],
     admit new positions; slot i of an assignment is ``members[i]``.
 
     The disks outside ``members`` must form a packing, and all disks are
-    explicit (no lattice fill).  The set gets one :class:`_Frame` when
-    every member's centre is rational, and none otherwise; every stage
-    reads it.  See the module docstring for the rule of each stage and its
-    guarantees.  ``deadline`` is a ``time.monotonic()`` instant (None: no
-    limit); once it has passed, every stage gives up and the answer is
-    unknown with reason "time budget", or "non-rational centers" for a set
-    that stage 3 does not take.
+    explicit (no lattice fill).  A set with a member whose centre is not
+    rational is unknown ("non-rational centers"); any other gets one
+    :class:`_Frame`, which every stage reads.  See the module docstring for
+    the rule of each stage and its guarantees.  ``deadline`` is a
+    ``time.monotonic()`` instant (None: no limit); once it has passed, the
+    stage that reads the clock raises TimeoutError, and the answer is
+    unknown with reason "time budget".
     """
     cfg = cfg or SolverConfig()
     if not members:
         return Feasibility("feasible", {})
-    frame = (_Frame(inst, members)
-             if all(inst.disks[m].is_rational() for m in members) else None)
-    return (_stage_candidates(frame, deadline)
-            or _stage_numeric(frame, deadline)
-            or _stage_grid(frame, cfg, deadline))
+    if not all(inst.disks[m].is_rational() for m in members):
+        return Feasibility("unknown", reason="non-rational centers")
+    frame = _Frame(inst, members)
+    try:
+        return (_stage_candidates(frame, deadline)
+                or _stage_numeric(frame, deadline)
+                or _stage_grid(frame, cfg, deadline))
+    except TimeoutError as e:
+        return Feasibility("unknown", reason=str(e))
 
 
 def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
@@ -738,28 +728,30 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
-    for cand in enumerate_candidate_sets(kinst, g, deadline):
-        res = feasibility(kinst, cand, cfg, deadline=deadline)
-        if res.status == "feasible":
-            moves = {}
-            for slot, target in res.assignment.items():
-                orig_idx = report.kept[cand[slot]]
-                if target != inst.disks[orig_idx]:
-                    moves[orig_idx] = target
-            return Answer("yes", Witness(moves),
-                          log=tuple(log + [f"moved set {cand}"]))
-        if res.status == "infeasible":
-            if res.delta is not None:
-                log.append(f"set {cand}: refuted at delta {res.delta}")
+    try:
+        for cand in enumerate_candidate_sets(kinst, g, deadline):
+            res = feasibility(kinst, cand, cfg, deadline=deadline)
+            if res.status == "feasible":
+                moves = {}
+                for slot, target in res.assignment.items():
+                    orig_idx = report.kept[cand[slot]]
+                    if target != inst.disks[orig_idx]:
+                        moves[orig_idx] = target
+                return Answer("yes", Witness(moves),
+                              log=tuple(log + [f"moved set {cand}"]))
+            if res.status == "infeasible":
+                if res.delta is not None:
+                    log.append(f"set {cand}: refuted at delta {res.delta}")
+                else:
+                    log.append(f"set {cand}: refuted, "
+                               f"disk {cand[res.member]} {res.reason}")
             else:
-                log.append(f"set {cand}: refuted, "
-                           f"disk {cand[res.member]} {res.reason}")
-        else:
-            unknowns += 1
-            log.append(f"set {cand}: unknown ({res.reason})")
-    if _expired(deadline):
+                unknowns += 1
+                log.append(f"set {cand}: unknown ({res.reason})")
+        _check_clock(deadline)
+    except TimeoutError as e:
         # an incomplete sweep proves nothing
-        return Answer("unknown", reason="time budget", log=tuple(log))
+        return Answer("unknown", reason=str(e), log=tuple(log))
     if unknowns:
         return Answer("unknown",
                       reason=f"{unknowns} candidate sets undecided",

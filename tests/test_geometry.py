@@ -18,7 +18,6 @@ from diskdispersal.geometry import (
     near,
     overlap,
     scale_points,
-    translate,
     within_move,
 )
 from diskdispersal.instance_io import Instance, Witness, validate_witness
@@ -259,7 +258,7 @@ class TestIsPacking:
            st.fractions(max_denominator=8))
     @settings(max_examples=100, deadline=None)
     def test_translation_invariance(self, disks, vx, vy):
-        moved = [translate(p, vx, vy) for p in disks]
+        moved = [Point(p.x + vx, p.y + vy) for p in disks]
         assert is_packing(disks) == is_packing(moved)
 
     @given(st.lists(mixed_points, max_size=14))

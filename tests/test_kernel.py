@@ -227,15 +227,15 @@ class TestHaloPartition:
     def test_far_disks_split(self):
         # d = 1: centers 5 apart exceed 2d+2 = 4
         inst = Instance("euclidean", 1, F(1), (P(0, 0), P(5, 0)))
-        assert halo_partition(inst, F(1)) == [[0], [1]]
+        assert halo_partition(inst) == [[0], [1]]
 
     def test_near_disks_together(self):
         inst = Instance("euclidean", 1, F(1), (P(0, 0), P(3, 0)))
-        assert halo_partition(inst, F(1)) == [[0, 1]]
+        assert halo_partition(inst) == [[0, 1]]
 
     def test_single_disk(self):
         inst = Instance("euclidean", 1, F(1), (P(7, 7),))
-        assert halo_partition(inst, F(1)) == [[0]]
+        assert halo_partition(inst) == [[0]]
 
     def test_parts_separated_beyond_reach(self):
         rng = random.Random(4)

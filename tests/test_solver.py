@@ -27,6 +27,7 @@ from diskdispersal.kernel import derived_d, kernelize
 from diskdispersal.numerics import Ordering, compare, parse_scalar, quadext
 from diskdispersal.oracle import GuardError, oracle
 from diskdispersal.solver import (
+    Answer,
     SolverConfig,
     enumerate_candidate_sets,
     feasibility,
@@ -278,7 +279,7 @@ class TestSearchStages:
         frame = solver._Frame(*moved_set([P(0, 0), P(2, 0)], [P(1, 0)],
                                          F(3), "euclidean"))
         with monkeypatch.context() as m:
-            m.setattr(solver, "_walk", refuse)
+            m.setattr(solver, "_stage_numeric", refuse)
             assert solver._stage_candidates(frame, None) is None
         res = solver._stage_numeric(frame, None)
         assert res.status == "feasible"
@@ -291,14 +292,19 @@ class TestSearchStages:
     def test_stage_one_skips_non_rational_sets(self, monkeypatch, fixed,
                                                movables):
         # a fixed centre that is not rational, within d+2 = 3 of the member,
-        # goes to the member's others; a member that is not rational gets
-        # no frame
-        frame = (solver._Frame(*moved_set(fixed, movables, F(1),
-                                          "euclidean"))
-                 if movables[0].is_rational() else None)
+        # goes to the member's others, and stage 1 skips that member; a set
+        # with a member that is not rational gets no frame, and feasibility
+        # answers it without running a stage
+        inst, members = moved_set(fixed, movables, F(1), "euclidean")
         monkeypatch.setattr(solver._Frame, "fits", refuse)
-        monkeypatch.setattr(solver, "_walk", refuse)
-        assert solver._stage_candidates(frame, None) is None
+        if movables[0].is_rational():
+            frame = solver._Frame(inst, members)
+            assert solver._stage_candidates(frame, None) is None
+            return
+        for name in ("_stage_candidates", "_stage_numeric", "_stage_grid"):
+            monkeypatch.setattr(solver, name, refuse)
+        res = feasibility(inst, members)
+        assert (res.status, res.reason) == ("unknown", "non-rational centers")
 
     def test_each_stage_decides_by_its_one_rule(self, monkeypatch):
         # over the seed-1 benchmark inputs: stage 1 returns only lone-member
@@ -894,6 +900,15 @@ class TestDeadline:
                           deadline=time.monotonic() - 1)
         assert res.status == "unknown" and res.reason == "time budget"
 
+    def test_past_deadline_beats_near_non_rational_centre(self):
+        # the fixed (3 + sqrt(2)/8, 0) lies within d+2 = 3 of the member, so
+        # stage 3 would answer "non-rational centers"; stage 1 reads the
+        # clock first and raises, so the cut-short set reports the time budget
+        res = feasibility(*moved_set(
+            [P(0, 0), Point(quadext(3, F(1, 8), 2), F(0))], [P(1, 0)], F(1),
+            "euclidean"), deadline=time.monotonic() - 1)
+        assert res.status == "unknown" and res.reason == "time budget"
+
     def test_stage_two_walk_checks_the_deadline(self, monkeypatch):
         # the walk reads the clock at its root, at 0, and then at each
         # node below it, at 10, past the deadline of 5
@@ -904,13 +919,15 @@ class TestDeadline:
         assert res.assignment == {0: Point(F(1), quadext(0, 1, 3))}
         clock = iter(itertools.chain([0], itertools.repeat(10)))
         monkeypatch.setattr(solver.time, "monotonic", lambda: next(clock))
-        assert solver._stage_numeric(frame, 5.0) is None
+        with pytest.raises(TimeoutError, match="time budget"):
+            solver._stage_numeric(frame, 5.0)
 
     def test_enumeration_past_deadline_yields_nothing(self):
         inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(5, 0)))
-        assert list(enumerate_candidate_sets(
-            inst, build_graph(inst.disks),
-            deadline=time.monotonic() - 1)) == []
+        gen = enumerate_candidate_sets(inst, build_graph(inst.disks),
+                                       deadline=time.monotonic() - 1)
+        with pytest.raises(TimeoutError, match="time budget"):
+            next(gen)
 
     def test_enumeration_checks_the_deadline_while_a_level_grows(
             self, monkeypatch):
@@ -924,7 +941,30 @@ class TestDeadline:
         monkeypatch.setattr(solver, "compare",
                             lambda *args: tested.append(args))
         monkeypatch.setattr(solver.time, "monotonic", lambda: 10)
-        assert list(gen) == [] and tested == []
+        with pytest.raises(TimeoutError, match="time budget"):
+            next(gen)
+        assert tested == []
+
+    def test_solve_cut_while_a_level_grows(self, monkeypatch):
+        # the tight triple's one size-1 cover [1] is refuted at clock 0;
+        # the clock then passes the deadline of 5, so growing level 2 ends
+        # the solve, which keeps the log of the sets it decided
+        inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(2, 0)))
+        now = [0]
+        monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
+        real = solver.feasibility
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            now[0] = 10
+            return res
+
+        monkeypatch.setattr(solver, "feasibility", spy)
+        assert solve(inst, SolverConfig(time_budget=5)) == Answer(
+            "unknown", reason="time budget",
+            log=("kernel kept 3 of 3 disks",
+                 "set [1]: refuted, disk 1 has no place clear of the fixed "
+                 "disks"))
 
     @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
     def test_nan_or_negative_budget_rejected(self, budget):
@@ -1260,7 +1300,6 @@ class TestOracle:
 class TestDifferentialAgainstOracle:
     def test_random_small_instances_never_contradict(self):
         import random
-        from diskdispersal.geometry import translate
         from diskdispersal.generators import gen_random
         rng = random.Random(424242)
         for trial in range(30):
@@ -1270,9 +1309,9 @@ class TestDifferentialAgainstOracle:
             variant = rng.choice(["euclidean", "rectilinear"])
             base = gen_random(n, rng.randint(3, 7), 7000 + trial, k, d2,
                               variant)
-            shift = (F(-rng.randint(0, 5), 2), F(rng.randint(0, 5), 4))
-            inst = Instance(variant, k, d2,
-                            tuple(translate(p, *shift) for p in base.disks))
+            vx, vy = F(-rng.randint(0, 5), 2), F(rng.randint(0, 5), 4)
+            inst = Instance(variant, k, d2, tuple(
+                Point(p.x + vx, p.y + vy) for p in base.disks))
             s = solve(inst)
             o = oracle(inst, F(1, 8))
             assert {s.verdict, o.verdict} != {"yes", "no"}, trial
