@@ -16,9 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .geometry import (Disk, Point, ScaledPoints, close_pairs, dist2,
-                       merge_pairs, near_filed, pair_pass, scale_points,
-                       within_move)
+from .geometry import (FOUR, Disk, Point, ScaledPoints, close_pairs,
+                       dist2, merge_pairs, near_filed, pair_pass,
+                       scale_points, within_move)
 from .numerics import (
     IndeterminateError,
     Ordering,
@@ -283,14 +283,11 @@ class Instance:
         outside the dataclass fields."""
         return scale_points(self.disks)
 
-    def _conflicts(self, sep: Fraction) -> tuple:
-        """(grid, decided, candidates): the disks' pair_pass at sep, kept
-        for the last sep asked."""
-        memo = self.__dict__.get("_conflicts_at")
-        if memo is None or memo[0] != sep:
-            memo = self.__dict__["_conflicts_at"] = (
-                sep, *pair_pass(self.disks, sep, False, self.scaled))
-        return memo[1:]
+    @cached_property
+    def _conflicts(self) -> tuple:
+        """(grid, decided, candidates): the disks' pair_pass at separation
+        4, built once and kept like ``scaled``."""
+        return pair_pass(self.disks, FOUR, False, self.scaled)
 
 
 @dataclass
@@ -530,9 +527,13 @@ def validate_witness(inst: Instance, w: Witness,
     eps=None is exact mode.  In tolerant mode separation thresholds drop to
     4 - eps and the move budget grows to d2 + eps; acceptance is then
     reported together with the eps used.  A move of a disk the instance
-    does not have, or a negative eps, raises ValueError.  A witness moving
-    under a ninth of the disks, whose targets' 3x3 cells then hold few of
-    them, reuses the pairs kept by :meth:`Instance._conflicts`.
+    does not have, or a negative eps, raises ValueError.  In exact mode a
+    witness moving under a ninth of the disks, whose targets' 3x3 cells
+    then hold few of them, reuses the pairs kept by
+    :attr:`Instance._conflicts`; any other witness, and every tolerant one,
+    gets one pass over its final list.  A lattice block's neighbours lie
+    ``step`` apart, so a block with step^2 below the separation threshold
+    is rejected as "block-step".
     """
     check_witness_indices(inst, w)
     if eps is not None and eps < 0:
@@ -540,7 +541,7 @@ def validate_witness(inst: Instance, w: Witness,
     if len(w.moves) > inst.k:
         return ValidationResult("reject", "budget", len(w.moves), eps)
 
-    sep = Fraction(4) if eps is None else Fraction(4) - eps
+    sep = FOUR if eps is None else FOUR - eps
     budget = inst.d2 if eps is None else inst.d2 + eps
 
     try:
@@ -551,10 +552,10 @@ def validate_witness(inst: Instance, w: Witness,
         final = list(inst.disks)
         for idx, target in w.moves.items():
             final[idx] = target
-        if 9 * len(w.moves) < len(final):
+        if eps is None and 9 * len(w.moves) < len(final):
             # the kept pairs less those with a moved endpoint, and a pass
             # over the targets and the unmoved disks near them
-            grid, *own = inst._conflicts(sep)
+            grid, *own = inst._conflicts
             D, X, Y = inst.scaled
             local = sorted(set(w.moves).union(*(
                 near_filed(grid, t) for t in w.moves.values())))
@@ -577,7 +578,7 @@ def validate_witness(inst: Instance, w: Witness,
             return ValidationResult("reject", "packing", bad, eps)
 
         for block in inst.blocks:
-            if block.step < 2:
+            if block.step * block.step < sep:
                 return ValidationResult("reject", "block-step", block.step, eps)
             hit = block.first_close(final, sep, (D, X, Y))
             if hit is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, Point, dist2, near
+from .geometry import Disk, Point, close_pairs, dist2, near
 from .instance_io import Instance
 from .numerics import frac, sqrt_lower_upper
 from .udg import IntersectionGraph, build_graph, approx_vc, components
@@ -179,14 +179,16 @@ def halo_partition(inst: Instance) -> list[list[int]]:
     """Group disks by connectivity of their radius-(d+1) enlargements, d
     being ``derived_d(inst.d2)``.
 
-    Disks whose halos touch or overlap land in one part; different parts
-    are separated by strictly more than 2d+2 between centers.
+    Two disks are joined when their centers lie at most 2d+2 apart, a
+    closed :func:`geometry.close_pairs` query on ``inst.scaled``, so disks
+    whose halos touch or overlap land in one part; different parts are
+    separated by strictly more than 2d+2 between centers.
     """
     if inst.blocks:
         raise ValueError("halo partition requires explicit disks")
-    g = build_graph(inst.disks, radius=derived_d(inst.d2) + 1,
-                    include_touching=True, scaled=inst.scaled)
-    return components(g)
+    reach = 2 * derived_d(inst.d2) + 2
+    pairs = close_pairs(inst.disks, reach * reach, True, inst.scaled)
+    return components(IntersectionGraph(len(inst.disks), tuple(pairs)))
 
 
 def full_kernel(inst: Instance) -> Instance:

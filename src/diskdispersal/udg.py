@@ -2,18 +2,17 @@
 connected components.
 
 Vertices are disk indices in instance order.  An edge (i, j), i < j, is
-present iff the two open disks overlap (center distance strictly below 2,
-or below 2r for the generalised radius-r form).
+present iff the two open unit disks overlap: center distance strictly
+below 2.  Other thresholds are one-off :func:`geometry.close_pairs`
+queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import Disk, ScaledPoints, close_pairs
-from .numerics import frac
+from .geometry import FOUR, Disk, ScaledPoints, close_pairs
 
 __all__ = ["IntersectionGraph", "build_graph", "approx_vc", "components"]
 
@@ -24,22 +23,15 @@ class IntersectionGraph:
     edges: tuple[tuple[int, int], ...]  # sorted, i < j
 
 
-def build_graph(disks: Sequence[Disk], radius=Fraction(1), *,
-                include_touching: bool = False,
-                scaled: Optional[ScaledPoints] = None) -> IntersectionGraph:
-    """Intersection graph over disks of the given common radius.
-
-    The threshold on squared center distance is (2*radius)^2; strict by
-    default, closed when include_touching is set (used for the enlarged
-    halo graphs).  Edges come from :func:`geometry.close_pairs`, which
-    takes ``scaled``, the disks' :func:`geometry.scale_points`, when given.
+def build_graph(disks: Sequence[Disk], scaled: Optional[ScaledPoints] = None
+                ) -> IntersectionGraph:
+    """The unit-disk graph: an edge for each pair with squared center
+    distance strictly below 4.  Edges come from
+    :func:`geometry.close_pairs`, which takes ``scaled``, the disks'
+    :func:`geometry.scale_points`, when given.
     """
-    r = frac(radius)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    threshold = (2 * r) * (2 * r)
-    edges = tuple(close_pairs(disks, threshold, include_touching, scaled))
-    return IntersectionGraph(len(disks), edges)
+    return IntersectionGraph(len(disks),
+                             tuple(close_pairs(disks, FOUR, False, scaled)))
 
 
 def approx_vc(g: IntersectionGraph, k: int) -> Optional[list[int]]:

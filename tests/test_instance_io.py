@@ -369,7 +369,7 @@ def reference_validate(inst, w, eps=None):
         if bad is not None:
             return ValidationResult("reject", "packing", bad, eps)
         for b in inst.blocks:
-            if b.step < 2:
+            if b.step ** 2 < sep:
                 return ValidationResult("reject", "block-step", b.step, eps)
             hit = b.first_close(final, sep)
             if hit is not None:
@@ -500,6 +500,55 @@ class TestValidationDifferential:
                                  inst.blocks)
                 assert got == reference_validate(inst, w, eps), (seed, w, eps)
                 assert got == validate_witness(fresh, w, eps), (seed, w, eps)
+
+
+def quarter(rng, lo, hi):
+    return F(rng.randint(4 * lo, 4 * hi), 4)
+
+
+def block_step_case(seed):
+    """One block of step 7/5 to 3 over [0, x1] x [0, y1], x1 and y1 in 3-9,
+    with a quarter-grid hole in one seed of two; 0-4 quarter-grid disks,
+    about half of them moved by up to 1 on each axis, and k the number of
+    moves."""
+    rng = random.Random(f"block-step-{seed}")
+    step = F(rng.randint(7, 15), 5)
+    x1, y1 = rng.randint(3, 9), rng.randint(3, 9)
+    holes = ()
+    if rng.random() < 0.5:
+        a, b = sorted((quarter(rng, 0, x1), quarter(rng, 0, x1)))
+        c, d = sorted((quarter(rng, 0, y1), quarter(rng, 0, y1)))
+        holes = (Rect(a, c, b, d),)
+    disks = tuple(Point(quarter(rng, -3, 12), quarter(rng, -3, 12))
+                  for _ in range(rng.randint(0, 4)))
+    moves = {i: Point(p.x + quarter(rng, -1, 1), p.y + quarter(rng, -1, 1))
+             for i, p in enumerate(disks) if rng.random() < 0.5}
+    inst = Instance(rng.choice(["euclidean", "rectilinear"]), len(moves),
+                    rng.choice([F(1, 4), F(1), F(2)]), disks,
+                    (LatticeBlock(F(0), F(0), F(x1), F(y1), step, holes),))
+    return inst, Witness(moves)
+
+
+class TestBlockStepDifferential:
+    @pytest.mark.parametrize("part", range(3))
+    def test_block_and_expansion_agree_at_every_eps(self, part):
+        # lattice neighbours lie step apart, so a block passes the step
+        # test exactly when its expansion's neighbour pairs clear 4 - eps
+        for seed in range(part, 3000, 3):
+            inst, w = block_step_case(seed)
+            flat = expand_blocks(inst)
+            for eps in (None, F(1, 10 ** 9), F(1, 2), F(3, 2), F(3), F(5)):
+                got = validate_witness(inst, w, eps).status
+                assert got == validate_witness(flat, w, eps).status, \
+                    (seed, eps)
+
+    def test_tolerant_step_below_two(self):
+        inst = Instance("euclidean", 0, F(0), (),
+                        (LatticeBlock(F(0), F(0), F(4), F(4), F(19, 10)),))
+        assert str(validate_witness(inst, Witness({}), F(1, 2))) == \
+            "accept(1/2)"
+        assert str(validate_witness(inst, Witness({}))) == \
+            "reject(block-step, 19/10)"
 
 
 class TestBlocks:

@@ -237,6 +237,12 @@ class TestHaloPartition:
         inst = Instance("euclidean", 1, F(1), (P(7, 7),))
         assert halo_partition(inst) == [[0]]
 
+    def test_reach_is_closed(self):
+        # d = 1: centers exactly 2d+2 = 4 apart share a part, 4 + 1/8 not
+        inst = Instance("euclidean", 1, F(1),
+                        (P(0, 0), P(4, 0), P(F(65, 8), 0)))
+        assert halo_partition(inst) == [[0, 1], [2]]
+
     def test_parts_separated_beyond_reach(self):
         rng = random.Random(4)
         for trial in range(20):

@@ -54,27 +54,20 @@ class TestBuildGraph:
         g = build_graph([P(0, 0)] * m)
         assert len(g.edges) == m * (m - 1) // 2
 
-    def test_generalised_radius(self):
-        # halo radius d+1 = 2 with touching included: threshold distance 4
-        g = build_graph([P(0, 0), P(4, 0), P(9, 0)], radius=F(2),
-                        include_touching=True)
-        assert g.edges == ((0, 1),)
-
-    @given(st.lists(points, max_size=14),
-           st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]), st.booleans())
+    @given(st.lists(points, max_size=14))
     @settings(max_examples=150, deadline=None)
-    def test_edges_match_brute_force(self, disks, radius, touching):
+    def test_edges_match_brute_force(self, disks):
         # brute force: every pair through the exact comparison; instances
-        # with an undecidable pair are left to test_geometry's TestClosePairs
-        t = (2 * radius) ** 2
+        # with an undecidable pair, and other thresholds, are left to
+        # test_geometry's TestClosePairs
         expect = []
         for i, j in itertools.combinations(range(len(disks)), 2):
-            o = compare(dist2(disks[i], disks[j]), t)
+            o = compare(dist2(disks[i], disks[j]), F(4))
             if o is Ordering.INDETERMINATE:
                 return
-            if o is Ordering.LESS or (touching and o is Ordering.EQUAL):
+            if o is Ordering.LESS:
                 expect.append((i, j))
-        g = build_graph(disks, radius, include_touching=touching)
+        g = build_graph(disks)
         assert g.n == len(disks)
         assert list(g.edges) == expect
 

@@ -24,17 +24,19 @@ Two checkouts that print the same lines gave byte-identical answers and
 logs; two that print the same answers digests gave the same verdicts and
 witness texts, whatever their logs say.  Each solve line's tally of yes,
 no and unknown verdicts goes to stderr, so a changed digest shows whether
-verdicts moved.  Every yes
-witness of a solve is also validated exactly, and the two Fig. 7 texts are
-parsed back: each must write back byte for byte, with every parsed
-coordinate a ``Fraction``.  The instance text is parsed once more and
-validated in the other order, the empty witness first: an instance keeps
-its pairs between validations, and each result must equal that of the
-first parse.  The script exits 1, after its lines, when a witness is
-rejected, including the Fig. 7 witness, the Fig. 7 round trip fails, the
-second parse gives another result, or the block check passes the move into
-the fill.  The benchmark inputs come from ``perfbench/workloads.py``, which
-is imported and never changed; the library is imported from this checkout's
+verdicts moved.  Every yes witness of a solve is also validated exactly
+and in tolerant mode at ``DEFAULT_EPS``, which takes the pass over the
+whole final list, and the two Fig. 7 texts are parsed back: each must write
+back byte for byte, with every parsed coordinate a ``Fraction``.  The
+instance text is parsed once more and validated in the other order, the
+empty witness first: an instance keeps its pairs between validations, and
+each result must equal that of the first parse.  The Fig. 7 witness and the move into the fill are validated
+at ``DEFAULT_EPS`` as well, which prints nothing more.  The script exits 1,
+after its lines, when a witness is rejected in either mode, including the
+Fig. 7 witness, the Fig. 7 round trip fails, the second parse gives another
+result, or the block check passes the move into the fill in either mode.
+The benchmark inputs come from ``perfbench/workloads.py``, which is
+imported and never changed; the library is imported from this checkout's
 ``src/``.
 
 ``tools/solve_digest.txt`` holds the expected output, and CI diffs a fresh
@@ -60,6 +62,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import diskdispersal as dd  # noqa: E402
 import workloads  # noqa: E402
+from diskdispersal.instance_io import DEFAULT_EPS  # noqa: E402
 from diskdispersal.numerics import parse_scalar  # noqa: E402
 
 CASES = {"random-small": workloads.random_small_cases,
@@ -85,7 +88,8 @@ def log_text(ans: dd.Answer) -> str:
 def digest(label: str, instances) -> int:
     """Print the number of solves and the SHA-256 of their answers and of
     their logs under ``label``, and their verdict tally to stderr; return
-    the number of yes witnesses that ``validate_witness`` rejects."""
+    the number of yes witnesses that ``validate_witness`` rejects, exactly
+    or at ``DEFAULT_EPS``."""
     answers, logs = hashlib.sha256(), hashlib.sha256()
     rejected = 0
     tally = Counter()
@@ -93,7 +97,9 @@ def digest(label: str, instances) -> int:
         ans = dd.solve(inst)
         tally[ans.verdict] += 1
         if ans.verdict == "yes":
-            rejected += not dd.validate_witness(inst, ans.witness).accepted
+            rejected += not all(
+                dd.validate_witness(inst, ans.witness, eps).accepted
+                for eps in (None, DEFAULT_EPS))
         for h, text in ((answers, answer_text(ans)), (logs, log_text(ans))):
             h.update(text.encode())
             h.update(b"\0")
@@ -113,10 +119,10 @@ def fig7_line() -> tuple[str, list[str]]:
     """The Fig. 7 line, and the faults of its text round trip and its
     witness: a text that does not write back byte for byte, a parsed
     coordinate that is not a ``Fraction``, a parsed witness that
-    ``validate_witness`` does not accept, a second parse of the instance
-    text whose validations, the empty witness first, differ from those of
-    the first parse, or a move into the fill that the block check
-    passes."""
+    ``validate_witness`` does not accept, exactly or at ``DEFAULT_EPS``, a
+    second parse of the instance text whose validations, the empty witness
+    first, differ from those of the first parse, or a move into the fill
+    that the block check passes in either mode."""
     spec = workloads.fig7_input(1).spec
     inst = dd.gen_gridtiling(spec)
     w = dd.gridtiling_witness(spec, inst, workloads.FIG7_ROWS,
@@ -134,11 +140,16 @@ def fig7_line() -> tuple[str, list[str]]:
     accepted = dd.validate_witness(back, w_back)
     if not accepted.accepted:
         faults.append("the Fig. 7 witness fails validation")
+    if not dd.validate_witness(back, w_back, DEFAULT_EPS).accepted:
+        faults.append("the Fig. 7 witness fails tolerant validation")
     empty = dd.validate_witness(back, dd.Witness({}))
     wider, into = fill_move(back, w_back)
     fill = dd.validate_witness(wider, into)
     if fill.reason != "block":
         faults.append("the Fig. 7 move into the fill passes the block check")
+    if dd.validate_witness(wider, into, DEFAULT_EPS).reason != "block":
+        faults.append("the Fig. 7 move into the fill passes the tolerant "
+                      "block check")
     # a second parse validates in the other order: each call must give what
     # it gave first, whatever the instance kept from the call before
     again = dd.parse_instance(inst_text)
@@ -222,7 +233,8 @@ def main() -> int:
                        [dd.gen_random(*args) for args in GRID_WITNESS_CASES])
     rejected += digest("off-scale rationals", off_scale_cases())
     if rejected:
-        faults.append(f"{rejected} yes witnesses fail validation")
+        faults.append(f"{rejected} yes witnesses fail validation, exact or "
+                      "tolerant")
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0
