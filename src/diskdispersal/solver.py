@@ -111,9 +111,25 @@ conflict disk in each near group, grown one near disk at a time from the
 leaf of edge branching that takes each edge's end in the cover: that leaf
 holds an end of each group's conflict edge, and an end in the cover is
 within 2 of the other, in the same group.  So a no needs, for every
-enumerated set, the lone-member lemma or a grid refutation; a yes always
-carries a witness that validates exactly; anything else is reported Unknown
-rather than guessed.
+enumerated set, the lone-member lemma or a grid refutation, or a clause
+learned from an earlier one (below); a yes always carries a witness that
+validates exactly; anything else is reported Unknown rather than guessed.
+
+Clauses.  Each refutation that ``solve`` receives is a clause (S, N): "if
+every disk of S moves, some disk of N moves", N being the kernel indices of
+the fixed disks the refutation read, which ``Feasibility.read`` carries.  A
+lone-member refutation of member x in cover A gives ({x}, N) with N the
+near fixed disks of x in A; a grid refutation of A gives (A, N) with N the
+union of its members' near fixed disks.  A later cover B with S in B and no
+disk of N in B violates the clause, and ``solve`` skips it without a frame
+or a ``feasibility`` call.  Soundness: in B every disk of N stays fixed at
+its origin, so x, or all of A, faces at least the constraints that the
+refutation read -- the same near fixed centres, with more fixed disks and
+more members only adding constraints (a placement of B restricted to A
+places A clear of N) -- and adding constraints never makes an infeasible set
+feasible.  This holds even when B has a member whose centre is not
+rational, which ``feasibility`` would answer unknown.  Only infeasible
+answers give clauses; an unknown answer or a time-out gives none.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
 lattice fill, which must be expanded first.  Comparisons between exact
@@ -141,6 +157,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -212,6 +229,7 @@ class Feasibility:
     delta: Optional[Fraction] = None  # grid used for an infeasibility proof
     reason: Optional[str] = None
     member: Optional[int] = None      # movable that alone has no place
+    read: Optional[frozenset[int]] = None  # fixed disks a refutation read
 
 
 def _check_clock(deadline: Optional[float]) -> None:
@@ -316,7 +334,8 @@ class _Frame:
     Member i is the disk ``inst.disks[members[i]]``, and its near fixed
     centres are the other disks, members excluded, that the closed
     ``geometry.near`` test on ``inst.scaled`` finds within derived_d(d2) + 2
-    of its origin, in instance order.  Coordinates are multiplied by one
+    of its origin, in instance order; ``near[i]`` holds their indices into
+    ``inst.disks``.  Coordinates are multiplied by one
     scale M: the least common multiple of the denominators of d2, of the
     origins, which must be rational, and of the rational near fixed centres,
     so far centres never make M larger.  These centres become integer
@@ -340,9 +359,10 @@ class _Frame:
         disks = inst.disks
         origins = [disks[m] for m in members]
         reach2 = (derived_d(d2) + 2) ** 2
-        near = [[disks[j] for j in geometry.near(disks, inst.scaled, m,
-                                                 reach2, True)
-                 if j not in members] for m in members]
+        self.near = [[j for j in geometry.near(disks, inst.scaled, m, reach2,
+                                               True) if j not in members]
+                     for m in members]
+        near = [[disks[j] for j in js] for js in self.near]
         self.others = [[f for f in fs if not f.is_rational()] for fs in near]
         rats = [[f for f in fs if f.is_rational()] for fs in near]
         M = self.M = math.lcm(d2.denominator, *(
@@ -486,12 +506,13 @@ def _stage_candidates(frame: _Frame, deadline: Optional[float]
                       ) -> Optional[Feasibility]:
     """Stage 1: a refutation when some member without ``others`` alone has
     no place clear of the fixed disks (the module docstring's lone-member
-    lemma), else None."""
+    lemma), else None.  The refutation read member i's near fixed disks."""
     for i, others in enumerate(frame.others):
         _check_clock(deadline)
         if not (others or any(frame.fits(i, t, ())
                               for t in frame.candidates(i, ()))):
-            return Feasibility("infeasible", member=i, reason=NO_PLACE)
+            return Feasibility("infeasible", member=i, reason=NO_PLACE,
+                               read=frozenset(frame.near[i]))
     return None
 
 
@@ -502,7 +523,7 @@ def _stage_numeric(frame: _Frame, deadline: Optional[float]
     keeps a candidate t when ``frame.fits(i, t, placed)``.  The name is
     left from the float descent this stage once ran: the stage wrappers of
     ``perfbench/layers.py`` bind it, so its rename to ``_stage_walk`` waits
-    for ROADMAP item 2."""
+    for ROADMAP item 3."""
     placed: list = []
 
     def rec(idx: int) -> bool:
@@ -659,7 +680,8 @@ def _grid_pass(frame: _Frame, delta: Fraction,
         return Feasibility("feasible", {i: frame.point(t)
                                         for i, t in zip(order, chosen)})
     if not relaxed:
-        return Feasibility("infeasible", delta=delta)
+        return Feasibility("infeasible", delta=delta,
+                           read=frozenset().union(*frame.near))
     return Feasibility("unknown",
                        reason=f"relaxed grid assignments remain at delta {delta}")
 
@@ -700,11 +722,19 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     """Full decision pipeline over an explicit-disk instance.
 
     Candidate sets come from ``enumerate_candidate_sets`` on the kernel
-    instance, smaller first, and every one goes to ``feasibility``: the
-    first feasible set gives the yes, and a no needs every set refuted.  A
-    set refuted by the lone-member lemma is logged as "refuted, disk j has
-    no place clear of the fixed disks", j being the kernel index of that
-    member, and one refuted by a grid as "refuted at delta" its resolution.
+    instance, smaller first.  A set that violates the clause of an earlier
+    refutation (module docstring) is skipped; every other one goes to
+    ``feasibility``: the first feasible set gives the yes, and a no needs
+    every set refuted or skipped.  The log starts "kernel kept m of n
+    disks", then has one line per set sent to ``feasibility``: "set [..]:
+    refuted, disk j has no place clear of the fixed disks" for the
+    lone-member lemma, j being the kernel index of that member, "set [..]:
+    refuted at delta" and the grid's resolution for a grid, and "set [..]:
+    unknown (reason)" otherwise; a yes ends it with "moved set [..]".  When
+    the solve ends, a refuted set's line whose clause skipped N > 0 later
+    sets gets "; skipped N sets" appended; a skipped set counts toward the
+    first violated clause that the lookup finds: the clauses filed under its
+    members in increasing order, each list in the order it was learned.
     """
     cfg = cfg or SolverConfig()
     if inst.blocks:
@@ -728,8 +758,31 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
+    # clause (S, N, line): a cover holding all of S and none of N is
+    # infeasible, by the refutation logged at log[line]; filed under min(S)
+    # (module docstring)
+    clauses: dict[int, list[tuple[frozenset, frozenset, int]]] = {}
+    skips: Counter[int] = Counter()
+
+    def ruled_out(cand: list[int]) -> Optional[int]:
+        """The line of the first clause that ``cand`` violates, or None."""
+        for m in cand:
+            for s, n, line in clauses.get(m, ()):
+                if s.issubset(cand) and n.isdisjoint(cand):
+                    return line
+        return None
+
+    def closed(*tail: str) -> tuple[str, ...]:
+        for line, count in skips.items():
+            log[line] += f"; skipped {count} sets"
+        return tuple(log + list(tail))
+
     try:
         for cand in enumerate_candidate_sets(kinst, g, deadline):
+            line = ruled_out(cand)
+            if line is not None:
+                skips[line] += 1
+                continue
             res = feasibility(kinst, cand, cfg, deadline=deadline)
             if res.status == "feasible":
                 moves = {}
@@ -738,22 +791,26 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
                     if target != inst.disks[orig_idx]:
                         moves[orig_idx] = target
                 return Answer("yes", Witness(moves),
-                              log=tuple(log + [f"moved set {cand}"]))
+                              log=closed(f"moved set {cand}"))
             if res.status == "infeasible":
                 if res.delta is not None:
+                    trigger = cand
                     log.append(f"set {cand}: refuted at delta {res.delta}")
                 else:
+                    trigger = [cand[res.member]]
                     log.append(f"set {cand}: refuted, "
                                f"disk {cand[res.member]} {res.reason}")
+                clauses.setdefault(trigger[0], []).append(
+                    (frozenset(trigger), res.read, len(log) - 1))
             else:
                 unknowns += 1
                 log.append(f"set {cand}: unknown ({res.reason})")
         _check_clock(deadline)
     except TimeoutError as e:
         # an incomplete sweep proves nothing
-        return Answer("unknown", reason=str(e), log=tuple(log))
+        return Answer("unknown", reason=str(e), log=closed())
     if unknowns:
         return Answer("unknown",
                       reason=f"{unknowns} candidate sets undecided",
-                      log=tuple(log))
-    return Answer("no", log=tuple(log))
+                      log=closed())
+    return Answer("no", log=closed())

@@ -2,11 +2,13 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from ast import literal_eval
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -200,8 +202,13 @@ class TestFeasibility:
         m1, f1, m0, f2 = disks
         inst = Instance(variant, 2, d2, tuple(disks))
         res = feasibility(inst, [2, 0])
-        assert res == feasibility(*moved_set([f1, f2], [m0, m1], d2,
-                                             variant))
+        other, members = moved_set([f1, f2], [m0, m1], d2, variant)
+        want = feasibility(other, members)
+        assert replace(res, read=None) == replace(want, read=None)
+        # a refutation reads the same fixed disks, each instance indexing
+        # them in its own order
+        assert ({inst.disks[j] for j in res.read or ()}
+                == {other.disks[j] for j in want.read or ()})
         if res.status == "feasible":
             moves = {m: res.assignment[i] for i, m in enumerate([2, 0])}
             assert validate_witness(inst, Witness(moves)).accepted
@@ -1373,6 +1380,22 @@ def logged_sets(ans):
     return out
 
 
+def skip_count(outcome):
+    """The N of a log line's "; skipped N sets", else 0."""
+    m = re.search(r"; skipped (\d+) sets$", outcome)
+    return int(m[1]) if m else 0
+
+
+def clause(inst, moved, outcome):
+    """(S, N) of a refuted set's line, computed from the instance: "if all
+    of S moves, some disk of N moves", N being the disks outside the set
+    within (d + 2) of S's members, d2 = 9/4."""
+    m = re.match(r"refuted, disk (\d+) ", outcome)
+    s = {int(m[1])} if m else set(moved)
+    return s, {j for j in range(len(inst.disks)) if j not in moved and any(
+        dist2(inst.disks[x], inst.disks[j]) <= FAR2 for x in s)}
+
+
 def solve_recording(monkeypatch, inst):
     """``solve(inst)`` and the moved sets, as disk index sets, that reached
     ``feasibility``, in call order."""
@@ -1394,14 +1417,27 @@ class TestImpliedRefutation:
     near-group lemma), and is never enumerated."""
 
     def test_every_enumerated_cover_is_refuted_in_the_log(self):
+        # each cover has a line of its own, or violates the clause of an
+        # earlier line and is counted in that line's skips
         inst = two_triples(3)
         assert len(kernelize(inst)[0].disks) == len(inst.disks)
         ans = solve(inst)
         assert ans.verdict == "no"
         sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
         logged = logged_sets(ans)
-        assert [s for s, _ in logged] == sets
         assert all(o.startswith("refuted") for _, o in logged)
+        lines, clauses = iter(logged), []
+        line = next(lines)
+        for cover in sets:
+            if line is not None and line[0] == cover:
+                clauses.append(clause(inst, *line))
+                line = next(lines, None)
+            else:
+                assert any(s <= set(cover) and n.isdisjoint(cover)
+                           for s, n in clauses), cover
+        assert line is None
+        assert len(logged) + sum(skip_count(o) for _, o in logged) == len(sets)
+        assert len(logged) < len(sets)
 
     def test_far_means_at_least_d_plus_two_exactly(self, monkeypatch):
         # fig1 at d2 = 1/4 (d + 2 = 5/2) with a disk just inside and one
@@ -1476,11 +1512,12 @@ class TestEnumerationDifferential:
         # feasibility is deterministic without a deadline, so both loops
         # share one memo: the reference pays only for the covers that solve
         # skipped
-        memo = {}
+        memo, asked = {}, set()
         real = solver.feasibility
 
         def memoised(kinst, members, *args, **kwargs):
             key = (kinst, tuple(members))
+            asked.add(key[1])
             if key not in memo:
                 memo[key] = real(kinst, members, *args, **kwargs)
             return memo[key]
@@ -1488,21 +1525,53 @@ class TestEnumerationDifferential:
         monkeypatch.setattr(solver, "feasibility", memoised)
         cfg = SolverConfig(delta=F(1, 16))
         rng = random.Random(20261020)
-        skipped = 0
+        skipped = ruled_out = grids = 0
         for trial in range(200):
             n = rng.randint(4, 12)
             k = rng.randint(1, 3)
             d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(4)])
             inst = gen_random(n, rng.randint(2, 5) + n // 2,
                               rng.randrange(10 ** 6), k, d2, variant)
+            asked.clear()
             ans = solve(inst, cfg)
+            called = set(asked)
             verdict, witness, tried = reference_solve(inst, cfg)
-            assert ans.verdict == verdict, trial
+            # a clause only turns an unknown set into a refuted one
+            assert ans.verdict == verdict or (
+                verdict == "unknown" and ans.verdict == "no"), trial
             if witness is not None:
                 assert write_witness(ans.witness) == write_witness(witness)
             skipped += tried - sum(line.startswith("set [")
                                    for line in ans.log)
-        assert skipped > 0
+            # every cover that a clause ruled out is infeasible
+            kr = kernelize(inst)
+            if kr is None or not kr[1].graph.edges:
+                continue
+            kinst, report = kr
+            covers = enumerate_candidate_sets(kinst, report.graph)
+            if ans.verdict == "yes":
+                moved = literal_eval(ans.log[-1][len("moved set "):])
+                covers = itertools.takewhile(lambda c: c != moved, covers)
+            out = [c for c in covers if tuple(c) not in called]
+            assert len(out) == sum(skip_count(line) for line in ans.log)
+            for cover in out:
+                assert memoised(kinst, cover, cfg).status != "feasible"
+            ruled_out += len(out)
+            # a refutation read the near fixed disks of its member, or of
+            # every member for a grid
+            reach2 = (derived_d(d2) + 2) ** 2
+            for members in asked:
+                res = memo[kinst, members]
+                if res.status == "infeasible":
+                    grids += res.delta is not None
+                    movers = (members if res.delta is not None
+                              else [members[res.member]])
+                    assert res.read == {
+                        j for j in range(len(kinst.disks))
+                        if j not in members and any(
+                            dist2(kinst.disks[x], kinst.disks[j]) <= reach2
+                            for x in movers)}
+        assert skipped > 0 and ruled_out > 0 and grids > 0
 
 
 @pytest.fixture
@@ -1542,11 +1611,58 @@ class TestLocality:
         assert str(ans) == "unknown (time budget)"
 
     def test_one_component_lattice_is_no(self):
-        # an 8x8 lattice of pitch 5/2, one halo component at d + 2 = 7/2,
-        # with three disks on cell edges: each needs two moves
-        disks = [P(F(5 * i, 2), F(5 * j, 2)) for i in range(8)
-                 for j in range(8)]
-        disks += [P(F(5, 4), 0), P(F(35, 4), F(15, 2)), P(15, F(55, 4))]
-        inst = Instance("euclidean", 5, F(9, 4), tuple(disks))
-        ans = solve(inst, SolverConfig(time_budget=10))
+        ans = solve(lattice(3, 5), SolverConfig(time_budget=10))
         assert ans.verdict == "no"
+
+
+def lattice(extra, k):
+    """An 8x8 lattice of pitch 5/2, one halo component at d + 2 = 7/2
+    (d2 = 9/4), with ``extra`` of four disks on cell edges: each needs two
+    moves."""
+    disks = [P(F(5 * i, 2), F(5 * j, 2)) for i in range(8) for j in range(8)]
+    disks += [P(F(5, 4), 0), P(F(35, 4), F(15, 2)), P(15, F(55, 4)),
+              P(F(5, 4), F(25, 2))][:extra]
+    return Instance("euclidean", k, F(9, 4), tuple(disks))
+
+
+class TestClauses:
+    """A refutation is a clause "if all of S moves, some disk of N moves",
+    and a later cover that violates it gets no ``feasibility`` call."""
+
+    def test_lattice_is_no_in_few_calls(self, monkeypatch):
+        ans, seen = solve_recording(monkeypatch, lattice(4, 7))
+        assert ans.verdict == "no"
+        assert len(seen) <= 20
+        assert len(seen) == sum(line.startswith("set [") for line in ans.log)
+
+    def test_shuffled_planted_no_in_time(self, shuffled_planted):
+        inst, answer = shuffled_planted(1, 160, 8, 15)
+        assert answer == "no"
+        t0 = time.monotonic()
+        assert solve(inst).verdict == "no"
+        assert time.monotonic() - t0 < 10
+
+    def test_time_budget_holds_on_an_undecided_lattice(self):
+        t0 = time.monotonic()
+        ans = solve(lattice(3, 6), SolverConfig(time_budget=1))
+        assert time.monotonic() - t0 < 1.5
+        assert ans.verdict in ("no", "unknown")
+
+    def test_clause_rules_out_a_set_with_a_non_rational_member(
+            self, monkeypatch):
+        # in [0, 4, 5], disk 5 has no place clear of its near fixed disks 2
+        # and 3; [1, 4, 5] keeps both fixed, so it is ruled out without the
+        # frame that its non-rational member, disk 1, would not get
+        inst = Instance("euclidean", 3, F(1, 4), (
+            P(F(13, 4), 4), Point(quadext(F(17, 4), F(1, 8), 2), F(11, 2)),
+            P(F(3, 4), F(5, 4)), P(3, F(7, 4)), P(F(9, 4), 0),
+            P(F(7, 4), F(3, 4))))
+        assert [1, 4, 5] in enumerate_candidate_sets(
+            inst, build_graph(inst.disks))
+        assert feasibility(inst, [0, 4, 5]).read == {2, 3}
+        ans, seen = solve_recording(monkeypatch, inst)
+        assert ans.verdict == "no"
+        assert ans.log[1:] == (
+            "set [0, 4, 5]: refuted, disk 5 has no place clear of the fixed "
+            "disks; skipped 1 sets",)
+        assert seen == [frozenset([0, 4, 5])]

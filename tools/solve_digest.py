@@ -16,10 +16,14 @@ more line digests 50 small seeded ``gen_random`` instances whose one
 coordinate is a radical or a ``~`` literal, so that their covers have a
 centre that is not rational.  The next line digests the three seeded ``gen_random`` instances
 whose yes comes from a stage-3 grid witness, which no other line reaches.
-The last, "off-scale rationals", digests 24 seeded ``gen_random`` instances
+The line "off-scale rationals" digests 24 seeded ``gen_random`` instances
 whose every disk's x is shifted by 1/p for its own prime p above 2^21, so
 that the integer scales of the kernel and of each moved set leave most
-centres off, and their pairs go through the exact comparison.
+centres off, and their pairs go through the exact comparison.  The last,
+"clause cases", digests four instances whose covers are mostly ruled out by
+the clauses of earlier refutations: an 8x8 lattice plus three disks at
+k = 5, plus four at k = 7, and ``perfbench``'s planted instance with six
+triples, its disks shuffled, at k = 11 (no) and k = 12 (yes).
 Two checkouts that print the same lines gave byte-identical answers and
 logs; two that print the same answers digests gave the same verdicts and
 witness texts, whatever their logs say.  Each solve line's tally of yes,
@@ -62,6 +66,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import diskdispersal as dd  # noqa: E402
 import workloads  # noqa: E402
+from planted import planted  # noqa: E402
 from diskdispersal.instance_io import DEFAULT_EPS  # noqa: E402
 from diskdispersal.numerics import parse_scalar  # noqa: E402
 
@@ -220,6 +225,29 @@ def off_scale_cases() -> list[dd.Instance]:
     return cases
 
 
+def clause_cases() -> list[dd.Instance]:
+    """An 8x8 lattice of pitch 5/2 at d2 = 9/4 with three disks on cell
+    edges at k = 5, and with a fourth at k = 7, both no; ``planted(1, 120,
+    6, k, 9/4, "euclidean")`` with its disks shuffled by
+    ``random.Random(1)``, at k = 11 (no) and 12 (yes)."""
+    grid = [dd.Point(Fraction(5 * i, 2), Fraction(5 * j, 2))
+            for i in range(8) for j in range(8)]
+    edges = [dd.Point(Fraction(5, 4), 0), dd.Point(Fraction(35, 4),
+                                                   Fraction(15, 2)),
+             dd.Point(15, Fraction(55, 4)),
+             dd.Point(Fraction(5, 4), Fraction(25, 2))]
+    cases = [dd.Instance("euclidean", k, Fraction(9, 4),
+                         tuple(grid + edges[:extra]))
+             for extra, k in ((3, 5), (4, 7))]
+    for k in (11, 12):
+        disks = list(planted(1, 120, 6, k, Fraction(9, 4),
+                             "euclidean").instance.disks)
+        random.Random(1).shuffle(disks)
+        cases.append(dd.Instance("euclidean", k, Fraction(9, 4),
+                                 tuple(disks)))
+    return cases
+
+
 def main() -> int:
     rejected = 0
     for name, build in CASES.items():
@@ -232,6 +260,7 @@ def main() -> int:
     rejected += digest("grid witnesses",
                        [dd.gen_random(*args) for args in GRID_WITNESS_CASES])
     rejected += digest("off-scale rationals", off_scale_cases())
+    rejected += digest("clause cases", clause_cases())
     if rejected:
         faults.append(f"{rejected} yes witnesses fail validation, exact or "
                       "tolerant")
