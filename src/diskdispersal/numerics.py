@@ -280,10 +280,6 @@ class Interval:
         if self.lo > self.hi:
             raise DomainError(f"inverted interval [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

@@ -1,10 +1,11 @@
-"""Decision procedure: enumerate candidate moved-sets, decide placements.
+"""Decision procedure: search moved sets by clauses, decide placements.
 
-The search enumerates subsets A (|A| <= k) whose removal leaves the
-remaining disks pairwise non-overlapping -- vertex covers of the
-intersection graph -- and asks for each whether the disks of A admit new
-positions.  It takes only the covers in which every near group holds a disk
-with a conflict edge (near-group lemma below), non-minimal ones included.
+The search looks for a set A (|A| <= k) of disks whose removal leaves the
+remaining disks pairwise non-overlapping -- a vertex cover of the
+intersection graph -- and whose disks admit new positions.  It adds to a
+set only a disk of a clause that the set violates (below): each conflict
+edge is a clause, and so is each answer that is not feasible, so every set
+it yields is a cover that no earlier answer rules out.
 A moved set is a list of indices into one kernel instance.  Placement
 feasibility runs through three stages of one rule each, all exact: apart
 from the clock of its time budget, the solver uses no floats.
@@ -36,12 +37,12 @@ not rational, as exact ``Point`` values.
    ``frame.point`` builds the witness, as in stage 2.
 
 Near fixed centres.  Stages test each member against its near fixed centres
-only.  One routine, ``geometry.near``, answers every "within
-derived_d(d2) + 2" question of the solver, closed for a frame and strict
-for the near groups below: a pair on the instance's ``Instance.scaled``
-array, built once per instance, is decided on integers, as ``close_pairs``
-decides it, and any other pair by an exact ``compare``, in which an
-undecided comparison counts as near.  So each centre left out lies farther
+only.  One routine, ``geometry.near`` with the closed test, answers every
+"within derived_d(d2) + 2" question of the solver (``_near_fixed``), for a
+frame and for a clause: a pair on the instance's ``Instance.scaled`` array,
+built once per instance, is decided on integers, as ``close_pairs`` decides
+it, and any other pair by an exact ``compare``, in which an undecided
+comparison counts as near.  So each centre left out lies farther
 than d + 2 from the origin, whether it is rational or not.  Every exact
 test asks for a point within d of the origin, which is then more than 2
 from such a centre.  Stage 3's relaxed move test asks for a grid point
@@ -58,17 +59,17 @@ one before it returned None, so one rule decides each set: the lemma, the
 walk or the grid.
 
 A member x whose centre o is not rational.  ``feasibility`` answers its set
-A unknown ("non-rational centers") with no frame and no stage, and no yes
-turns into a no: as tangencies are built on rational centres only, a walk
-on A could only keep x at o, clear of the fixed disks and of the other
-targets.  Then the cover A minus x, less its near groups with no conflict
-disk, is yielded before A and has the same placement with o fixed
-(near-group lemma below), so no sound refutation -- the lone-member lemma
-on a member whose near fixed centres are all rational, a grid on a frame
-whose near centres all are -- applies to it.  When no group was taken out,
-its walk lists the same candidates and runs the same tests, and by
-induction on such members its first subset with a frame finds the
-placement.
+A unknown ("non-rational centers") with no frame and no stage.  As
+tangencies are built on rational centres only, a walk on A could only keep
+x, and every other such member, at its origin.  Such a placement is also
+one of the set F of A's members whose centres are rational, with the other
+members fixed: F is a cover, as a conflict edge of x has its other end
+moved, and it holds no member whose centre is not rational, so no set
+answered "non-rational centers" lies in F and F satisfies their clauses.
+By the completeness argument below, the search then answers yes or leaves
+unknown a set whose members' centres are all rational; so these unknowns
+never alone stand between the solve and a placement that a walk on A would
+find.
 
 Lone-member lemma.  Let x be a member whose origin o is rational, with
 every fixed centre within derived_d(d2) + 2 of o rational, and let R be the
@@ -97,39 +98,47 @@ centre farther away is more than 2 from every point within d of o, so it
 changes neither R nor the list.  Stage 1 runs this test on each member
 whose ``others`` are empty and reports the first whose R is empty.
 
-Near-group lemma.  Join two members of a cover when their origins lie
-closer than derived_d(d2) + 2 >= d + 2, by the strict ``geometry.near``
-test; the connected groups are the near groups.  A feasible cover A of
-minimum size has a disk with a conflict edge in every near group G.
-Otherwise no edge touches G, so A minus G is a cover, and a feasible one:
-take targets for A and put G back at its origins, which conflict with
-nothing and lie at least d + 2 from every other member's origin, so at
-least 2 from that member's target, within d of it (a rectilinear move is
-axis-parallel, so its length is at most d as well).
-``enumerate_candidate_sets`` yields every cover of at most k members with a
-conflict disk in each near group, grown one near disk at a time from the
-leaf of edge branching that takes each edge's end in the cover: that leaf
-holds an end of each group's conflict edge, and an end in the cover is
-within 2 of the other, in the same group.  So a no needs, for every
-enumerated set, the lone-member lemma or a grid refutation, or a clause
-learned from an earlier one (below); a yes always carries a witness that
-validates exactly; anything else is reported Unknown rather than guessed.
+Clauses.  A clause (S, N), two sets of kernel indices, says "if every disk
+of S moves, some disk of N moves"; a moved set B violates it when S is in
+B and no disk of N is.  ``solve`` keeps one list of clauses.  It starts
+with the kernel graph's conflict edges, (i, j) giving ({}, {i, j}), so a
+set that violates none is a cover.  Each answer that is not feasible, for
+a set A, appends one, N being the fixed disks that ``Feasibility.read``
+carries: a lone-member refutation of member x gives ({x}, N), N the near
+fixed disks of x in A; a grid refutation or an unknown answer gives (A, N),
+N the union of the members' near fixed disks.  Soundness: in a set B that
+violates a refutation's clause every disk of N stays fixed at its origin,
+so x, or all of A, faces at least the constraints that the refutation read
+-- the same near fixed centres, with more fixed disks and more members only
+adding constraints (a placement of B restricted to A places A clear of N)
+-- and adding constraints never makes an infeasible set feasible.  This
+holds even when B has a member whose centre is not rational.  By the same
+restriction, a B that violates the clause of an unknown A is feasible only
+if A is, and the solve, having counted A, answers unknown anyway.
 
-Clauses.  Each refutation that ``solve`` receives is a clause (S, N): "if
-every disk of S moves, some disk of N moves", N being the kernel indices of
-the fixed disks the refutation read, which ``Feasibility.read`` carries.  A
-lone-member refutation of member x in cover A gives ({x}, N) with N the
-near fixed disks of x in A; a grid refutation of A gives (A, N) with N the
-union of its members' near fixed disks.  A later cover B with S in B and no
-disk of N in B violates the clause, and ``solve`` skips it without a frame
-or a ``feasibility`` call.  Soundness: in B every disk of N stays fixed at
-its origin, so x, or all of A, faces at least the constraints that the
-refutation read -- the same near fixed centres, with more fixed disks and
-more members only adding constraints (a placement of B restricted to A
-places A clear of N) -- and adding constraints never makes an infeasible set
-feasible.  This holds even when B has a member whose centre is not
-rational, which ``feasibility`` would answer unknown.  Only infeasible
-answers give clauses; an unknown answer or a time-out gives none.
+The search.  ``enumerate_candidate_sets`` runs depth first from the empty
+set.  At a set B it takes the first clause, in list order, that B violates
+and, when |B| < k, branches over that clause's N in increasing order: the
+n-th branch adds N's n-th disk and bans the disks before it, and a banned
+disk is never added, so the branches' subtrees are disjoint and no set is
+yielded twice.  A set that violates no clause is yielded; ``solve`` appends
+its clause unless it is feasible, and the search goes on from it.  No cover
+is built only to be skipped.  A yes is the first feasible set the search
+reaches, which need not be one of least size.
+
+Completeness.  Take any feasible F with |F| <= k.  F satisfies every edge
+clause, being a cover, every refutation's clause, by soundness, and every
+unknown set's clause unless the solve answers unknown.  From the empty set,
+follow at each violated clause the branch of the clause's first disk in F:
+each set B on this path is in F, no disk of F is banned, and the clause has
+a disk of F outside B, so |B| < k and the branch exists.  The path reaches
+a set B in F that violates no clause, F itself at the latest, and the
+search yields it; its answer is feasible, or unknown, or a refutation whose
+clause F satisfies and B violates, and the path goes on.  So a search that
+ends with no set feasible and none unknown proves that no feasible set of
+at most k disks exists: a no needs, for every yielded set, the lone-member
+lemma or a grid refutation; a yes always carries a witness that validates
+exactly; anything else is reported Unknown rather than guessed.
 
 The search takes explicit disks only: ``solve`` rejects an instance with
 lattice fill, which must be expanded first.  Comparisons between exact
@@ -139,7 +148,7 @@ and that answer is unknown.
 ``SolverConfig`` has two fields: ``delta`` (stage 3's finest grid) and
 ``time_budget`` (None, or seconds at least 0), which bounds the whole
 solve: ``solve`` turns it into one ``time.monotonic()`` deadline before
-kernelization and hands it to the enumeration, to stages 1 and 2 and to
+kernelization and hands it to the search, to stages 1 and 2 and to
 every DFS node of every grid pass.  Each reads the clock through one
 helper that raises TimeoutError("time budget") once the deadline has
 passed, so an expired budget ends the solve within one step of any of
@@ -157,8 +166,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -176,7 +184,6 @@ from .numerics import (
     sign_sqrt2,
     split_sqrt,
 )
-from .udg import IntersectionGraph
 
 __all__ = [
     "SolverConfig",
@@ -229,7 +236,7 @@ class Feasibility:
     delta: Optional[Fraction] = None  # grid used for an infeasibility proof
     reason: Optional[str] = None
     member: Optional[int] = None      # movable that alone has no place
-    read: Optional[frozenset[int]] = None  # fixed disks a refutation read
+    read: Optional[frozenset[int]] = None  # fixed disks of a clause
 
 
 def _check_clock(deadline: Optional[float]) -> None:
@@ -244,48 +251,44 @@ class _Stop(Exception):
 
 
 # ---------------------------------------------------------------------------
-# candidate moved-set enumeration
+# candidate moved-set search
 
-def enumerate_candidate_sets(inst: Instance, g: IntersectionGraph,
-                             deadline: Optional[float] = None
+def enumerate_candidate_sets(clauses: Sequence[tuple[frozenset, frozenset]],
+                             k: int, deadline: Optional[float] = None
                              ) -> Iterator[list[int]]:
-    """The covers of ``g`` with at most ``inst.k`` members whose every near
-    group holds a disk with a conflict edge (module docstring), by
-    increasing size then lexicographic.  Level s holds the size-s leaves of
-    edge branching and each set of level s - 1 plus one disk near one of its
-    members; a level grows once the one before it is yielded.  It raises
-    TimeoutError once ``deadline`` has passed, so an enumeration that ends
-    without one is complete."""
-    disks = inst.disks
-    reach2 = (derived_d(inst.d2) + 2) ** 2
-    leaves: list[set[tuple[int, ...]]] = [set() for _ in range(inst.k + 1)]
-    near: dict[int, list[int]] = {}
+    """The moved sets of at most ``k`` disks that violate no clause of
+    ``clauses``, depth first (module docstring).  A set B violates the
+    clause (S, N), two frozensets of disk indices, when S is in B and no
+    disk of N is.  From the empty set, a set that violates a clause
+    branches on the first such clause in list order, when it has fewer
+    than ``k`` members: the branches take the clause's disks of N in
+    increasing order, and each adds its disk and bans the disks of the
+    branches before it, which no set below it adds.  A set that violates
+    no clause is yielded, and then looked at again, since the caller may
+    have appended a clause that it violates; if it still violates none,
+    its search ends.  No set is yielded twice.  The clock is read at every
+    node, and TimeoutError is raised once ``deadline`` has passed, so a
+    search that ends without one is complete."""
 
-    def branch(chosen: set[int]) -> None:
-        for i, j in g.edges:
-            if i not in chosen and j not in chosen:
-                if len(chosen) < inst.k:
-                    _check_clock(deadline)
-                    for w in (i, j):
-                        branch(chosen | {w})
+    def search(chosen: frozenset, banned: frozenset
+               ) -> Iterator[list[int]]:
+        fresh = True
+        while True:
+            _check_clock(deadline)
+            violated = next((n for s, n in clauses
+                             if s <= chosen and n.isdisjoint(chosen)), None)
+            if violated is not None:
+                if len(chosen) < k:
+                    for j in sorted(violated - banned):
+                        yield from search(chosen | {j}, banned)
+                        banned = banned | {j}
                 return
-        leaves[len(chosen)].add(tuple(sorted(chosen)))
+            if not fresh:
+                return
+            fresh = False
+            yield sorted(chosen)
 
-    branch(set())
-    level: list[tuple[int, ...]] = []
-    for grown in leaves:
-        for cand in level:
-            _check_clock(deadline)
-            for m in cand:
-                if m not in near:
-                    near[m] = geometry.near(disks, inst.scaled, m, reach2,
-                                            False)
-                grown.update(tuple(sorted(cand + (j,)))
-                             for j in near[m] if j not in cand)
-        level = sorted(grown)
-        for cand in level:
-            _check_clock(deadline)
-            yield list(cand)
+    yield from search(frozenset(), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +331,22 @@ def _apart(t: tuple, p: tuple, four: int) -> bool:
         2 * (u1 * u2 + v1 * v2), c1, c2) >= 0
 
 
+def _near_fixed(inst: Instance, members: Sequence[int]) -> list[list[int]]:
+    """For each member, the indices of the other disks, members excluded,
+    that the closed ``geometry.near`` test on ``inst.scaled`` finds within
+    derived_d(d2) + 2 of its origin, in instance order."""
+    reach2 = (derived_d(inst.d2) + 2) ** 2
+    return [[j for j in geometry.near(inst.disks, inst.scaled, m, reach2, True)
+             if j not in members] for m in members]
+
+
 class _Frame:
     """One moved set on integers, for every stage.
 
     Member i is the disk ``inst.disks[members[i]]``, and its near fixed
-    centres are the other disks, members excluded, that the closed
-    ``geometry.near`` test on ``inst.scaled`` finds within derived_d(d2) + 2
-    of its origin, in instance order; ``near[i]`` holds their indices into
-    ``inst.disks``.  Coordinates are multiplied by one
+    centres are the disks that :func:`_near_fixed` lists for it, ``near[i]``
+    holding their indices into ``inst.disks``.  Coordinates are multiplied
+    by one
     scale M: the least common multiple of the denominators of d2, of the
     origins, which must be rational, and of the rational near fixed centres,
     so far centres never make M larger.  These centres become integer
@@ -358,10 +369,7 @@ class _Frame:
         self.variant = inst.variant
         disks = inst.disks
         origins = [disks[m] for m in members]
-        reach2 = (derived_d(d2) + 2) ** 2
-        self.near = [[j for j in geometry.near(disks, inst.scaled, m, reach2,
-                                               True) if j not in members]
-                     for m in members]
+        self.near = _near_fixed(inst, members)
         near = [[disks[j] for j in js] for js in self.near]
         self.others = [[f for f in fs if not f.is_rational()] for fs in near]
         rats = [[f for f in fs if f.is_rational()] for fs in near]
@@ -680,8 +688,7 @@ def _grid_pass(frame: _Frame, delta: Fraction,
         return Feasibility("feasible", {i: frame.point(t)
                                         for i, t in zip(order, chosen)})
     if not relaxed:
-        return Feasibility("infeasible", delta=delta,
-                           read=frozenset().union(*frame.near))
+        return Feasibility("infeasible", delta=delta)
     return Feasibility("unknown",
                        reason=f"relaxed grid assignments remain at delta {delta}")
 
@@ -699,42 +706,46 @@ def feasibility(inst: Instance, members: Sequence[int],
     explicit (no lattice fill).  A set with a member whose centre is not
     rational is unknown ("non-rational centers"); any other gets one
     :class:`_Frame`, which every stage reads.  See the module docstring for
-    the rule of each stage and its guarantees.  ``deadline`` is a
-    ``time.monotonic()`` instant (None: no limit); once it has passed, the
-    stage that reads the clock raises TimeoutError, and the answer is
-    unknown with reason "time budget".
+    the rule of each stage and its guarantees.  An answer that is not
+    feasible carries in ``read`` the N of its clause: the member's near
+    fixed disks for the lone-member lemma, else the union of every
+    member's.  ``deadline`` is a ``time.monotonic()`` instant (None: no
+    limit); once it has passed, the stage that reads the clock raises
+    TimeoutError, and the answer is unknown with reason "time budget".
     """
     cfg = cfg or SolverConfig()
     if not members:
         return Feasibility("feasible", {})
-    if not all(inst.disks[m].is_rational() for m in members):
-        return Feasibility("unknown", reason="non-rational centers")
-    frame = _Frame(inst, members)
-    try:
-        return (_stage_candidates(frame, deadline)
-                or _stage_numeric(frame, deadline)
-                or _stage_grid(frame, cfg, deadline))
-    except TimeoutError as e:
-        return Feasibility("unknown", reason=str(e))
+    if all(inst.disks[m].is_rational() for m in members):
+        frame = _Frame(inst, members)
+        near = frame.near
+        try:
+            res = (_stage_candidates(frame, deadline)
+                   or _stage_numeric(frame, deadline)
+                   or _stage_grid(frame, cfg, deadline))
+        except TimeoutError as e:
+            res = Feasibility("unknown", reason=str(e))
+    else:
+        near = _near_fixed(inst, members)
+        res = Feasibility("unknown", reason="non-rational centers")
+    if res.status == "feasible" or res.read is not None:
+        return res
+    return replace(res, read=frozenset().union(*near))
 
 
 def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     """Full decision pipeline over an explicit-disk instance.
 
-    Candidate sets come from ``enumerate_candidate_sets`` on the kernel
-    instance, smaller first.  A set that violates the clause of an earlier
-    refutation (module docstring) is skipped; every other one goes to
+    ``enumerate_candidate_sets`` searches the kernel instance by one clause
+    list: the kernel graph's conflict edges, then a clause for every answer
+    that is not feasible (module docstring).  Each set it yields goes to
     ``feasibility``: the first feasible set gives the yes, and a no needs
-    every set refuted or skipped.  The log starts "kernel kept m of n
-    disks", then has one line per set sent to ``feasibility``: "set [..]:
+    the search exhausted with no set unknown.  The log starts "kernel kept
+    m of n disks", then has one line per ``feasibility`` call: "set [..]:
     refuted, disk j has no place clear of the fixed disks" for the
     lone-member lemma, j being the kernel index of that member, "set [..]:
     refuted at delta" and the grid's resolution for a grid, and "set [..]:
-    unknown (reason)" otherwise; a yes ends it with "moved set [..]".  When
-    the solve ends, a refuted set's line whose clause skipped N > 0 later
-    sets gets "; skipped N sets" appended; a skipped set counts toward the
-    first violated clause that the lookup finds: the clauses filed under its
-    members in increasing order, each list in the order it was learned.
+    unknown (reason)" otherwise; a yes ends it with "moved set [..]".
     """
     cfg = cfg or SolverConfig()
     if inst.blocks:
@@ -758,31 +769,11 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
     log: list[str] = [
         f"kernel kept {len(kinst.disks)} of {len(inst.disks)} disks"]
     unknowns = 0
-    # clause (S, N, line): a cover holding all of S and none of N is
-    # infeasible, by the refutation logged at log[line]; filed under min(S)
-    # (module docstring)
-    clauses: dict[int, list[tuple[frozenset, frozenset, int]]] = {}
-    skips: Counter[int] = Counter()
-
-    def ruled_out(cand: list[int]) -> Optional[int]:
-        """The line of the first clause that ``cand`` violates, or None."""
-        for m in cand:
-            for s, n, line in clauses.get(m, ()):
-                if s.issubset(cand) and n.isdisjoint(cand):
-                    return line
-        return None
-
-    def closed(*tail: str) -> tuple[str, ...]:
-        for line, count in skips.items():
-            log[line] += f"; skipped {count} sets"
-        return tuple(log + list(tail))
-
+    # (S, N): a set that holds all of S and none of N is not feasible, or
+    # only if a set answered unknown is (module docstring)
+    clauses = [(frozenset(), frozenset(e)) for e in g.edges]
     try:
-        for cand in enumerate_candidate_sets(kinst, g, deadline):
-            line = ruled_out(cand)
-            if line is not None:
-                skips[line] += 1
-                continue
+        for cand in enumerate_candidate_sets(clauses, kinst.k, deadline):
             res = feasibility(kinst, cand, cfg, deadline=deadline)
             if res.status == "feasible":
                 moves = {}
@@ -791,26 +782,22 @@ def solve(inst: Instance, cfg: Optional[SolverConfig] = None) -> Answer:
                     if target != inst.disks[orig_idx]:
                         moves[orig_idx] = target
                 return Answer("yes", Witness(moves),
-                              log=closed(f"moved set {cand}"))
-            if res.status == "infeasible":
-                if res.delta is not None:
-                    trigger = cand
-                    log.append(f"set {cand}: refuted at delta {res.delta}")
-                else:
-                    trigger = [cand[res.member]]
-                    log.append(f"set {cand}: refuted, "
-                               f"disk {cand[res.member]} {res.reason}")
-                clauses.setdefault(trigger[0], []).append(
-                    (frozenset(trigger), res.read, len(log) - 1))
+                              log=(*log, f"moved set {cand}"))
+            if res.delta is not None:
+                log.append(f"set {cand}: refuted at delta {res.delta}")
+            elif res.member is not None:
+                log.append(f"set {cand}: refuted, "
+                           f"disk {cand[res.member]} {res.reason}")
             else:
                 unknowns += 1
                 log.append(f"set {cand}: unknown ({res.reason})")
-        _check_clock(deadline)
+            trigger = cand if res.member is None else [cand[res.member]]
+            clauses.append((frozenset(trigger), res.read))
     except TimeoutError as e:
-        # an incomplete sweep proves nothing
-        return Answer("unknown", reason=str(e), log=closed())
+        # an incomplete search proves nothing
+        return Answer("unknown", reason=str(e), log=tuple(log))
     if unknowns:
         return Answer("unknown",
                       reason=f"{unknowns} candidate sets undecided",
-                      log=closed())
-    return Answer("no", log=closed())
+                      log=tuple(log))
+    return Answer("no", log=tuple(log))

@@ -61,10 +61,33 @@ def fig1(k, d2, variant="euclidean"):
     return Instance(variant, k, F(d2), (P(0, 0), P(1, 0), P(2, 0)))
 
 
+def edge_clauses(inst):
+    """The clauses ({}, {i, j}) of the conflict edges of ``inst``, the
+    list that ``solve`` starts with."""
+    return [(frozenset(), frozenset(e)) for e in build_graph(inst.disks).edges]
+
+
 def covers(disks, k, d2=F(1)):
-    """The enumerated covers of the Euclidean instance on ``disks``."""
+    """The sets that the edge clauses of the Euclidean instance on
+    ``disks`` alone give, no clause being added."""
     inst = Instance("euclidean", k, d2, tuple(disks))
-    return list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
+    return list(enumerate_candidate_sets(edge_clauses(inst), k))
+
+
+def all_covers(inst):
+    """Every cover of at most ``inst.k`` disks of ``inst``, by size and
+    then lexicographic."""
+    edges = build_graph(inst.disks).edges
+    return [list(c) for size in range(inst.k + 1)
+            for c in itertools.combinations(range(len(inst.disks)), size)
+            if all(i in c or j in c for i, j in edges)]
+
+
+def violates(cand, clause):
+    """Whether the set ``cand`` holds all of S and none of N, for the
+    clause (S, N)."""
+    s, n = clause
+    return s <= set(cand) and n.isdisjoint(cand)
 
 
 class TestEnumerateCandidateSets:
@@ -79,74 +102,99 @@ class TestEnumerateCandidateSets:
         assert covers(triangle, 1) == []
         assert covers(triangle, 2) == [[0, 1], [0, 2], [1, 2]]
 
-    def test_supersets_included_in_order(self):
-        # at d + 2 = 3 the disk at (5, 0) is near no member: no set holds it
-        got = covers([P(0, 0), P(1, 0), P(5, 0)], 2)
-        assert got == [[0], [1], [0, 1]]
-        # at d + 2 = 5 it is near disk 1, but not yet near disk 0
-        got = covers([P(0, 0), P(1, 0), P(5, 0)], 2, F(9))
-        assert got == [[0], [1], [0, 1], [1, 2]]
+    def test_branches_on_the_first_violated_clause(self):
+        # edges (0, 1) and (1, 2): [0] violates (1, 2), and the branch of
+        # disk 1 bans disk 0, so [1] already violates none
+        assert covers([P(0, 0), P(1, 0), P(2, 0)], 2) == [[0, 1], [0, 2],
+                                                          [1]]
+        assert covers([P(0, 0), P(1, 0), P(2, 0)], 1) == [[1]]
 
-    def test_order_is_size_then_lex(self):
-        got = covers([P(0, 0), P(1, 0), P(2, 0), P(3, 0)], 3)
-        sizes = [len(s) for s in got]
-        assert sizes == sorted(sizes)
-        for a, b in zip(got, got[1:]):
-            if len(a) == len(b):
-                assert a < b
+    def test_a_banned_disk_is_never_added(self):
+        # below [1], disk 0 is banned: the clause "if 1 moves, 0 moves"
+        # ends that branch, and [0, 1], yielded before, comes no more
+        inst = fig1(2, 1)
+        clauses = edge_clauses(inst)
+        got = []
+        for cand in enumerate_candidate_sets(clauses, 2):
+            got.append(cand)
+            if cand == [1]:
+                clauses.append((frozenset([1]), frozenset([0])))
+        assert got == [[0, 1], [0, 2], [1]]
 
-    def test_leaves_of_every_size_are_yielded(self):
-        # edges (0, 1), (2, 3), (3, 4): branching on 0, 2 and then 4 gives
-        # the leaf [0, 2, 4], whose near groups at d + 2 = 3 are {0} and
-        # {2, 4}; no disk near [0, 3] or [1, 3] grows into it
-        path = [P(0, 0), P(1, 0), P(10, 0), P(11, 0), P(12, 0)]
-        got = covers(path, 3)
-        assert got[:2] == [[0, 3], [1, 3]] and [0, 2, 4] in got
+    def test_a_clause_appended_after_a_yield_is_searched(self):
+        # [1] refuted with N = {0, 2}: the search goes on from [1], with
+        # disk 0 banned, to [1, 2]
+        clauses = edge_clauses(fig1(2, 1))
+        got = []
+        for cand in enumerate_candidate_sets(clauses, 2):
+            got.append(cand)
+            clauses.append((frozenset(cand), frozenset({0, 1, 2}) - {*cand}))
+        assert got == [[0, 1], [0, 2], [1], [1, 2]]
 
-    def test_matches_every_cover_with_a_conflict_disk_per_near_group(self):
-        # a brute-force reading of the contract on random instances; from
-        # trial 60 on, each disk's x is shifted by 1/p for its own prime p
-        # above 2^21, so that the enumeration's scale leaves most disks off
-        rng = random.Random(20261020)
-        primes = (p for p in itertools.count(2 ** 21 + 1, 2)
-                  if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
-        for trial in range(90):
-            n = rng.randint(3, 8)
-            k = rng.randint(0, 4)
-            d2 = rng.choice([F(1, 4), F(1), F(9, 4), F(4)])
-            inst = gen_random(n, rng.randint(2, 5) + n // 2,
-                              rng.randrange(10 ** 6), k, d2, "euclidean")
-            if trial >= 60:
-                inst = Instance("euclidean", k, d2, tuple(
-                    Point(p.x + F(1, next(primes)), p.y) for p in inst.disks))
-                assert None in scale_points(inst.disks)[1]
-            g = build_graph(inst.disks)
-            ends = {i for e in g.edges for i in e}
-            reach2 = (derived_d(d2) + 2) ** 2
-            want = []
-            for size in range(k + 1):
-                for combo in itertools.combinations(range(n), size):
-                    if not all(i in combo or j in combo for i, j in g.edges):
-                        continue
-                    # grow each member's near group inside the set
-                    groups = []
-                    for i in combo:
-                        joined = [grp for grp in groups if any(
-                            dist2(inst.disks[i], inst.disks[j]) < reach2
-                            for j in grp)]
-                        groups = [grp for grp in groups if grp not in joined]
-                        groups.append({i}.union(*joined))
-                    if all(grp & ends for grp in groups):
-                        want.append(list(combo))
-            got = list(enumerate_candidate_sets(inst, g))
-            assert got == want, trial
+    def test_random_clauses_against_brute_force(self):
+        # a driver like ``solve``: a yielded set is feasible when it is in a
+        # hidden family of covers, and otherwise gets a clause that it
+        # violates and that every feasible set satisfies.  No set comes
+        # twice or violates a clause listed when it is yielded, and a
+        # feasible set is found exactly when the family has one within k
+        rng = random.Random(20261021)
+        found = 0
+        for trial in range(400):
+            n = rng.randint(1, 7)
+            k = rng.randint(0, n)
+            edges = [e for e in itertools.combinations(range(n), 2)
+                     if rng.random() < 0.3]
+            feasible = [set(c) for size in range(n + 1)
+                        for c in itertools.combinations(range(n), size)
+                        if all(i in c or j in c for i, j in edges)
+                        and rng.random() < 0.1]
+            clauses = [(frozenset(), frozenset(e)) for e in edges]
+            # the edge clauses alone: each cover within k holds a yielded
+            # set, and each yielded set is a cover, yielded once
+            plain = list(enumerate_candidate_sets(list(clauses), k))
+            assert len({tuple(c) for c in plain}) == len(plain), trial
+            assert all(all(i in c or j in c for i, j in edges)
+                       for c in plain), trial
+            assert all(any(set(c) <= f for c in plain)
+                       for f in map(set, itertools.chain.from_iterable(
+                           itertools.combinations(range(n), size)
+                           for size in range(k + 1)))
+                       if all(i in f or j in f for i, j in edges)), trial
+            seen = []
+            hit = None
+            for cand in enumerate_candidate_sets(clauses, k):
+                assert cand == sorted(set(cand)) and len(cand) <= k
+                assert cand not in seen, trial
+                assert not any(violates(cand, c) for c in clauses), trial
+                seen.append(cand)
+                b = set(cand)
+                if b in feasible:
+                    hit = b
+                    break
+                s = set(rng.sample(cand, rng.randint(0, len(cand))))
+                if any(s <= f <= b for f in feasible):
+                    s = b
+                ns = {rng.choice(sorted(f - b)) for f in feasible if s <= f}
+                ns |= {j for j in range(n) if j not in b
+                       and rng.random() < 0.2}
+                clauses.append((frozenset(s), frozenset(ns)))
+            assert (hit is not None) == any(len(f) <= k for f in feasible), \
+                trial
+            found += hit is not None
+        assert 50 < found < 350
 
-    def test_undecided_distance_counts_as_near(self):
-        # disk 2's centre 4.000000000~ is within d + 2 = 3 of disk 1's
-        # only as far as its enclosure tells: [1, 2] is yielded
+    def test_undecided_distance_counts_as_near_in_a_clause(self):
+        # disk 2's centre 4.000000000~ is within d + 2 = 3 of disk 1's only
+        # as far as its enclosure tells: it is a near fixed disk of [1],
+        # which the walk cannot place, and it is in the unknown's clause
         x = parse_scalar("4.000000000~")
-        got = covers([P(0, 0), P(1, 0), Point(x, F(0))], 2)
-        assert got == [[0], [1], [0, 1], [1, 2]]
+        inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0),
+                                               Point(x, F(0))))
+        res = feasibility(inst, [1])
+        assert (res.status, res.reason) == ("unknown", "non-rational centers")
+        assert res.read == {0, 2}
+        # and so is a member's: the unknown [2] reads disk 1
+        assert feasibility(inst, [2]).read == {1}
 
     def test_a_tilde_disk_near_a_member_is_a_yes(self):
         # with disk 1 moved to (2, 0), the undecided disk 2 stays fixed
@@ -239,7 +287,6 @@ class TestOneArrayPerInstance:
         monkeypatch.syspath_prepend(str(root / "perfbench"))
         from planted import planted
 
-        inst = planted(1, 60, 2, 4, F(9, 4), "euclidean").instance
         sets = []
         real = solver.feasibility
 
@@ -249,8 +296,14 @@ class TestOneArrayPerInstance:
 
         monkeypatch.setattr(solver, "feasibility", recording)
         calls = self.count_scales(monkeypatch)
+        # a no that tries three sets still scales twice
+        ans = solve(planted(1, 60, 3, 5, F(9, 4), "euclidean").instance)
+        assert ans.verdict == "no" and len(sets) >= 3
+        assert len(calls) == 2
+        calls.clear()
+        inst = planted(1, 60, 2, 4, F(9, 4), "euclidean").instance
         ans = solve(inst)
-        assert ans.verdict == "yes" and len(sets) >= 3
+        assert ans.verdict == "yes"
         assert len(calls) == 2
         # the witness moves under a ninth of the disks: the local path
         # scales its targets and their neighbours only
@@ -466,12 +519,12 @@ class TestOneFrame:
 
     def test_smaller_cover_answers_for_a_non_rational_member(self):
         # cover [0, 2], unknown in the test above, has a placement with X
-        # at its origin; [0], enumerated first, answers yes with the same
-        # target for disk 0, tested against X as a fixed centre that is
-        # not rational
+        # at its origin; the search, which adds only disks of violated
+        # clauses, never adds X: [0] answers yes with the same target for
+        # disk 0, tested against X as a fixed centre that is not rational
         inst = Instance("euclidean", 2, F(4), (P(0, 0), P(1, 0), self.X))
-        sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
-        assert sets.index([0]) < sets.index([0, 2])
+        assert list(enumerate_candidate_sets(edge_clauses(inst), 2)) == [
+            [0], [1]]
         ans = solve(inst)
         assert ans.verdict == "yes" and ans.log[-1] == "moved set [0]"
         assert ans.witness.moves == {0: P(0, 2)}
@@ -537,8 +590,7 @@ class TestLoneMember:
             inst = gen_random(n, rng.randint(2, 5) + n // 2,
                               rng.randrange(10 ** 6), k, d2, variant)
             trial += 1
-            for cand in enumerate_candidate_sets(inst,
-                                                 build_graph(inst.disks)):
+            for cand in all_covers(inst):
                 if not cand:
                     continue
                 sets += 1
@@ -931,31 +983,39 @@ class TestDeadline:
 
     def test_enumeration_past_deadline_yields_nothing(self):
         inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(5, 0)))
-        gen = enumerate_candidate_sets(inst, build_graph(inst.disks),
+        gen = enumerate_candidate_sets(edge_clauses(inst), 2,
                                        deadline=time.monotonic() - 1)
         with pytest.raises(TimeoutError, match="time budget"):
             next(gen)
 
-    def test_enumeration_checks_the_deadline_while_a_level_grows(
+    def test_enumeration_checks_the_deadline_at_every_node(
             self, monkeypatch):
-        # the clock passes the deadline once level 1 ([0], [1]) is out:
-        # growing level 2 stops before it tests a single distance
-        inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(2, 2)))
-        gen = enumerate_candidate_sets(inst, build_graph(inst.disks), 5.0)
-        monkeypatch.setattr(solver.time, "monotonic", lambda: 0)
-        assert [next(gen), next(gen)] == [[0], [1]]
-        tested = []
-        monkeypatch.setattr(solver, "compare",
-                            lambda *args: tested.append(args))
-        monkeypatch.setattr(solver.time, "monotonic", lambda: 10)
+        # the search reads the clock once at each set it reaches, and once
+        # more when it looks again at a yielded one: past the deadline of
+        # 5, the next read raises before any clause is looked at
+        clauses = edge_clauses(fig1(2, 1))
+        reads, got = [], []
+
+        def clock():
+            reads.append(len(got))
+            return 10 if len(got) == 2 else 0
+
+        monkeypatch.setattr(solver.time, "monotonic", clock)
+        gen = enumerate_candidate_sets(clauses, 2, 5.0)
+        got += [next(gen)]
+        got += [next(gen)]
+        assert got == [[0, 1], [0, 2]]
+        # the empty set, [0], [0, 1], [0, 1] again, [0, 2]
+        assert reads == [0, 0, 0, 1, 1]
+        clauses.append(None)  # never read: the clock raises first
         with pytest.raises(TimeoutError, match="time budget"):
             next(gen)
-        assert tested == []
+        assert reads[-1] == 2
 
-    def test_solve_cut_while_a_level_grows(self, monkeypatch):
-        # the tight triple's one size-1 cover [1] is refuted at clock 0;
-        # the clock then passes the deadline of 5, so growing level 2 ends
-        # the solve, which keeps the log of the sets it decided
+    def test_solve_cut_between_two_sets(self, monkeypatch):
+        # the tight triple's first set [0, 1] is refuted at clock 0; the
+        # clock then passes the deadline of 5, so the search ends the
+        # solve, which keeps the log of the set it decided
         inst = Instance("euclidean", 2, F(1), (P(0, 0), P(1, 0), P(2, 0)))
         now = [0]
         monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
@@ -970,8 +1030,7 @@ class TestDeadline:
         assert solve(inst, SolverConfig(time_budget=5)) == Answer(
             "unknown", reason="time budget",
             log=("kernel kept 3 of 3 disks",
-                 "set [1]: refuted, disk 1 has no place clear of the fixed "
-                 "disks"))
+                 "set [0, 1]: refuted at delta 1/16"))
 
     @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
     def test_nan_or_negative_budget_rejected(self, budget):
@@ -1095,8 +1154,7 @@ class TestGridOnFrame:
             inst = gen_random(n, rng.randint(2, 4) + n // 2,
                               rng.randrange(10 ** 6), k, d2, variant)
             trial += 1
-            for cand in enumerate_candidate_sets(inst,
-                                                 build_graph(inst.disks)):
+            for cand in all_covers(inst):
                 fixed = [p for i, p in enumerate(inst.disks) if i not in cand]
                 movables = [inst.disks[i] for i in cand]
                 grids.clear()
@@ -1345,7 +1403,7 @@ class TestVariantOrdering:
 
 
 # ---------------------------------------------------------------------------
-# covers implied by a smaller cover: a far member, or a far near group
+# sets ruled out by the clause of an earlier answer
 
 # six background disks around a tight triple centred on the origin, each at
 # least 4 from every triple disk and from the targets (+-2, 0)
@@ -1380,12 +1438,6 @@ def logged_sets(ans):
     return out
 
 
-def skip_count(outcome):
-    """The N of a log line's "; skipped N sets", else 0."""
-    m = re.search(r"; skipped (\d+) sets$", outcome)
-    return int(m[1]) if m else 0
-
-
 def clause(inst, moved, outcome):
     """(S, N) of a refuted set's line, computed from the instance: "if all
     of S moves, some disk of N moves", N being the disks outside the set
@@ -1412,48 +1464,46 @@ def solve_recording(monkeypatch, inst):
 
 
 class TestImpliedRefutation:
-    """A cover with a near group that holds no conflict disk is implied by
-    the smaller cover without that group (the solver module docstring's
-    near-group lemma), and is never enumerated."""
+    """A set that violates the clause of an earlier answer is never tried:
+    the search adds only disks of violated clauses (the solver module
+    docstring's clauses and search)."""
 
-    def test_every_enumerated_cover_is_refuted_in_the_log(self):
-        # each cover has a line of its own, or violates the clause of an
-        # earlier line and is counted in that line's skips
+    def test_every_yielded_set_is_refuted_in_the_log(self, monkeypatch):
+        # each set that reaches feasibility has a line of its own and
+        # violates no clause, computed from the geometry, of an earlier
+        # line; the lines' clauses rule out every cover of at most k disks
         inst = two_triples(3)
         assert len(kernelize(inst)[0].disks) == len(inst.disks)
-        ans = solve(inst)
-        assert ans.verdict == "no"
-        sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
-        logged = logged_sets(ans)
-        assert all(o.startswith("refuted") for _, o in logged)
-        lines, clauses = iter(logged), []
-        line = next(lines)
-        for cover in sets:
-            if line is not None and line[0] == cover:
-                clauses.append(clause(inst, *line))
-                line = next(lines, None)
-            else:
-                assert any(s <= set(cover) and n.isdisjoint(cover)
-                           for s, n in clauses), cover
-        assert line is None
-        assert len(logged) + sum(skip_count(o) for _, o in logged) == len(sets)
-        assert len(logged) < len(sets)
-
-    def test_far_means_at_least_d_plus_two_exactly(self, monkeypatch):
-        # fig1 at d2 = 1/4 (d + 2 = 5/2) with a disk just inside and one
-        # exactly at 5/2 from the middle disk; every cover is refuted
-        inst = Instance("euclidean", 2, F(1, 4), (
-            P(0, 0), P(1, 0), P(2, 0), P(1, F(249, 100)), P(1, F(-5, 2))))
-        sets = list(enumerate_candidate_sets(inst, build_graph(inst.disks)))
-        assert [1, 3] in sets and [1, 4] not in sets
         ans, seen = solve_recording(monkeypatch, inst)
         assert ans.verdict == "no"
-        logged = dict((str(s), o) for s, o in logged_sets(ans))
-        # the middle disk has no place clear of the fixed ones
+        logged = logged_sets(ans)
+        assert all(o.startswith("refuted") for _, o in logged)
+        assert [frozenset(s) for s, _ in logged] == seen
+        clauses = []
+        for moved, outcome in logged:
+            assert not any(violates(moved, c) for c in clauses), moved
+            clauses.append(clause(inst, moved, outcome))
+        for cover in all_covers(inst):
+            assert any(violates(cover, c) for c in clauses), cover
+        assert len(logged) < len(all_covers(inst))
+
+    @pytest.mark.parametrize("y, near", [(F(-5, 2), {2, 3, 4}),
+                                         (F(-251, 100), {2, 3})])
+    def test_near_means_at_most_d_plus_two(self, monkeypatch, y, near):
+        # fig1 at d2 = 1/4 (d + 2 = 5/2) with disk 3 just inside 5/2 of
+        # the middle disk and disk 4 at 5/2 or just beyond: the clause of
+        # [0, 1], whose disk 1 has no place, reads the disks within 5/2,
+        # and the search adds each of them, and no other, to [1]
+        inst = Instance("euclidean", 2, F(1, 4), (
+            P(0, 0), P(1, 0), P(2, 0), P(1, F(249, 100)), P(1, y)))
+        res = feasibility(inst, [0, 1])
+        assert (res.status, res.member, res.read) == ("infeasible", 1, near)
+        ans, seen = solve_recording(monkeypatch, inst)
+        assert ans.verdict == "no"
+        assert {s for s in seen if 1 in s and 0 not in s} == {
+            frozenset([1, j]) for j in near}
         no_place = "refuted, disk 1 has no place clear of the fixed disks"
-        assert logged["[1]"] == logged["[1, 3]"] == no_place
-        assert {frozenset([1]), frozenset([1, 3])} <= set(seen)
-        assert frozenset([1, 4]) not in seen
+        assert ([1, 3], no_place) in logged_sets(ans)
 
     @pytest.mark.parametrize("k, seed, verdict", [
         (3, None, "no"), (4, None, "yes"), (4, 1, "yes"), (4, 2, "yes")])
@@ -1465,7 +1515,8 @@ class TestImpliedRefutation:
         if verdict == "yes":
             assert validate_witness(inst, ans.witness).accepted
         logged = logged_sets(ans)
-        # every smaller cover is enumerated, and logged, before a larger one
+        # a refuted set plus a disk far from all of its members violates
+        # the refuted set's clause, so it never reaches feasibility
         refuted = {frozenset(s) for s, o in logged if o.startswith("refuted")}
         for moved in seen:
             for x in moved:
@@ -1507,17 +1558,16 @@ def reference_solve(inst, cfg):
 
 class TestEnumerationDifferential:
     @pytest.mark.parametrize("variant", ["euclidean", "rectilinear"])
-    def test_near_group_covers_and_all_covers_agree(self, monkeypatch,
-                                                     variant):
+    def test_clause_search_and_all_covers_agree(self, monkeypatch, variant):
         # feasibility is deterministic without a deadline, so both loops
-        # share one memo: the reference pays only for the covers that solve
-        # skipped
-        memo, asked = {}, set()
+        # share one memo: the reference pays only for the covers that the
+        # search never tried
+        memo, asked = {}, []
         real = solver.feasibility
 
         def memoised(kinst, members, *args, **kwargs):
             key = (kinst, tuple(members))
-            asked.add(key[1])
+            asked.append(key[1])
             if key not in memo:
                 memo[key] = real(kinst, members, *args, **kwargs)
             return memo[key]
@@ -1525,7 +1575,7 @@ class TestEnumerationDifferential:
         monkeypatch.setattr(solver, "feasibility", memoised)
         cfg = SolverConfig(delta=F(1, 16))
         rng = random.Random(20261020)
-        skipped = ruled_out = grids = 0
+        fewer = grids = unknowns = 0
         for trial in range(200):
             n = rng.randint(4, 12)
             k = rng.randint(1, 3)
@@ -1534,44 +1584,45 @@ class TestEnumerationDifferential:
                               rng.randrange(10 ** 6), k, d2, variant)
             asked.clear()
             ans = solve(inst, cfg)
-            called = set(asked)
+            called = len(asked)
             verdict, witness, tried = reference_solve(inst, cfg)
             # a clause only turns an unknown set into a refuted one
             assert ans.verdict == verdict or (
                 verdict == "unknown" and ans.verdict == "no"), trial
-            if witness is not None:
-                assert write_witness(ans.witness) == write_witness(witness)
-            skipped += tried - sum(line.startswith("set [")
-                                   for line in ans.log)
-            # every cover that a clause ruled out is infeasible
+            if ans.verdict == "yes":
+                assert validate_witness(inst, ans.witness).accepted, trial
+            fewer += called < tried
             kr = kernelize(inst)
             if kr is None or not kr[1].graph.edges:
                 continue
-            kinst, report = kr
-            covers = enumerate_candidate_sets(kinst, report.graph)
-            if ans.verdict == "yes":
-                moved = literal_eval(ans.log[-1][len("moved set "):])
-                covers = itertools.takewhile(lambda c: c != moved, covers)
-            out = [c for c in covers if tuple(c) not in called]
-            assert len(out) == sum(skip_count(line) for line in ans.log)
-            for cover in out:
-                assert memoised(kinst, cover, cfg).status != "feasible"
-            ruled_out += len(out)
-            # a refutation read the near fixed disks of its member, or of
-            # every member for a grid
-            reach2 = (derived_d(d2) + 2) ** 2
-            for members in asked:
+            kinst = kr[0]
+            # no set that the search yields violates the clause of an
+            # earlier answer, an unknown one included
+            earlier = []
+            for members in asked[:called]:
+                assert not any(violates(members, c) for c in earlier), trial
                 res = memo[kinst, members]
-                if res.status == "infeasible":
-                    grids += res.delta is not None
-                    movers = (members if res.delta is not None
-                              else [members[res.member]])
-                    assert res.read == {
-                        j for j in range(len(kinst.disks))
-                        if j not in members and any(
-                            dist2(kinst.disks[x], kinst.disks[j]) <= reach2
-                            for x in movers)}
-        assert skipped > 0 and ruled_out > 0 and grids > 0
+                if res.status != "feasible":
+                    earlier.append((frozenset(
+                        members if res.member is None
+                        else [members[res.member]]), res.read))
+            # a clause's N is the near fixed disks of its lone member, or
+            # of every member for a grid refutation or an unknown answer
+            reach2 = (derived_d(d2) + 2) ** 2
+            for members in set(asked):
+                res = memo[kinst, members]
+                if res.status == "feasible":
+                    continue
+                grids += res.delta is not None
+                unknowns += res.status == "unknown"
+                movers = (members if res.member is None
+                          else [members[res.member]])
+                assert res.read == {
+                    j for j in range(len(kinst.disks))
+                    if j not in members and any(
+                        dist2(kinst.disks[x], kinst.disks[j]) <= reach2
+                        for x in movers)}
+        assert fewer > 0 and grids > 0 and unknowns > 0
 
 
 @pytest.fixture
@@ -1592,7 +1643,7 @@ def shuffled_planted(monkeypatch):
 
 class TestLocality:
     """Shuffled instances whose covers are spread over distant clusters:
-    only covers grown by near disks are tried."""
+    a refutation's clause names only the disks near its set."""
 
     @pytest.mark.parametrize("n_bg, t, k", [(60, 3, 5), (60, 3, 6),
                                             (80, 4, 8)])
@@ -1627,7 +1678,7 @@ def lattice(extra, k):
 
 class TestClauses:
     """A refutation is a clause "if all of S moves, some disk of N moves",
-    and a later cover that violates it gets no ``feasibility`` call."""
+    and the search never yields a set that violates it."""
 
     def test_lattice_is_no_in_few_calls(self, monkeypatch):
         ans, seen = solve_recording(monkeypatch, lattice(4, 7))
@@ -1642,27 +1693,54 @@ class TestClauses:
         assert solve(inst).verdict == "no"
         assert time.monotonic() - t0 < 10
 
+    def test_shuffled_planted_ten_triples_no_in_time(self, shuffled_planted):
+        # the covers of ten far-apart triples multiply; each refutation's
+        # clause names only disks near its set, and the search tries ten
+        # sets
+        inst, answer = shuffled_planted(1, 200, 10, 19)
+        assert answer == "no"
+        t0 = time.monotonic()
+        assert solve(inst).verdict == "no"
+        assert time.monotonic() - t0 < 5
+
     def test_time_budget_holds_on_an_undecided_lattice(self):
         t0 = time.monotonic()
         ans = solve(lattice(3, 6), SolverConfig(time_budget=1))
         assert time.monotonic() - t0 < 1.5
         assert ans.verdict in ("no", "unknown")
 
+    def test_clause_of_an_unknown_set_leads_on_to_a_yes(self):
+        # [1] is unknown, as its near fixed disk 3 is not rational; its
+        # clause sends the search on to the sets that also move a near disk
+        # of [1], and [0, 1, 2] is a yes that moves disks 1 and 2.  With no
+        # clause, the search would end at [1] and the solve be unknown
+        inst = Instance("euclidean", 3, F(1), (
+            P(F(1, 2), F(9, 4)), P(F(13, 4), F(7, 4)), P(F(7, 2), F(9, 4)),
+            Point(quadext(2, F(1, 8), 2), F(17, 4))))
+        assert feasibility(inst, [1]).read == {0, 2, 3}
+        ans = solve(inst)
+        assert ans.log[1:] == ("set [1]: unknown (non-rational centers)",
+                               "set [0, 1]: unknown (non-rational centers)",
+                               "moved set [0, 1, 2]")
+        assert str(ans) == "yes (2 moves)"
+        assert validate_witness(inst, ans.witness).accepted
+
     def test_clause_rules_out_a_set_with_a_non_rational_member(
             self, monkeypatch):
         # in [0, 4, 5], disk 5 has no place clear of its near fixed disks 2
-        # and 3; [1, 4, 5] keeps both fixed, so it is ruled out without the
-        # frame that its non-rational member, disk 1, would not get
+        # and 3; [1, 4, 5], the one other cover that the edges give, keeps
+        # both fixed, so it is ruled out without the frame that its
+        # non-rational member, disk 1, would not get
         inst = Instance("euclidean", 3, F(1, 4), (
             P(F(13, 4), 4), Point(quadext(F(17, 4), F(1, 8), 2), F(11, 2)),
             P(F(3, 4), F(5, 4)), P(3, F(7, 4)), P(F(9, 4), 0),
             P(F(7, 4), F(3, 4))))
-        assert [1, 4, 5] in enumerate_candidate_sets(
-            inst, build_graph(inst.disks))
+        assert list(enumerate_candidate_sets(edge_clauses(inst), 3)) == [
+            [0, 4, 5], [1, 4, 5]]
         assert feasibility(inst, [0, 4, 5]).read == {2, 3}
         ans, seen = solve_recording(monkeypatch, inst)
         assert ans.verdict == "no"
         assert ans.log[1:] == (
             "set [0, 4, 5]: refuted, disk 5 has no place clear of the fixed "
-            "disks; skipped 1 sets",)
+            "disks",)
         assert seen == [frozenset([0, 4, 5])]

@@ -20,8 +20,8 @@ The line "off-scale rationals" digests 24 seeded ``gen_random`` instances
 whose every disk's x is shifted by 1/p for its own prime p above 2^21, so
 that the integer scales of the kernel and of each moved set leave most
 centres off, and their pairs go through the exact comparison.  The last,
-"clause cases", digests four instances whose covers are mostly ruled out by
-the clauses of earlier refutations: an 8x8 lattice plus three disks at
+"clause cases", digests four instances that the clauses of earlier
+refutations decide in a few sets each: an 8x8 lattice plus three disks at
 k = 5, plus four at k = 7, and ``perfbench``'s planted instance with six
 triples, its disks shuffled, at k = 11 (no) and k = 12 (yes).
 Two checkouts that print the same lines gave byte-identical answers and
