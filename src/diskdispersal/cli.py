@@ -61,14 +61,21 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _nonnegative(parse, strict: bool = False):
+def _nonnegative(parse, strict: bool = False, real: bool = False):
     """An option type: ``parse`` of the text, which must be at least 0, or
-    above 0 when ``strict`` (either test also rejects a float nan)."""
+    above 0 when ``strict`` (either test also rejects a float nan), and
+    within float range when ``real``, for a value used as a float."""
     def check(text: str):
         value = parse(text)
         if not (value > 0 if strict else value >= 0):
             bound = "above 0" if strict else "at least 0"
             raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
+        if real:
+            try:
+                float(value)
+            except OverflowError:
+                raise argparse.ArgumentTypeError(
+                    f"beyond float range: {text!r}") from None
         return value
 
     check.__name__ = parse.__name__  # argparse names the type in errors
@@ -96,8 +103,8 @@ def _build_parser() -> _Parser:
                     default=None,
                     help="finest refutation grid resolution (default: the "
                          "solver's 1/64, the oracle's 1/16)")
-    sp.add_argument("--time-budget", type=_nonnegative(_rational),
-                    default=None,
+    sp.add_argument("--time-budget",
+                    type=_nonnegative(_rational, real=True), default=None,
                     help="seconds for the whole solve, as a rational: 5/2 "
                          "for 2.5 s")
     sp.add_argument("--oracle", action="store_true",
@@ -164,7 +171,8 @@ def _build_parser() -> _Parser:
     dp.add_argument("instance", type=Path)
     dp.add_argument("output", type=Path)
     dp.add_argument("--witness", type=Path, default=None)
-    dp.add_argument("--scale", type=_nonnegative(_rational, strict=True),
+    dp.add_argument("--scale",
+                    type=_nonnegative(_rational, strict=True, real=True),
                     default=Fraction(12))
 
     ep = sub.add_parser("graph", help="emit the intersection graph edge list")

@@ -41,17 +41,21 @@ def _fmt(v: float) -> str:
 def render_svg(inst: Instance, w: Optional[Witness] = None,
                opts: Optional[RenderOptions] = None) -> str:
     """The SVG document of ``inst``, with ``w``'s moves drawn as arrows; a
-    move of a disk the instance does not have raises ValueError."""
+    move of a disk the instance does not have, or a scale or coordinate
+    beyond float range, raises ValueError."""
     opts = opts or RenderOptions()
-    scale = float(frac(opts.scale))
-    pts = [(approx_float(d.x), approx_float(d.y)) for d in inst.disks]
-    boxes = [(float(b.x0), float(b.y0), float(b.x1), float(b.y1))
-             for b in inst.blocks]
-    targets = {}
     if w is not None:
         check_witness_indices(inst, w)
-        targets = {i: (approx_float(p.x), approx_float(p.y))
-                   for i, p in sorted(w.moves.items())}
+    try:
+        scale = float(frac(opts.scale))
+        pts = [(approx_float(d.x), approx_float(d.y)) for d in inst.disks]
+        boxes = [(float(b.x0), float(b.y0), float(b.x1), float(b.y1))
+                 for b in inst.blocks]
+        targets = {} if w is None else {
+            i: (approx_float(p.x), approx_float(p.y))
+            for i, p in sorted(w.moves.items())}
+    except OverflowError:
+        raise ValueError("a scale or coordinate beyond float range") from None
 
     xs = [p[0] for p in pts] + [t[0] for t in targets.values()] + \
         [b[0] for b in boxes] + [b[2] for b in boxes]

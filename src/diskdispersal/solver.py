@@ -33,8 +33,10 @@ not rational, as exact ``Point`` values.
    every constraint relaxed by the maximal rounding perturbation
    (sqrt(2)*delta per moved endpoint), no continuous solution exists.  Each
    pass rescales the frame once more to put the grid on integers, so a
-   grid point is a frame candidate: ``frame.fits`` is its exact test and
-   ``frame.point`` builds the witness, as in stage 2.
+   grid point is a frame candidate.  A pass searches first for a relaxed
+   assignment, whose absence is the refutation, and then, only when one
+   exists, for an exact one, with ``frame.fits`` added to the test: the
+   first exact one is the grid witness, built by ``frame.point``.
 
 Near fixed centres.  Stages test each member against its near fixed centres
 only.  One routine, ``geometry.near`` with the closed test, answers every
@@ -146,28 +148,43 @@ coordinates are decided exactly; only ``~`` input can leave one undecided,
 and that answer is unknown.
 
 ``SolverConfig`` has two fields: ``delta`` (stage 3's finest grid) and
-``time_budget`` (None, or seconds at least 0), which bounds the whole
-solve: ``solve`` turns it into one ``time.monotonic()`` deadline before
-kernelization and hands it to the search, to stages 1 and 2 and to
-every DFS node of every grid pass.  Each reads the clock through one
-helper that raises TimeoutError("time budget") once the deadline has
-passed, so an expired budget ends the solve within one step of any of
-them, and no cut-short sweep passes for a finished one; only
+``time_budget`` (None, or seconds at least 0 within float range), which
+bounds the whole solve: ``solve`` turns it into one ``time.monotonic()``
+deadline before kernelization and hands it to the search, to stages 1
+and 2 and to every DFS node of every grid pass.  Each reads the clock
+through one helper that raises TimeoutError("time budget") once the
+deadline has passed, so an expired budget ends the solve within one step
+of any of them, and no cut-short sweep passes for a finished one; only
 ``feasibility`` and ``solve`` catch it, into unknown ("time budget").  The
 fixed search limits are module constants: ``DELTA_START`` (stage 3's
 first, coarsest grid) and ``GRID_NODE_BUDGET`` (stage 3 work per pass).
-That budget counts DFS nodes, and menu cells times (near fixed centres +
-1), not the tests at a node, so only ``time_budget`` bounds a pass.
-Stages 1 and 2 have no limit of their own: each tries every candidate it
-lists, in the order it builds them.
+That budget counts the nodes of a pass's relaxed and exact searches
+together, and menu cells times (near fixed centres + 1), not the tests at
+a node, so only ``time_budget`` bounds a pass.  Stages 1 and 2 have no
+limit of their own: each tries every candidate it lists, in the order it
+builds them.
+
+One placement search.  Stage 2's walk and both searches of a grid pass
+are one depth-first routine, ``_place``: members in a given order, each
+trying its menu in order, keeping a point that passes the test against
+the points kept before it and backtracking when no point of the menu
+leads to a whole placement.  Stage 2 runs it once, in member order; a
+grid pass runs it on its menus, most constrained member first, with the
+relaxed test and then with the relaxed and the exact test.  The
+two-search pass answers as one search that looks for both at once would:
+an exact assignment is a relaxed one, so the second search's first
+placement is the first exact leaf in depth-first order, and the second
+search can start where the first one ended.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from . import geometry
@@ -195,7 +212,8 @@ __all__ = [
 ]
 
 DELTA_START = Fraction(1, 4)  # stage 3: first (coarse) refutation grid
-GRID_NODE_BUDGET = 1_500_000  # stage 3, per pass: DFS nodes, and menu cells
+GRID_NODE_BUDGET = 1_500_000  # stage 3, per pass: the nodes of its relaxed
+                              # and exact searches together, and menu cells
                               # times (near fixed centres + 1); not node tests
 NO_PLACE = "has no place clear of the fixed disks"  # stage 1 refutation
 
@@ -209,9 +227,15 @@ class SolverConfig:
         self.delta = frac(self.delta)
         if self.delta <= 0:
             raise ValueError("grid resolution must be positive")
-        # a nan deadline never passes, so nan is refused with the negatives
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValueError("time budget must be at least 0")
+        # the deadline is a float: a budget beyond float range has none, and
+        # a nan one never passes, so both are refused with the negatives
+        try:
+            ok = self.time_budget is None or (
+                self.time_budget >= 0 and float(self.time_budget) >= 0)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError("time budget must be at least 0 and fit a float")
 
 
 @dataclass(frozen=True)
@@ -524,31 +548,42 @@ def _stage_candidates(frame: _Frame, deadline: Optional[float]
     return None
 
 
-def _stage_numeric(frame: _Frame, deadline: Optional[float]
-                   ) -> Optional[Feasibility]:
-    """Stage 2: the first placement of the frame's members, depth first,
-    or None: member i tries ``frame.candidates(i, placed)`` in order and
-    keeps a candidate t when ``frame.fits(i, t, placed)``.  The name is
-    left from the float descent this stage once ran: the stage wrappers of
-    ``perfbench/layers.py`` bind it, so its rename to ``_stage_walk`` waits
-    for ROADMAP item 3."""
+def _place(order: Sequence[int], menu, fits, tick) -> Optional[list]:
+    """The first placement, depth first, of the members in ``order``, or
+    None: member i tries ``menu(i, placed)`` in order and keeps a t when
+    ``fits(i, t, placed)``, ``placed`` holding the points kept for the
+    members before it in ``order``.  ``tick()`` runs at every node, so it
+    may raise to end the search."""
     placed: list = []
 
     def rec(idx: int) -> bool:
-        _check_clock(deadline)
-        if idx == len(frame.origins):
+        tick()
+        if idx == len(order):
             return True
-        for t in frame.candidates(idx, placed):
-            if frame.fits(idx, t, placed):
+        i = order[idx]
+        for t in menu(i, placed):
+            if fits(i, t, placed):
                 placed.append(t)
                 if rec(idx + 1):
                     return True
                 placed.pop()
         return False
 
-    return (Feasibility("feasible",
-                        {i: frame.point(t) for i, t in enumerate(placed)})
-            if rec(0) else None)
+    return placed if rec(0) else None
+
+
+def _stage_numeric(frame: _Frame, deadline: Optional[float]
+                   ) -> Optional[Feasibility]:
+    """Stage 2: the first placement of the frame's members, in member
+    order, that :func:`_place` finds with menu ``frame.candidates`` and
+    test ``frame.fits``, reading the clock at every node, or None.  The
+    name is left from the float descent this stage once ran: the stage
+    wrappers of ``perfbench/layers.py`` bind it, so its rename to
+    ``_stage_walk`` waits for ROADMAP item 3."""
+    placed = _place(range(len(frame.origins)), frame.candidates, frame.fits,
+                    partial(_check_clock, deadline))
+    return None if placed is None else Feasibility(
+        "feasible", {i: frame.point(t) for i, t in enumerate(placed)})
 
 
 # ---------------------------------------------------------------------------
@@ -581,32 +616,49 @@ def _grid_pass(frame: _Frame, delta: Fraction,
 
     The frame's integers are multiplied once more, by the least r that
     makes the grid step delta*M*r an integer, and grid point (px, py) is
-    the frame candidate (px, py, 0, 0, r, 0).  Member i's menu reads only
-    its near fixed centres ``frame.fixed[i]``; the exact test is
-    ``frame.fits`` and an exact assignment becomes ``frame.point`` values.
-    Relaxed separation thresholds have the form (2 - s*sqrt(2))^2 =
-    A - B*sqrt(2), A = 4 + 2s^2 and B = 4s, with s = delta for moved-fixed
-    pairs and s = 2*delta for moved-moved pairs; A = 0 makes one vacuous
-    once s*sqrt(2) >= 2.  The pass gives up with unknown when its work
-    passes GRID_NODE_BUDGET, and raises TimeoutError when the deadline
-    passes; both checks run once per movable while the menus are built and
-    at every DFS node.
+    the frame candidate (px, py, 0, 0, r, 0).  Member i's menu holds its
+    displaced grid points that pass the relaxed tests against its near
+    fixed centres ``frame.fixed[i]``.  Relaxed separation thresholds have
+    the form (2 - s*sqrt(2))^2 = A - B*sqrt(2), A = 4 + 2s^2 and B = 4s,
+    with s = delta for moved-fixed pairs and s = 2*delta for moved-moved
+    pairs, which a test reads as A and L = 2*B^2; A = 0 makes one vacuous
+    once s*sqrt(2) >= 2, that is once L >= 64.  :func:`_place`
+    searches the menus twice, most constrained member first: with the
+    relaxed moved-moved test alone, where finding nothing refutes the set
+    at delta, and then, only if that found an assignment, with
+    ``frame.fits`` as well, where a placement is the grid witness, as
+    ``frame.point`` values, and finding nothing leaves relaxed assignments.
+    The second search starts on the path to the first search's leaf: an
+    exact assignment is a relaxed one, and none lies to the left of it.
+    The pass gives up with unknown when its work passes GRID_NODE_BUDGET,
+    and raises TimeoutError when the deadline passes; both checks run once
+    per movable while the menus are built and at every node of both
+    searches, whose nodes count together.
     """
     r = delta.denominator // math.gcd(frame.M, delta.denominator)
     M = frame.M * r
     step = delta.numerator * M // delta.denominator
     four = frame.four * r * r
     d2i = frame.D2 * r * r
-    sA1, sB1 = four + 2 * step * step, 4 * step * M
-    sA2, sB2 = four + 8 * step * step, 8 * step * M
-    sA1 = 0 if sB1 * sB1 >= 2 * four * four else sA1
-    sA2 = 0 if sB2 * sB2 >= 2 * four * four else sA2
+    sA1, sL1 = four + 2 * step * step, 2 * (4 * step * M) ** 2
+    sA2, sL2 = four + 8 * step * step, 2 * (8 * step * M) ** 2
+    sA1 = 0 if sL1 >= 4 * four * four else sA1
+    sA2 = 0 if sL2 >= 4 * four * four else sA2
     mvA = d2i + 2 * step * step
     mv_rhs = 8 * step * step * d2i
 
-    def sep_rel(dx: int, dy: int, A: int, B: int) -> bool:
-        t = A - dx * dx - dy * dy
-        return t <= 0 or t * t <= 2 * B * B
+    def clear(i: int, p: tuple, pts: Sequence[tuple], A: int = sA2,
+              L: int = sL2) -> bool:
+        """Whether member i's grid point p passes the relaxed separation
+        test (A, L) against every point (x, y, ...) of ``pts``; by default
+        the moved-moved test, so that it is the relaxed search's test."""
+        px, py = p[0], p[1]
+        for q in pts:
+            dx, dy = px - q[0], py - q[1]
+            t = A - dx * dx - dy * dy
+            if t > 0 and t * t > L:
+                return False
+        return True
 
     def mv_rel(V: int) -> bool:
         t = V - mvA
@@ -629,48 +681,28 @@ def _grid_pass(frame: _Frame, delta: Fraction,
         _check_clock(deadline)
 
     def menu(i: int) -> list[tuple]:
-        """Member i's displaced positions that pass the relaxed tests
-        against its near fixed centres, as frame candidates."""
         ox, oy = frame.origins[i]
         near = [(fx * r, fy * r) for fx, fy in frame.fixed[i]]
-        pts = []
-        for vx, vy in disps:
-            px, py = ox * r + vx, oy * r + vy
-            for fx, fy in near:
-                if not sep_rel(px - fx, py - fy, sA1, sB1):
-                    break
-            else:
-                pts.append((px, py, 0, 0, r, 0))
-        return pts
+        pts = [(ox * r + vx, oy * r + vy, 0, 0, r, 0) for vx, vy in disps]
+        return [p for p in pts if clear(i, p, near, sA1, sL1)]
 
-    chosen: list[tuple] = []
-    nodes = 0
+    nodes = itertools.count(1)
 
-    def rec(idx: int, exact: bool, relaxed: bool) -> tuple[bool, bool]:
-        """Extend ``chosen``, exact when ``exact`` is, over the members
-        from ``order[idx]`` on.  Returns (relaxed, found): whether a
-        relaxed assignment is known, ``relaxed`` telling whether one was
-        before this call, and whether an exact one fills ``chosen``.  Once
-        a relaxed assignment is known, only exact branches are explored."""
-        nonlocal nodes
-        nodes += 1
-        spend(nodes)
-        if idx == len(order):
-            return True, exact
-        i = order[idx]
-        for p in menus[i]:
-            for q in chosen:
-                if not sep_rel(p[0] - q[0], p[1] - q[1], sA2, sB2):
-                    break
-            else:
-                pe = exact and frame.fits(i, p, chosen)
-                if pe or not relaxed:
-                    chosen.append(p)
-                    relaxed, found = rec(idx + 1, pe, relaxed)
-                    if found:
-                        return True, True
-                    chosen.pop()
-        return relaxed, False
+    def tick() -> None:
+        spend(next(nodes))
+
+    first: Optional[list] = []  # the relaxed search's placement
+
+    def listed(i: int, placed: list) -> list[tuple]:
+        # left of the path to the first relaxed leaf lies no relaxed leaf,
+        # so no exact one: on that path, the exact search starts at it
+        d = len(placed)
+        if d < len(first) and placed == first[:d]:
+            return menus[i][menus[i].index(first[d]):]
+        return menus[i]
+
+    def exact(i: int, p: tuple, placed: list) -> bool:
+        return clear(i, p, placed) and frame.fits(i, p, placed)
 
     try:
         menus, work = [], 0
@@ -681,16 +713,17 @@ def _grid_pass(frame: _Frame, delta: Fraction,
         # most-constrained-first ordering keeps the DFS shallow; results map
         # back through the permutation
         order = sorted(range(len(menus)), key=lambda i: (len(menus[i]), i))
-        relaxed, exact = rec(0, True, False)
+        first = _place(order, listed, clear, tick)
+        if first is None:
+            return Feasibility("infeasible", delta=delta)
+        witness = _place(order, listed, exact, tick)
     except _Stop:
         return Feasibility("unknown", reason="grid node budget")
-    if exact:
-        return Feasibility("feasible", {i: frame.point(t)
-                                        for i, t in zip(order, chosen)})
-    if not relaxed:
-        return Feasibility("infeasible", delta=delta)
-    return Feasibility("unknown",
-                       reason=f"relaxed grid assignments remain at delta {delta}")
+    if witness is None:
+        return Feasibility("unknown",
+                           reason=f"relaxed grid assignments remain at delta {delta}")
+    return Feasibility("feasible", {i: frame.point(t)
+                                    for i, t in zip(order, witness)})
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,26 @@ class TestSolveChain:
         assert not svg.exists()
         assert dispatch(["validate", str(fig1), str(w)]) == 2
 
+    BIG = 10 ** 400  # no float holds it
+
+    @pytest.mark.parametrize("inst_text, moves", [
+        (FIG1_TEXT.replace("2 0", f"{BIG} 0"), "0\n"),
+        (FIG1_TEXT, f"1\n1 -> {BIG} 0\n"),
+    ])
+    def test_render_coordinate_beyond_float_range(self, tmp_path, capsys,
+                                                  inst_text, moves):
+        # a disk's centre or a move's target
+        p = tmp_path / "big.inst"
+        p.write_text(inst_text)
+        w = tmp_path / "w.out"
+        w.write_text(f"DISPERSALMOVES v1\nmoves: {moves}")
+        svg = tmp_path / "out.svg"
+        assert dispatch(["render", str(p), str(svg),
+                         "--witness", str(w)]) == 2
+        assert capsys.readouterr().err == (
+            "error: a scale or coordinate beyond float range\n")
+        assert not svg.exists()
+
     @pytest.mark.parametrize("flag, value", [("--time-budget", "1")])
     def test_oracle_rejects_solver_flags(self, fig1, capsys, flag, value):
         # the oracle takes no budget; silently ignoring it would misreport
@@ -350,6 +370,9 @@ class TestDispatchBasics:
         ["solve", "{inst}", "--time-budget", "\uff13"],
         ["solve", "{inst}", "--time-budget", "inf"],
         ["solve", "{inst}", "--time-budget", "2.5"],
+        # rationals that become floats, beyond float range
+        ["solve", "{inst}", "--time-budget", str(10 ** 400)],
+        ["render", "{inst}", "{out}", "--scale", str(10 ** 400)],
     ])
     def test_bad_option_values_64(self, fig1, tmp_path, capsys, argv):
         wit = tmp_path / "w.out"

@@ -1032,14 +1032,114 @@ class TestDeadline:
             log=("kernel kept 3 of 3 disks",
                  "set [0, 1]: refuted at delta 1/16"))
 
-    @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+    @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5, 10 ** 400])
     def test_nan_or_negative_budget_rejected(self, budget):
-        # a nan deadline never passes: the solve would have no bound
+        # a nan deadline never passes: the solve would have no bound; a
+        # budget beyond float range gives no deadline at all
         with pytest.raises(ValueError):
             SolverConfig(time_budget=budget)
 
     def test_zero_budget_allowed(self):
         assert SolverConfig(time_budget=0).time_budget == 0
+
+
+def reference_grid_pass(frame, delta):
+    """``solver._grid_pass`` as one combined search, kept as a reference:
+    a three-valued recursion that looks for a relaxed and an exact grid
+    assignment at once, exploring only exact branches once a relaxed
+    assignment is known.  It has no deadline, and its nodes count toward
+    ``solver.GRID_NODE_BUDGET`` as the pass's do."""
+    r = delta.denominator // math.gcd(frame.M, delta.denominator)
+    M = frame.M * r
+    step = delta.numerator * M // delta.denominator
+    four = frame.four * r * r
+    d2i = frame.D2 * r * r
+    sA1, sB1 = four + 2 * step * step, 4 * step * M
+    sA2, sB2 = four + 8 * step * step, 8 * step * M
+    sA1 = 0 if sB1 * sB1 >= 2 * four * four else sA1
+    sA2 = 0 if sB2 * sB2 >= 2 * four * four else sA2
+    mvA = d2i + 2 * step * step
+    mv_rhs = 8 * step * step * d2i
+
+    def sep_rel(dx, dy, A, B):
+        t = A - dx * dx - dy * dy
+        return t <= 0 or t * t <= 2 * B * B
+
+    def mv_rel(V):
+        t = V - mvA
+        return t <= 0 or t * t <= mv_rhs
+
+    amax = math.isqrt(d2i) // step + 2
+    if frame.variant == "euclidean":
+        disps = [(a * step, b * step)
+                 for a in range(-amax, amax + 1)
+                 for b in range(-amax, amax + 1)
+                 if mv_rel((a * step) ** 2 + (b * step) ** 2)]
+    else:
+        axis = [a * step for a in range(-amax, amax + 1)
+                if mv_rel((a * step) ** 2)]
+        disps = sorted({(v, 0) for v in axis} | {(0, v) for v in axis})
+
+    def spend(work):
+        if work > solver.GRID_NODE_BUDGET:
+            raise solver._Stop
+
+    def menu(i):
+        ox, oy = frame.origins[i]
+        near = [(fx * r, fy * r) for fx, fy in frame.fixed[i]]
+        pts = []
+        for vx, vy in disps:
+            px, py = ox * r + vx, oy * r + vy
+            for fx, fy in near:
+                if not sep_rel(px - fx, py - fy, sA1, sB1):
+                    break
+            else:
+                pts.append((px, py, 0, 0, r, 0))
+        return pts
+
+    chosen = []
+    nodes = 0
+
+    def rec(idx, exact, relaxed):
+        # (whether a relaxed assignment is known, whether an exact one
+        # fills ``chosen``)
+        nonlocal nodes
+        nodes += 1
+        spend(nodes)
+        if idx == len(order):
+            return True, exact
+        i = order[idx]
+        for p in menus[i]:
+            for q in chosen:
+                if not sep_rel(p[0] - q[0], p[1] - q[1], sA2, sB2):
+                    break
+            else:
+                pe = exact and frame.fits(i, p, chosen)
+                if pe or not relaxed:
+                    chosen.append(p)
+                    relaxed, found = rec(idx + 1, pe, relaxed)
+                    if found:
+                        return True, True
+                    chosen.pop()
+        return relaxed, False
+
+    try:
+        menus, work = [], 0
+        for i in range(len(frame.origins)):
+            menus.append(menu(i))
+            work += len(disps) * (len(frame.fixed[i]) + 1)
+            spend(work)
+        order = sorted(range(len(menus)), key=lambda i: (len(menus[i]), i))
+        relaxed, exact = rec(0, True, False)
+    except solver._Stop:
+        return solver.Feasibility("unknown", reason="grid node budget")
+    if exact:
+        return solver.Feasibility("feasible", {
+            i: frame.point(t) for i, t in zip(order, chosen)})
+    if not relaxed:
+        return solver.Feasibility("infeasible", delta=delta)
+    return solver.Feasibility(
+        "unknown", reason=f"relaxed grid assignments remain at delta {delta}")
 
 
 class TestGridOnFrame:
@@ -1257,16 +1357,91 @@ class TestGridOnFrame:
                 seen[variant, bool(chosen), want] += 1
         assert len(seen) == 8 and min(seen.values()) >= 50, seen
 
+    @staticmethod
+    def grid_sets(inst):
+        """(frame, placed) for each cover of ``inst`` with no near centre
+        that is not rational and that stage 1 does not refute; placed tells
+        whether stage 2 places it, and a set it does not reaches stage 3."""
+        out = []
+        for cand in all_covers(inst):
+            frame = solver._Frame(inst, cand)
+            if not (any(frame.others)
+                    or solver._stage_candidates(frame, None)):
+                out.append((frame,
+                            solver._stage_numeric(frame, None) is not None))
+        return out
+
+    def test_two_searches_answer_as_the_combined_one(self):
+        # seeded sets, in both variants, and the sets of the three
+        # grid-witness instances below: each pass from delta 1/4 to 1/64
+        # that the sweep runs, until one decides, ends as the combined
+        # search's does.  At least 100 sets reach stage 3; the sets that
+        # stage 2 places add feasible passes, on which the exact search
+        # must not skip a witness.  Euclidean move budgets are small, so
+        # that the passes that go on to 1/64 stay short
+        rng = random.Random(20261021)
+        sets = []
+        trial = 0
+        while sum(not placed for _, placed in sets) < 100:
+            variant = ("euclidean", "rectilinear")[trial % 2]
+            n, k = rng.randint(3, 5), rng.randint(1, 2)
+            d2 = rng.choice({"euclidean": [F(1, 64), F(1, 16)],
+                             "rectilinear": [F(1, 4), F(1), F(9, 4),
+                                             F(2)]}[variant])
+            sets += self.grid_sets(gen_random(
+                n, rng.randint(2, 4) + n // 2, rng.randrange(10 ** 6), k, d2,
+                variant))
+            trial += 1
+        for args, _, _ in self.GRID_WITNESSES:
+            sets += self.grid_sets(gen_random(*args))
+        seen = Counter()
+        for frame, placed in sets:
+            for e in range(2, 7):
+                want = reference_grid_pass(frame, F(1, 2 ** e))
+                got = solver._grid_pass(frame, F(1, 2 ** e), None)
+                assert (got.status, got.delta, got.assignment, got.reason) \
+                    == (want.status, want.delta, want.assignment,
+                        want.reason)
+                seen[frame.variant, placed, got.status] += 1
+                if got.status != "unknown":
+                    break
+        for variant in ("euclidean", "rectilinear"):
+            assert all(seen[variant, False, status]
+                       for status in ("infeasible", "unknown"))
+            assert seen[variant, False, "feasible"] \
+                + seen[variant, True, "feasible"] >= 20, seen
+
+    def test_place_ticks_at_every_node(self):
+        # members 0 and 1 have two points each, c not after a, and member
+        # 2 none: the search visits the root, a and b, d below a, c and d
+        # below b, and finds no placement
+        menus = {0: ["a", "b"], 1: ["c", "d"], 2: []}
+        ticks = []
+
+        def place():
+            ticks.clear()
+            return solver._place(
+                [0, 1, 2], lambda i, placed: menus[i],
+                lambda i, t, placed: (t, placed) != ("c", ["a"]),
+                lambda: ticks.append(None))
+
+        assert place() is None and len(ticks) == 6
+        # c does not fit after a: the root, a, d, e
+        menus[2] = ["e"]
+        assert place() == ["a", "d", "e"] and len(ticks) == 4
+
     # seeded instances whose one yes comes from a stage-3 grid witness;
     # tools/solve_digest.py digests the same three
-    @pytest.mark.parametrize("args, moved, text", [
+    GRID_WITNESSES = [
         ((3, 4, 768000, 2, F(1, 4), "euclidean"), [0, 1],
          "0 -> 9/16 45/16\n1 -> 17/8 65/16\n"),
         ((4, 5, 951059, 3, F(1, 4), "euclidean"), [0, 2, 3],
          "0 -> 41/16 3/8\n2 -> 7/16 1/8\n3 -> 21/16 31/16\n"),
         ((5, 4, 319576, 3, F(2), "rectilinear"), [1, 2, 4],
          "1 -> 51/32 1\n2 -> 165/32 2\n4 -> 101/32 9/4\n"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("args, moved, text", GRID_WITNESSES)
     def test_grid_witness_answers_yes(self, monkeypatch, args, moved, text):
         grids = []
         real = solver._stage_grid
