@@ -7,6 +7,7 @@ blocks are drawn as hatched rectangles, never as individual circles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -42,7 +43,8 @@ def render_svg(inst: Instance, w: Optional[Witness] = None,
                opts: Optional[RenderOptions] = None) -> str:
     """The SVG document of ``inst``, with ``w``'s moves drawn as arrows; a
     move of a disk the instance does not have, or a scale or coordinate
-    beyond float range, raises ValueError."""
+    beyond float range, raises ValueError, as does a drawing whose width or
+    height no float holds."""
     opts = opts or RenderOptions()
     if w is not None:
         check_witness_indices(inst, w)
@@ -68,6 +70,8 @@ def render_svg(inst: Instance, w: Optional[Witness] = None,
     y0, y1 = min(ys) - pad, max(ys) + pad
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError("a scale or coordinate beyond float range")
 
     def tx(x: float) -> str:
         return _fmt((x - x0) * scale)

@@ -18,13 +18,13 @@ not rational, as exact ``Point`` values.
 1. the lone-member lemma below: the set is refuted when one member whose
    ``others`` are empty alone has no place clear of the fixed disks.  A
    member with ``others`` is skipped;
-2. on every frame, a depth-first walk over structured candidates
-   (tangency intersections, budget-tight points, axis extremes): every
-   candidate is a tuple of integers over one radicand and every test the
-   sign of an integer radical expression, and member i's candidates are
-   also tested exactly against ``others[i]``.  Member i's near fixed
-   centres and every rational placed point seed tangencies.  A placed
-   anchor farther than derived_d(d2) + 2 from the origin gives only
+2. on every frame, a depth-first walk over structured candidates: the
+   origin, the four axis extremes and the lone-member lemma's points
+   (below), with member i's near fixed centres and every rational placed
+   point as its anchors.  Every candidate is a tuple of integers over one
+   radicand and every test the sign of an integer radical expression, and
+   member i's candidates are also tested exactly against ``others[i]``.  A
+   placed anchor farther than derived_d(d2) + 2 from the origin gives only
    candidates 2 from it, so farther than d from the origin, which the move
    test rejects: the walk places the same targets as without it;
 3. on a frame where no member has ``others``, an exhaustive grid sweep
@@ -95,10 +95,14 @@ Rectilinear: on each segment the fixed disks remove open intervals, leaving
 a finite union of closed intervals whose lowest end is a segment end (an
 axis extreme) or a tangency end.  Each of these points that is not an axis
 extreme lies within d of o and at distance 2 from one or two fixed centres,
-which therefore lie within d+2 of o, are rational and seed it.  A fixed
-centre farther away is more than 2 from every point within d of o, so it
-changes neither R nor the list.  Stage 1 runs this test on each member
-whose ``others`` are empty and reports the first whose R is empty.
+which therefore lie within d+2 of o, are rational and seed it.  The list
+is exactly these points and the origin: the four axis extremes, each near
+fixed centre's points at distance 2 on the move circle (Euclidean) or on
+the two axis lines through o (rectilinear), and, Euclidean, the points at
+distance 2 from two near fixed centres.  A fixed centre farther away is
+more than 2 from every point within d of o, so it changes neither R nor
+the list.  Stage 1 runs this test on each member whose ``others`` are
+empty and reports the first whose R is empty.
 
 Clauses.  A clause (S, N), two sets of kernel indices, says "if every disk
 of S moves, some disk of N moves"; a moved set B violates it when S is in
@@ -424,10 +428,10 @@ class _Frame:
         fixed centres in order and then every rational placed point; the
         points of a placed anchor farther than derived_d(d2) + 2 from the
         origin are farther than d from it, so ``fits`` rejects them (module
-        docstring).  A Euclidean anchor gives its tangency toward the origin
-        and its points on the move circle, then its points on the circles of
-        the later anchors that lie within 4 of it; a rectilinear one gives
-        the ends of its clearance on the two axis segments."""
+        docstring).  A Euclidean anchor gives its points on the move
+        circle, then its points on the circles of the later anchors that
+        lie within 4 of it; a rectilinear one gives the ends of its
+        clearance on the two axis segments."""
         ox, oy = O = self.origins[i]
         R, f = self.axis
         out = [_pt(ox, oy, 0, 0, 1, 0), _pt(ox, oy, R, 0, 1, f),
@@ -442,20 +446,14 @@ class _Frame:
                     out += self._meet(a, b)
         return list(dict.fromkeys(out))
 
-    def _own(self, O: tuple[int, int], a: tuple[int, int, int]) -> list:
+    def _own(self, O: tuple[int, int], a: tuple[int, int, int]
+             ) -> Sequence[tuple]:
         """Anchor a's points that do not depend on other anchors."""
+        if self.variant == "euclidean":
+            return self._meet(a, (*O, 1), self.D2)
         ox, oy = O
         ax, ay, e = a
         wx, wy = e * ox - ax, e * oy - ay
-        if self.variant == "euclidean":
-            w2 = wx * wx + wy * wy
-            if not w2:
-                return []
-            # 2 from a toward O: a + 2*w/|w|, with |w|^2 = w2/(e*M)^2
-            s, f, q = split_sqrt(w2, e * e * self.M * self.M)
-            return [_pt(ax * s * f, ay * s * f, 2 * q * wx, 2 * q * wy,
-                        e * s * f, f),
-                    *self._meet(a, (ox, oy, 1), self.D2)]
         out = []
         lim = e * e * self.four
         # the ends, at distance 2 from a, of the horizontal and the vertical
@@ -474,8 +472,10 @@ class _Frame:
               rb: Optional[int] = None) -> tuple:
         """The points 2 from anchor a and sqrt(rb)/M from anchor b: first
         the one to the left of the line from a to b, then the one to its
-        right, the tangency point twice when the circles touch.  Without
-        rb, b is another anchor, and there are none unless 0 < |ab| <= 4."""
+        right, the tangency point twice when the circles touch.  There are
+        none when a and b are one point, as concentric circles have no
+        isolated common point; without rb, b is another anchor, and there
+        are none unless |ab| <= 4."""
         (ax, ay, ea), (bx, by, eb) = a, b
         e = math.lcm(ea, eb)
         ax, ay, bx, by = (ax * (e // ea), ay * (e // ea),
@@ -484,12 +484,9 @@ class _Frame:
         dd = dx * dx + dy * dy
         ee = e * e
         ra = self.four * ee
-        if rb is None:
-            if not 0 < dd <= 4 * ra:
-                return ()
-            rb = ra
-        else:
-            rb *= ee
+        if not dd or (rb is None and dd > 4 * ra):
+            return ()
+        rb = ra if rb is None else rb * ee
         # in units of 1/(e*M): the foot (2*dd*a + n*(b - a))/(2*dd) of the
         # radical line, offset by -+(dy, -dx)*sqrt(k/(4*dd^2))
         n = ra - rb + dd

@@ -95,10 +95,15 @@ class TestSolveChain:
     @pytest.mark.parametrize("inst_text, moves", [
         (FIG1_TEXT.replace("2 0", f"{BIG} 0"), "0\n"),
         (FIG1_TEXT, f"1\n1 -> {BIG} 0\n"),
+        # each centre fits a float, the drawing's width does not
+        pytest.param(FIG1_TEXT.replace(
+            "disks: 3\n0 0\n1 0\n2 0\n",
+            f"disks: 2\n-{10 ** 307} 0\n{10 ** 307} 0\n"), "0\n",
+            id="span"),
     ])
     def test_render_coordinate_beyond_float_range(self, tmp_path, capsys,
                                                   inst_text, moves):
-        # a disk's centre or a move's target
+        # a disk's centre, a move's target, or the span of two centres
         p = tmp_path / "big.inst"
         p.write_text(inst_text)
         w = tmp_path / "w.out"

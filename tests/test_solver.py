@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diskdispersal import geometry, solver
 from diskdispersal.geometry import (
@@ -26,7 +26,8 @@ from diskdispersal.instance_io import (
     write_witness,
 )
 from diskdispersal.kernel import derived_d, kernelize
-from diskdispersal.numerics import Ordering, compare, parse_scalar, quadext
+from diskdispersal.numerics import (
+    Ordering, compare, parse_scalar, quadext, split_sqrt)
 from diskdispersal.oracle import GuardError, oracle
 from diskdispersal.solver import (
     Answer,
@@ -636,7 +637,7 @@ class TestCandidateList:
         fixed = self.lattice()
         frame = solver._Frame(*moved_set(fixed, [self.ORIGIN], self.D2,
                                          "euclidean"))
-        assert len(frame.candidates(0, ())) == 654
+        assert len(frame.candidates(0, ())) == 559
         res = solver._stage_candidates(frame, None)
         assert res is not None and res.status == "infeasible"
         assert (res.member, res.reason) == (0, solver.NO_PLACE)
@@ -657,6 +658,101 @@ class TestCandidateList:
         assert cands[:5] == [o, P(o.x + 9, o.y), P(o.x - 9, o.y),
                              P(o.x, o.y + 9), P(o.x, o.y - 9)]
         assert len(set(cands)) == len(cands)
+
+
+def toward_origin(frame, origin, a):
+    """The point 2 from anchor a = (X, Y, E) toward ``origin`` on ``frame``,
+    a + 2*w/|w| with w = origin - a, as a candidate tuple, or None when a
+    is the origin: a point that the candidate list once held for every
+    Euclidean anchor, and that no case of the lone-member lemma needs."""
+    ox, oy = origin
+    ax, ay, e = a
+    wx, wy = e * ox - ax, e * oy - ay
+    w2 = wx * wx + wy * wy
+    if not w2:
+        return None
+    # |w|^2 = w2/(e*M)^2
+    s, f, q = split_sqrt(w2, e * e * frame.M * frame.M)
+    return solver._pt(ax * s * f, ay * s * f, 2 * q * wx, 2 * q * wy,
+                      e * s * f, f)
+
+
+class TestLemmaPoints:
+    """A Euclidean member lists the origin, the four axis extremes and the
+    points that the lone-member lemma names, and nothing else."""
+
+    def test_every_candidate_is_one_the_lemma_names(self):
+        # seeded frames of 1-3 members, with rational fixed centres and
+        # rational placed anchors, and a placed point that is not rational
+        # when member i has one among its candidates
+        rng = random.Random(20261022)
+        kinds = Counter()
+        for trial in range(150):
+            den = rng.choice((1, 2, 3))
+
+            def pt():
+                return P(F(rng.randint(-4 * den, 4 * den), den),
+                         F(rng.randint(-4 * den, 4 * den), den))
+
+            d2 = rng.choice([F(1, 4), F(1), F(2), F(9, 4), F(4)])
+            movables = [pt() for _ in range(rng.randint(1, 3))]
+            inst, members = moved_set([pt() for _ in range(rng.randint(1, 6))],
+                                      movables, d2, "euclidean")
+            frame = solver._Frame(inst, members)
+            i = rng.randrange(len(members))
+            o = movables[i]
+            rational = [pt() for _ in range(rng.randint(0, 3))]
+            placed = [on_frame(frame, p) for p in rational]
+            placed += [t for t in frame.candidates(i, ()) if t[5]][:1]
+            anchors = [inst.disks[j] for j in frame.near[i]] + rational
+            for t in frame.candidates(i, placed):
+                p = frame.point(t)
+                on_move = compare(dist2(p, o), d2) is Ordering.EQUAL
+                two_from = sum(compare(dist2(p, a), FOUR) is Ordering.EQUAL
+                               for a in dict.fromkeys(anchors))
+                if p == o:
+                    kinds["origin"] += 1
+                elif on_move and (compare(p.x, o.x) is Ordering.EQUAL
+                                  or compare(p.y, o.y) is Ordering.EQUAL):
+                    kinds["axis extreme"] += 1
+                elif on_move and two_from:
+                    kinds["move circle"] += 1
+                else:
+                    assert two_from >= 2, (trial, i, p)
+                    kinds["two anchors"] += 1
+        kept = ("origin", "axis extreme", "move circle", "two anchors")
+        assert all(kinds[k] >= 100 for k in kept), kinds
+
+    def test_the_tangency_toward_the_origin_decides_nothing(self):
+        # single members, each with 1-8 rational fixed centres within
+        # d + 2: some listed candidate fits exactly when one fits among
+        # the list and every anchor's point 2 from it toward the origin
+        rng = random.Random(20261023)
+        outcomes = Counter()
+        for trial in range(1200):
+            den = rng.choice((1, 2, 4))
+            d2 = rng.choice([F(1, 4), F(1), F(2), F(9, 4)])
+            reach2 = (derived_d(d2) + 2) ** 2
+            o = P(F(rng.randint(-4 * den, 4 * den), den),
+                  F(rng.randint(-4 * den, 4 * den), den))
+            fixed = []
+            while len(fixed) < rng.randint(1, 8):
+                p = P(o.x + F(rng.randint(-4 * den, 4 * den), den),
+                      o.y + F(rng.randint(-4 * den, 4 * den), den))
+                if dist2(p, o) <= reach2:
+                    fixed.append(p)
+            frame = solver._Frame(*moved_set(fixed, [o], d2, "euclidean"))
+            assert len(frame.fixed[0]) == len(fixed)
+            listed = any(frame.fits(0, t, ())
+                         for t in frame.candidates(0, ()))
+            extra = [toward_origin(frame, frame.origins[0], (x, y, 1))
+                     for x, y in frame.fixed[0]]
+            tangency = any(frame.fits(0, t, ()) for t in extra if t)
+            assert listed or not tangency, trial
+            outcomes[listed, tangency] += 1
+        # refuted members, and members where a tangency fits as well
+        assert outcomes[False, False] >= 100, outcomes
+        assert outcomes[True, True] >= 100, outcomes
 
 
 class TestIntegerStageOne:
@@ -788,12 +884,14 @@ class TestFrameMeet:
         ((0, 0, 1), (5, 0, 1), None, []),
         ((0, 0, 1), (4, 0, 1), None, [P(2, 0), P(2, 0)]),
         ((1, 1, 1), (1, 1, 1), None, []),
+        # concentric circles of one radius: no isolated common point
+        ((1, 1, 1), (1, 1, 1), 4, []),
         # squared radius 3 around b: where a move budget of sqrt(3) is tight
         ((2, 0, 1), (0, 0, 1), 3,
          [Point(F(3, 4), quadext(0, F(-1, 4), 39)),
           Point(F(3, 4), quadext(0, F(1, 4), 39))]),
     ], ids=["symmetric_pair", "disjoint", "tangent", "coincident",
-            "squared_radius"])
+            "concentric", "squared_radius"])
     def test_examples(self, a, b, rb, want):
         frame = solver._Frame(*moved_set([], [P(0, 0)], F(1), "euclidean"))
         assert [frame.point(t) for t in frame._meet(a, b, rb)] == want
@@ -807,7 +905,6 @@ class TestFrameMeet:
         assert frame.M == m
         A = P(F(ax, ea * m), F(ay, ea * m))
         B = P(F(bx, eb * m), F(by, eb * m))
-        assume(rb is None or A != B)
         pts = [frame.point(t) for t in frame._meet((ax, ay, ea), (bx, by, eb),
                                                    rb)]
         rb2 = FOUR if rb is None else F(rb, m * m)
@@ -821,7 +918,7 @@ class TestFrameMeet:
         else:
             low = quadext(4 + rb2, F(-4, m), rb)
             high = quadext(4 + rb2, F(4, m), rb)
-            meets = (compare(ab2, low) is not Ordering.LESS
+            meets = (0 < ab2 and compare(ab2, low) is not Ordering.LESS
                      and compare(ab2, high) is not Ordering.GREATER)
         assert len(pts) == (2 if meets else 0)
         # the first point lies left of the line from A to B, the second right
@@ -1562,9 +1659,11 @@ class TestDifferentialAgainstOracle:
 
 
 class TestVariantOrdering:
-    @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_colocated_thresholds(self, m):
-        d2 = F(4 * m * m)
+    # d = 2m gives room for every target; at d = 2 a co-located anchor's
+    # circle is the move circle
+    @pytest.mark.parametrize("m, d2", [(3, 36), (4, 64), (5, 100), (2, 4),
+                                       (3, 4)])
+    def test_colocated_thresholds(self, m, d2):
         for variant in ("euclidean", "rectilinear"):
             no = solve(gen_colocated(m, m - 2, d2, variant))
             assert no.verdict == "no"
@@ -1821,7 +1920,7 @@ class TestLocality:
     a refutation's clause names only the disks near its set."""
 
     @pytest.mark.parametrize("n_bg, t, k", [(60, 3, 5), (60, 3, 6),
-                                            (80, 4, 8)])
+                                            (80, 4, 8), (100, 5, 10)])
     def test_shuffled_planted_is_decided(self, shuffled_planted, n_bg, t, k):
         inst, answer = shuffled_planted(1, n_bg, t, k)
         ans = solve(inst, SolverConfig(time_budget=10))

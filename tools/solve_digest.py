@@ -2,45 +2,46 @@
 
     python3 tools/solve_digest.py
 
-solves the random-small and planted-triples inputs of ``perfbench`` at seeds
-1 and 7 with the default ``SolverConfig`` and prints, per workload and seed,
-the number of solves and two SHA-256 digests: one of the answers, over each
-answer's verdict and witness text, and one of the logs, over each answer's
-reason and log lines.  A fifth line gives the SHA-256 of the Fig. 7
-grid-tiling instance text and of its witness text, with the results of
-validating the parsed texts, of validating the parsed instance against the
-empty witness, whose first overlapping pair it names, and of validating it,
-with a budget one larger, against the witness with one more move, a wall
-disk two units out into the lattice fill, which the block check names.  One
-more line digests 50 small seeded ``gen_random`` instances whose one
-coordinate is a radical or a ``~`` literal, so that their covers have a
-centre that is not rational.  The next line digests the three seeded ``gen_random`` instances
-whose yes comes from a stage-3 grid witness, which no other line reaches.
-The line "off-scale rationals" digests 24 seeded ``gen_random`` instances
-whose every disk's x is shifted by 1/p for its own prime p above 2^21, so
-that the integer scales of the kernel and of each moved set leave most
-centres off, and their pairs go through the exact comparison.  The last,
-"clause cases", digests four instances that the clauses of earlier
+solves the random-small and planted-triples inputs of ``perfbench`` at seeds 1
+and 7 with the default ``SolverConfig`` and prints, per workload and seed, the
+number of solves, their tally of yes, no and unknown verdicts, and two SHA-256
+digests: one of the answers, over each answer's verdict and witness text, and
+one of the logs, over each answer's reason and log lines.  A fifth line gives
+the SHA-256 of the Fig. 7 grid-tiling instance text and of its witness text,
+with the results of validating the parsed texts, of validating the parsed
+instance against the empty witness, whose first overlapping pair it names, and
+of validating it, with a budget one larger, against the witness with one more
+move, a wall disk two units out into the lattice fill, which the block check
+names.  One more line digests 50 small seeded ``gen_random`` instances whose
+one coordinate is a radical or a ``~`` literal, so that their covers have a
+centre that is not rational.  The next line digests the three seeded
+``gen_random`` instances whose yes comes from a stage-3 grid witness, which no
+other line reaches.  The line "off-scale rationals" digests 24 seeded
+``gen_random`` instances whose every disk's x is shifted by 1/p for its own
+prime p above 2^21, so that the integer scales of the kernel and of each moved
+set leave most centres off, and their pairs go through the exact comparison.
+The line "clause cases" digests four instances that the clauses of earlier
 refutations decide in a few sets each: an 8x8 lattice plus three disks at
 k = 5, plus four at k = 7, and ``perfbench``'s planted instance with six
-triples, its disks shuffled, at k = 11 (no) and k = 12 (yes).
-Two checkouts that print the same lines gave byte-identical answers and
-logs; two that print the same answers digests gave the same verdicts and
-witness texts, whatever their logs say.  Each solve line's tally of yes,
-no and unknown verdicts goes to stderr, so a changed digest shows whether
-verdicts moved.  Every yes witness of a solve is also validated exactly
-and in tolerant mode at ``DEFAULT_EPS``, which takes the pass over the
+triples, its disks shuffled, at k = 11 (no) and k = 12 (yes).  The last, "far
+groups", digests the shuffled planted instances with five triples at k = 10
+(yes) and eight at k = 15 (no), whose moved sets join triples that lie far
+apart.  Two checkouts that print the same lines gave byte-identical answers
+and logs; two that print the same answers digests gave the same verdicts and
+witness texts, whatever their logs say; a solve line's tally shows whether a
+changed digest moved verdicts.  Every yes witness of a solve is also validated
+exactly and in tolerant mode at ``DEFAULT_EPS``, which takes the pass over the
 whole final list, and the two Fig. 7 texts are parsed back: each must write
-back byte for byte, with every parsed coordinate a ``Fraction``.  The
-instance text is parsed once more and validated in the other order, the
-empty witness first: an instance keeps its pairs between validations, and
-each result must equal that of the first parse.  The Fig. 7 witness and the move into the fill are validated
-at ``DEFAULT_EPS`` as well, which prints nothing more.  The script exits 1,
-after its lines, when a witness is rejected in either mode, including the
-Fig. 7 witness, the Fig. 7 round trip fails, the second parse gives another
-result, or the block check passes the move into the fill in either mode.
-The benchmark inputs come from ``perfbench/workloads.py``, which is
-imported and never changed; the library is imported from this checkout's
+back byte for byte, with every parsed coordinate a ``Fraction``.  The instance
+text is parsed once more and validated in the other order, the empty witness
+first: an instance keeps its pairs between validations, and each result must
+equal that of the first parse.  The Fig. 7 witness and the move into the fill
+are validated at ``DEFAULT_EPS`` as well, which prints nothing more.  The
+script exits 1, after its lines, when a witness is rejected in either mode,
+including the Fig. 7 witness, the Fig. 7 round trip fails, the second parse
+gives another result, or the block check passes the move into the fill in
+either mode.  The benchmark inputs come from ``perfbench/workloads.py``, which
+is imported and never changed; the library is imported from this checkout's
 ``src/``.
 
 ``tools/solve_digest.txt`` holds the expected output, and CI diffs a fresh
@@ -91,10 +92,10 @@ def log_text(ans: dd.Answer) -> str:
 
 
 def digest(label: str, instances) -> int:
-    """Print the number of solves and the SHA-256 of their answers and of
-    their logs under ``label``, and their verdict tally to stderr; return
-    the number of yes witnesses that ``validate_witness`` rejects, exactly
-    or at ``DEFAULT_EPS``."""
+    """Print under ``label`` the number of solves, their verdict tally and
+    the SHA-256 of their answers and of their logs; return the number of
+    yes witnesses that ``validate_witness`` rejects, exactly or at
+    ``DEFAULT_EPS``."""
     answers, logs = hashlib.sha256(), hashlib.sha256()
     rejected = 0
     tally = Counter()
@@ -108,11 +109,9 @@ def digest(label: str, instances) -> int:
         for h, text in ((answers, answer_text(ans)), (logs, log_text(ans))):
             h.update(text.encode())
             h.update(b"\0")
-    print(f"{label}: {len(instances)} solves, answers sha256 "
+    counts = "".join(f", {tally[v]} {v}" for v in ("yes", "no", "unknown"))
+    print(f"{label}: {len(instances)} solves{counts}, answers sha256 "
           f"{answers.hexdigest()}, log sha256 {logs.hexdigest()}")
-    print(f"{label}: " + ", ".join(f"{tally[v]} {v}"
-                                   for v in ("yes", "no", "unknown")),
-          file=sys.stderr)
     return rejected
 
 
@@ -227,9 +226,8 @@ def off_scale_cases() -> list[dd.Instance]:
 
 def clause_cases() -> list[dd.Instance]:
     """An 8x8 lattice of pitch 5/2 at d2 = 9/4 with three disks on cell
-    edges at k = 5, and with a fourth at k = 7, both no; ``planted(1, 120,
-    6, k, 9/4, "euclidean")`` with its disks shuffled by
-    ``random.Random(1)``, at k = 11 (no) and 12 (yes)."""
+    edges at k = 5, and with a fourth at k = 7, both no;
+    ``shuffled_planted(6, k)`` at k = 11 (no) and 12 (yes)."""
     grid = [dd.Point(Fraction(5 * i, 2), Fraction(5 * j, 2))
             for i in range(8) for j in range(8)]
     edges = [dd.Point(Fraction(5, 4), 0), dd.Point(Fraction(35, 4),
@@ -239,13 +237,16 @@ def clause_cases() -> list[dd.Instance]:
     cases = [dd.Instance("euclidean", k, Fraction(9, 4),
                          tuple(grid + edges[:extra]))
              for extra, k in ((3, 5), (4, 7))]
-    for k in (11, 12):
-        disks = list(planted(1, 120, 6, k, Fraction(9, 4),
-                             "euclidean").instance.disks)
-        random.Random(1).shuffle(disks)
-        cases.append(dd.Instance("euclidean", k, Fraction(9, 4),
-                                 tuple(disks)))
-    return cases
+    return cases + [shuffled_planted(6, 11), shuffled_planted(6, 12)]
+
+
+def shuffled_planted(t: int, k: int) -> dd.Instance:
+    """``planted(1, 20*t, t, k, 9/4, "euclidean")``, t tight triples in a
+    sparse packing, with its disks shuffled by ``random.Random(1)``."""
+    disks = list(planted(1, 20 * t, t, k, Fraction(9, 4),
+                         "euclidean").instance.disks)
+    random.Random(1).shuffle(disks)
+    return dd.Instance("euclidean", k, Fraction(9, 4), tuple(disks))
 
 
 def main() -> int:
@@ -261,6 +262,8 @@ def main() -> int:
                        [dd.gen_random(*args) for args in GRID_WITNESS_CASES])
     rejected += digest("off-scale rationals", off_scale_cases())
     rejected += digest("clause cases", clause_cases())
+    rejected += digest("far groups", [shuffled_planted(5, 10),
+                                      shuffled_planted(8, 15)])
     if rejected:
         faults.append(f"{rejected} yes witnesses fail validation, exact or "
                       "tolerant")
