@@ -176,13 +176,11 @@ class LatticeBlock:
         becomes, once per call, an open rectangle of their scaled
         coordinates (:func:`_clear_range`): a point inside it has its window
         in the box, so it is cleared by four integer comparisons, against
-        the rectangle that cleared the point before it first.  A point on
-        the scale that no rectangle clears is decided on plain integers,
-        window and distances alike, on M, the least common multiple of its
-        scale and the block's.  Any other point has its window checked
-        against the hole boxes and goes through the exact comparison, which
-        decides every rational point and raises IndeterminateError when it
-        cannot decide a lattice point before the first close one.
+        the rectangle that cleared the point before it first.  Every other
+        point has its window checked against the hole boxes and goes through
+        the exact comparison, which decides every rational point and raises
+        IndeterminateError when it cannot decide a lattice point before the
+        first close one.
         """
         if scaled is None:
             points = list(points)
@@ -192,47 +190,33 @@ class LatticeBlock:
         M = math.lcm(Db, P)
         mb, mp = M // Db, M // P
         X0, Y0, S = Xb * mb, Yb * mb, Sb * mb
-        tn, td = threshold.numerator, threshold.denominator
         reach = ceil_sqrt(threshold)
-        RM, limit = reach * M, tn * M * M
+        RM = reach * M
         nx, ny, boxes = self.nx, self.ny, self._hole_boxes
         clear = [(*_clear_range(h0, h1, nx, X0, S, RM, mp),
                   *_clear_range(g0, g1, ny, Y0, S, RM, mp))
                  for h0, h1, g0, g1 in boxes]
         xlo = xhi = ylo = yhi = 0  # the rectangle tried first; none yet
         for k, (p, x, y) in enumerate(zip(points, X, Y)):
-            if x is None:
-                i0, i1, j0, j1 = self._point_window(p, reach)
-                if i0 > i1 or j0 > j1 or any(
-                        h0 <= i0 and i1 <= h1 and g0 <= j0 and j1 <= g1
-                        for h0, h1, g0, g1 in boxes):
-                    continue  # no lattice point, or a hole covers them
-                for q in self._points((i0, i1, j0, j1)):
-                    o = compare(dist2(p, q), threshold)
-                    if o is Ordering.INDETERMINATE:
-                        raise IndeterminateError(f"separation of {p} and {q}")
-                    if o is Ordering.LESS:
-                        return k, q
-                continue
-            if xlo < x < xhi and ylo < y < yhi:
-                continue  # the last hole covers its window
-            for xlo, xhi, ylo, yhi in clear:
+            if x is not None:
                 if xlo < x < xhi and ylo < y < yhi:
-                    break
-            else:
-                x, y = x * mp, y * mp
-                i0 = max(0, -((X0 - x + RM) // S))
-                i1 = min(nx, (x + RM - X0) // S)
-                j0 = max(0, -((Y0 - y + RM) // S))
-                j1 = min(ny, (y + RM - Y0) // S)
-                for i in range(i0, i1 + 1):
-                    dx = X0 + i * S - x
-                    for j in range(j0, j1 + 1):
-                        dy = Y0 + j * S - y
-                        if ((dx * dx + dy * dy) * td < limit
-                                and self._alive(i, j)):
-                            return k, Point(self.x0 + i * self.step,
-                                            self.y0 + j * self.step)
+                    continue  # the last hole covers its window
+                for xlo, xhi, ylo, yhi in clear:
+                    if xlo < x < xhi and ylo < y < yhi:
+                        break
+                if xlo < x < xhi and ylo < y < yhi:
+                    continue  # a hole covers its window
+            i0, i1, j0, j1 = self._point_window(p, reach)
+            if i0 > i1 or j0 > j1 or any(
+                    h0 <= i0 and i1 <= h1 and g0 <= j0 and j1 <= g1
+                    for h0, h1, g0, g1 in boxes):
+                continue  # no lattice point, or a hole covers them
+            for q in self._points((i0, i1, j0, j1)):
+                o = compare(dist2(p, q), threshold)
+                if o is Ordering.INDETERMINATE:
+                    raise IndeterminateError(f"separation of {p} and {q}")
+                if o is Ordering.LESS:
+                    return k, q
         return None
 
 
@@ -594,12 +578,8 @@ def validate_witness(inst: Instance, w: Witness,
 
 
 def _blocks_conflict(a: LatticeBlock, b: LatticeBlock, sep: Fraction) -> bool:
-    ra = Rect(a.x0, a.y0, a.x1, a.y1)
-    rb = Rect(b.x0, b.y0, b.x1, b.y1)
-    if ra.min_dist2_to(rb) >= sep:
-        return False
-    # blocks approach each other: query b with the points of a near it
-    near = a._points(a._window(rb.x0, rb.x1, rb.y0, rb.y1, ceil_sqrt(sep)))
+    # query b with the points of a near it; blocks farther apart give none
+    near = a._points(a._window(b.x0, b.x1, b.y0, b.y1, ceil_sqrt(sep)))
     return b.first_close(near, sep) is not None
 
 

@@ -437,8 +437,6 @@ def sign_sqrt(a: int, b: int, c: int) -> int:
     sb = (b > 0) - (b < 0) if c else 0
     if sa == 0 or sa == sb:
         return sb
-    if sb == 0:
-        return sa
     t = a * a - b * b * c
     return sa * ((t > 0) - (t < 0))
 
@@ -452,8 +450,6 @@ def sign_sqrt2(a: int, b: int, g: int, h: int, c1: int, c2: int) -> int:
     sq = sign_sqrt(g, h, c1) if c2 else 0
     if sp == 0 or sp == sq:
         return sq
-    if sq == 0:
-        return sp
     return sp * sign_sqrt(a * a + b * b * c1 - c2 * (g * g + h * h * c1),
                           2 * (a * b - c2 * g * h), c1)
 

@@ -484,7 +484,7 @@ class _Frame:
         dd = dx * dx + dy * dy
         ee = e * e
         ra = self.four * ee
-        if not dd or (rb is None and dd > 4 * ra):
+        if not dd:
             return ()
         rb = ra if rb is None else rb * ee
         # in units of 1/(e*M): the foot (2*dd*a + n*(b - a))/(2*dd) of the
@@ -744,8 +744,6 @@ def feasibility(inst: Instance, members: Sequence[int],
     TimeoutError, and the answer is unknown with reason "time budget".
     """
     cfg = cfg or SolverConfig()
-    if not members:
-        return Feasibility("feasible", {})
     if all(inst.disks[m].is_rational() for m in members):
         frame = _Frame(inst, members)
         near = frame.near
